@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Collect before/after rows from two sets of ``perfbench/run.py`` records
+into one ``BENCH_*.json`` file.
+
+    python3 scripts/bench_rows.py --before OLD_CHECKOUT/.perfbench \
+        --after .perfbench --out BENCH_3.json \
+        --note criterion_04_insert_s 13.9 5.1 s
+
+Each ``result-<workload>-seed<N>-trace<T>.json`` record in a directory is one
+benchmark run.  For every workload and every metric listed below, the file
+gets the per-run values of both sides, their medians and the after/before
+ratio of the medians.  Timed runs (``--trace 0``) give the end-to-end rows,
+traced runs (``--trace 1``) the per-layer rows.  ``--note`` adds a figure
+measured outside the benchmark (name, before, after, unit).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import sys
+from pathlib import Path
+
+END_TO_END = ("evals_per_s", "hv", "evaluations", "success_frac", "setup_s",
+              "peak_rss_mb")
+PER_LAYER = ("pareto.insert.us", "pareto.insert.calls", "pearl.ppo_update.us",
+             "pearl.ppo_update.calls", "pareto.nondominated_sort.self_s",
+             "pareto.niching_rank.self_s", "pareto.crowding_distance.self_s",
+             "environment.evaluate.us", "trace.evals_per_s_untraced")
+RECORD = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
+
+
+def load(directory: Path) -> dict:
+    """{(workload, trace): [record, ...]} in seed order."""
+    runs: dict = {}
+    for path in sorted(directory.glob("result-*.json")):
+        match = RECORD.fullmatch(path.name)
+        if match is None:
+            continue
+        key = (match["workload"], int(match["trace"]))
+        runs.setdefault(key, []).append((int(match["seed"]),
+                                         json.loads(path.read_text())))
+    return {key: [r for _, r in sorted(records, key=lambda sr: sr[0])]
+            for key, records in runs.items()}
+
+
+def side(records, name) -> dict:
+    values = [r["all_values"][name] for r in records if name in r["all_values"]]
+    return {"runs": values, "median": statistics.median(values) if values else None,
+            "seeds": [r["machine"]["seed"] for r in records]}
+
+
+def rows(before: dict, after: dict) -> list[dict]:
+    out = []
+    for (workload, trace) in sorted(set(before) & set(after)):
+        for name in (PER_LAYER if trace else END_TO_END):
+            old, new = side(before[(workload, trace)], name), \
+                side(after[(workload, trace)], name)
+            if old["median"] is None or new["median"] is None:
+                continue
+            unit = after[(workload, trace)][0]["metrics"].get(name, {}).get("unit")
+            out.append({
+                "workload": workload, "traced": bool(trace), "metric": name,
+                "unit": unit, "before": old, "after": new,
+                "ratio": new["median"] / old["median"] if old["median"] else None,
+            })
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", type=Path, required=True)
+    parser.add_argument("--after", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--note", nargs=4, action="append", default=[],
+                        metavar=("NAME", "BEFORE", "AFTER", "UNIT"))
+    args = parser.parse_args(argv)
+    before, after = load(args.before), load(args.after)
+    if not before or not after:
+        raise SystemExit("no benchmark records found")
+    machine = next(iter(after.values()))[0]["machine"]
+    machine = {k: v for k, v in machine.items() if k != "seed"}
+    payload = {
+        "machine": machine,
+        "rows": rows(before, after),
+        "notes": [{"name": name, "before": float(b), "after": float(a), "unit": unit}
+                  for name, b, a, unit in args.note],
+    }
+    args.out.write_text(json.dumps(payload, indent=1) + "\n")
+    for row in payload["rows"]:
+        ratio = "" if row["ratio"] is None else f"  x{row['ratio']:.3f}"
+        print(f"{row['workload']:12s} {row['metric']:34s} "
+              f"{row['before']['median']:>12.6g} -> {row['after']['median']:>12.6g}{ratio}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

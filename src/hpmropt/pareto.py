@@ -12,6 +12,8 @@ feasibility.
 from __future__ import annotations
 
 import csv
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -38,7 +40,7 @@ class ObjectivePoint:
         self.objectives = np.atleast_1d(np.asarray(self.objectives, dtype=float))
         if not np.all(np.isfinite(self.objectives)):
             raise ContractError(f"non-finite objectives: {self.objectives}")
-        if self.penalty < 0:
+        if not self.penalty >= 0:
             raise ContractError("penalty must be non-negative")
         if self.feasible != (self.penalty == 0.0):
             raise ContractError("penalty must be zero exactly for feasible points")
@@ -67,44 +69,84 @@ def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
 
 
 def _point_arrays(points):
-    obj = np.vstack([p.objectives for p in points])
+    obj = np.array([p.objectives for p in points])
     feas = np.array([p.feasible for p in points], dtype=bool)
     pen = np.array([p.penalty for p in points], dtype=float)
     return obj, feas, pen
 
 
-def _dominance_matrix(obj, feas, pen):
-    """D[i, j] is True when point i dominates point j."""
-    le = np.all(obj[:, None, :] <= obj[None, :, :], axis=-1)
-    lt = np.any(obj[:, None, :] < obj[None, :, :], axis=-1)
-    both_feasible = feas[:, None] & feas[None, :]
-    both_infeasible = ~feas[:, None] & ~feas[None, :]
-    feasible_over_infeasible = feas[:, None] & ~feas[None, :]
-    return (
-        (both_feasible & le & lt)
-        | feasible_over_infeasible
-        | (both_infeasible & (pen[:, None] < pen[None, :]))
-    )
+def _sweep_fronts(obj) -> list[list[int]]:
+    """Dominance fronts of points in one or two objectives, feasibility
+    aside.
+
+    One lexicographic sort, then each point joins the first front whose
+    latest member does not dominate it (Jensen 2003).  The latest members'
+    second objectives never decrease from one front to the next, so that
+    front is found by bisection; exact duplicates share a front.
+    """
+    f0 = obj[:, 0].tolist()
+    f1 = obj[:, 1].tolist() if obj.shape[1] == 2 else [0.0] * len(f0)
+    last0: list[float] = []
+    last1: list[float] = []
+    fronts: list[list[int]] = []
+    for i in np.lexsort(obj.T[::-1]).tolist():
+        a, b = f0[i], f1[i]
+        k = bisect_left(last1, b)
+        while k < len(last1) and last1[k] == b and last0[k] < a:
+            k += 1
+        if k == len(fronts):
+            fronts.append([i])
+            last0.append(a)
+            last1.append(b)
+        else:
+            fronts[k].append(i)
+            last0[k], last1[k] = a, b
+    return fronts
+
+
+def _feasible_fronts(obj, feas) -> list[list[int]]:
+    """Fronts of the feasible points by objective dominance, each in
+    ascending index order."""
+    if obj.shape[1] > 2:
+        raise ContractError(
+            f"non-dominated sorting supports one or two objectives, got {obj.shape[1]}")
+    feasible = np.flatnonzero(feas)
+    if len(feasible) == 0:
+        return []
+    return [sorted(feasible[front].tolist()) for front in _sweep_fronts(obj[feasible])]
+
+
+def _penalty_runs(order, pen) -> list[list[int]]:
+    """Split ``order``, infeasible indices sorted by penalty, into one front
+    per distinct penalty: between infeasible points the smaller penalty
+    dominates."""
+    runs: list[list[int]] = []
+    last = None
+    for i, penalty in zip(order.tolist(), pen[order].tolist()):
+        if penalty == last:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+            last = penalty
+    return runs
 
 
 def nondominated_sort(points) -> list[list[int]]:
     """Partition indices into fronts: front 0 is the maximal non-dominated
-    set, each later front is the non-dominated set of the remainder."""
+    set, each later front is the non-dominated set of the remainder.
+
+    Supports one or two objectives; each front lists its indices in
+    ascending order."""
     if len(points) == 0:
         raise ContractError("cannot sort an empty point set")
     shapes = {p.objectives.shape for p in points}
     if len(shapes) != 1:
         raise ContractError(f"mixed objective dimensions: {shapes}")
-    dom = _dominance_matrix(*_point_arrays(points))
-    dominated_count = dom.sum(axis=0)
-    remaining = np.ones(len(points), dtype=bool)
-    fronts = []
-    while remaining.any():
-        current = remaining & (dominated_count == 0)
-        fronts.append(np.flatnonzero(current).tolist())
-        dominated_count = dominated_count - dom[current].sum(axis=0)
-        remaining &= ~current
-    return fronts
+    obj, feas, pen = _point_arrays(points)
+    infeasible = np.flatnonzero(~feas)
+    by_penalty = infeasible[np.argsort(pen[infeasible], kind="stable")]
+    # a feasible point dominates every infeasible one
+    return _feasible_fronts(obj, feas) + _penalty_runs(by_penalty, pen)
 
 
 def crowding_distance(front) -> np.ndarray:
@@ -112,9 +154,10 @@ def crowding_distance(front) -> np.ndarray:
 
     Boundary points get +inf; interior points accumulate span-normalized
     neighbor gaps per objective.  A zero-span objective contributes nothing.
-    Fronts of one or two points are all-boundary.
+    Fronts of one or two points are all-boundary.  ``front`` is a sequence
+    of points or objective rows, or an (n, n_obj) array.
     """
-    obj = np.vstack([
+    obj = front if isinstance(front, np.ndarray) and front.ndim == 2 else np.vstack([
         p.objectives if isinstance(p, ObjectivePoint) else np.atleast_1d(p)
         for p in front
     ])
@@ -158,9 +201,13 @@ def _associate(normalized, directions):
     """Nearest reference direction by perpendicular distance to the ray."""
     unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     projection = normalized @ unit.T
-    perp = np.linalg.norm(
-        normalized[:, None, :] - projection[:, :, None] * unit[None, :, :], axis=-1
-    )
+    # |x - (x.u)u| summed over objectives in order, as np.linalg.norm sums
+    # a short last axis, without the (points, directions, objectives) array
+    squared = 0.0
+    for j in range(normalized.shape[1]):
+        residual = normalized[:, j:j + 1] - projection * unit[:, j]
+        squared = squared + residual * residual
+    perp = np.sqrt(squared)
     niche = np.argmin(perp, axis=1)
     return niche, perp[np.arange(len(normalized)), niche]
 
@@ -181,25 +228,40 @@ def niching_rank(normalized, directions, initial_counts=None, seq=None) -> list[
     normalized = np.asarray(normalized, dtype=float)
     if len(normalized) == 0:
         return []
-    seq = np.asarray(list(range(len(normalized))) if seq is None else seq)
+    seq = np.arange(len(normalized)) if seq is None else np.asarray(seq)
     counts = (
         np.zeros(len(directions), dtype=int)
         if initial_counts is None
         else np.asarray(initial_counts, dtype=int).copy()
     )
     niche, perp = _associate(normalized, directions)
-    unranked = np.ones(len(normalized), dtype=bool)
-    order: list[int] = []
-    for _ in range(len(normalized)):
-        active = np.unique(niche[unranked])          # sorted, so count ties
-        best_niche = active[np.argmin(counts[active])]  # break by niche index
-        candidates = np.flatnonzero(unranked & (niche == best_niche))
-        pick = candidates[np.lexsort((seq[candidates], perp[candidates]))[0]]
-        order.append(int(pick))
-        unranked[pick] = False
-        counts[best_niche] += 1
+    order = _niche_order(niche, perp, seq, counts)
     if initial_counts is not None:
         initial_counts[:] = counts
+    return order
+
+
+def _niche_order(niche, perp, seq, counts) -> list[int]:
+    """Niche-preserving selection from known associations; ``counts`` is
+    updated in place.
+
+    A heap keyed on (occupancy, niche index) yields the niche to visit, and
+    each niche pops its members in (perp, seq) order, so every pick costs
+    O(log n) instead of a rescan of the remaining points.
+    """
+    queues: dict[int, list[int]] = {}
+    for i in np.lexsort((seq, perp))[::-1].tolist():
+        queues.setdefault(int(niche[i]), []).append(i)   # best member last
+    heap = [(int(counts[k]), k) for k in queues]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        count, k = heapq.heappop(heap)
+        members = queues[k]
+        order.append(members.pop())
+        counts[k] = count + 1
+        if members:
+            heapq.heappush(heap, (count + 1, k))
     return order
 
 
@@ -246,61 +308,53 @@ class ParetoBuffer:
             divisions = self.divisions or max(self.capacity - 1, 1)
             self.directions = reference_directions(n_obj, divisions)
 
-    def _normalization(self, slots):
-        feasible_obj = np.array(
-            [s.point.objectives for s in slots if s.point.feasible]
-        )
-        if len(feasible_obj) == 0:
-            return None
-        lo = feasible_obj.min(axis=0)
-        hi = feasible_obj.max(axis=0)
-        return lo, hi
-
     def _rank_all(self, slots) -> list[_Slot]:
-        points = [s.point for s in slots]
-        fronts = nondominated_sort(points)
-        bounds = self._normalization(slots)
-        counts = (
-            np.zeros(len(self.directions), dtype=int)
-            if self.metric == "niching" and self.directions is not None
-            else None
-        )
-        ordered: list[_Slot] = []
+        obj, feas, pen = _point_arrays([s.point for s in slots])
+        seq = np.array([s.seq for s in slots])
+        fronts = _feasible_fronts(obj, feas)
+        niching = self.metric == "niching"
+        if niching and any(len(front) > 1 for front in fronts):
+            # one normalization and one association over every feasible
+            # slot (never a single row: that product takes another BLAS
+            # path than the front-sized ones and can differ in the last bit)
+            lo = obj[feas].min(axis=0)
+            hi = obj[feas].max(axis=0)
+            span = np.where(hi > lo, hi - lo, 1.0)
+            normalized = (obj - lo) / span
+            normalized[:, hi == lo] = 0.0
+            niche = np.zeros(len(slots), dtype=int)
+            perp = np.zeros(len(slots))
+            niche[feas], perp[feas] = _associate(normalized[feas], self.directions)
+            counts = np.zeros(len(self.directions), dtype=int)
+        ranked: list[tuple[int, int, float]] = []     # (slot, front, distance)
         for front_index, front in enumerate(fronts):
-            members = [slots[i] for i in front]
-            if not members[0].point.feasible:
-                # penalty-tied infeasible group: incumbency order
-                members.sort(key=lambda s: s.seq)
-                for slot in members:
-                    slot.front = front_index
-                    slot.distance = 0.0
-                ordered.extend(members)
-                continue
-            if self.metric == "crowding" or len(members) == 1:
-                dist = crowding_distance([s.point for s in members])
-                ranked = sorted(
-                    zip(members, dist), key=lambda md: (-md[1], md[0].seq)
-                )
+            if not niching or len(front) == 1:
+                dist = crowding_distance(obj[front]).tolist()
+                ranked.extend((i, front_index, d) for i, d in sorted(
+                    zip(front, dist), key=lambda fd: (-fd[1], seq[fd[0]])))
             else:
-                lo, hi = bounds
-                span = np.where(hi > lo, hi - lo, 1.0)
-                normalized = np.array(
-                    [(s.point.objectives - lo) / span for s in members]
-                )
-                normalized[:, hi == lo] = 0.0
-                order = niching_rank(normalized, self.directions, counts,
-                                     seq=[s.seq for s in members])
-                _, perp = _associate(normalized, self.directions)
-                ranked = [(members[i], perp[i]) for i in order]
-            for slot, dist in ranked:
-                slot.front = front_index
-                slot.distance = float(dist)
-                ordered.append(slot)
+                order = _niche_order(niche[front], perp[front], seq[front], counts)
+                ranked.extend((front[k], front_index, perp[front[k]]) for k in order)
+        # infeasible slots follow, one front per penalty, in incumbency order
+        infeasible = np.flatnonzero(~feas)
+        by_rank = infeasible[np.lexsort((seq[infeasible], pen[infeasible]))]
+        for front_index, run in enumerate(_penalty_runs(by_rank, pen), len(fronts)):
+            ranked.extend((i, front_index, 0.0) for i in run)
+        ordered: list[_Slot] = []
+        for i, front_index, dist in ranked:
+            slot = slots[i]
+            slot.front = front_index
+            slot.distance = float(dist)
+            ordered.append(slot)
         return ordered
 
     def insert(self, point: ObjectivePoint) -> int:
         """Rank ``point`` against the held solutions, keep the best
         ``capacity`` of the union, and return ``-rank`` (rank is 1-based)."""
+        if self._slots and point.objectives.shape != self._slots[0].point.objectives.shape:
+            raise ContractError(
+                f"mixed objective dimensions: {point.objectives.shape} vs "
+                f"{self._slots[0].point.objectives.shape}")
         self._ensure_directions(len(point.objectives))
         candidate = _Slot(point=point, seq=self._seq)
         self._seq += 1

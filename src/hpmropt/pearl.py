@@ -15,6 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,13 @@ class PearlConfig:
                 raise ConfigError(f"{name} must be non-negative")
         if self.agents < 1 or self.kappa < 1 or self.n_steps < 1:
             raise ConfigError("agents, kappa and n_steps must be positive")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be at least 1")
         if self.total_steps % self.n_steps != 0:
             raise ConfigError("total_steps must be divisible by n_steps")
+        if self.total_steps % self.agents != 0:
+            raise ConfigError(f"total_steps ({self.total_steps}) must be divisible "
+                              f"by agents ({self.agents})")
         if self.seeds is not None and len(self.seeds) != self.agents:
             raise ConfigError("need exactly one seed per agent")
 
@@ -244,6 +250,20 @@ def log_prob_of(policy: PolicyState, pre_squash: np.ndarray) -> np.ndarray:
     return per_dim.sum(axis=1)
 
 
+def _mean(x: np.ndarray) -> np.float64:
+    """``np.mean`` of a 1-D float array: the same sum over the same count,
+    so the same bits, without the dispatch that dominates at this size."""
+    return np.add.reduce(x) / len(x)
+
+
+def _std(x: np.ndarray) -> np.float64:
+    """``np.std`` (ddof 0) of a 1-D float array, computed as numpy does:
+    deviations from the mean, their squares summed over the count, the
+    square root."""
+    deviation = x - np.add.reduce(x) / len(x)
+    return np.sqrt(np.add.reduce(deviation * deviation) / len(x))
+
+
 @dataclass
 class Rollout:
     pre_squash: np.ndarray   # (n, 7)
@@ -256,44 +276,56 @@ class Rollout:
 
     def standardized(self):
         r = self.rewards
-        return (r - r.mean()) / (r.std() + 1e-8)
+        return (r - _mean(r)) / (_std(r) + 1e-8)
 
-    def advantages(self, normalize: bool) -> np.ndarray:
-        a = self.standardized() - self.value_old
+    def advantages(self, normalize: bool, returns: np.ndarray | None = None) -> np.ndarray:
+        """Returns minus the stored baselines; ``returns`` saves recomputing
+        ``standardized()`` when the caller already has it."""
+        a = (self.standardized() if returns is None else returns) - self.value_old
         if normalize and len(a) > 1:
-            a = (a - a.mean()) / (a.std() + 1e-8)
+            a = (a - _mean(a)) / (_std(a) + 1e-8)
         return a
 
 
-def ppo_loss(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> float:
-    returns = rollout.standardized()
-    advantages = returns - rollout.value_old
-    if config.normalize_advantage and len(advantages) > 1:
-        advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-    log_probs = log_prob_of(policy, rollout.pre_squash)
-    ratio = np.exp(log_probs - rollout.log_probs)
-    clipped = np.clip(ratio, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
-    pg = -np.mean(np.minimum(ratio * advantages, clipped * advantages))
-    value = policy.value_baseline
-    v_loss = config.value_coeff * np.mean((value - returns) ** 2)
-    return float(pg + v_loss - config.entropy_coeff * policy.entropy)
+class _Targets(NamedTuple):
+    """The policy-independent half of the PPO objective, computed once per
+    update: standardized returns, advantages and the squash Jacobian."""
+
+    returns: np.ndarray
+    advantages: np.ndarray
+    jacobian: np.ndarray
+
+    @classmethod
+    def of(cls, rollout: Rollout, config: PearlConfig) -> "_Targets":
+        returns = rollout.standardized()
+        return cls(returns=returns,
+                   advantages=rollout.advantages(config.normalize_advantage, returns),
+                   jacobian=_squash_jacobian(rollout.pre_squash))
 
 
-def ppo_gradient(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> dict:
-    """Closed-form gradient of the clipped-surrogate loss."""
-    returns = rollout.standardized()
-    advantages = rollout.advantages(config.normalize_advantage)
-    n = len(rollout)
+def _loss_and_gradient(policy: PolicyState, rollout: Rollout, targets: _Targets,
+                       config: PearlConfig, with_gradient: bool = True):
+    """Clipped-surrogate loss and, optionally, its closed-form gradient, from
+    one policy forward and one value forward."""
+    returns, advantages = targets.returns, targets.advantages
     mean, h1, h2 = policy._policy_forward()
     log_std = policy.log_std
-    std2 = np.exp(2.0 * log_std)
-
-    log_probs = log_prob_of(policy, rollout.pre_squash)
-    ratio = np.exp(log_probs - rollout.log_probs)
+    per_dim = _gauss_logpdf(rollout.pre_squash, mean, log_std) - targets.jacobian
+    ratio = np.exp(per_dim.sum(axis=1) - rollout.log_probs)
     clipped = np.clip(ratio, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
+    surrogate, clipped_surrogate = ratio * advantages, clipped * advantages
+    pg = -_mean(np.minimum(surrogate, clipped_surrogate))
+    value, v_h1, v_h2 = policy._value_forward()
+    v_loss = config.value_coeff * _mean((value - returns) ** 2)
+    loss = float(pg + v_loss - config.entropy_coeff * policy.entropy)
+    if not with_gradient:
+        return loss, None
+
+    n = len(rollout)
+    std2 = np.exp(2.0 * log_std)
     # min() follows the unclipped branch on ties, so the in-range case (where
     # both branches coincide) keeps its gradient
-    active = ratio * advantages <= clipped * advantages
+    active = surrogate <= clipped_surrogate
     dlogp = np.where(active, -advantages * ratio, 0.0) / n  # dL/dlogp_i
 
     diff = rollout.pre_squash - mean       # (n, 7)
@@ -308,16 +340,15 @@ def ppo_gradient(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> 
     d_h1 = p["pol_w2"].T @ d_pre2
     d_pre1 = d_h1 * (1.0 - h1**2)
     grads.update({
-        "pol_wm": np.outer(d_mean, h2),
+        "pol_wm": d_mean[:, None] * h2,
         "pol_bm": d_mean,
-        "pol_w2": np.outer(d_pre2, h1),
+        "pol_w2": d_pre2[:, None] * h1,
         "pol_b2": d_pre2,
         "pol_w1": d_pre1[:, None],
         "pol_b1": d_pre1,
     })
 
-    value, v_h1, v_h2 = policy._value_forward()
-    d_value = config.value_coeff * 2.0 * np.mean(value - returns)
+    d_value = config.value_coeff * 2.0 * _mean(value - returns)
     d_vh2 = d_value * p["val_wv"]
     d_vpre2 = d_vh2 * (1.0 - v_h2**2)
     d_vh1 = p["val_w2"].T @ d_vpre2
@@ -325,32 +356,79 @@ def ppo_gradient(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> 
     grads.update({
         "val_wv": d_value * v_h2,
         "val_bv": np.array([d_value]),
-        "val_w2": np.outer(d_vpre2, v_h1),
+        "val_w2": d_vpre2[:, None] * v_h1,
         "val_b2": d_vpre2,
         "val_w1": d_vpre1[:, None],
         "val_b1": d_vpre1,
     })
-    return grads
+    return loss, grads
+
+
+def ppo_loss(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> float:
+    """Clipped-surrogate loss plus value and entropy terms."""
+    return _loss_and_gradient(policy, rollout, _Targets.of(rollout, config), config,
+                              with_gradient=False)[0]
+
+
+def ppo_gradient(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> dict:
+    """Closed-form gradient of the clipped-surrogate loss."""
+    return _loss_and_gradient(policy, rollout, _Targets.of(rollout, config), config)[1]
 
 
 class AdamOptimizer:
+    """Adam over named parameter tensors.
+
+    The moments live in one flat vector in the order of the first gradient
+    dict; the arithmetic is elementwise, so the result is the same, bit for
+    bit, as updating tensor by tensor.
+    """
+
     def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.t = 0
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: dict, grads: dict, scale: float | None = None) -> None:
+        """One update from ``grads``, each first multiplied by ``scale``
+        when given (gradient-norm clipping)."""
+        grad = _flatten(grads)
+        if scale is not None:
+            grad = grad * scale
         self.t += 1
-        for name, grad in grads.items():
-            m = self.m.setdefault(name, np.zeros_like(grad))
-            v = self.v.setdefault(name, np.zeros_like(grad))
-            m += (1.0 - self.beta1) * (grad - m)
-            v += (1.0 - self.beta2) * (grad**2 - v)
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            params[name] = params[name] - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        if self.m is None:
+            self.m = np.zeros_like(grad)
+            self.v = np.zeros_like(grad)
+        m, v = self.m, self.v
+        m += (1.0 - self.beta1) * (grad - m)
+        v += (1.0 - self.beta2) * (grad**2 - v)
+        m_hat = m / (1.0 - self.beta1**self.t)
+        v_hat = v / (1.0 - self.beta2**self.t)
+        update = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        start = 0
+        for name, g in grads.items():
+            stop = start + g.size
+            # a fresh array, not an in-place update: the result's memory
+            # layout decides the BLAS path of later products, and with it
+            # their last bits
+            params[name] = params[name] - update[start:stop].reshape(g.shape)
+            start = stop
+
+
+def _flatten(grads: dict) -> np.ndarray:
+    return np.concatenate([g.ravel() for g in grads.values()])
+
+
+def _grad_norm(grads: dict) -> float:
+    """Euclidean norm of all gradients, summed tensor by tensor in dict
+    order (a contiguous slice sums like the tensor it holds)."""
+    squares = _flatten(grads) ** 2
+    total, start = 0.0, 0
+    for g in grads.values():
+        total += float(np.add.reduce(squares[start:start + g.size]))
+        start += g.size
+    return math.sqrt(total)
 
 
 @dataclass
@@ -368,19 +446,19 @@ def ppo_update(policy: PolicyState, rollout: Rollout, config: PearlConfig,
     A non-finite gradient skips the update and logs the incident.
     """
     optimizer = optimizer or AdamOptimizer(config.learning_rate)
+    targets = _Targets.of(rollout, config)
     stats = None
     for _ in range(config.epochs):
-        loss = ppo_loss(policy, rollout, config)
-        grads = ppo_gradient(policy, rollout, config)
-        total_norm = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+        loss, grads = _loss_and_gradient(policy, rollout, targets, config)
+        total_norm = _grad_norm(grads)
         if not math.isfinite(total_norm) or not math.isfinite(loss):
             logger.warning("skipping policy update: non-finite gradient or loss")
             return UpdateStats(loss=loss, grad_norm=total_norm,
                                entropy=policy.entropy, skipped=True)
+        scale = None
         if total_norm > config.max_grad_norm:
             scale = config.max_grad_norm / (total_norm + 1e-6)
-            grads = {k: g * scale for k, g in grads.items()}
-        optimizer.step(policy.params, grads)
+        optimizer.step(policy.params, grads, scale)
         stats = UpdateStats(loss=loss, grad_norm=total_norm, entropy=policy.entropy)
     return stats
 
@@ -443,8 +521,9 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
 
     Bit-reproducible for a fixed seed.  A failing evaluation is retried
     once, then recorded as infeasible with the configured failure penalty
-    (nothing is archived for it: there are no objectives to rank).  An
-    expired wall-clock deadline stops the loop early and marks the result
+    (nothing is archived for it: there are no objectives to rank); so is an
+    evaluation that returns non-finite objectives.  An expired deadline, a
+    ``time.monotonic()`` value, stops the loop early and marks the result
     truncated.
     """
     steps = config.steps_per_agent() if steps is None else steps
@@ -468,7 +547,7 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
     batch: list = []
 
     for step in range(steps):
-        if deadline is not None and time.time() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             truncated = True
             break
         action = sample_action(policy, rng)
@@ -480,6 +559,9 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
                 break
             except Exception:  # noqa: BLE001 - evaluator failures are data
                 logger.exception("evaluation failed at step %d", step)
+        if result is not None and not np.all(np.isfinite(result[0])):
+            logger.warning("non-finite objectives %s at step %d", result[0], step)
+            result = None
         if result is None:
             incidents += 1
             reward = -config.failure_penalty
@@ -573,7 +655,8 @@ def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,
     processes (results are identical to the serial path).  A crashing agent
     contributes a failure record instead of aborting the run.  With
     ``config.shared_buffer`` every agent inserts into one common buffer and
-    execution is serial by construction.
+    execution is serial by construction.  ``deadline`` is a
+    ``time.monotonic()`` value.
     """
     seeds = config.agent_seeds()
     steps = config.steps_per_agent()

@@ -108,7 +108,8 @@ def run_optimize(config: RunConfig) -> dict:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     evaluator = build_evaluator(config)
-    deadline = None if config.max_seconds is None else time.time() + config.max_seconds
+    deadline = (None if config.max_seconds is None
+                else time.monotonic() + config.max_seconds)
 
     if config.optimizer == "pearl":
         pearl_config = PearlConfig(**config.pearl)

@@ -139,6 +139,12 @@ class TestOptimize:
     def test_bad_config_exit_code(self, capsys):
         assert main(["optimize", "--scenario", "scenario-9"]) == 2
 
+    def test_steps_not_divisible_by_agents_is_config_error(self, tmp_path, capsys):
+        code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
+                     "--agents", "3", "--steps", "64", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "divisible by agents" in capsys.readouterr().err
+
     def test_policy_checkpoints_written(self, tmp_path):
         from hpmropt.runio import RunConfig, run_optimize
 

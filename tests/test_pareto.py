@@ -303,6 +303,75 @@ class TestParetoBuffer:
         assert len(path.read_text().splitlines()) == 9
 
 
+def grid_points(rng, n, levels=4, feasible_share=0.7, penalties=(1.0, 2.0, 3.0)):
+    """Points on a small integer grid: exact duplicates, shared coordinates
+    and infeasible points sharing a penalty are the rule, not the exception."""
+    obj = rng.integers(0, levels, (n, 2)).astype(float)
+    feas = rng.random(n) < feasible_share
+    pen = np.where(feas, 0.0, rng.choice(penalties, n))
+    pts = [feasible(*obj[i]) if feas[i] else infeasible(pen[i], *obj[i])
+           for i in range(n)]
+    return pts, obj, feas, pen
+
+
+class TestTieHeavyOracles:
+    def test_sort_matches_oracle_on_grids(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            pts, obj, feas, pen = grid_points(rng, n, levels=int(rng.integers(1, 6)))
+            assert nondominated_sort(pts) == fronts_oracle(
+                obj.tolist(), feas.tolist(), pen.tolist())
+
+    def test_sort_matches_oracle_all_duplicates(self):
+        pts = [feasible(2, 2) for _ in range(5)] + [infeasible(1.0, 0, 0)] * 3
+        assert nondominated_sort(pts) == [[0, 1, 2, 3, 4], [5, 6, 7]]
+
+    def test_sort_one_objective(self, rng):
+        for _ in range(50):
+            obj = rng.integers(0, 5, (int(rng.integers(1, 30)), 1)).astype(float)
+            pts = [ObjectivePoint(row, True) for row in obj]
+            assert nondominated_sort(pts) == fronts_oracle(obj.tolist())
+
+    def test_sort_rejects_three_objectives(self):
+        with pytest.raises(ContractError):
+            nondominated_sort([feasible(1, 2, 3), feasible(3, 2, 1)])
+
+    def test_crowding_matches_oracle_with_ties(self, rng):
+        for _ in range(100):
+            obj = rng.integers(0, 3, (int(rng.integers(3, 20)), 2)).astype(float)
+            mine = crowding_distance([feasible(*row) for row in obj])
+            assert np.array_equal(mine, crowding_oracle(obj))
+
+    def test_niching_matches_oracle_with_duplicates(self, rng):
+        dirs = reference_directions(2, 3)
+        for _ in range(100):
+            pts = rng.integers(0, 3, (int(rng.integers(1, 15)), 2)) / 2.0
+            seq = rng.permutation(len(pts))
+            counts = rng.integers(0, 3, len(dirs))
+            carried = counts.copy()
+            mine = niching_rank(pts, dirs, carried, seq=seq)
+            ref, ref_counts = niching_oracle(pts, dirs, counts.tolist(), seq=seq)
+            assert mine == ref
+            assert carried.tolist() == ref_counts
+
+    @pytest.mark.parametrize("metric", ["crowding", "niching"])
+    @pytest.mark.parametrize("divisions", [3, 15])
+    def test_buffer_matches_oracle_on_grids(self, metric, divisions, rng):
+        dirs = reference_directions(2, divisions)
+        for stream in range(4):
+            buf = ParetoBuffer(capacity=16, metric=metric, divisions=divisions)
+            history = []
+            for step in range(150):
+                (p,), obj, _, _ = grid_points(rng, 1, levels=5, feasible_share=0.75)
+                entry = (p.objectives.tolist(), p.feasible, p.penalty, step)
+                expected_rank, order = buffer_rank_oracle(
+                    history, entry, metric, dirs if metric == "niching" else None)
+                assert buf.insert(p) == -expected_rank, f"stream {stream} step {step}"
+                history = [(history + [entry])[i] for i in order][:16]
+                assert [(q.objectives.tolist(), q.feasible, q.penalty)
+                        for q in buf.entries] == [h[:3] for h in history]
+
+
 def test_objective_point_invariants():
     with pytest.raises(ContractError):
         ObjectivePoint(np.array([1.0, np.inf]), True)
@@ -312,3 +381,5 @@ def test_objective_point_invariants():
         ObjectivePoint(np.array([1.0, 2.0]), False, penalty=0.0)
     with pytest.raises(ContractError):
         ObjectivePoint(np.array([1.0, 2.0]), False, penalty=-1.0)
+    with pytest.raises(ContractError):
+        ObjectivePoint(np.array([1.0, 2.0]), False, penalty=math.nan)

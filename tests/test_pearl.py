@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from hpmropt.constraints import ConstraintReport, ConstraintRow
 from hpmropt.design_space import from_unit_cube
+from hpmropt.errors import ConfigError
 from hpmropt.metrics import default_reference, hypervolume_2d, nondominated_filter
 from hpmropt.pareto import ObjectivePoint, ParetoBuffer
 from hpmropt.pearl import (
@@ -212,6 +215,37 @@ class TestPpoUpdate:
         stats_out = ppo_update(policy, rollout, config, optimizer)
         assert stats_out.grad_norm == pytest.approx(norm)
 
+    def test_update_matches_two_pass_per_tensor_reference(self):
+        # the textbook loop: loss and gradient in separate passes, the norm
+        # summed tensor by tensor, Adam moments kept per tensor
+        config = small_config(epochs=5)
+        rollout = make_rollout()
+        # initialized twice rather than copied: copy() makes every tensor
+        # C-ordered, and the layout decides the BLAS path of the products
+        policy = PolicyState.initialize(np.random.default_rng(16), init_log_std=0.2)
+        reference = PolicyState.initialize(np.random.default_rng(16), init_log_std=0.2)
+        m, v = {}, {}
+        for t in range(1, config.epochs + 1):
+            loss = ppo_loss(reference, rollout, config)
+            grads = ppo_gradient(reference, rollout, config)
+            norm = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+            if norm > config.max_grad_norm:
+                grads = {k: g * (config.max_grad_norm / (norm + 1e-6))
+                         for k, g in grads.items()}
+            for name, grad in grads.items():
+                m.setdefault(name, np.zeros_like(grad))
+                v.setdefault(name, np.zeros_like(grad))
+                m[name] += (1.0 - 0.9) * (grad - m[name])
+                v[name] += (1.0 - 0.999) * (grad**2 - v[name])
+                m_hat = m[name] / (1.0 - 0.9**t)
+                v_hat = v[name] / (1.0 - 0.999**t)
+                reference.params[name] = reference.params[name] \
+                    - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        stats_out = ppo_update(policy, rollout, config)
+        assert stats_out.loss == loss and stats_out.grad_norm == norm
+        for name in _PARAM_SHAPES:
+            assert np.array_equal(policy.params[name], reference.params[name]), name
+
 
 class TestRunAgent:
     def test_deterministic_histories(self, toy_env):
@@ -262,9 +296,45 @@ class TestRunAgent:
 
         config = small_config()
         result = run_agent(toy_env, config, seed=0, steps=10_000,
-                           deadline=time.time() + 0.2)
+                           deadline=time.monotonic() + 0.2)
         assert result.truncated
         assert len(result.history) < 10_000
+
+    def test_expired_deadline_truncates_before_first_step(self, toy_env):
+        import time
+
+        result = run_agent(toy_env, small_config(), seed=0, steps=64,
+                           deadline=time.monotonic() - 1.0)
+        assert result.truncated
+        assert result.history == [] and result.update_log == []
+        assert len(result.buffer) == 0
+
+    def test_non_finite_objectives_cost_one_step(self, toy_env):
+        class NanOnce:
+            """The toy problem, except that its third evaluation is NaN."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def evaluate(self, design):
+                self.calls += 1
+                objectives, report, qoi = toy_env.evaluate(design)
+                if self.calls == 3:
+                    objectives = np.array([np.nan, objectives[1]])
+                return objectives, report, qoi
+
+        config = small_config(failure_penalty=321.0)
+        stub = NanOnce()
+        result = run_agent(stub, config, seed=4, steps=16)
+        assert stub.calls == 16              # no retry for a returned value
+        assert len(result.history) == 16
+        bad = result.history[2]
+        assert bad.reward == -321.0 and not bad.feasible
+        assert math.isnan(bad.objective_0) and bad.penalty == 321.0
+        assert result.incidents == 1
+        assert all(math.isfinite(r.objective_0) for i, r in enumerate(result.history)
+                   if i != 2)
+        assert all(np.isfinite(p.objectives).all() for p in result.buffer.entries)
 
 
 class TestRunMulti:
@@ -377,6 +447,26 @@ def test_config_validation():
         PearlConfig(total_steps=100, n_steps=8)  # not divisible
     with pytest.raises(Exception):
         PearlConfig(agents=2, seeds=(1,))
+    with pytest.raises(ConfigError, match="epochs"):
+        PearlConfig(epochs=0)
+    with pytest.raises(ConfigError, match="epochs"):
+        PearlConfig(epochs=-3)
+    with pytest.raises(ConfigError, match="agents"):
+        PearlConfig(agents=3, total_steps=8000)  # would silently run 7998
+    assert PearlConfig(agents=3, total_steps=7992).steps_per_agent() == 2664
     config = PearlConfig(kappa=64)
     assert config.resolved_infeasibility_offset() == 65.0
     assert PearlConfig(infeasibility_offset=0.0).resolved_infeasibility_offset() == 0.0
+
+
+def test_mean_and_std_helpers_match_numpy_bit_for_bit():
+    from hpmropt.pearl import _mean, _std
+
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        n = int(rng.integers(1, 100))
+        x = rng.normal(size=n) * 10 ** rng.uniform(-8, 6) + rng.normal() * 1e3
+        if rng.random() < 0.3:
+            x = np.round(x)                  # ties and exact zeros
+        assert _mean(x) == np.mean(x)
+        assert _std(x) == np.std(x)
