@@ -14,18 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design_space import FIELD_NAMES, DesignVector
-from .errors import ContractError
+from .errors import ConfigError, ContractError, HpmroptError
+from .pareto import DesignPayload, ObjectivePoint, _first_front
 
-@dataclass
-class FrontPoint:
-    objectives: np.ndarray
-    feasible: bool = True
-    penalty: float = 0.0
-    point_id: str = ""
-    design: DesignVector | None = None
 
-    def __post_init__(self):
-        self.objectives = np.atleast_1d(np.asarray(self.objectives, dtype=float))
+def FrontPoint(objectives, feasible: bool = True, penalty: float = 0.0,
+               point_id: str = "", design: DesignVector | None = None) -> ObjectivePoint:
+    """A report point: an ``ObjectivePoint`` whose payload carries
+    ``point_id`` and ``design``."""
+    return ObjectivePoint(objectives=objectives, feasible=feasible, penalty=penalty,
+                          payload=DesignPayload(id=point_id, design=design))
 
 
 @dataclass
@@ -60,18 +58,10 @@ class FrontReport:
 
 
 def nondominated_filter(objectives: np.ndarray) -> np.ndarray:
-    """Keep the mutually non-dominated subset (duplicates collapse to one)."""
+    """The mutually non-dominated rows, duplicates collapsed to one, in
+    lexicographic order (one or two objectives)."""
     objectives = np.atleast_2d(np.asarray(objectives, dtype=float))
-    objectives = np.unique(objectives, axis=0)
-    keep = []
-    for i, candidate in enumerate(objectives):
-        dominated = np.any(
-            np.all(objectives <= candidate, axis=1)
-            & np.any(objectives < candidate, axis=1)
-        )
-        if not dominated:
-            keep.append(i)
-    return objectives[keep]
+    return objectives[_first_front(objectives)]
 
 
 def hypervolume_2d(front, reference) -> float:
@@ -99,9 +89,10 @@ def hypervolume_2d(front, reference) -> float:
 def default_reference(fronts) -> np.ndarray:
     """Reference point for comparing fronts: per-objective max over
     all compared fronts, scaled out by 10%."""
-    stacked = np.vstack([np.atleast_2d(f) for f in fronts if len(f)])
-    if stacked.size == 0:
+    fronts = [np.atleast_2d(f) for f in fronts if len(f)]
+    if not fronts:
         raise ContractError("no points to derive a reference from")
+    stacked = np.vstack(fronts)
     top = stacked.max(axis=0)
     return np.where(top > 0, top * 1.1, top * 0.9)
 
@@ -114,7 +105,8 @@ def export_front(report: FrontReport, path) -> None:
     """Lossless columnar export (floats carry full round-trip precision)."""
     if not report.points:
         raise ContractError("cannot export an empty report")
-    has_design = any(p.design is not None for p in report.points)
+    has_design = any(getattr(p.payload, "design", None) is not None
+                     for p in report.points)
     fieldnames = list(_EXPORT_PREFIX) + (list(FIELD_NAMES) if has_design else [])
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, delimiter="\t")
@@ -122,39 +114,45 @@ def export_front(report: FrontReport, path) -> None:
         for p in report.points:
             row = {
                 "label": report.label,
-                "point_id": p.point_id,
+                "point_id": getattr(p.payload, "id", ""),
                 "objective_0": repr(float(p.objectives[0])),
                 "objective_1": repr(float(p.objectives[1])),
                 "feasible": int(p.feasible),
                 "penalty": repr(float(p.penalty)),
             }
-            if p.design is not None:
-                row.update({k: repr(v) for k, v in p.design.to_record().items()})
+            design = getattr(p.payload, "design", None)
+            if design is not None:
+                row.update({k: repr(v) for k, v in design.to_record().items()})
             writer.writerow(row)
 
 
 def load_front(path) -> FrontReport:
+    """Read an ``export_front`` file; a malformed one is a ``ConfigError``."""
     report = FrontReport()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
-        for row in reader:
-            report.label = row.get("label", "")
-            design = None
-            if row.get("x_ca") not in (None, ""):
-                design = DesignVector.from_record(
-                    {f: float(row[f]) for f in FIELD_NAMES}
-                )
-            report.points.append(
-                FrontPoint(
-                    objectives=np.array(
-                        [float(row["objective_0"]), float(row["objective_1"])]
-                    ),
+        missing = [c for c in ("objective_0", "objective_1", "feasible", "penalty")
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path}: missing columns {missing}")
+        for line, row in enumerate(reader, start=2):
+            try:
+                design = None
+                if row.get("x_ca") not in (None, ""):
+                    design = DesignVector.from_record(
+                        {f: float(row[f]) for f in FIELD_NAMES})
+                report.points.append(FrontPoint(
+                    objectives=[float(row["objective_0"]), float(row["objective_1"])],
                     feasible=bool(int(row["feasible"])),
                     penalty=float(row["penalty"]),
                     point_id=row.get("point_id", ""),
                     design=design,
-                )
-            )
+                ))
+            except (KeyError, TypeError, ValueError, HpmroptError) as exc:
+                raise ConfigError(f"{path}, line {line}: {exc}") from exc
+            report.label = row.get("label", "")
+    if not report.points:
+        raise ConfigError(f"{path}: no points")
     return report
 
 
@@ -217,7 +215,7 @@ def render_scatter(report: FrontReport, path, limit_line: float | None = 1.47,
             'stroke="red" stroke-dasharray="6 4"/>'
         )
     for p in report.points:
-        parts.append(f"<!-- point {p.point_id}: {p.objectives.tolist()} "
+        parts.append(f"<!-- point {getattr(p.payload, 'id', '')}: {p.objectives.tolist()} "
                      f"feasible={p.feasible} -->")
         cx, cy = sx(p.objectives[0]), sy(p.objectives[1])
         if p.feasible:

@@ -13,9 +13,9 @@ import numpy as np
 
 from .design_space import from_unit_cube
 from .errors import ConfigError
-from .metrics import FrontPoint, FrontReport
-from .pareto import ObjectivePoint, crowding_distance, nondominated_sort
-from .pearl import DesignPayload, merge_fronts
+from .metrics import FrontReport
+from .pareto import DesignPayload, ObjectivePoint, crowding_distance, nondominated_sort
+from .pearl import merge_fronts
 
 GENOME_DIM = 7
 
@@ -57,15 +57,7 @@ class GaResult:
     front: list = field(default_factory=list)
 
     def front_report(self, label: str = "nsga2") -> FrontReport:
-        points = []
-        for p in self.front:
-            payload = p.payload
-            points.append(FrontPoint(
-                objectives=p.objectives, feasible=p.feasible, penalty=p.penalty,
-                point_id=getattr(payload, "id", ""),
-                design=getattr(payload, "design", None),
-            ))
-        return FrontReport(points=points, label=label)
+        return FrontReport(points=list(self.front), label=label)
 
 
 def _sbx_pair(a, b, eta, rng):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -46,6 +46,15 @@ class ObjectivePoint:
             raise ContractError("penalty must be zero exactly for feasible points")
 
 
+@dataclass(frozen=True)
+class DesignPayload:
+    """What a point carries besides its objectives: an identifier and the
+    decoded design (``None`` when unknown)."""
+
+    id: str
+    design: Any
+
+
 def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
     """Constraint-aware dominance.
 
@@ -69,9 +78,20 @@ def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
 
 
 def _point_arrays(points):
-    obj = np.array([p.objectives for p in points])
-    feas = np.array([p.feasible for p in points], dtype=bool)
-    pen = np.array([p.penalty for p in points], dtype=float)
+    """Objectives, feasibility and penalties of a non-empty sequence of
+    points, or of an (n, n_obj) array of feasible objective rows.
+
+    Sorting supports one or two objectives."""
+    if isinstance(points, np.ndarray):
+        obj = points
+        feas, pen = np.ones(len(obj), dtype=bool), np.zeros(len(obj))
+    else:
+        obj = np.array([p.objectives for p in points])
+        feas = np.array([p.feasible for p in points], dtype=bool)
+        pen = np.array([p.penalty for p in points], dtype=float)
+    if obj.shape[1] > 2:
+        raise ContractError(
+            f"non-dominated sorting supports one or two objectives, got {obj.shape[1]}")
     return obj, feas, pen
 
 
@@ -104,12 +124,33 @@ def _sweep_fronts(obj) -> list[list[int]]:
     return fronts
 
 
+def _first_front(points) -> list[int]:
+    """Front 0 of ``points`` in lexicographic objective order, each exact
+    duplicate (same objectives and feasibility) collapsed to its earliest
+    occurrence.
+
+    ``points`` is a sequence of points or an (n, n_obj) array of feasible
+    objective rows.  With any feasible point, front 0 is the non-dominated
+    feasible set; otherwise it is every point of the least penalty.
+    """
+    if len(points) == 0:
+        return []
+    obj, feas, pen = _point_arrays(points)
+    if feas.any():
+        members = np.flatnonzero(feas)
+        front = _sweep_fronts(obj[members])[0]
+    else:
+        members = np.flatnonzero(pen == pen.min())
+        front = np.lexsort(obj[members].T[::-1]).tolist()
+    # both orders are stable: duplicates arrive adjacent, earliest first
+    rows = obj[members].tolist()
+    kept = front[:1] + [i for prev, i in zip(front, front[1:]) if rows[i] != rows[prev]]
+    return members[kept].tolist()
+
+
 def _feasible_fronts(obj, feas) -> list[list[int]]:
     """Fronts of the feasible points by objective dominance, each in
     ascending index order."""
-    if obj.shape[1] > 2:
-        raise ContractError(
-            f"non-dominated sorting supports one or two objectives, got {obj.shape[1]}")
     feasible = np.flatnonzero(feas)
     if len(feasible) == 0:
         return []
@@ -367,51 +408,28 @@ class ParetoBuffer:
         """Points of the given non-domination front (0 = best)."""
         return [s.point for s in self._slots if s.front == index]
 
-    def snapshot(self) -> list[dict]:
-        records = []
-        for slot in self._slots:
-            record = {
-                **{f"objective_{j}": float(v)
-                   for j, v in enumerate(slot.point.objectives)},
-                "feasible": slot.point.feasible,
-                "penalty": slot.point.penalty,
-                "front": slot.front,
-                "distance": slot.distance,
-            }
-            payload = slot.point.payload
-            if payload is not None:
-                record["payload"] = payload
-            records.append(record)
-        return records
-
     def export(self, path) -> None:
         """Columnar snapshot: objectives, feasibility, penalty, rank keys,
         and the design payload."""
-        records = self.snapshot()
-        fieldnames: list[str] = []
         rows = []
-        for record in records:
-            payload = record.pop("payload", None)
-            row = dict(record)
-            if payload is not None:
-                row.update(_flatten_payload(payload))
+        for slot in self._slots:
+            point = slot.point
+            row = {
+                **{f"objective_{j}": float(v) for j, v in enumerate(point.objectives)},
+                "feasible": point.feasible,
+                "penalty": point.penalty,
+                "front": slot.front,
+                "distance": slot.distance,
+            }
+            if point.payload is not None:
+                row.update({"id": point.payload.id, **point.payload.design.to_record()})
             rows.append(row)
-            for key in row:
-                if key not in fieldnames:
-                    fieldnames.append(key)
+        fieldnames = list(dict.fromkeys(key for row in rows for key in row))
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fieldnames, delimiter="\t")
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: _format_cell(row.get(k, "")) for k in fieldnames})
-
-
-def _flatten_payload(payload) -> dict:
-    if hasattr(payload, "design") and hasattr(payload.design, "to_record"):
-        return {"id": getattr(payload, "id", ""), **payload.design.to_record()}
-    if hasattr(payload, "to_record"):
-        return payload.to_record()
-    return {"payload": payload}
 
 
 def _format_cell(value) -> str:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .design_space import from_unit_cube
 from .errors import ConfigError, ContractError
-from .metrics import FrontPoint, FrontReport
-from .pareto import ObjectivePoint, ParetoBuffer, nondominated_sort
+from .metrics import FrontReport
+from .pareto import DesignPayload, ObjectivePoint, ParetoBuffer, _first_front
 
 logger = logging.getLogger(__name__)
 
@@ -194,16 +194,20 @@ class PolicyState:
         return np.concatenate([self.params[k].ravel() for k in _PARAM_SHAPES])
 
     def set_theta(self, theta: np.ndarray) -> None:
+        # each parameter keeps its memory layout: the layout decides the BLAS
+        # path of later products, and with it their last bits
         offset = 0
         for name, shape in _PARAM_SHAPES.items():
             size = int(np.prod(shape))
-            self.params[name] = theta[offset:offset + size].reshape(shape).copy()
+            fresh = np.empty_like(self.params[name])
+            fresh[...] = theta[offset:offset + size].reshape(shape)
+            self.params[name] = fresh
             offset += size
         if offset != len(theta):
             raise ContractError("theta length mismatch")
 
     def copy(self) -> "PolicyState":
-        return PolicyState({k: v.copy() for k, v in self.params.items()})
+        return PolicyState({k: v.copy(order="K") for k, v in self.params.items()})
 
 
 def _sigmoid(x):
@@ -463,12 +467,6 @@ def ppo_update(policy: PolicyState, rollout: Rollout, config: PearlConfig,
     return stats
 
 
-@dataclass(frozen=True)
-class DesignPayload:
-    id: str
-    design: object
-
-
 def step_reward(objectives, report, buffer: ParetoBuffer, payload=None,
                 infeasibility_offset: float = 0.0) -> float:
     """Two-phase reward: constraint penalty until feasible, Pareto rank after.
@@ -605,20 +603,13 @@ def merge_fronts(agent_fronts) -> list[ObjectivePoint]:
     """Non-dominated union of per-agent first fronts.
 
     Exact duplicates in objective space collapse to the earliest occurrence
-    so merged fronts stay strictly ordered along each objective.
+    so merged fronts stay strictly ordered along each objective.  The
+    result keeps pool order: agent by agent, each front in its own order.
     """
-    pool: list[ObjectivePoint] = []
-    seen = set()
-    for front in agent_fronts:
-        for point in front:
-            key = (tuple(point.objectives), point.feasible)
-            if key not in seen:
-                seen.add(key)
-                pool.append(point)
-    if not pool:
-        return []
-    fronts = nondominated_sort(pool)
-    return [pool[i] for i in fronts[0]]
+    pool = [point for front in agent_fronts for point in front]
+    kept = np.zeros(len(pool), dtype=bool)
+    kept[_first_front(pool)] = True
+    return [point for point, keep in zip(pool, kept) if keep]
 
 
 @dataclass
@@ -628,17 +619,7 @@ class MultiResult:
     failures: list = field(default_factory=list)
 
     def front_report(self, label: str = "pearl") -> FrontReport:
-        points = []
-        for p in self.merged_front:
-            payload = p.payload
-            points.append(FrontPoint(
-                objectives=p.objectives,
-                feasible=p.feasible,
-                penalty=p.penalty,
-                point_id=getattr(payload, "id", ""),
-                design=getattr(payload, "design", None),
-            ))
-        return FrontReport(points=points, label=label)
+        return FrontReport(points=list(self.merged_front), label=label)
 
 
 def _run_agent_worker(args):
@@ -725,15 +706,4 @@ def random_search(evaluator, evaluations: int, seed: int = 0) -> list[ObjectiveP
             best_infeasible = point
     if not feasible:
         return [] if best_infeasible is None else [best_infeasible]
-    # 2-D sweep keeps the non-dominated subset without a pairwise matrix
-    obj = np.vstack([p.objectives for p in feasible])
-    order = np.lexsort((obj[:, 1], obj[:, 0]))
-    front, best_second = [], np.inf
-    seen = set()
-    for idx in order:
-        key = tuple(obj[idx])
-        if obj[idx, 1] < best_second and key not in seen:
-            front.append(feasible[idx])
-            best_second = obj[idx, 1]
-            seen.add(key)
-    return front
+    return [feasible[i] for i in _first_front(feasible)]

@@ -47,6 +47,11 @@ class RunConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.evaluator != "proxy" and not self.evaluator.startswith("tabular:"):
             raise ConfigError(f"unknown evaluator {self.evaluator!r}")
+        for section, cls in (("pearl", PearlConfig), ("nsga2", GaConfig)):
+            known = {f.name for f in dataclasses.fields(cls)}
+            unknown = set(getattr(self, section)) - known
+            if unknown:
+                raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
 
     def to_manifest(self) -> dict:
         record = dataclasses.asdict(self)

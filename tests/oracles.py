@@ -49,6 +49,21 @@ def fronts_oracle(objectives, feasible=None, penalty=None):
     return fronts
 
 
+def nondominated_filter_oracle(objectives):
+    """Pairwise filter: the unique rows no other row dominates, in
+    lexicographic order."""
+    objectives = np.unique(np.atleast_2d(np.asarray(objectives, dtype=float)), axis=0)
+    keep = []
+    for i, candidate in enumerate(objectives):
+        dominated = np.any(
+            np.all(objectives <= candidate, axis=1)
+            & np.any(objectives < candidate, axis=1)
+        )
+        if not dominated:
+            keep.append(i)
+    return objectives[keep]
+
+
 def crowding_oracle(objectives):
     """Textbook crowding distance with per-objective span normalization."""
     obj = np.asarray(objectives, dtype=float)

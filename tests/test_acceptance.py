@@ -226,8 +226,10 @@ def _finite_difference_state(args):
     fd = np.empty_like(analytic)
     offset = 0
     for name in _PARAM_SHAPES:
-        flat = probe.params[name].reshape(-1)
-        for j in range(flat.size):
+        # .flat writes through in C order whatever the layout; copies keep
+        # pol_wm F-ordered, where reshape(-1) would perturb a copy
+        flat = probe.params[name].flat
+        for j in range(len(flat)):
             saved = flat[j]
             flat[j] = saved + step
             up = ppo_loss(probe, rollout, config)
@@ -235,7 +237,7 @@ def _finite_difference_state(args):
             down = ppo_loss(probe, rollout, config)
             flat[j] = saved
             fd[offset + j] = (up - down) / (2 * step)
-        offset += flat.size
+        offset += len(flat)
     return analytic, fd
 
 

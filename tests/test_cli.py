@@ -139,6 +139,18 @@ class TestOptimize:
     def test_bad_config_exit_code(self, capsys):
         assert main(["optimize", "--scenario", "scenario-9"]) == 2
 
+    @pytest.mark.parametrize("manifest, key", [
+        ({"pearl": {"bogus": 1}}, "bogus"),
+        ({"optimizer": "nsga2", "nsga2": {"popsize": 3}}, "popsize"),
+    ])
+    def test_unknown_optimizer_key_is_config_error(self, tmp_path, capsys,
+                                                   manifest, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(manifest))
+        code = main(["optimize", "--config", str(config), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_steps_not_divisible_by_agents_is_config_error(self, tmp_path, capsys):
         code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
                      "--agents", "3", "--steps", "64", "--out", str(tmp_path / "r")])
@@ -178,4 +190,21 @@ class TestFrontExports:
               "--agents", "1", "--steps", "64", "--seed", "2", "--out", str(out_dir)])
         report = load_front(out_dir / "front.tsv")
         assert report.points
-        assert all(p.design is not None for p in report.points)
+        assert all(p.payload.design is not None for p in report.points)
+
+    def test_malformed_front_is_config_error(self, tmp_path, capsys):
+        header = "label\tpoint_id\tobjective_0\tobjective_1\tfeasible\tpenalty"
+        malformed = {
+            "non-numeric": [header, "x\tp0\tnotanumber\t1.2\t1\t0.0"],
+            "missing-column": ["label\tpoint_id\tobjective_0\tfeasible\tpenalty",
+                               "x\tp0\t1000.0\t1\t0.0"],
+            "feasible-with-penalty": [header, "x\tp0\t1000.0\t1.2\t1\t3.0"],
+            "short-row": [header, "x\tp0\t1000.0"],
+            "no-rows": [header],
+        }
+        for name, lines in malformed.items():
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            (run_dir / "front.tsv").write_text("\n".join(lines) + "\n")
+            assert main(["report", str(run_dir)]) == 2, name
+            assert "front.tsv" in capsys.readouterr().err, name

@@ -88,8 +88,8 @@ class TestExport:
             assert a.objectives.tolist() == b.objectives.tolist()
             assert a.feasible == b.feasible
             assert a.penalty == b.penalty
-            assert a.point_id == b.point_id
-            assert a.design == b.design
+            assert a.payload.id == b.payload.id
+            assert a.payload.design == b.payload.design
 
     def test_reexport_is_byte_identical(self, tmp_path):
         report = make_report(seed=7)

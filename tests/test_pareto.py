@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpmropt.errors import ContractError
+from hpmropt.metrics import nondominated_filter
 from hpmropt.pareto import (
     ObjectivePoint,
     ParetoBuffer,
@@ -15,6 +17,7 @@ from hpmropt.pareto import (
     nondominated_sort,
     reference_directions,
 )
+from hpmropt.pearl import merge_fronts, random_search
 
 from oracles import (
     buffer_rank_oracle,
@@ -22,6 +25,7 @@ from oracles import (
     dominates_oracle,
     fronts_oracle,
     niching_oracle,
+    nondominated_filter_oracle,
 )
 
 OBJ = st.tuples(st.floats(-100, 100), st.floats(-100, 100))
@@ -314,6 +318,18 @@ def grid_points(rng, n, levels=4, feasible_share=0.7, penalties=(1.0, 2.0, 3.0))
     return pts, obj, feas, pen
 
 
+class GridEvaluator:
+    """Hands out the given objective rows in call order, whatever the
+    design."""
+
+    def __init__(self, obj, feas, pen):
+        self.rows = iter(zip(obj, feas.tolist(), pen.tolist()))
+
+    def evaluate(self, design):
+        objectives, feasible, penalty = next(self.rows)
+        return objectives, SimpleNamespace(feasible=feasible, penalty=penalty), None
+
+
 class TestTieHeavyOracles:
     def test_sort_matches_oracle_on_grids(self, rng):
         for _ in range(300):
@@ -335,6 +351,51 @@ class TestTieHeavyOracles:
     def test_sort_rejects_three_objectives(self):
         with pytest.raises(ContractError):
             nondominated_sort([feasible(1, 2, 3), feasible(3, 2, 1)])
+
+    def test_filter_matches_oracle_on_grids(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            _, obj, _, _ = grid_points(rng, n, levels=int(rng.integers(1, 6)))
+            assert np.array_equal(nondominated_filter(obj), nondominated_filter_oracle(obj))
+
+    def test_filter_rejects_three_objectives(self):
+        with pytest.raises(ContractError):
+            nondominated_filter([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+
+    def test_merge_matches_oracle_on_grids(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            pts, obj, feas, pen = grid_points(rng, n, levels=int(rng.integers(1, 6)))
+            cuts = np.sort(rng.integers(0, n + 1, 3))
+            merged = merge_fronts([pts[a:b] for a, b in zip([0, *cuts], [*cuts, n])])
+            # front 0, each (objectives, feasibility) key kept at its first
+            # occurrence, in pool order
+            expected, keys = [], set()
+            for i in fronts_oracle(obj.tolist(), feas.tolist(), pen.tolist())[0]:
+                key = (tuple(obj[i]), bool(feas[i]))
+                if key not in keys:
+                    keys.add(key)
+                    expected.append(i)
+            assert [pts.index(p) for p in merged] == expected
+
+    def test_random_search_matches_oracle_on_grids(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            _, obj, feas, pen = grid_points(rng, n, levels=int(rng.integers(1, 6)))
+            front = random_search(GridEvaluator(obj, feas, pen), n, seed=0)
+            ids = [p.payload.id for p in front]
+            if not feas.any():
+                assert ids == [f"rs-{min(range(n), key=lambda i: (pen[i], i))}"]
+                continue
+            members = np.flatnonzero(feas)
+            expected, keys = [], set()
+            for k in fronts_oracle(obj[members].tolist())[0]:
+                if tuple(obj[members[k]]) not in keys:
+                    keys.add(tuple(obj[members[k]]))
+                    expected.append(members[k])
+            expected.sort(key=lambda i: obj[i, 0])
+            assert ids == [f"rs-{i}" for i in expected]
+            assert all(p.payload.design is not None for p in front)
 
     def test_crowding_matches_oracle_with_ties(self, rng):
         for _ in range(100):

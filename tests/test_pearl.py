@@ -470,3 +470,13 @@ def test_mean_and_std_helpers_match_numpy_bit_for_bit():
             x = np.round(x)                  # ties and exact zeros
         assert _mean(x) == np.mean(x)
         assert _std(x) == np.std(x)
+
+
+def test_copy_and_theta_round_trip_keep_the_policy_bit_for_bit():
+    # a fresh pol_wm is F-ordered; a C-ordered copy takes another BLAS path
+    for seed in range(200):
+        policy = PolicyState.initialize(np.random.default_rng(seed), 0.4, 0.8)
+        assert np.array_equal(policy.copy().mean, policy.mean), seed
+        restored = policy.copy()
+        restored.set_theta(policy.theta())
+        assert np.array_equal(restored.mean, policy.mean), seed
