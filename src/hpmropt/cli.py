@@ -1,8 +1,8 @@
 """Command-line interface: evaluate, optimize, scenarios, report.
 
-Exit codes: 0 success, 1 infeasible design (evaluate) or unexpected error,
-2 configuration error, 3 evaluation/model error, 4 partial optimizer
-failure.
+Exit codes: 0 success, 1 infeasible design (evaluate), a front with no
+feasible point (report) or unexpected error, 2 configuration error,
+3 evaluation/model error, 4 partial optimizer failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     TableLoadError,
 )
 from .metrics import default_reference, load_front, render_scatter
+from .nsga2 import GaConfig
 from .runio import RunConfig, build_evaluator, run_optimize
 
 EXIT_OK = 0
@@ -102,8 +103,14 @@ def cmd_optimize(args) -> int:
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.steps is not None:
-            population = overrides.get("population", 64)
-            overrides["generations"] = max(args.steps // population - 1, 1)
+            # the population as GaConfig resolves and checks it
+            population = GaConfig(**overrides).population
+            if args.steps < 2 * population:
+                raise ConfigError(
+                    f"--steps {args.steps} is below the NSGA-II minimum of "
+                    f"{2 * population}: the initial population of {population} "
+                    f"plus one generation")
+            overrides["generations"] = args.steps // population - 1
 
     out_dir = Path(config.out_dir)
     if not out_dir.is_absolute():
@@ -113,6 +120,7 @@ def cmd_optimize(args) -> int:
     summary = run_optimize(config)
     print(f"run directory : {config.out_dir}")
     print(f"status        : {summary['status']}")
+    print(f"evaluations   : {summary['evaluations']}")
     print(f"front size    : {summary['front_size']} "
           f"({summary['feasible_count']} feasible)")
     if "hypervolume" in summary:
@@ -145,25 +153,24 @@ def cmd_report(args) -> int:
     if not front_path.exists():
         raise ConfigError(f"no front export in {run_dir}")
     report = load_front(front_path)
-    fronts = [report.objectives(feasible_only=True)]
-    other = None
+    named = [(report.label or run_dir, report)]
     if args.compare:
         other = load_front(Path(args.compare) / "front.tsv")
-        fronts.append(other.objectives(feasible_only=True))
-    reference = default_reference([f for f in fronts if len(f)])
-    report.reference_point = reference
-    print(f"{report.label or run_dir}: {len(report.points)} points, "
-          f"{report.feasible_count} feasible, "
-          f"hypervolume {report.hypervolume():.6g}")
-    if other is not None:
-        other.reference_point = reference
-        print(f"{other.label or args.compare}: {len(other.points)} points, "
-              f"{other.feasible_count} feasible, "
-              f"hypervolume {other.hypervolume():.6g}")
+        named.append((other.label or args.compare, other))
+    fronts = [r.objectives(feasible_only=True) for _, r in named]
+    # a hypervolume needs a reference, derived from the feasible points
+    reference = default_reference(fronts) if any(len(f) for f in fronts) else None
+    for name, r in named:
+        summary = f"{name}: {len(r.points)} points, {r.feasible_count} feasible, "
+        if reference is None:
+            print(summary + "no hypervolume (no feasible point to define one)")
+        else:
+            r.reference_point = reference
+            print(summary + f"hypervolume {r.hypervolume():.6g}")
     if args.plot:
         render_scatter(report, run_dir / "front.svg")
         print(f"plot written to {run_dir / 'front.svg'}")
-    return EXIT_OK
+    return EXIT_OK if reference is not None else EXIT_INFEASIBLE_OR_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -176,30 +176,28 @@ def from_unit_cube(u) -> DesignVector:
     u = np.asarray(u, dtype=float)
     if u.shape != (7,):
         raise DecodeError(f"expected 7 coordinates, got shape {u.shape}")
-    if np.any(u < 0.0) or np.any(u > 1.0) or not np.all(np.isfinite(u)):
-        raise DecodeError(f"coordinates outside [0, 1]: {u.tolist()}")
-    statics = {}
-    for i, name in enumerate(FIELD_NAMES[:5]):
-        lo, hi = STATIC_BOUNDS[name]
-        statics[name] = float(lo + u[i] * (hi - lo))
+    values = u.tolist()
+    # a chained comparison is False for NaN, so this also rejects NaN and inf
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise DecodeError(f"coordinates outside [0, 1]: {values}")
+    statics = {name: lo + v * (hi - lo)
+               for v, (name, (lo, hi)) in zip(values, STATIC_BOUNDS.items())}
     (cr_lo, cr_hi), (mr_lo, mr_hi) = resolve_bounds(statics["x_pp"])
     return DesignVector(
-        x_cr=float(cr_lo + u[5] * (cr_hi - cr_lo)),
-        x_mr=float(mr_lo + u[6] * (mr_hi - mr_lo)),
+        x_cr=cr_lo + values[5] * (cr_hi - cr_lo),
+        x_mr=mr_lo + values[6] * (mr_hi - mr_lo),
         **statics,
     )
 
 
 def to_unit_cube(design: DesignVector) -> np.ndarray:
     """Inverse of ``from_unit_cube`` for an admissible design."""
-    z = np.empty(7)
-    for i, name in enumerate(FIELD_NAMES[:5]):
-        lo, hi = STATIC_BOUNDS[name]
-        z[i] = (getattr(design, name) - lo) / (hi - lo)
+    z = [(getattr(design, name) - lo) / (hi - lo)
+         for name, (lo, hi) in STATIC_BOUNDS.items()]
     (cr_lo, cr_hi), (mr_lo, mr_hi) = resolve_bounds(design.x_pp)
-    z[5] = (design.x_cr - cr_lo) / (cr_hi - cr_lo)
-    z[6] = (design.x_mr - mr_lo) / (mr_hi - mr_lo)
-    return z
+    z.append((design.x_cr - cr_lo) / (cr_hi - cr_lo))
+    z.append((design.x_mr - mr_lo) / (mr_hi - mr_lo))
+    return np.array(z, dtype=float)
 
 
 def write_design_file(design: DesignVector, path) -> None:
@@ -234,3 +232,5 @@ def read_design_file(path) -> DesignVector:
 # fields() is imported for introspection-based consumers (kept explicit so a
 # stale FIELD_NAMES tuple cannot drift from the dataclass).
 assert FIELD_NAMES == tuple(f.name for f in fields(DesignVector))
+# the unit-cube maps walk STATIC_BOUNDS in field order
+assert tuple(STATIC_BOUNDS) == FIELD_NAMES[:5]

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -51,8 +52,26 @@ class EconParams:
             raise ConfigError("replacement period must be at least 1 year")
 
     def discount_factors(self) -> np.ndarray:
-        t = np.arange(self.plant_life_years + 1)
-        return (1.0 + self.discount_rate) ** -t
+        return self._discount.copy()
+
+    # computed once per instance on first use; cached_property writes the
+    # instance __dict__ directly, so it works on the frozen dataclass
+    @cached_property
+    def _years(self) -> np.ndarray:
+        return _read_only(np.arange(self.plant_life_years + 1))
+
+    @cached_property
+    def _discount(self) -> np.ndarray:
+        return _read_only((1.0 + self.discount_rate) ** -self._years)
+
+    @cached_property
+    def _discounted_energy(self) -> float:
+        return float(self.annual_energy_mwh * self._discount.sum())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -105,12 +124,30 @@ class CostScenario:
 
 @dataclass
 class CashFlowSchedule:
-    """Yearly flows by category, years 0..n inclusive."""
+    """Yearly flows by category, years 0..n inclusive.
+
+    ``ledger`` holds one row per category and ``flows`` maps each category
+    to its row, a view into the ledger.  Given ``flows`` alone, the schedule
+    stacks them into a new ledger; ``build_cash_flows`` passes the ledger it
+    filled together with its rows.
+    """
 
     years: np.ndarray
     flows: dict
+    ledger: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.ledger is None:
+            if any(len(values) != len(self.years) for values in self.flows.values()):
+                self._scan()
+            self.ledger = np.array(list(self.flows.values()))
+            self.flows = dict(zip(self.flows, self.ledger))
+        if (self.ledger < 0).any():
+            self._scan()
+
+    def _scan(self):
+        """Raise for the first category of the wrong length or with a
+        negative flow."""
         for category, values in self.flows.items():
             if len(values) != len(self.years):
                 raise ContractError(f"category {category}: length mismatch")
@@ -119,7 +156,32 @@ class CashFlowSchedule:
 
     @property
     def total_by_year(self) -> np.ndarray:
-        return np.sum([self.flows[c] for c in self.flows], axis=0)
+        return self.ledger.sum(axis=0)
+
+
+def _buy_fuel(fuel: np.ndarray, interval: float, n: int, batch_cost: float) -> None:
+    """Fill ``fuel`` (years 0..n) with the cost of every fuel batch.
+
+    Batch k is bought in year ceil(k * interval) while k * interval < n.  A
+    year buying several batches pays their count times the batch cost; that
+    count comes from a floor(t / interval) candidate corrected against the
+    same float product k * interval, so the work is O(n) for any interval.
+    """
+    below_n = math.nextafter(n, 0.0)
+    k = 0
+    while k * interval < n:
+        year = math.ceil(k * interval)
+        # batches k, k+1, ... buy in this year while their product is <= t
+        t = year if year < n else below_n
+        end = k + 1   # first batch of a later year
+        if end * interval <= t:
+            end = math.floor(t / interval) + 1
+            while (end - 1) * interval > t:
+                end -= 1
+            while end * interval <= t:
+                end += 1
+        fuel[year] = (end - k) * batch_cost
+        k = end
 
 
 def build_cash_flows(design, qoi, scenario: CostScenario,
@@ -129,7 +191,8 @@ def build_cash_flows(design, qoi, scenario: CostScenario,
     Fuel batches are purchased at t=0 and then at the ceiling of every
     batch-interval multiple, where the interval is min(fuel lifetime,
     replacement period): fuel lasting past a replacement is never bought
-    for the years beyond it.  Equipment (reflector, drums, absorber) is
+    for the years beyond it.  A year buying several batches pays their
+    count times the batch cost.  Equipment (reflector, drums, absorber) is
     bought at t=0 and re-bought at the replacement fraction on every
     replacement year.  O&M is constant over the operating years.
     """
@@ -137,27 +200,26 @@ def build_cash_flows(design, qoi, scenario: CostScenario,
     if qoi.lifetime is None or qoi.lifetime <= 0:
         raise ContractError(f"fuel lifetime must be positive, got {qoi.lifetime}")
     n = econ.plant_life_years
-    flows = {c: np.zeros(n + 1) for c in CATEGORIES}
+    ledger = np.zeros((len(CATEGORIES), n + 1))
+    flows = dict(zip(CATEGORIES, ledger))   # row views
 
     batch_cost = qoi.uranium_mass * scenario.fuel_price_per_kgu
     interval = min(qoi.lifetime, float(econ.replacement_period_years))
-    k = 0
-    while k * interval < n:
-        flows["fuel"][math.ceil(k * interval)] += batch_cost
-        k += 1
+    _buy_fuel(flows["fuel"], interval, n, batch_cost)
 
     axial = scenario.axial_reflector_mass(design.x_fh) * scenario.axial_reflector_price_per_kg
     drums = scenario.drum_reflector_mass(design.x_ca) * scenario.drum_reflector_price_per_kg
     absorber = scenario.absorber_mass(design.x_ca) * scenario.absorber_unit_price(design.x_b10)
-    flows["reflector"][0] += axial
-    flows["reactivity_control"][0] += drums + absorber
-    flows["capital"][0] += scenario.fixed_direct_capital
-    for t in range(econ.replacement_period_years, n, econ.replacement_period_years):
-        flows["reflector"][t] += scenario.replacement_fraction * axial
-        flows["reactivity_control"][t] += scenario.replacement_fraction * (drums + absorber)
+    flows["reflector"][0] = axial
+    flows["reactivity_control"][0] = drums + absorber
+    flows["capital"][0] = scenario.fixed_direct_capital
+    period = econ.replacement_period_years
+    flows["reflector"][period:n:period] = scenario.replacement_fraction * axial
+    flows["reactivity_control"][period:n:period] = \
+        scenario.replacement_fraction * (drums + absorber)
 
     flows["o_and_m"][1:] = scenario.annual_om
-    return CashFlowSchedule(years=np.arange(n + 1), flows=flows)
+    return CashFlowSchedule(years=econ._years, flows=flows, ledger=ledger)
 
 
 def lcoe(schedule: CashFlowSchedule, econ: EconParams) -> float:
@@ -165,17 +227,16 @@ def lcoe(schedule: CashFlowSchedule, econ: EconParams) -> float:
     0..n with constant annual energy."""
     if econ.annual_energy_mwh == 0:
         raise ZeroDivisionError("annual energy is zero")
-    disc = econ.discount_factors()
+    disc = econ._discount
     if len(disc) != len(schedule.years):
         raise ContractError("schedule span does not match plant life")
     numerator = float(schedule.total_by_year @ disc)
-    denominator = float(econ.annual_energy_mwh * disc.sum())
-    return numerator / denominator
+    return numerator / econ._discounted_energy
 
 
 def cost_breakdown(schedule: CashFlowSchedule, econ: EconParams) -> dict:
     """Discounted share of total cost per category (shares sum to 1)."""
-    disc = econ.discount_factors()
+    disc = econ._discount
     discounted = {c: float(np.asarray(v) @ disc) for c, v in schedule.flows.items()}
     total = sum(discounted.values())
     if total == 0:

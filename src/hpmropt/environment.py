@@ -191,6 +191,35 @@ class ProxyModelConfig:
         kwargs.pop("nominal_z", None)
         return cls(**kwargs)
 
+    def snapshot(self) -> "ProxyModelConfig":
+        """A copy of the current constants and coefficients whose arrays
+        are read-only."""
+        def frozen(values):
+            array = np.array(values, dtype=float)
+            array.flags.writeable = False
+            return array
+
+        return replace(self, anchors=dict(self.anchors),
+                       betas={k: frozen(v) for k, v in self.betas.items()},
+                       nominal_z=frozen(self.nominal_z))
+
+
+def _proxy_values(dz: np.ndarray, q_avg: float, config):
+    """(lifetime, sdm, f_dh, q_max) from a unit-cube offset to the nominal
+    design; ``config`` is a calibrated ProxyModelConfig."""
+    anchors, betas = config.anchors, config.betas
+    lifetime = anchors["lifetime"] * float(np.exp(betas["lifetime"] @ dz))
+    sdm = -anchors["sdm_magnitude"] * float(np.exp(betas["sdm_magnitude"] @ dz))
+    f_dh = anchors["f_dh"] * float(np.exp(betas["f_dh"] @ dz))
+    q_max = q_avg * (1.0 + anchors["peaking"] * float(np.exp(betas["peaking"] @ dz)))
+    return lifetime, sdm, f_dh, q_max
+
+
+def _require_valid(design: DesignVector) -> None:
+    problems = validate(design)
+    if problems:
+        raise EvaluationError("invalid design: " + "; ".join(problems))
+
 
 def proxy_eval(design: DesignVector, config: ProxyModelConfig | None = None):
     """Proxy prediction of (lifetime, sdm, f_dh, q_max) for a valid design.
@@ -201,17 +230,9 @@ def proxy_eval(design: DesignVector, config: ProxyModelConfig | None = None):
     """
     config = config or ProxyModelConfig()
     config.require_calibrated()
-    problems = validate(design)
-    if problems:
-        raise EvaluationError("invalid design: " + "; ".join(problems))
-    dz = to_unit_cube(design) - config.nominal_z
-    scale = {k: float(np.exp(config.betas[k] @ dz)) for k in config.betas}
-    lifetime = config.anchors["lifetime"] * scale["lifetime"]
-    sdm = -config.anchors["sdm_magnitude"] * scale["sdm_magnitude"]
-    f_dh = config.anchors["f_dh"] * scale["f_dh"]
+    _require_valid(design)
     q_avg = avg_heat_flux(design.x_cr, design.x_fh, config.heat_flux_k)
-    q_max = q_avg * (1.0 + config.anchors["peaking"] * scale["peaking"])
-    return lifetime, sdm, f_dh, q_max
+    return _proxy_values(to_unit_cube(design) - config.nominal_z, q_avg, config)
 
 
 class SampleTable:
@@ -299,10 +320,10 @@ class SampleTable:
         return None
 
     def __call__(self, design: DesignVector):
-        problems = validate(design)
-        if problems:
-            raise EvaluationError("invalid design: " + "; ".join(problems))
-        z = to_unit_cube(design)
+        _require_valid(design)
+        return self._query(to_unit_cube(design))
+
+    def _query(self, z: np.ndarray):
         values = self._rbf(z[None, :])[0]
         return tuple(float(v) for v in values), not self.in_hull(z)
 
@@ -317,6 +338,9 @@ class DesignEvaluator:
     """Complete design evaluation: neutronics model, closed-form relations,
     cost engine, and constraint report.
 
+    Construction checks the proxy calibration (proxy model only) and takes
+    a read-only snapshot of ``proxy_config``; evaluations use only the
+    snapshot, so editing ``proxy_config`` afterwards changes nothing.
     Immutable after construction; safe to call from concurrent workers.
     """
 
@@ -333,27 +357,32 @@ class DesignEvaluator:
             proxy_config = (ProxyModelConfig.from_config(scenario.proxy)
                             if scenario.proxy else ProxyModelConfig())
         if model == "proxy":
-            self.proxy_config = proxy_config
-            self.proxy_config.require_calibrated()
+            proxy_config.require_calibrated()
             self.table = None
         elif isinstance(model, SampleTable):
-            self.proxy_config = proxy_config
             self.table = model
         else:
             raise ContractError(f"unknown evaluator model {model!r}")
+        self.proxy_config = proxy_config
+        self._proxy = proxy_config.snapshot()
         self.constraints = scenario.constraints
 
     def qoi(self, design: DesignVector) -> QoIVector:
-        cfg = self.proxy_config
+        _require_valid(design)
+        return self._qoi(design)
+
+    def _qoi(self, design: DesignVector) -> QoIVector:
+        """QoI bundle of a design already known to be valid."""
+        cfg = self._proxy
+        z = to_unit_cube(design)
+        q_avg = avg_heat_flux(design.x_cr, design.x_fh, cfg.heat_flux_k)
         extrapolated = False
         itc = None
         if self.table is None:
-            lifetime_y, sdm, f_dh, q_max = proxy_eval(design, cfg)
+            lifetime_y, sdm, f_dh, q_max = _proxy_values(z - cfg.nominal_z, q_avg, cfg)
         else:
-            (lifetime_y, sdm, f_dh, q_max), extrapolated = self.table(design)
-            itc = self.table.itc_at(to_unit_cube(design))
-        q_avg = avg_heat_flux(design.x_cr, design.x_fh, cfg.heat_flux_k)
-        if self.table is not None:
+            (lifetime_y, sdm, f_dh, q_max), extrapolated = self.table._query(z)
+            itc = self.table.itc_at(z)
             # extrapolated tables can leave the physical domain; clamp so the
             # bundle invariants (positive lifetime, peak >= average, negative
             # shutdown margin) survive far outside the sampled region
@@ -380,12 +409,11 @@ class DesignEvaluator:
         """Returns (objectives [lcoe, f_dh], ConstraintReport, QoIVector)."""
         from .economics import build_cash_flows, lcoe
 
-        problems = validate(design)
-        if problems:
-            raise EvaluationError("invalid design: " + "; ".join(problems))
-        qoi = self.qoi(design)
-        schedule = build_cash_flows(design, qoi, self.scenario, self.scenario.econ)
-        qoi = replace(qoi, lcoe=lcoe(schedule, self.scenario.econ))
+        _require_valid(design)
+        qoi = self._qoi(design)
+        econ = self.scenario.econ
+        schedule = build_cash_flows(design, qoi, self.scenario, econ)
+        qoi.lcoe = lcoe(schedule, econ)
         report: ConstraintReport = evaluate_constraints(self.constraints, qoi)
         objectives = np.array([qoi.lcoe, qoi.f_dh])
         return objectives, report, qoi

@@ -128,6 +128,7 @@ def run_optimize(config: RunConfig) -> dict:
         for agent in result.agents:
             write_history(out / f"history-agent{agent.seed}.tsv", agent.history)
             agent.buffer.export(out / f"buffer-agent{agent.seed}.tsv")
+        evaluations = sum(len(agent.history) for agent in result.agents)
         failures = result.failures
         truncated = any(agent.truncated for agent in result.agents)
         status = (
@@ -145,10 +146,11 @@ def run_optimize(config: RunConfig) -> dict:
             writer.writerow(["generation", "feasible", "front_size"])
             for row in ga.history:
                 writer.writerow([row["generation"], row["feasible"], row["front_size"]])
+        evaluations = ga.evaluations
         failures = []
         status = STATUS_CLEAN
 
-    summary = {"status": status, "failures": failures,
+    summary = {"status": status, "failures": failures, "evaluations": evaluations,
                "front_size": len(report.points),
                "feasible_count": report.feasible_count}
     if report.points:

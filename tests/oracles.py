@@ -3,10 +3,30 @@
 Everything here is written from scratch against the same mathematical
 definitions, favoring obviousness over speed: fronts are peeled by
 repeatedly scanning for points not dominated by any survivor, and the
-buffer rank is recomputed from whole cloth for every insertion.
+buffer rank is recomputed from whole cloth for every insertion.  The
+evaluation oracles spell a proxy evaluation out step by step: one fuel
+batch at a time, a dict of yearly arrays, discount factors recomputed per
+call; the package must match them bit for bit.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
+
+from hpmropt.constraints import evaluate_constraints
+from hpmropt.design_space import FIELD_NAMES, STATIC_BOUNDS, resolve_bounds, validate
+from hpmropt.economics import CATEGORIES
+from hpmropt.environment import (
+    ProxyModelConfig,
+    QoIVector,
+    avg_heat_flux,
+    burnup,
+    power_density,
+    u235_mass,
+    uranium_mass,
+)
+from hpmropt.errors import EvaluationError
 
 
 def dominates_oracle(obj_a, feas_a, pen_a, obj_b, feas_b, pen_b):
@@ -169,3 +189,89 @@ def hypervolume_mc(front, reference, samples, rng):
     frac = hit.mean()
     stderr = box * np.sqrt(frac * (1 - frac) / samples)
     return box * frac, stderr
+
+
+def fuel_counts_oracle(interval, n):
+    """Batches bought per year, walking batch k = 0, 1, ... to year
+    ceil(k * interval) while k * interval < n."""
+    counts = [0] * (n + 1)
+    k = 0
+    while k * interval < n:
+        counts[math.ceil(k * interval)] += 1
+        k += 1
+    return counts
+
+
+def fuel_row_oracle(interval, n, batch_cost):
+    """The fuel row as one addition of ``batch_cost`` per batch."""
+    fuel = np.zeros(n + 1)
+    k = 0
+    while k * interval < n:
+        fuel[math.ceil(k * interval)] += batch_cost
+        k += 1
+    return fuel
+
+
+def _unit_cube_oracle(design):
+    z = np.empty(7)
+    for i, name in enumerate(FIELD_NAMES[:5]):
+        lo, hi = STATIC_BOUNDS[name]
+        z[i] = (getattr(design, name) - lo) / (hi - lo)
+    (cr_lo, cr_hi), (mr_lo, mr_hi) = resolve_bounds(design.x_pp)
+    z[5] = (design.x_cr - cr_lo) / (cr_hi - cr_lo)
+    z[6] = (design.x_mr - mr_lo) / (mr_hi - mr_lo)
+    return z
+
+
+def evaluate_oracle(design, scenario, config=None):
+    """Proxy evaluation the long way: validate, check the calibration, the
+    proxy from a dict of scales, a dict of five yearly arrays filled one
+    fuel batch at a time, fresh discount factors, and ``replace`` for the
+    cost.  Returns (objectives, ConstraintReport, QoIVector)."""
+    if config is None:
+        config = (ProxyModelConfig.from_config(scenario.proxy)
+                  if scenario.proxy else ProxyModelConfig())
+    problems = validate(design)
+    if problems:
+        raise EvaluationError("invalid design: " + "; ".join(problems))
+    config.require_calibrated()
+    dz = _unit_cube_oracle(design) - config.nominal_z
+    scale = {k: float(np.exp(config.betas[k] @ dz)) for k in config.betas}
+    lifetime = config.anchors["lifetime"] * scale["lifetime"]
+    sdm = -config.anchors["sdm_magnitude"] * scale["sdm_magnitude"]
+    f_dh = config.anchors["f_dh"] * scale["f_dh"]
+    q_avg = avg_heat_flux(design.x_cr, design.x_fh, config.heat_flux_k)
+    q_max = q_avg * (1.0 + config.anchors["peaking"] * scale["peaking"])
+    mass = uranium_mass(design.x_cr, design.x_fh, config.uranium_mass_coeff)
+    qoi = QoIVector(
+        lifetime=lifetime, sdm=sdm, f_dh=f_dh, q_max=q_max, q_avg=q_avg,
+        uranium_mass=mass, u235_mass=u235_mass(mass, design.x_e),
+        burnup=burnup(lifetime, mass, config.thermal_power_mw),
+        power_density=power_density(q_avg, design.x_cr, config.power_density_scale),
+    )
+
+    econ = scenario.econ
+    n = econ.plant_life_years
+    flows = {c: np.zeros(n + 1) for c in CATEGORIES}
+    interval = min(qoi.lifetime, float(econ.replacement_period_years))
+    flows["fuel"] = fuel_row_oracle(interval, n,
+                                    qoi.uranium_mass * scenario.fuel_price_per_kgu)
+    axial = scenario.axial_reflector_mass(design.x_fh) * scenario.axial_reflector_price_per_kg
+    drums = scenario.drum_reflector_mass(design.x_ca) * scenario.drum_reflector_price_per_kg
+    absorber = scenario.absorber_mass(design.x_ca) * scenario.absorber_unit_price(design.x_b10)
+    flows["reflector"][0] += axial
+    flows["reactivity_control"][0] += drums + absorber
+    flows["capital"][0] += scenario.fixed_direct_capital
+    for t in range(econ.replacement_period_years, n, econ.replacement_period_years):
+        flows["reflector"][t] += scenario.replacement_fraction * axial
+        flows["reactivity_control"][t] += scenario.replacement_fraction * (drums + absorber)
+    flows["o_and_m"][1:] = scenario.annual_om
+    for values in flows.values():
+        assert not np.any(values < 0)
+
+    disc = (1.0 + econ.discount_rate) ** -np.arange(n + 1)
+    total = np.sum([flows[c] for c in flows], axis=0)
+    cost = float(total @ disc) / float(econ.annual_energy_mwh * disc.sum())
+    qoi = replace(qoi, lcoe=cost)
+    report = evaluate_constraints(scenario.constraints, qoi)
+    return np.array([qoi.lcoe, qoi.f_dh]), report, qoi

@@ -157,6 +157,35 @@ class TestOptimize:
         assert code == 2
         assert "divisible by agents" in capsys.readouterr().err
 
+    def test_nsga2_steps_below_two_populations_is_config_error(self, tmp_path, capsys):
+        code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "nsga2",
+                     "--steps", "64", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "minimum of 128" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--optimizer", "pearl", "--agents", "2", "--steps", "64"],
+        ["--optimizer", "nsga2", "--steps", "192"],
+    ])
+    def test_report_json_counts_evaluations(self, tmp_path, monkeypatch, flags):
+        from hpmropt.environment import DesignEvaluator
+
+        calls = []
+        evaluate = DesignEvaluator.evaluate
+
+        def counted(self, design):
+            calls.append(design)
+            return evaluate(self, design)
+
+        monkeypatch.setattr(DesignEvaluator, "evaluate", counted)
+        out_dir = tmp_path / "run"
+        assert main(["optimize", "--scenario", "scenario-3", "--seed", "5",
+                     "--out", str(out_dir), *flags]) == 0
+        summary = json.loads((out_dir / "report.json").read_text())
+        assert summary["evaluations"] == len(calls)
+        assert 0 < summary["evaluations"] <= int(flags[-1])
+
     def test_policy_checkpoints_written(self, tmp_path):
         from hpmropt.runio import RunConfig, run_optimize
 
@@ -208,3 +237,11 @@ class TestFrontExports:
             (run_dir / "front.tsv").write_text("\n".join(lines) + "\n")
             assert main(["report", str(run_dir)]) == 2, name
             assert "front.tsv" in capsys.readouterr().err, name
+
+    def test_report_on_all_infeasible_front(self, tmp_path, capsys):
+        header = "label\tpoint_id\tobjective_0\tobjective_1\tfeasible\tpenalty"
+        (tmp_path / "front.tsv").write_text(header + "\nx\tp0\t1000.0\t1.6\t0\t3.0\n")
+        assert main(["report", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "1 points, 0 feasible" in out
+        assert "no hypervolume" in out

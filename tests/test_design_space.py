@@ -93,6 +93,20 @@ class TestFromUnitCube:
         with pytest.raises(DecodeError):
             from_unit_cube(np.asarray(u, dtype=float))
 
+    @pytest.mark.parametrize("u", [
+        np.full((1, 7), 0.5), np.full(8, 0.5), [[0.5] * 7] * 2,
+        [0.5] * 6 + [np.nan], [np.inf] + [0.5] * 6, [0.5] * 3 + [-np.inf] + [0.5] * 3,
+        [0.5] * 6 + [-1e-300], [0.5] * 6 + [1.0 + 1e-15],
+    ])
+    def test_decode_rejects_shape_non_finite_and_out_of_range(self, u):
+        with pytest.raises(DecodeError):
+            from_unit_cube(u)
+
+    def test_decode_accepts_the_closed_cube(self):
+        # both ends are admissible, given as an array, a list or ints
+        for u in (np.zeros(7), [1.0] * 7, [0, 1, 0, 1, 0, 1, 0]):
+            assert is_valid(from_unit_cube(u))
+
     @settings(max_examples=200, deadline=None)
     @given(u=st.lists(UNIT, min_size=7, max_size=7))
     def test_every_decode_is_valid(self, u):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from hpmropt.economics import (
 )
 from hpmropt.environment import DesignEvaluator
 from hpmropt.errors import ConfigError, ContractError
+
+from oracles import fuel_counts_oracle, fuel_row_oracle
 
 
 def flat_schedule(costs, category="capital"):
@@ -112,6 +115,83 @@ class TestBuildCashFlows:
             schedule = build_cash_flows(NOMINAL_DESIGN, qoi, scenario)
             values.append(lcoe(schedule, scenario.econ))
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def fuel_row(lifetime, uranium_mass=525.06):
+    scenario = load_scenario("scenario-1")
+    schedule = build_cash_flows(NOMINAL_DESIGN, FakeQoI(lifetime, uranium_mass), scenario)
+    batch_cost = uranium_mass * scenario.fuel_price_per_kgu
+    interval = min(lifetime, float(scenario.econ.replacement_period_years))
+    return schedule.flows["fuel"], interval, batch_cost
+
+
+class TestFuelPurchases:
+    """The per-year count of fuel batches against the batch-by-batch walk
+    in ``oracles``.  Up to five batches a year, count times cost is the
+    same float as adding the cost once per batch."""
+
+    @pytest.mark.parametrize("lifetime", [2.5, 5.0, 6.0, 10.0, 0.3038])
+    def test_equals_batch_walk_exactly(self, lifetime):
+        fuel, interval, cost = fuel_row(lifetime)
+        assert np.array_equal(fuel, fuel_row_oracle(interval, 60, cost))
+
+    def test_random_lifetimes_equal_batch_walk_exactly(self):
+        rng = np.random.default_rng(8)
+        for lifetime in rng.uniform(0.3, 20.0, 300):
+            mass = float(rng.uniform(300.0, 900.0))
+            fuel, interval, cost = fuel_row(float(lifetime), mass)
+            assert np.array_equal(fuel, fuel_row_oracle(interval, 60, cost)), lifetime
+
+    @pytest.mark.parametrize("lifetime", [1e-3, 1 / 3, 1 / 7, 0.55, 0.17, 0.07])
+    def test_counts_equal_batch_walk(self, lifetime):
+        # at all but 1e-3, floor(t / interval) is off by one against the
+        # walk's float products for some year, and the correction fixes it;
+        # with many batches a year the walk's additions drift from
+        # count * cost by rounding (~150 ulps seen at 1e-3)
+        fuel, interval, cost = fuel_row(lifetime)
+        counts = np.array(fuel_counts_oracle(interval, 60), dtype=float)
+        assert np.array_equal(fuel, counts * cost)
+        np.testing.assert_allclose(fuel, fuel_row_oracle(interval, 60, cost), rtol=1e-12)
+
+    def test_clamped_lifetime_is_bounded(self):
+        # 1e-6 y is the tabular evaluator's lifetime clamp: 6e7 batches,
+        # which a batch-by-batch walk takes about half a minute to place
+        start = time.perf_counter()
+        fuel, interval, cost = fuel_row(1e-6)
+        assert time.perf_counter() - start < 1.0
+        assert fuel[0] == cost
+        # a million batches a year, give or take the one on the boundary
+        assert np.all(np.abs(fuel[1:] / cost - 1e6) <= 1.0)
+        assert fuel.sum() == pytest.approx(6e7 * cost, rel=1e-9)
+
+
+class TestSchedule:
+    def test_flows_are_rows_of_one_ledger(self):
+        scenario = load_scenario("scenario-1")
+        schedule = build_cash_flows(NOMINAL_DESIGN, FakeQoI(6.99, 525.06), scenario)
+        assert schedule.ledger.shape == (5, 61)
+        for row, category in zip(schedule.ledger, schedule.flows):
+            assert np.shares_memory(schedule.flows[category], row)
+        assert np.array_equal(schedule.total_by_year, schedule.ledger.sum(axis=0))
+
+    def test_negative_flow_names_its_category(self):
+        with pytest.raises(ContractError, match="capital: negative flow"):
+            CashFlowSchedule(years=np.arange(3),
+                             flows={"fuel": [1.0, 2.0, 3.0], "capital": [0.0, -1.0, 0.0]})
+
+    def test_length_mismatch_names_its_category(self):
+        with pytest.raises(ContractError, match="o_and_m: length mismatch"):
+            CashFlowSchedule(years=np.arange(3),
+                             flows={"fuel": [1.0, 2.0, 3.0], "o_and_m": [1.0, 2.0]})
+
+    def test_discount_factors_are_a_fresh_copy(self):
+        econ = EconParams(plant_life_years=2, annual_energy_mwh=10.0)
+        schedule = flat_schedule([100.0, 50.0, 50.0])
+        before = lcoe(schedule, econ)
+        factors = econ.discount_factors()
+        factors[:] = 0.0
+        assert econ.discount_factors()[0] == 1.0
+        assert lcoe(schedule, econ) == before
 
 
 class TestCostBreakdown:

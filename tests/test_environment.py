@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,8 @@ from hpmropt.environment import (
 )
 from hpmropt.economics import load_scenario
 from hpmropt.errors import EvaluationError, TableLoadError
+
+from oracles import evaluate_oracle
 
 # Maximum relative errors achieved by the calibration fit
 # (scripts/proxy_fit_report.json); regression-tested here so the shipped
@@ -312,3 +317,83 @@ class TestDesignEvaluator:
         qoi = evaluator.qoi(NOMINAL_DESIGN)
         # doubled thermal power doubles burnup at fixed lifetime and mass
         assert qoi.burnup == pytest.approx(2 * burnup(qoi.lifetime, qoi.uranium_mass))
+
+
+class TestEvaluationPath:
+    """``DesignEvaluator.evaluate`` against ``oracles.evaluate_oracle``,
+    which checks the calibration on every call and fills a dict of yearly
+    arrays one fuel batch at a time."""
+
+    @pytest.mark.parametrize("scenario", ["scenario-1", "scenario-2", "scenario-3"])
+    def test_matches_oracle_bit_for_bit(self, scenario):
+        evaluator = DesignEvaluator(load_scenario(scenario))
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=7)))
+        cube = np.vstack([np.random.default_rng(17).random((2000, 7)), corners])
+        for u in cube:
+            design = from_unit_cube(u)
+            got = evaluator.evaluate(design)
+            want = evaluate_oracle(design, evaluator.scenario)
+            assert repr(got[0].tolist()) == repr(want[0].tolist()), u
+            assert repr(got[1].penalty) == repr(want[1].penalty), u
+            assert repr(got[1].rows) == repr(want[1].rows), u
+            assert repr(got[2]) == repr(want[2]), u
+
+    def test_proxy_lifetime_floor_over_the_cube(self):
+        # the log-linear proxy is extreme at a corner; above 0.3 y a year
+        # holds at most four fuel batches, where count * cost is exact
+        lifetimes = [proxy_eval(from_unit_cube(np.array(c)))[0]
+                     for c in itertools.product((0.0, 1.0), repeat=7)]
+        assert min(lifetimes) > 0.3
+
+    def test_config_edits_after_construction_do_not_reach_evaluate(self):
+        evaluator = DesignEvaluator(load_scenario("scenario-3"))
+        design = from_unit_cube(np.full(7, 0.3))
+        before = repr(evaluator.evaluate(design))
+        evaluator.proxy_config.betas["lifetime"][:] = 0.0
+        evaluator.proxy_config.betas["f_dh"] = np.ones(7)
+        evaluator.proxy_config.anchors["f_dh"] = 9.0
+        evaluator.proxy_config.heat_flux_k = 3.0
+        assert repr(evaluator.evaluate(design)) == before
+
+    def test_uncalibrated_config_rejected_at_construction(self):
+        cfg = ProxyModelConfig(betas={"lifetime": np.zeros(7)}, anchors={"lifetime": 1.0})
+        with pytest.raises(EvaluationError):
+            DesignEvaluator(load_scenario("scenario-1"), proxy_config=cfg)
+
+    def test_proxy_eval_checks_the_config_on_every_call(self):
+        cfg = ProxyModelConfig()
+        proxy_eval(NOMINAL_DESIGN, cfg)
+        cfg.betas["f_dh"][0] = -0.5  # coating-angle coefficient must be positive
+        with pytest.raises(EvaluationError):
+            proxy_eval(NOMINAL_DESIGN, cfg)
+
+    def test_public_qoi_still_validates(self):
+        evaluator = DesignEvaluator(load_scenario("scenario-1"))
+        bad = DesignVector(90, 0.95, 160, 2.3, 0.197, 1.2, 0.825)
+        for call in (evaluator.qoi, evaluator.evaluate):
+            with pytest.raises(EvaluationError):
+                call(bad)
+
+    def test_clamped_tabular_lifetime_evaluates_in_bounded_time(self):
+        # a 60-row table made from the proxy extrapolates below zero
+        # lifetime at the all-zero corner, so the lifetime clamps to 1e-6 y:
+        # 6e7 fuel batches, about half a minute when placed one by one
+        rng = np.random.default_rng(0)
+        designs = [from_unit_cube(u) for u in rng.random((60, 7))]
+        table = SampleTable(designs, np.array([proxy_eval(d) for d in designs]))
+        evaluator = DesignEvaluator(load_scenario("scenario-3"), model=table)
+        corner = from_unit_cube(np.zeros(7))
+        start = time.perf_counter()
+        objectives, _, qoi = evaluator.evaluate(corner)
+        assert time.perf_counter() - start < 1.0
+        assert qoi.lifetime == 1e-6
+        assert np.all(np.isfinite(objectives))
+
+    def test_pickled_evaluator_evaluates_identically(self):
+        # worker processes receive the evaluator, snapshot included, by pickle
+        import pickle
+
+        evaluator = DesignEvaluator(load_scenario("scenario-2"))
+        clone = pickle.loads(pickle.dumps(evaluator))
+        design = from_unit_cube(np.full(7, 0.6))
+        assert repr(clone.evaluate(design)) == repr(evaluator.evaluate(design))
