@@ -197,7 +197,8 @@ def build_cash_flows(design, qoi, scenario: CostScenario,
     replacement year.  O&M is constant over the operating years.
     """
     econ = econ or scenario.econ
-    if qoi.lifetime is None or qoi.lifetime <= 0:
+    # `not >` also rejects NaN, which would buy no fuel at all
+    if qoi.lifetime is None or not qoi.lifetime > 0:
         raise ContractError(f"fuel lifetime must be positive, got {qoi.lifetime}")
     n = econ.plant_life_years
     ledger = np.zeros((len(CATEGORIES), n + 1))
@@ -205,6 +206,11 @@ def build_cash_flows(design, qoi, scenario: CostScenario,
 
     batch_cost = qoi.uranium_mass * scenario.fuel_price_per_kgu
     interval = min(qoi.lifetime, float(econ.replacement_period_years))
+    # batch indices stay exact floats up to 2**53; past that, k * interval
+    # stops moving with k and the count overflows or never settles
+    if not n / interval <= 2.0**53:
+        raise ContractError(f"fuel lifetime {qoi.lifetime} is too small: over "
+                            f"{n} years its batch count exceeds 2**53")
     _buy_fuel(flows["fuel"], interval, n, batch_cost)
 
     axial = scenario.axial_reflector_mass(design.x_fh) * scenario.axial_reflector_price_per_kg

@@ -38,12 +38,6 @@ _PARAM_SHAPES = {
     "pol_wm": (ACTION_DIM, HIDDEN_WIDTH),
     "pol_bm": (ACTION_DIM,),
     "log_std": (ACTION_DIM,),
-    "val_w1": (HIDDEN_WIDTH, 1),
-    "val_b1": (HIDDEN_WIDTH,),
-    "val_w2": (HIDDEN_WIDTH, HIDDEN_WIDTH),
-    "val_b2": (HIDDEN_WIDTH,),
-    "val_wv": (HIDDEN_WIDTH,),
-    "val_bv": (1,),
 }
 
 
@@ -53,7 +47,6 @@ class PearlConfig:
 
     n_steps: int = 8
     entropy_coeff: float = 0.0001
-    value_coeff: float = 0.5
     learning_rate: float = 0.00025
     max_grad_norm: float = 0.5
     clip_epsilon: float = 0.2
@@ -63,7 +56,6 @@ class PearlConfig:
     distance_metric: str = "niching"
     niching_divisions: int | None = None
     epochs: int = 20
-    normalize_advantage: bool = True
     init_log_std: float = 0.4
     init_log_std_spread: float = 0.3
     init_center_scale: float = 0.8
@@ -76,8 +68,8 @@ class PearlConfig:
     checkpoint_interval: int | None = None
 
     def __post_init__(self):
-        for name in ("entropy_coeff", "value_coeff", "learning_rate",
-                     "max_grad_norm", "clip_epsilon"):
+        for name in ("entropy_coeff", "learning_rate", "max_grad_norm",
+                     "clip_epsilon"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if self.agents < 1 or self.kappa < 1 or self.n_steps < 1:
@@ -119,7 +111,7 @@ def _orthogonal(shape, gain, rng) -> np.ndarray:
 
 
 class PolicyState:
-    """Learnable state: mean head, state-independent log-std, value head.
+    """Learnable state: mean head and state-independent log-std.
 
     The observation is a constant token, so forward passes take no input.
     ``theta`` exposes all parameters as one flat vector for gradient checks.
@@ -150,13 +142,11 @@ class PolicyState:
             "pol_wm": _orthogonal(_PARAM_SHAPES["pol_wm"], 0.01, rng),
             "pol_bm": init_center_scale * rng.standard_normal(ACTION_DIM),
             "log_std": np.full(ACTION_DIM, float(init_log_std)),
-            "val_w1": _orthogonal(_PARAM_SHAPES["val_w1"], gain_hidden, rng),
-            "val_b1": np.zeros(HIDDEN_WIDTH),
-            "val_w2": _orthogonal(_PARAM_SHAPES["val_w2"], gain_hidden, rng),
-            "val_b2": np.zeros(HIDDEN_WIDTH),
-            "val_wv": _orthogonal((HIDDEN_WIDTH,), 1.0, rng),
-            "val_bv": np.zeros(1),
         }
+        # the draws of the value head this network once had (two hidden
+        # layers and an output row), kept so every seed samples the same
+        # action stream as before
+        rng.standard_normal(HIDDEN_WIDTH + HIDDEN_WIDTH * HIDDEN_WIDTH + HIDDEN_WIDTH)
         return cls(params)
 
     def _policy_forward(self):
@@ -166,13 +156,6 @@ class PolicyState:
         mean = p["pol_wm"] @ h2 + p["pol_bm"]
         return mean, h1, h2
 
-    def _value_forward(self):
-        p = self.params
-        h1 = np.tanh(p["val_w1"][:, 0] + p["val_b1"])
-        h2 = np.tanh(p["val_w2"] @ h1 + p["val_b2"])
-        value = float(p["val_wv"] @ h2 + p["val_bv"][0])
-        return value, h1, h2
-
     @property
     def mean(self) -> np.ndarray:
         return self._policy_forward()[0]
@@ -180,10 +163,6 @@ class PolicyState:
     @property
     def log_std(self) -> np.ndarray:
         return self.params["log_std"]
-
-    @property
-    def value_baseline(self) -> float:
-        return self._value_forward()[0]
 
     @property
     def entropy(self) -> float:
@@ -273,57 +252,51 @@ class Rollout:
     pre_squash: np.ndarray   # (n, 7)
     log_probs: np.ndarray    # (n,)
     rewards: np.ndarray      # (n,)
-    value_old: np.ndarray    # (n,)
 
     def __len__(self):
         return len(self.rewards)
 
     def standardized(self):
+        """The advantages: rewards standardized over the batch.
+
+        Every episode is one action from the same constant observation, so a
+        learned baseline could only be one constant per batch, and the
+        standardization already removes any constant.  A one-sample batch
+        has advantage 0.
+        """
         r = self.rewards
         return (r - _mean(r)) / (_std(r) + 1e-8)
-
-    def advantages(self, normalize: bool, returns: np.ndarray | None = None) -> np.ndarray:
-        """Returns minus the stored baselines; ``returns`` saves recomputing
-        ``standardized()`` when the caller already has it."""
-        a = (self.standardized() if returns is None else returns) - self.value_old
-        if normalize and len(a) > 1:
-            a = (a - _mean(a)) / (_std(a) + 1e-8)
-        return a
 
 
 class _Targets(NamedTuple):
     """The policy-independent half of the PPO objective, computed once per
-    update: standardized returns, advantages and the squash Jacobian."""
+    update: the advantages and the squash Jacobian."""
 
-    returns: np.ndarray
     advantages: np.ndarray
     jacobian: np.ndarray
 
     @classmethod
-    def of(cls, rollout: Rollout, config: PearlConfig) -> "_Targets":
-        returns = rollout.standardized()
-        return cls(returns=returns,
-                   advantages=rollout.advantages(config.normalize_advantage, returns),
+    def of(cls, rollout: Rollout) -> "_Targets":
+        return cls(advantages=rollout.standardized(),
                    jacobian=_squash_jacobian(rollout.pre_squash))
 
 
 def _loss_and_gradient(policy: PolicyState, rollout: Rollout, targets: _Targets,
                        config: PearlConfig, with_gradient: bool = True):
-    """Clipped-surrogate loss and, optionally, its closed-form gradient, from
-    one policy forward and one value forward."""
-    returns, advantages = targets.returns, targets.advantages
+    """Clipped-surrogate loss, optionally its closed-form gradient, and the
+    log importance ratios, from one policy forward."""
+    advantages = targets.advantages
     mean, h1, h2 = policy._policy_forward()
     log_std = policy.log_std
     per_dim = _gauss_logpdf(rollout.pre_squash, mean, log_std) - targets.jacobian
-    ratio = np.exp(per_dim.sum(axis=1) - rollout.log_probs)
+    log_ratio = per_dim.sum(axis=1) - rollout.log_probs
+    ratio = np.exp(log_ratio)
     clipped = np.clip(ratio, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
     surrogate, clipped_surrogate = ratio * advantages, clipped * advantages
     pg = -_mean(np.minimum(surrogate, clipped_surrogate))
-    value, v_h1, v_h2 = policy._value_forward()
-    v_loss = config.value_coeff * _mean((value - returns) ** 2)
-    loss = float(pg + v_loss - config.entropy_coeff * policy.entropy)
+    loss = float(pg - config.entropy_coeff * policy.entropy)
     if not with_gradient:
-        return loss, None
+        return loss, None, log_ratio
 
     n = len(rollout)
     std2 = np.exp(2.0 * log_std)
@@ -351,32 +324,18 @@ def _loss_and_gradient(policy: PolicyState, rollout: Rollout, targets: _Targets,
         "pol_w1": d_pre1[:, None],
         "pol_b1": d_pre1,
     })
-
-    d_value = config.value_coeff * 2.0 * _mean(value - returns)
-    d_vh2 = d_value * p["val_wv"]
-    d_vpre2 = d_vh2 * (1.0 - v_h2**2)
-    d_vh1 = p["val_w2"].T @ d_vpre2
-    d_vpre1 = d_vh1 * (1.0 - v_h1**2)
-    grads.update({
-        "val_wv": d_value * v_h2,
-        "val_bv": np.array([d_value]),
-        "val_w2": d_vpre2[:, None] * v_h1,
-        "val_b2": d_vpre2,
-        "val_w1": d_vpre1[:, None],
-        "val_b1": d_vpre1,
-    })
-    return loss, grads
+    return loss, grads, log_ratio
 
 
 def ppo_loss(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> float:
-    """Clipped-surrogate loss plus value and entropy terms."""
-    return _loss_and_gradient(policy, rollout, _Targets.of(rollout, config), config,
+    """Clipped-surrogate loss plus the entropy term."""
+    return _loss_and_gradient(policy, rollout, _Targets.of(rollout), config,
                               with_gradient=False)[0]
 
 
 def ppo_gradient(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> dict:
     """Closed-form gradient of the clipped-surrogate loss."""
-    return _loss_and_gradient(policy, rollout, _Targets.of(rollout, config), config)[1]
+    return _loss_and_gradient(policy, rollout, _Targets.of(rollout), config)[1]
 
 
 class AdamOptimizer:
@@ -437,9 +396,17 @@ def _grad_norm(grads: dict) -> float:
 
 @dataclass
 class UpdateStats:
+    """One update's last epoch: its loss and gradient norm, the entropy
+    after its step, and two measures of how far the update moved the policy
+    from the one that sampled the batch, from that epoch's importance
+    ratios r: approx-KL, the mean of (r - 1) - log r, and the fraction of
+    samples with |r - 1| > clip_epsilon."""
+
     loss: float
     grad_norm: float
     entropy: float
+    approx_kl: float
+    clip_frac: float
     skipped: bool = False
 
 
@@ -450,21 +417,25 @@ def ppo_update(policy: PolicyState, rollout: Rollout, config: PearlConfig,
     A non-finite gradient skips the update and logs the incident.
     """
     optimizer = optimizer or AdamOptimizer(config.learning_rate)
-    targets = _Targets.of(rollout, config)
-    stats = None
+    targets = _Targets.of(rollout)
+    skipped = False
     for _ in range(config.epochs):
-        loss, grads = _loss_and_gradient(policy, rollout, targets, config)
+        loss, grads, log_ratio = _loss_and_gradient(policy, rollout, targets, config)
         total_norm = _grad_norm(grads)
         if not math.isfinite(total_norm) or not math.isfinite(loss):
             logger.warning("skipping policy update: non-finite gradient or loss")
-            return UpdateStats(loss=loss, grad_norm=total_norm,
-                               entropy=policy.entropy, skipped=True)
+            skipped = True
+            break
         scale = None
         if total_norm > config.max_grad_norm:
             scale = config.max_grad_norm / (total_norm + 1e-6)
         optimizer.step(policy.params, grads, scale)
-        stats = UpdateStats(loss=loss, grad_norm=total_norm, entropy=policy.entropy)
-    return stats
+    ratio = np.exp(log_ratio)
+    return UpdateStats(
+        loss=loss, grad_norm=total_norm, entropy=policy.entropy,
+        approx_kl=float(_mean((ratio - 1.0) - log_ratio)),
+        clip_frac=float(_mean(np.abs(ratio - 1.0) > config.clip_epsilon)),
+        skipped=skipped)
 
 
 def step_reward(objectives, report, buffer: ParetoBuffer, payload=None,
@@ -575,14 +546,13 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
                 float(objectives[0]), float(objectives[1]),
                 float(report.penalty),
             ))
-        batch.append((action, reward, policy.value_baseline))
+        batch.append((action, reward))
 
         if len(batch) == config.n_steps or step == steps - 1:
             rollout = Rollout(
-                pre_squash=np.vstack([a.pre_squash for a, _, _ in batch]),
-                log_probs=np.array([a.log_prob for a, _, _ in batch]),
-                rewards=np.array([r for _, r, _ in batch]),
-                value_old=np.array([v for _, _, v in batch]),
+                pre_squash=np.vstack([a.pre_squash for a, _ in batch]),
+                log_probs=np.array([a.log_prob for a, _ in batch]),
+                rewards=np.array([r for _, r in batch]),
             )
             stats = ppo_update(policy, rollout, config, optimizer)
             if stats.skipped:

@@ -99,6 +99,20 @@ def write_history(path, rows) -> None:
             ])
 
 
+def write_updates(path, update_log) -> None:
+    """One row per policy update of one agent (``pearl.UpdateStats``)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, delimiter="\t")
+        writer.writerow(["update", "loss", "grad_norm", "entropy", "approx_kl",
+                         "clip_frac", "skipped"])
+        for index, stats in enumerate(update_log):
+            writer.writerow([
+                index, repr(float(stats.loss)), repr(float(stats.grad_norm)),
+                repr(float(stats.entropy)), repr(float(stats.approx_kl)),
+                repr(float(stats.clip_frac)), int(stats.skipped),
+            ])
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -127,6 +141,7 @@ def run_optimize(config: RunConfig) -> dict:
         report = result.front_report(label=f"pearl:{config.scenario}")
         for agent in result.agents:
             write_history(out / f"history-agent{agent.seed}.tsv", agent.history)
+            write_updates(out / f"updates-agent{agent.seed}.tsv", agent.update_log)
             agent.buffer.export(out / f"buffer-agent{agent.seed}.tsv")
         evaluations = sum(len(agent.history) for agent in result.agents)
         failures = result.failures

@@ -253,7 +253,6 @@ def test_criterion_07_policy_gradient():
         pre_squash=np.vstack([s.pre_squash for s in samples]),
         log_probs=np.array([s.log_prob for s in samples]),
         rewards=rng.normal(size=8) * 25.0 - 40.0,
-        value_old=np.full(8, behavior.value_baseline),
     )
     jobs = []
     for _state in range(5):

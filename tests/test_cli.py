@@ -142,6 +142,9 @@ class TestOptimize:
     @pytest.mark.parametrize("manifest, key", [
         ({"pearl": {"bogus": 1}}, "bogus"),
         ({"optimizer": "nsga2", "nsga2": {"popsize": 3}}, "popsize"),
+        # keys of the retired value head: old manifests that carry them exit 2
+        ({"pearl": {"value_coeff": 0.5}}, "value_coeff"),
+        ({"pearl": {"normalize_advantage": True}}, "normalize_advantage"),
     ])
     def test_unknown_optimizer_key_is_config_error(self, tmp_path, capsys,
                                                    manifest, key):
@@ -199,6 +202,33 @@ class TestOptimize:
             "policy-4-step000016.npz", "policy-4-step000032.npz"]
         loaded = np.load(checkpoints[-1])
         assert loaded["log_std"].shape == (7,)
+
+    def test_update_telemetry_written_beside_history(self, tmp_path):
+        import csv
+
+        from hpmropt.economics import load_scenario
+        from hpmropt.environment import DesignEvaluator
+        from hpmropt.pearl import PearlConfig, run_multi
+        from hpmropt.runio import RunConfig, run_optimize
+
+        pearl = {"agents": 2, "total_steps": 64, "base_seed": 4}
+        run_optimize(RunConfig(scenario="scenario-3", optimizer="pearl",
+                               out_dir=str(tmp_path), pearl=pearl))
+        result = run_multi(DesignEvaluator(load_scenario("scenario-3")),
+                           PearlConfig(**pearl))
+        columns = ["update", "loss", "grad_norm", "entropy", "approx_kl",
+                   "clip_frac", "skipped"]
+        for agent in result.agents:
+            with open(tmp_path / f"updates-agent{agent.seed}.tsv", newline="") as fh:
+                rows = list(csv.reader(fh, delimiter="\t"))
+            assert rows[0] == columns
+            assert len(rows) == 1 + 32 // 8 == 1 + len(agent.update_log)
+            for index, (row, stats) in enumerate(zip(rows[1:], agent.update_log)):
+                assert row == [str(index)] + [
+                    repr(float(getattr(stats, name))) for name in columns[1:-1]] \
+                    + [str(int(stats.skipped))]
+        header = (tmp_path / "front.tsv").read_text().splitlines()[0].split("\t")
+        assert not set(columns[1:]) & set(header)
 
     def test_max_seconds_truncates_to_partial(self, tmp_path, capsys):
         out_dir = tmp_path / "budget"

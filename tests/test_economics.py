@@ -107,6 +107,28 @@ class TestBuildCashFlows:
         with pytest.raises(ContractError):
             build_cash_flows(NOMINAL_DESIGN, FakeQoI(0.0, 500.0), scenario)
 
+    def test_nan_lifetime_rejected(self):
+        # NaN fails every comparison, so a `<= 0` test let it through and it
+        # bought no fuel at all: a cheaper LCOE from a broken QoI
+        scenario = load_scenario("scenario-1")
+        with pytest.raises(ContractError, match="positive"):
+            build_cash_flows(NOMINAL_DESIGN, FakeQoI(float("nan"), 500.0), scenario)
+
+    @pytest.mark.parametrize("lifetime", [5e-324, 1e-300, 1e-15])
+    def test_overflowing_batch_count_rejected(self, lifetime):
+        # at 5e-324 the batch count is not a finite float and math.floor
+        # raised a raw OverflowError; at the others it is finite but past
+        # 2**53, where a step of one batch no longer moves k * interval
+        scenario = load_scenario("scenario-1")
+        with pytest.raises(ContractError, match="too small"):
+            build_cash_flows(NOMINAL_DESIGN, FakeQoI(lifetime, 500.0), scenario)
+
+    def test_largest_countable_batch_count_is_bounded(self):
+        start = time.perf_counter()
+        fuel, interval, cost = fuel_row(60.0 / 2.0**53)
+        assert time.perf_counter() - start < 1.0
+        assert fuel.sum() == pytest.approx(2.0**53 * cost, rel=1e-9)
+
     def test_lcoe_non_increasing_in_lifetime(self):
         scenario = load_scenario("scenario-1")
         values = []

@@ -4,10 +4,18 @@
 merged-front objectives, as ``repr`` strings, of a short PEARL run on
 scenario-3 (2 agents x 128 steps, kappa=16, niching), plus the same run on
 the constrained toy problem of ``conftest``, where most samples are feasible
-and so exercise the niching order far more.  They were recorded before the
-archive's two-objective sweep and the fused PPO update replaced the matrix
-sort and the two-pass loss/gradient.  Any change to the archive ranks, the
-policy arithmetic or the sampling order shows up here as a changed float.
+and so exercise the niching order far more.  Any change to the archive
+ranks, the policy arithmetic or the sampling order shows up here as a
+changed float.
+
+The data was last re-recorded when the learner lost its value head.  That
+was an intended behaviour change: the advantages became the standardized
+returns (no learned baseline subtracted, no second normalization) and the
+gradient-norm clip came to see the policy gradients alone, so every update,
+and with it every reward after the first update, moved.  The first batch of
+each agent is unchanged, because initialization still draws the retired
+head's random numbers.  The archive's sweep and the fused PPO update before
+it were checked against the previous recording and matched it bit for bit.
 
 Regenerate (only for an intended behaviour change, or on a platform whose
 BLAS kernels round differently, from a commit known to be right) with

@@ -11,10 +11,13 @@ from hpmropt.metrics import default_reference, hypervolume_2d, nondominated_filt
 from hpmropt.pareto import ObjectivePoint, ParetoBuffer
 from hpmropt.pearl import (
     _PARAM_SHAPES,
+    ACTION_DIM,
+    HIDDEN_WIDTH,
     AdamOptimizer,
     PearlConfig,
     PolicyState,
     Rollout,
+    _Targets,
     log_prob_of,
     merge_fronts,
     ppo_gradient,
@@ -46,7 +49,6 @@ def make_rollout(policy_seed=3, reward_seed=9, n=8, behavior=None):
         pre_squash=np.vstack([s.pre_squash for s in samples]),
         log_probs=np.array([s.log_prob for s in samples]),
         rewards=rewards,
-        value_old=np.full(n, behavior.value_baseline),
     )
 
 
@@ -127,17 +129,38 @@ class TestStepReward:
 
 class TestPpoUpdate:
     def test_zero_advantages_leave_policy_head_untouched(self):
-        config = small_config(entropy_coeff=0.0001, normalize_advantage=False)
+        config = small_config(entropy_coeff=0.0001)
         policy = PolicyState.initialize(np.random.default_rng(11))
         rollout = make_rollout()
-        rollout.rewards = np.zeros(8)                      # standardizes to zeros
-        rollout.value_old = np.zeros(8)                    # advantages exactly zero
+        rollout.rewards = np.full(8, -3.0)                 # standardizes to zeros
         before = {k: v.copy() for k, v in policy.params.items()}
         ppo_update(policy, rollout, config)
         for name in ("pol_w1", "pol_b1", "pol_w2", "pol_b2", "pol_wm", "pol_bm"):
             assert np.array_equal(policy.params[name], before[name]), name
         assert not np.array_equal(policy.params["log_std"], before["log_std"])
-        assert not np.array_equal(policy.params["val_wv"], before["val_wv"])
+
+    def test_advantages_are_the_standardized_returns(self):
+        config = small_config(entropy_coeff=0.0)
+        policy = PolicyState.initialize(np.random.default_rng(17), init_log_std=0.3)
+        rollout = make_rollout()
+        returns = rollout.rewards
+        expected = (returns - np.mean(returns)) / (np.std(returns) + 1e-8)
+        assert np.array_equal(_Targets.of(rollout).advantages, expected)
+        # in the trust region every sample is active, so the mean-head bias
+        # gradient is the plain score-function estimate with these advantages
+        rollout.log_probs = log_prob_of(policy, rollout.pre_squash)
+        diff = rollout.pre_squash - policy.mean
+        score = -(expected[:, None] * diff / np.exp(2.0 * policy.log_std)).mean(axis=0)
+        grads = ppo_gradient(policy, rollout, config)
+        assert grads["pol_bm"] == pytest.approx(score, rel=1e-9, abs=1e-12)
+
+    def test_one_sample_batch_has_zero_advantage(self):
+        config = small_config(entropy_coeff=0.0)
+        policy = PolicyState.initialize(np.random.default_rng(18))
+        rollout = make_rollout(n=1)
+        assert np.array_equal(_Targets.of(rollout).advantages, [0.0])
+        grads = ppo_gradient(policy, rollout, config)
+        assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_clip_saturation_masks_positive_advantages(self):
         config = small_config()
@@ -147,7 +170,7 @@ class TestPpoUpdate:
         rollout.log_probs = log_prob_of(policy, rollout.pre_squash) \
             - np.log(1.0 + 2.0 * config.clip_epsilon)
         rollout.rewards = np.arange(8.0)
-        advantages = rollout.advantages(config.normalize_advantage)
+        advantages = rollout.standardized()
         ratio = np.exp(log_prob_of(policy, rollout.pre_squash) - rollout.log_probs)
         assert np.all(ratio > 1.0 + config.clip_epsilon)
         # positive-advantage samples sit on the saturated branch (no gradient),
@@ -159,16 +182,60 @@ class TestPpoUpdate:
         assert np.isfinite(ppo_gradient(policy, rollout, config)["pol_bm"]).all()
 
     def test_fully_saturated_positive_advantages_zero_policy_grad(self):
-        config = small_config(entropy_coeff=0.0, normalize_advantage=False)
+        from hpmropt.pearl import _loss_and_gradient, _squash_jacobian
+
+        config = small_config(entropy_coeff=0.0)
         policy = PolicyState.initialize(np.random.default_rng(13))
         rollout = make_rollout(behavior=policy)
         rollout.log_probs = log_prob_of(policy, rollout.pre_squash) \
             - np.log(1.0 + 2.0 * config.clip_epsilon)
-        rollout.rewards = np.linspace(1.0, 2.0, 8)
-        rollout.value_old = np.full(8, -10.0)              # all advantages positive
-        grads = ppo_gradient(policy, rollout, config)
+        # standardized returns always mix signs, so the all-positive case is
+        # built from targets directly
+        targets = _Targets(advantages=np.linspace(1.0, 2.0, 8),
+                           jacobian=_squash_jacobian(rollout.pre_squash))
+        _, grads, _ = _loss_and_gradient(policy, rollout, targets, config)
         for name in ("pol_w1", "pol_b1", "pol_w2", "pol_b2", "pol_wm", "pol_bm"):
             assert np.all(grads[name] == 0.0), name
+
+    def test_policy_is_the_only_learner(self):
+        assert not [name for name in _PARAM_SHAPES if name.startswith("val_")]
+        policy = PolicyState.initialize(np.random.default_rng(19))
+        assert len(policy.theta()) == 4750
+        assert not hasattr(policy, "value_baseline")
+
+    def test_initialize_keeps_the_retired_value_head_draws(self):
+        # the network with a value head drew the policy layers, then two
+        # hidden layers and an output row for the value; the stream after
+        # initialize, and with it every seed's actions, must not move
+        shapes = [(HIDDEN_WIDTH, 1), (HIDDEN_WIDTH, HIDDEN_WIDTH),
+                  (HIDDEN_WIDTH, ACTION_DIM), (ACTION_DIM,),
+                  (HIDDEN_WIDTH, 1), (HIDDEN_WIDTH, HIDDEN_WIDTH), (HIDDEN_WIDTH, 1)]
+        for seed in (0, 5, 1000):
+            rng = np.random.default_rng(seed)
+            PolicyState.initialize(rng, 0.4, 0.8)
+            reference = np.random.default_rng(seed)
+            for shape in shapes:
+                reference.standard_normal(shape)
+            assert rng.bit_generator.state == reference.bit_generator.state, seed
+
+    def test_clip_scale_comes_from_the_policy_gradient_norm(self):
+        class Recording(AdamOptimizer):
+            def step(self, params, grads, scale=None):
+                self.seen = (sorted(grads), scale)
+                super().step(params, grads, scale)
+
+        config = small_config(max_grad_norm=0.5, epochs=1)
+        policy = PolicyState.initialize(np.random.default_rng(21), init_log_std=0.2)
+        rollout = make_rollout()
+        grads = ppo_gradient(policy, rollout, config)
+        norm = math.sqrt(sum(float(np.sum(grads[k] ** 2)) for k in _PARAM_SHAPES))
+        assert norm > config.max_grad_norm          # the clip fires
+        optimizer = Recording(config.learning_rate)
+        stats_out = ppo_update(policy, rollout, config, optimizer)
+        names, scale = optimizer.seen
+        assert names == sorted(_PARAM_SHAPES)
+        assert stats_out.grad_norm == pytest.approx(norm, rel=1e-12)
+        assert scale == pytest.approx(config.max_grad_norm / (norm + 1e-6), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         config = small_config()
@@ -245,6 +312,33 @@ class TestPpoUpdate:
         assert stats_out.loss == loss and stats_out.grad_norm == norm
         for name in _PARAM_SHAPES:
             assert np.array_equal(policy.params[name], reference.params[name]), name
+
+
+    def test_update_stats_read_the_last_epoch_ratios(self):
+        config = small_config(epochs=1)
+        policy = PolicyState.initialize(np.random.default_rng(22), init_log_std=0.3)
+        rollout = make_rollout(behavior=policy)
+        # every ratio of the only epoch is 1.4, outside 1 +- 0.2
+        rollout.log_probs = log_prob_of(policy, rollout.pre_squash) - math.log(1.4)
+        stats_out = ppo_update(policy, rollout, config)
+        assert stats_out.clip_frac == 1.0
+        assert stats_out.approx_kl == pytest.approx(0.4 - math.log(1.4), rel=1e-9)
+
+        # with more epochs the figures come from the last epoch, whose ratios
+        # are those of the policy after all earlier steps
+        config = small_config(epochs=3)
+        rollout = make_rollout()
+        policy = PolicyState.initialize(np.random.default_rng(23), init_log_std=0.3)
+        stats_out = ppo_update(policy, rollout, config)
+        replay = PolicyState.initialize(np.random.default_rng(23), init_log_std=0.3)
+        optimizer = AdamOptimizer(config.learning_rate)
+        ppo_update(replay, rollout, small_config(epochs=2), optimizer)
+        log_ratio = log_prob_of(replay, rollout.pre_squash) - rollout.log_probs
+        ratio = np.exp(log_ratio)
+        assert stats_out.approx_kl == pytest.approx(np.mean(ratio - 1.0 - log_ratio),
+                                                    rel=1e-6)
+        assert stats_out.clip_frac == np.mean(np.abs(ratio - 1.0) > 0.2)
+        assert stats_out.approx_kl >= 0.0 and not stats_out.skipped
 
 
 class TestRunAgent:
