@@ -306,12 +306,120 @@ def _niche_order(niche, perp, seq, counts) -> list[int]:
     return order
 
 
-@dataclass(eq=False)
-class _Slot:
-    point: ObjectivePoint
-    seq: int
-    front: int = -1
-    distance: float = 0.0
+class _Ranking:
+    """What one insert knows about the order of its union.
+
+    The union is the buffer's rows ``0 .. size-1``, held in no particular
+    order; the ranking keeps views of the buffer's arrays, not the buffer.
+    The feasible fronts come from one sweep; a front's ordering (best
+    first) and the one normalization and association that niching
+    orderings share are computed at most once, when first asked for.  The
+    insert asks for the candidate's front and the last one; the full order
+    is assembled from the same orderings only when the buffer is read.
+    """
+
+    def __init__(self, buffer: "ParetoBuffer", size: int):
+        self.metric, self.directions = buffer.metric, buffer.directions
+        self.obj, self.feas = buffer._obj[:size], buffer._feas[:size]
+        self.pen, self.seq = buffer._pen[:size], buffer._seq[:size]
+        self.pos = buffer._pos[:size]     # written through to the buffer
+        members = np.flatnonzero(self.feas)
+        self.n_feasible = len(members)
+        self.fronts: list[list[int]] = []
+        if self.n_feasible:
+            rows = members.tolist()
+            # each front in lexicographic objective order: exact duplicates
+            # are adjacent
+            self.fronts = [[rows[i] for i in front]
+                           for front in _sweep_fronts(self.obj[members])]
+        self._orders: dict[int, tuple[list[int], list[float]]] = {}
+        self._association = None
+
+    def _associate(self):
+        if self._association is None:
+            obj = self.obj[self.feas]
+            # every feasible row of the union, the evicted one included, and
+            # never a single row: that product takes another BLAS path than
+            # the larger ones and can differ in the last bit
+            lo, hi = obj.min(axis=0), obj.max(axis=0)
+            span = np.where(hi > lo, hi - lo, 1.0)
+            normalized = (obj - lo) / span
+            normalized[:, hi == lo] = 0.0
+            niche = np.zeros(len(self.obj), dtype=int)
+            perp = np.zeros(len(self.obj))
+            niche[self.feas], perp[self.feas] = _associate(normalized, self.directions)
+            self._association = niche, perp
+        return self._association
+
+    def order(self, k: int) -> tuple[list[int], list[float]]:
+        """Rows of feasible front ``k``, best first, and their distances."""
+        if k in self._orders:
+            return self._orders[k]
+        front = self.fronts[k]
+        if self.metric == "crowding" or len(front) == 1:
+            rows = np.array(front)
+            # crowding breaks ties between exact duplicates by position, and
+            # the position is the rank the previous insert gave them
+            rows = rows[np.lexsort((self.seq[rows], self.pos[rows]))]
+            dist = crowding_distance(self.obj[rows])
+            best = np.lexsort((self.seq[rows], -dist))
+            rows = rows[best]
+            self.pos[rows] = np.arange(len(rows))
+            ordered = rows.tolist(), dist[best].tolist()
+        else:
+            niche, perp = self._associate()
+            # every member of an earlier niching front was picked before
+            # this front starts; single-member fronts were crowding-ranked
+            earlier = [r for f in self.fronts[:k] if len(f) > 1 for r in f]
+            counts = np.bincount(niche[earlier], minlength=len(self.directions))
+            picks = _niche_order(niche[front], perp[front], self.seq[front], counts)
+            rows = [front[i] for i in picks]
+            ordered = rows, perp[rows].tolist()
+        self._orders[k] = ordered
+        return ordered
+
+    def rank(self, row: int) -> int:
+        """1-based rank of ``row`` in the union."""
+        if self.feas[row]:
+            for k, front in enumerate(self.fronts):
+                if row in front:
+                    return sum(map(len, self.fronts[:k])) + self.order(k)[0].index(row) + 1
+        # infeasible rows follow by (penalty, seq), and ``row`` is the newest
+        return self.n_feasible + int(np.count_nonzero(self.pen[~self.feas] <= self.pen[row]))
+
+    def last(self) -> int:
+        """The row ranked last: the newest of the largest penalty, or the
+        last of the last feasible front."""
+        if self.n_feasible < len(self.obj):
+            infeasible = np.flatnonzero(~self.feas)
+            pen = self.pen[infeasible]
+            worst = infeasible[pen == pen.max()]
+            return int(worst[np.argmax(self.seq[worst])])
+        return self.order(len(self.fronts) - 1)[0][-1]
+
+    def tied_fronts(self) -> list[int]:
+        """Fronts holding exact duplicates, whose crowding order depends on
+        the order the previous insert left them in."""
+        obj = self.obj.tolist()
+        return [k for k, front in enumerate(self.fronts)
+                if any(obj[a] == obj[b] for a, b in zip(front, front[1:]))]
+
+    def full(self) -> list[tuple[int, int, float]]:
+        """(row, front, distance) for every row of the union, best first."""
+        ranked = []
+        for k in range(len(self.fronts)):
+            rows, dist = self.order(k)
+            ranked.extend(zip(rows, [k] * len(rows), dist))
+        # infeasible rows follow, one front per penalty, in incumbency order
+        infeasible = np.flatnonzero(~self.feas)
+        by_rank = infeasible[np.lexsort((self.seq[infeasible], self.pen[infeasible]))]
+        for k, run in enumerate(_penalty_runs(by_rank, self.pen), len(self.fronts)):
+            ranked.extend((row, k, 0.0) for row in run)
+        return ranked
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ParetoBuffer:
@@ -322,108 +430,128 @@ class ParetoBuffer:
     the reference lattice defaults to one direction per buffer slot
     (capacity - 1 divisions) and is built lazily once the objective
     dimension is known.
+
+    The solutions live in columnar arrays of ``capacity + 1`` rows in no
+    particular order; the row an insert evicts takes the next candidate.
+    An insert computes only the candidate's rank and the row that drops
+    out.  The ranked order of the held solutions, their fronts and their
+    distances are built from that insert's state when first read.
     """
 
     def __init__(self, capacity: int = 64, metric: str = "crowding",
                  directions=None, divisions: int | None = None):
+        if not _is_integer(capacity):
+            raise ContractError(f"capacity must be an integer, got {capacity!r}")
         if capacity < 1:
             raise ContractError("capacity must be at least 1")
         if metric not in METRICS:
             raise ContractError(f"unknown distance metric {metric!r}")
+        if divisions is not None and not (_is_integer(divisions) and divisions >= 1):
+            raise ContractError(f"divisions must be an integer >= 1, got {divisions!r}")
+        if directions is not None:
+            directions = np.asarray(directions, float)
+            if directions.ndim != 2 or len(directions) == 0:
+                raise ContractError("directions must be a non-empty (k, n_obj) array")
+            if not np.all(directions.any(axis=1)):
+                raise ContractError("a reference direction is the zero vector")
         self.capacity = capacity
         self.metric = metric
-        self.directions = None if directions is None else np.asarray(directions, float)
+        self.directions = directions
         self.divisions = divisions
-        self._slots: list[_Slot] = []
-        self._seq = 0
+        self._obj: np.ndarray | None = None
+        self._feas = np.zeros(capacity + 1, dtype=bool)
+        self._pen = np.zeros(capacity + 1)
+        self._seq = np.zeros(capacity + 1, dtype=np.int64)
+        self._pos = np.zeros(capacity + 1, dtype=np.int64)
+        self._points: list[ObjectivePoint | None] = [None] * (capacity + 1)
+        self._size = 0                    # rows in the last insert's union
+        self._evicted: int | None = None  # the row that union dropped
+        self._ranking: _Ranking | None = None
+        self._ranked: list[tuple[int, int, float]] | None = None
+        self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return self._size - (self._evicted is not None)
 
-    @property
-    def entries(self) -> list[ObjectivePoint]:
-        return [slot.point for slot in self._slots]
-
-    def _ensure_directions(self, n_obj: int):
+    def _start(self, n_obj: int):
+        """Check the first point's dimension and allocate the objectives."""
+        if not 1 <= n_obj <= 2:
+            raise ContractError(
+                f"non-dominated sorting supports one or two objectives, got {n_obj}")
         if self.metric == "niching" and self.directions is None:
-            divisions = self.divisions or max(self.capacity - 1, 1)
+            divisions = self.divisions if self.divisions is not None \
+                else max(self.capacity - 1, 1)
             self.directions = reference_directions(n_obj, divisions)
-
-    def _rank_all(self, slots) -> list[_Slot]:
-        obj, feas, pen = _point_arrays([s.point for s in slots])
-        seq = np.array([s.seq for s in slots])
-        fronts = _feasible_fronts(obj, feas)
-        niching = self.metric == "niching"
-        if niching and any(len(front) > 1 for front in fronts):
-            # one normalization and one association over every feasible
-            # slot (never a single row: that product takes another BLAS
-            # path than the front-sized ones and can differ in the last bit)
-            lo = obj[feas].min(axis=0)
-            hi = obj[feas].max(axis=0)
-            span = np.where(hi > lo, hi - lo, 1.0)
-            normalized = (obj - lo) / span
-            normalized[:, hi == lo] = 0.0
-            niche = np.zeros(len(slots), dtype=int)
-            perp = np.zeros(len(slots))
-            niche[feas], perp[feas] = _associate(normalized[feas], self.directions)
-            counts = np.zeros(len(self.directions), dtype=int)
-        ranked: list[tuple[int, int, float]] = []     # (slot, front, distance)
-        for front_index, front in enumerate(fronts):
-            if not niching or len(front) == 1:
-                dist = crowding_distance(obj[front]).tolist()
-                ranked.extend((i, front_index, d) for i, d in sorted(
-                    zip(front, dist), key=lambda fd: (-fd[1], seq[fd[0]])))
-            else:
-                order = _niche_order(niche[front], perp[front], seq[front], counts)
-                ranked.extend((front[k], front_index, perp[front[k]]) for k in order)
-        # infeasible slots follow, one front per penalty, in incumbency order
-        infeasible = np.flatnonzero(~feas)
-        by_rank = infeasible[np.lexsort((seq[infeasible], pen[infeasible]))]
-        for front_index, run in enumerate(_penalty_runs(by_rank, pen), len(fronts)):
-            ranked.extend((i, front_index, 0.0) for i in run)
-        ordered: list[_Slot] = []
-        for i, front_index, dist in ranked:
-            slot = slots[i]
-            slot.front = front_index
-            slot.distance = float(dist)
-            ordered.append(slot)
-        return ordered
+        if self.directions is not None and self.directions.shape[1] != n_obj:
+            raise ContractError(f"reference directions have {self.directions.shape[1]} "
+                                f"columns, the objectives {n_obj}")
+        self._obj = np.zeros((self.capacity + 1, n_obj))
 
     def insert(self, point: ObjectivePoint) -> int:
         """Rank ``point`` against the held solutions, keep the best
         ``capacity`` of the union, and return ``-rank`` (rank is 1-based)."""
-        if self._slots and point.objectives.shape != self._slots[0].point.objectives.shape:
+        if self._obj is None:
+            self._start(len(point.objectives))
+        elif point.objectives.shape != self._obj.shape[1:]:
             raise ContractError(
                 f"mixed objective dimensions: {point.objectives.shape} vs "
-                f"{self._slots[0].point.objectives.shape}")
-        self._ensure_directions(len(point.objectives))
-        candidate = _Slot(point=point, seq=self._seq)
-        self._seq += 1
-        ordered = self._rank_all(self._slots + [candidate])
-        rank = next(i for i, slot in enumerate(ordered) if slot is candidate) + 1
-        self._slots = ordered[: self.capacity]
+                f"{self._obj.shape[1:]}")
+        if self._evicted is None:
+            row = self._size
+            self._size += 1
+        else:
+            row = self._evicted
+        self._obj[row] = point.objectives
+        self._feas[row] = point.feasible
+        self._pen[row] = point.penalty
+        self._seq[row] = self._next_seq
+        self._pos[row] = self.capacity + 1     # behind every ranked row
+        self._points[row] = point
+        self._next_seq += 1
+
+        ranking = _Ranking(self, self._size)
+        if self.metric == "crowding":
+            # the order of exact duplicates in a crowding front can change
+            # with every ranking, even of an unchanged front, so tied fronts
+            # are ordered on every insert
+            for k in ranking.tied_fronts():
+                ranking.order(k)
+        rank = ranking.rank(row)
+        self._evicted = ranking.last() if self._size > self.capacity else None
+        self._ranking, self._ranked = ranking, None
         return -rank
+
+    def _order(self) -> list[tuple[int, int, float]]:
+        """(row, front, distance) of every held solution, best first."""
+        if self._ranked is None:
+            self._ranked = [] if self._ranking is None else [
+                entry for entry in self._ranking.full() if entry[0] != self._evicted]
+        return self._ranked
+
+    @property
+    def entries(self) -> list[ObjectivePoint]:
+        return [self._points[row] for row, _, _ in self._order()]
 
     def front(self, index: int = 0) -> list[ObjectivePoint]:
         """Points of the given non-domination front (0 = best)."""
-        return [s.point for s in self._slots if s.front == index]
+        return [self._points[row] for row, front, _ in self._order() if front == index]
 
     def export(self, path) -> None:
         """Columnar snapshot: objectives, feasibility, penalty, rank keys,
         and the design payload."""
         rows = []
-        for slot in self._slots:
-            point = slot.point
-            row = {
+        for row, front, distance in self._order():
+            point = self._points[row]
+            record = {
                 **{f"objective_{j}": float(v) for j, v in enumerate(point.objectives)},
                 "feasible": point.feasible,
                 "penalty": point.penalty,
-                "front": slot.front,
-                "distance": slot.distance,
+                "front": front,
+                "distance": distance,
             }
             if point.payload is not None:
-                row.update({"id": point.payload.id, **point.payload.design.to_record()})
-            rows.append(row)
+                record.update({"id": point.payload.id, **point.payload.design.to_record()})
+            rows.append(record)
         fieldnames = list(dict.fromkeys(key for row in rows for key in row))
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fieldnames, delimiter="\t")

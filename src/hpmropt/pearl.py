@@ -15,6 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,14 @@ import numpy as np
 from .design_space import from_unit_cube
 from .errors import ConfigError, ContractError
 from .metrics import FrontReport
-from .pareto import DesignPayload, ObjectivePoint, ParetoBuffer, _first_front
+from .pareto import (
+    METRICS,
+    DesignPayload,
+    ObjectivePoint,
+    ParetoBuffer,
+    _first_front,
+    _is_integer,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -72,8 +80,18 @@ class PearlConfig:
                      "clip_epsilon"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        for name in ("agents", "kappa", "n_steps", "epochs", "total_steps"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.agents < 1 or self.kappa < 1 or self.n_steps < 1:
             raise ConfigError("agents, kappa and n_steps must be positive")
+        if self.distance_metric not in METRICS:
+            raise ConfigError(f"distance_metric must be one of {list(METRICS)}, "
+                              f"got {self.distance_metric!r}")
+        if self.niching_divisions is not None and not (
+                _is_integer(self.niching_divisions) and self.niching_divisions >= 1):
+            raise ConfigError("niching_divisions must be an integer >= 1 (or null "
+                              f"for kappa - 1), got {self.niching_divisions!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
         if self.total_steps % self.n_steps != 0:
@@ -204,9 +222,22 @@ class ActionSample:
     pre_squash: np.ndarray
 
 
+class _Behaviour(NamedTuple):
+    """A policy's mean and log-std, frozen between two updates so each
+    step's sample skips the forward pass."""
+
+    mean: np.ndarray
+    log_std: np.ndarray
+
+    @classmethod
+    def of(cls, policy: PolicyState) -> "_Behaviour":
+        return cls(policy.mean, policy.log_std)
+
+
 def sample_action(policy: PolicyState, rng) -> ActionSample:
     """Draw from the squashed-normal policy; the log-probability carries the
-    squash Jacobian correction."""
+    squash Jacobian correction.  ``policy`` may be anything with ``mean``
+    and ``log_std``."""
     mean = policy.mean
     std = np.exp(policy.log_std)
     x = mean + std * rng.standard_normal(ACTION_DIM)
@@ -310,7 +341,7 @@ def _loss_and_gradient(policy: PolicyState, rollout: Rollout, targets: _Targets,
     d_log_std = (dlogp[:, None] * (diff**2 / std2 - 1.0)).sum(axis=0)
     d_log_std -= config.entropy_coeff
 
-    grads = {"log_std": d_log_std}
+    grads = _Gradients(log_std=d_log_std)
     p = policy.params
     d_h2 = p["pol_wm"].T @ d_mean
     d_pre2 = d_h2 * (1.0 - h2**2)
@@ -379,7 +410,18 @@ class AdamOptimizer:
             start = stop
 
 
+class _Gradients(dict):
+    """Named gradient tensors of one epoch; the norm and the Adam step
+    share one flat copy."""
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        return np.concatenate([g.ravel() for g in self.values()])
+
+
 def _flatten(grads: dict) -> np.ndarray:
+    if isinstance(grads, _Gradients):
+        return grads.flat
     return np.concatenate([g.ravel() for g in grads.values()])
 
 
@@ -503,6 +545,7 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
     init_log_std = config.init_log_std \
         + config.init_log_std_spread * (rng.random() - 0.5)
     policy = PolicyState.initialize(rng, init_log_std, config.init_center_scale)
+    behaviour = _Behaviour.of(policy)
     optimizer = AdamOptimizer(config.learning_rate)
     own_buffer = buffer if buffer is not None else ParetoBuffer(
         capacity=config.kappa,
@@ -519,7 +562,7 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
         if deadline is not None and time.monotonic() > deadline:
             truncated = True
             break
-        action = sample_action(policy, rng)
+        action = sample_action(behaviour, rng)
         design = from_unit_cube(action.u)
         result = None
         for _attempt in range(2):
@@ -555,6 +598,7 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
                 rewards=np.array([r for _, r in batch]),
             )
             stats = ppo_update(policy, rollout, config, optimizer)
+            behaviour = _Behaviour.of(policy)
             if stats.skipped:
                 incidents += 1
             update_log.append(stats)

@@ -9,6 +9,7 @@ batch at a time, a dict of yearly arrays, discount factors recomputed per
 call; the package must match them bit for bit.
 """
 
+import csv
 import math
 from dataclasses import replace
 
@@ -27,6 +28,14 @@ from hpmropt.environment import (
     uranium_mass,
 )
 from hpmropt.errors import EvaluationError
+from hpmropt.pareto import (
+    _associate,
+    _feasible_fronts,
+    _niche_order,
+    _penalty_runs,
+    crowding_distance,
+    reference_directions,
+)
 
 
 def dominates_oracle(obj_a, feas_a, pen_a, obj_b, feas_b, pen_b):
@@ -174,6 +183,97 @@ def buffer_rank_oracle(history, new_point, metric, directions=None):
             order.extend(front[k] for k in sub_order)
     rank = order.index(len(points) - 1) + 1
     return rank, order
+
+
+class EagerBuffer:
+    """The archive as it was before ranking went lazy: every insert
+    re-ranks the whole union, keeps it in ranked order, and stores each
+    solution's front and distance.  ``ParetoBuffer`` must match its
+    rewards, ``entries``, ``front(k)`` and ``export`` bytes after every
+    insert."""
+
+    def __init__(self, capacity=64, metric="crowding", divisions=None):
+        self.capacity, self.metric, self.divisions = capacity, metric, divisions
+        self.directions = None
+        self.slots = []          # [point, seq, front, distance], ranked
+        self.seq = 0
+
+    def __len__(self):
+        return len(self.slots)
+
+    @property
+    def entries(self):
+        return [slot[0] for slot in self.slots]
+
+    def front(self, index=0):
+        return [slot[0] for slot in self.slots if slot[2] == index]
+
+    def insert(self, point):
+        if self.metric == "niching" and self.directions is None:
+            self.directions = reference_directions(
+                len(point.objectives), self.divisions or max(self.capacity - 1, 1))
+        candidate = [point, self.seq, -1, 0.0]
+        self.seq += 1
+        ordered = self._rank_all(self.slots + [candidate])
+        rank = next(i for i, slot in enumerate(ordered) if slot is candidate) + 1
+        self.slots = ordered[:self.capacity]
+        return -rank
+
+    def _rank_all(self, slots):
+        obj = np.array([s[0].objectives for s in slots])
+        feas = np.array([s[0].feasible for s in slots], dtype=bool)
+        pen = np.array([s[0].penalty for s in slots], dtype=float)
+        seq = np.array([s[1] for s in slots])
+        fronts = _feasible_fronts(obj, feas)
+        niching = self.metric == "niching"
+        if niching and any(len(front) > 1 for front in fronts):
+            lo, hi = obj[feas].min(axis=0), obj[feas].max(axis=0)
+            span = np.where(hi > lo, hi - lo, 1.0)
+            normalized = (obj - lo) / span
+            normalized[:, hi == lo] = 0.0
+            niche = np.zeros(len(slots), dtype=int)
+            perp = np.zeros(len(slots))
+            niche[feas], perp[feas] = _associate(normalized[feas], self.directions)
+            counts = np.zeros(len(self.directions), dtype=int)
+        ranked = []
+        for front_index, front in enumerate(fronts):
+            if not niching or len(front) == 1:
+                dist = crowding_distance(obj[front]).tolist()
+                ranked.extend((i, front_index, d) for i, d in sorted(
+                    zip(front, dist), key=lambda fd: (-fd[1], seq[fd[0]])))
+            else:
+                order = _niche_order(niche[front], perp[front], seq[front], counts)
+                ranked.extend((front[k], front_index, perp[front[k]]) for k in order)
+        infeasible = np.flatnonzero(~feas)
+        by_rank = infeasible[np.lexsort((seq[infeasible], pen[infeasible]))]
+        for front_index, run in enumerate(_penalty_runs(by_rank, pen), len(fronts)):
+            ranked.extend((i, front_index, 0.0) for i in run)
+        ordered = []
+        for i, front_index, dist in ranked:
+            slots[i][2], slots[i][3] = front_index, float(dist)
+            ordered.append(slots[i])
+        return ordered
+
+    def export(self, path):
+        rows = []
+        for point, _seq, front, distance in self.slots:
+            row = {
+                **{f"objective_{j}": float(v) for j, v in enumerate(point.objectives)},
+                "feasible": point.feasible,
+                "penalty": point.penalty,
+                "front": front,
+                "distance": distance,
+            }
+            if point.payload is not None:
+                row.update({"id": point.payload.id, **point.payload.design.to_record()})
+            rows.append(row)
+        fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fieldnames, delimiter="\t")
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({k: repr(v) if isinstance(v, float) else str(v)
+                                 for k, v in ((k, row.get(k, "")) for k in fieldnames)})
 
 
 def hypervolume_mc(front, reference, samples, rng):

@@ -154,6 +154,22 @@ class TestOptimize:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("niching_divisions", 0),     # used to run with kappa - 1 divisions
+        ("niching_divisions", -3),    # these three used to fail every agent
+        ("kappa", 2.5),
+        ("distance_metric", "bogus"),
+    ])
+    def test_bad_archive_setting_is_config_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"pearl": {"agents": 2, "total_steps": 64, key: value}}))
+        out = tmp_path / "r"
+        code = main(["optimize", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "front.tsv").exists()
+
     def test_steps_not_divisible_by_agents_is_config_error(self, tmp_path, capsys):
         code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
                      "--agents", "3", "--steps", "64", "--out", str(tmp_path / "r")])

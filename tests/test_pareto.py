@@ -17,9 +17,14 @@ from hpmropt.pareto import (
     nondominated_sort,
     reference_directions,
 )
-from hpmropt.pearl import merge_fronts, random_search
+from hpmropt import pearl
+from hpmropt.economics import load_scenario
+from hpmropt.environment import DesignEvaluator
+from hpmropt.pearl import PearlConfig, merge_fronts, random_search, run_agent
+from hpmropt.runio import RunConfig, run_optimize
 
 from oracles import (
+    EagerBuffer,
     buffer_rank_oracle,
     crowding_oracle,
     dominates_oracle,
@@ -431,6 +436,222 @@ class TestTieHeavyOracles:
                 history = [(history + [entry])[i] for i in order][:16]
                 assert [(q.objectives.tolist(), q.feasible, q.penalty)
                         for q in buf.entries] == [h[:3] for h in history]
+
+
+def assert_same_archive(lazy, eager, directory):
+    """Entries, every front and the export bytes of two buffers agree."""
+    assert len(lazy) == len(eager)
+    assert [id(p) for p in lazy.entries] == [id(p) for p in eager.entries]
+    fronts = {slot[2] for slot in eager.slots}
+    for k in range(max(fronts, default=-1) + 2):
+        assert [id(p) for p in lazy.front(k)] == [id(p) for p in eager.front(k)], k
+    lazy.export(directory / "lazy.tsv")
+    eager.export(directory / "eager.tsv")
+    assert (directory / "lazy.tsv").read_bytes() == (directory / "eager.tsv").read_bytes()
+
+
+def replay(points, capacity, metric, directory, divisions=None):
+    """Insert ``points`` into a lazy and an eager buffer side by side,
+    checking rewards and the whole archive after every insert, and into a
+    lazy buffer read only at the end; returns the rewards."""
+    lazy, unread = (ParetoBuffer(capacity=capacity, metric=metric, divisions=divisions)
+                    for _ in range(2))
+    eager = EagerBuffer(capacity=capacity, metric=metric, divisions=divisions)
+    rewards = []
+    for step, point in enumerate(points):
+        reward = lazy.insert(point)
+        assert reward == eager.insert(point) == unread.insert(point), f"step {step}"
+        assert_same_archive(lazy, eager, directory)
+        rewards.append(reward)
+    assert_same_archive(unread, eager, directory)
+    return rewards
+
+
+@pytest.fixture(scope="module")
+def desk_stream():
+    """The points one agent of the pearl-desk study inserts: 300 steps,
+    kappa 64, niching, on scenario-3, with their design payloads."""
+    inserted = []
+
+    class Recording(ParetoBuffer):
+        def insert(self, point):
+            inserted.append(point)
+            return super().insert(point)
+
+    config = PearlConfig(agents=8, total_steps=2400, kappa=64, base_seed=1)
+    run_agent(DesignEvaluator(load_scenario("scenario-3")), config, seed=1,
+              buffer=Recording(capacity=64, metric="niching"))
+    return inserted
+
+
+class TestLazyArchive:
+    """The archive ranks lazily: an insert computes the candidate's rank and
+    the row that drops out, and the full order is built when read.  The
+    eager reference re-ranks everything on every insert."""
+
+    @pytest.mark.parametrize("metric", ["crowding", "niching"])
+    @pytest.mark.parametrize("divisions", [3, 15])
+    def test_matches_eager_on_grids(self, metric, divisions, rng, tmp_path):
+        for _ in range(3):
+            points, _, _, _ = grid_points(rng, 120, levels=5, feasible_share=0.75)
+            replay(points, 16, metric, tmp_path, divisions)
+
+    @pytest.mark.parametrize("metric", ["crowding", "niching"])
+    def test_matches_eager_on_desk_stream(self, metric, desk_stream, tmp_path):
+        assert sum(p.feasible for p in desk_stream) >= 5
+        replay(desk_stream, 64, metric, tmp_path)
+
+    @pytest.mark.parametrize("metric", ["crowding", "niching"])
+    def test_matches_eager_on_feasible_stream(self, metric, rng, tmp_path):
+        points = [feasible(*(rng.random(2) * [5000.0, 0.5] + [1000.0, 1.0]))
+                  for _ in range(150)]
+        replay(points, 64, metric, tmp_path)
+
+    def test_singleton_front_does_not_occupy_its_niche(self, tmp_path):
+        # A alone in front 0 sits in niche 0; X (niche 0) and Y (niche 3)
+        # share front 1.  A singleton front is crowding-ranked, so niche 0
+        # is still empty when front 1 is niched, and X, the candidate, goes
+        # first there (counting A would put Y first)
+        dirs = reference_directions(2, 3)
+        a, y, x = feasible(0.0, 0.0), feasible(1.0, 0.1), feasible(0.1, 1.0)
+        buf = ParetoBuffer(capacity=8, metric="niching", divisions=3)
+        buf.insert(a)
+        buf.insert(y)
+        assert buf.insert(x) == -2
+        history = [([0.0, 0.0], True, 0.0, 0), ([1.0, 0.1], True, 0.0, 1)]
+        assert buffer_rank_oracle(history, ([0.1, 1.0], True, 0.0, 2),
+                                  "niching", dirs)[0] == 2
+        assert buf.front(1) == [x, y]
+        replay([a, y, x], 8, "niching", tmp_path, divisions=3)
+
+    @pytest.mark.parametrize("metric", ["crowding", "niching"])
+    def test_candidate_evicts_itself(self, metric, tmp_path):
+        held = [feasible(0, 3), feasible(1, 1), feasible(3, 0)]
+        worst = feasible(5, 5)
+        buf = ParetoBuffer(capacity=3, metric=metric, divisions=2)
+        for p in held:
+            buf.insert(p)
+        assert buf.insert(worst) == -4
+        assert len(buf) == 3
+        assert all(p is not worst for p in buf.entries)
+        assert set(map(id, buf.entries)) == set(map(id, held))
+        replay([*held, worst, feasible(6, 6), feasible(0.5, 0.5)], 3, metric,
+               tmp_path, divisions=2)
+
+    @pytest.mark.parametrize("metric", ["crowding", "niching"])
+    def test_all_infeasible_archive(self, metric, tmp_path):
+        penalties = [3.0, 1.0, 3.0, 2.0, 1.0, 5.0, 2.0, 0.5, 3.0]
+        points = [infeasible(q, i, -i) for i, q in enumerate(penalties)]
+        buf = ParetoBuffer(capacity=4, metric=metric)
+        rewards = [buf.insert(p) for p in points]
+        assert rewards == [-1, -1, -3, -2, -2, -5, -4, -1, -5]
+        # least penalty first, older first within a penalty
+        assert buf.entries == [points[7], points[1], points[4], points[3]]
+        assert [buf.front(k) for k in range(3)] == \
+            [[points[7]], [points[1], points[4]], [points[3]]]
+        replay(points, 4, metric, tmp_path)
+
+    @pytest.mark.parametrize("metric", ["crowding", "niching"])
+    def test_capacity_one(self, metric, rng, tmp_path):
+        points, _, _, _ = grid_points(rng, 80, levels=3, feasible_share=0.6)
+        rewards = replay(points, 1, metric, tmp_path, divisions=2)
+        assert set(rewards) <= {-1, -2}
+
+    def test_duplicates_keep_their_crowding_positions(self, tmp_path):
+        # exact duplicates inside a crowding front take their boundary and
+        # gap shares by position, and the position is the rank the previous
+        # insert gave them; a stream of repeated points checks that the
+        # order carried between inserts matches the eager re-rank
+        base = [(0, 4), (1, 2), (2, 1), (4, 0)]
+        points = [feasible(*base[i % 4]) for i in range(24)]
+        points += [feasible(1, 2), feasible(0.5, 3), feasible(3, 0.5)]
+        replay(points, 12, "crowding", tmp_path)
+
+    def test_untouched_tied_front_is_reranked_every_insert(self, tmp_path):
+        # the twins of (1, 2) get 0.75 and 1.25 by position, so each full
+        # re-rank swaps them; the later points land in other fronts, and
+        # the twins must still swap on every insert
+        twin_a, twin_b = feasible(1, 2), feasible(1, 2)
+        points = [feasible(0, 4), twin_a, twin_b, feasible(4, 0)]
+        points += [feasible(5 + i, 5 + i) for i in range(7)]
+        buf = ParetoBuffer(capacity=16, metric="crowding")
+        first_twin = []
+        for p in points:
+            buf.insert(p)
+            first_twin.append(next((q for q in buf.front(0) if q in (twin_a, twin_b)), None))
+        assert first_twin[3:] == [twin_b, twin_a] * 4
+        replay(points, 16, "crowding", tmp_path)
+        # reading the order must not be what moves the twins: a buffer read
+        # only at the end agrees too
+        for n in range(4, len(points) + 1):
+            unread = ParetoBuffer(capacity=16, metric="crowding")
+            for p in points[:n]:
+                unread.insert(p)
+            assert unread.front(0)[2] is first_twin[n - 1], n
+
+    def test_empty_buffer_reads(self, tmp_path):
+        buf = ParetoBuffer(capacity=4, metric="niching")
+        assert len(buf) == 0 and buf.entries == [] and buf.front(0) == []
+        buf.export(tmp_path / "empty.tsv")
+        EagerBuffer(capacity=4).export(tmp_path / "eager.tsv")
+        assert (tmp_path / "empty.tsv").read_bytes() == \
+            (tmp_path / "eager.tsv").read_bytes()
+
+    @pytest.mark.parametrize("pearl_config", [
+        {"agents": 3, "total_steps": 384, "kappa": 16, "base_seed": 9,
+         "shared_buffer": True},
+        {"agents": 2, "total_steps": 256, "kappa": 8, "base_seed": 2,
+         "shared_buffer": True, "distance_metric": "crowding"},
+        {"agents": 2, "total_steps": 256, "kappa": 16, "base_seed": 5},
+    ])
+    def test_run_directory_matches_eager(self, pearl_config, tmp_path, monkeypatch):
+        lazy_dir, eager_dir = tmp_path / "lazy", tmp_path / "eager"
+        run_optimize(RunConfig(pearl=pearl_config, out_dir=str(lazy_dir)))
+        monkeypatch.setattr(pearl, "ParetoBuffer", EagerBuffer)
+        run_optimize(RunConfig(pearl=pearl_config, out_dir=str(eager_dir)))
+        names = sorted(path.name for path in lazy_dir.iterdir())
+        assert names == sorted(path.name for path in eager_dir.iterdir())
+        assert any(name.startswith("buffer-agent") for name in names)
+        for name in names:
+            assert (lazy_dir / name).read_bytes() == (eager_dir / name).read_bytes(), name
+
+
+class TestBufferContract:
+    @pytest.mark.parametrize("kwargs", [
+        {"capacity": 0}, {"capacity": 2.5}, {"capacity": True}, {"capacity": "8"},
+        {"metric": "bogus"},
+        {"divisions": 0}, {"divisions": -3}, {"divisions": 2.0},
+        {"directions": [[0.0, 1.0], [0.0, 0.0]]},
+        {"directions": np.empty((0, 2))},
+    ])
+    def test_rejected_at_construction(self, kwargs):
+        with pytest.raises(ContractError):
+            ParetoBuffer(**{"metric": "niching", **kwargs})
+
+    def test_direction_columns_must_match_objectives(self):
+        buf = ParetoBuffer(capacity=4, metric="niching",
+                           directions=reference_directions(3, 2))
+        with pytest.raises(ContractError, match="columns"):
+            buf.insert(feasible(1.0, 2.0))
+
+    def test_mixed_dimensions_rejected(self):
+        buf = ParetoBuffer(capacity=4)
+        buf.insert(feasible(1.0, 2.0))
+        with pytest.raises(ContractError, match="mixed objective dimensions"):
+            buf.insert(ObjectivePoint(np.array([1.0]), True))
+
+    def test_three_objectives_rejected(self):
+        with pytest.raises(ContractError, match="one or two objectives"):
+            ParetoBuffer(capacity=4).insert(feasible(1.0, 2.0, 3.0))
+
+    def test_explicit_directions_are_used(self, rng, tmp_path):
+        dirs = reference_directions(2, 5)
+        lazy = ParetoBuffer(capacity=8, metric="niching", directions=dirs)
+        eager = EagerBuffer(capacity=8, metric="niching", divisions=5)
+        for _ in range(40):
+            p = feasible(*rng.random(2))
+            assert lazy.insert(p) == eager.insert(p)
+        assert_same_archive(lazy, eager, tmp_path)
 
 
 def test_objective_point_invariants():

@@ -8,6 +8,7 @@ from hpmropt.constraints import ConstraintReport, ConstraintRow
 from hpmropt.design_space import from_unit_cube
 from hpmropt.errors import ConfigError
 from hpmropt.metrics import default_reference, hypervolume_2d, nondominated_filter
+from hpmropt import pearl
 from hpmropt.pareto import ObjectivePoint, ParetoBuffer
 from hpmropt.pearl import (
     _PARAM_SHAPES,
@@ -261,6 +262,17 @@ class TestPpoUpdate:
             scale = max(np.abs(fd).max(), np.abs(flat).max())
             assert np.abs(flat[idx] - fd).max() / scale < 1e-4
 
+    def test_gradients_flatten_once_per_epoch(self, monkeypatch):
+        config = small_config(epochs=4)
+        policy = PolicyState.initialize(np.random.default_rng(17))
+        rollout = make_rollout()
+        concatenations = []
+        concatenate = np.concatenate
+        monkeypatch.setattr(np, "concatenate",
+                            lambda *a, **k: concatenations.append(1) or concatenate(*a, **k))
+        ppo_update(policy, rollout, config)
+        assert len(concatenations) == config.epochs
+
     def test_nonfinite_gradient_skips_update(self):
         config = small_config()
         policy = PolicyState.initialize(np.random.default_rng(14))
@@ -348,6 +360,21 @@ class TestRunAgent:
         b = run_agent(toy_env, config, seed=3, steps=64)
         assert [r.reward for r in a.history] == [r.reward for r in b.history]
         assert [r.objective_0 for r in a.history] == [r.objective_0 for r in b.history]
+
+    def test_samples_from_the_policy_frozen_between_updates(self, toy_env, monkeypatch):
+        # one forward pass per update for sampling (plus the first policy),
+        # and every action bit-identical to sampling the live policy
+        config = small_config(n_steps=8, epochs=3)
+        forwards = []
+        forward = PolicyState._policy_forward
+        monkeypatch.setattr(PolicyState, "_policy_forward",
+                            lambda self: forwards.append(1) or forward(self))
+        frozen = run_agent(toy_env, config, seed=4, steps=32)
+        assert len(forwards) == 1 + 4 * (config.epochs + 1)
+        monkeypatch.setattr(pearl._Behaviour, "of", classmethod(lambda cls, policy: policy))
+        live = run_agent(toy_env, config, seed=4, steps=32)
+        assert [repr(r) for r in frozen.history] == [repr(r) for r in live.history]
+        assert np.array_equal(frozen.policy.theta(), live.policy.theta())
 
     def test_trivially_feasible_environment_fills_buffer(self):
         config = small_config(kappa=64)
@@ -551,6 +578,16 @@ def test_config_validation():
     config = PearlConfig(kappa=64)
     assert config.resolved_infeasibility_offset() == 65.0
     assert PearlConfig(infeasibility_offset=0.0).resolved_infeasibility_offset() == 0.0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kappa", 2.5), ("kappa", "8"), ("kappa", True), ("agents", 2.0),
+    ("distance_metric", "bogus"),
+    ("niching_divisions", 0), ("niching_divisions", -3), ("niching_divisions", 4.5),
+])
+def test_config_rejects_bad_archive_settings(key, value):
+    with pytest.raises(ConfigError, match=key):
+        PearlConfig(**{"agents": 2, "total_steps": 64, key: value})
 
 
 def test_mean_and_std_helpers_match_numpy_bit_for_bit():
