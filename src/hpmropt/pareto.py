@@ -315,10 +315,12 @@ class _Ranking:
     first) and the one normalization and association that niching
     orderings share are computed at most once, when first asked for.  The
     insert asks for the candidate's front and the last one; the full order
-    is assembled from the same orderings only when the buffer is read.
+    is assembled from the same orderings only when the buffer is read, by
+    a new ranking of the same rows given the orderings that cannot be
+    recomputed (``orders``).
     """
 
-    def __init__(self, buffer: "ParetoBuffer", size: int):
+    def __init__(self, buffer: "ParetoBuffer", size: int, orders=None):
         self.metric, self.directions = buffer.metric, buffer.directions
         self.obj, self.feas = buffer._obj[:size], buffer._feas[:size]
         self.pen, self.seq = buffer._pen[:size], buffer._seq[:size]
@@ -332,7 +334,7 @@ class _Ranking:
             # are adjacent
             self.fronts = [[rows[i] for i in front]
                            for front in _sweep_fronts(self.obj[members])]
-        self._orders: dict[int, tuple[list[int], list[float]]] = {}
+        self._orders: dict[int, tuple[list[int], list[float]]] = dict(orders or {})
         self._association = None
 
     def _associate(self):
@@ -466,7 +468,9 @@ class ParetoBuffer:
         self._points: list[ObjectivePoint | None] = [None] * (capacity + 1)
         self._size = 0                    # rows in the last insert's union
         self._evicted: int | None = None  # the row that union dropped
-        self._ranking: _Ranking | None = None
+        # the last insert's orderings of tied crowding fronts: ordering such a
+        # front again could swap its twins
+        self._tied: dict[int, tuple[list[int], list[float]]] = {}
         self._ranked: list[tuple[int, int, float]] | None = None
         self._next_seq = 0
 
@@ -510,22 +514,24 @@ class ParetoBuffer:
         self._next_seq += 1
 
         ranking = _Ranking(self, self._size)
-        if self.metric == "crowding":
-            # the order of exact duplicates in a crowding front can change
-            # with every ranking, even of an unchanged front, so tied fronts
-            # are ordered on every insert
-            for k in ranking.tied_fronts():
-                ranking.order(k)
+        # the order of exact duplicates in a crowding front can change with
+        # every ranking, even of an unchanged front, so tied fronts are
+        # ordered on every insert
+        self._tied = {k: ranking.order(k) for k in ranking.tied_fronts()} \
+            if self.metric == "crowding" else {}
         rank = ranking.rank(row)
         self._evicted = ranking.last() if self._size > self.capacity else None
-        self._ranking, self._ranked = ranking, None
+        self._ranked = None
         return -rank
 
     def _order(self) -> list[tuple[int, int, float]]:
         """(row, front, distance) of every held solution, best first."""
         if self._ranked is None:
-            self._ranked = [] if self._ranking is None else [
-                entry for entry in self._ranking.full() if entry[0] != self._evicted]
+            # a ranking held from insert to insert would keep small objects
+            # alive across evaluations and fragment the allocator's heap
+            self._ranked = [] if not self._size else [
+                entry for entry in _Ranking(self, self._size, self._tied).full()
+                if entry[0] != self._evicted]
         return self._ranked
 
     @property

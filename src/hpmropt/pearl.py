@@ -15,7 +15,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -341,7 +340,7 @@ def _loss_and_gradient(policy: PolicyState, rollout: Rollout, targets: _Targets,
     d_log_std = (dlogp[:, None] * (diff**2 / std2 - 1.0)).sum(axis=0)
     d_log_std -= config.entropy_coeff
 
-    grads = _Gradients(log_std=d_log_std)
+    grads = {"log_std": d_log_std}
     p = policy.params
     d_h2 = p["pol_wm"].T @ d_mean
     d_pre2 = d_h2 * (1.0 - h2**2)
@@ -387,7 +386,7 @@ class AdamOptimizer:
     def step(self, params: dict, grads: dict, scale: float | None = None) -> None:
         """One update from ``grads``, each first multiplied by ``scale``
         when given (gradient-norm clipping)."""
-        grad = _flatten(grads)
+        grad = np.concatenate([g.ravel() for g in grads.values()])
         if scale is not None:
             grad = grad * scale
         self.t += 1
@@ -410,29 +409,12 @@ class AdamOptimizer:
             start = stop
 
 
-class _Gradients(dict):
-    """Named gradient tensors of one epoch; the norm and the Adam step
-    share one flat copy."""
-
-    @cached_property
-    def flat(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in self.values()])
-
-
-def _flatten(grads: dict) -> np.ndarray:
-    if isinstance(grads, _Gradients):
-        return grads.flat
-    return np.concatenate([g.ravel() for g in grads.values()])
-
-
 def _grad_norm(grads: dict) -> float:
     """Euclidean norm of all gradients, summed tensor by tensor in dict
-    order (a contiguous slice sums like the tensor it holds)."""
-    squares = _flatten(grads) ** 2
-    total, start = 0.0, 0
+    order."""
+    total = 0.0
     for g in grads.values():
-        total += float(np.add.reduce(squares[start:start + g.size]))
-        start += g.size
+        total += float(np.add.reduce(g.ravel() ** 2))
     return math.sqrt(total)
 
 
