@@ -26,13 +26,14 @@ from pathlib import Path
 END_TO_END = ("evals_per_s", "hv", "evaluations", "success_frac", "setup_s",
               "peak_rss_mb")
 PER_LAYER = ("pareto.insert.us", "pareto.insert.calls", "pearl.ppo_update.us",
-             "pearl.ppo_update.calls", "pearl.run_agent.self_s",
+             "pearl.ppo_update.calls", "pearl.ppo_update.self_s",
+             "pearl.run_agent.self_s",
              "pearl.sample_action.self_s", "pareto.nondominated_sort.self_s",
              "pareto.niching_rank.self_s", "pareto.crowding_distance.self_s",
              "environment.evaluate.us", "design_space.from_unit_cube.self_s",
              "economics.build_cash_flows.self_s", "economics.lcoe.self_s",
              "constraints.evaluate_constraints.self_s",
-             "trace.evals_per_s_untraced")
+             "trace.evals_per_s_untraced", "trace.overhead_pct")
 RECORD = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 
 

@@ -46,6 +46,36 @@ _PARAM_SHAPES = {
     "pol_bm": (ACTION_DIM,),
     "log_std": (ACTION_DIM,),
 }
+# θ's order: the gradient's, whose per-tensor sums of squares the gradient
+# norm adds in this order (a float sum's order decides its last bits)
+_FLAT_ORDER = ("log_std", "pol_wm", "pol_bm", "pol_w2", "pol_b2", "pol_w1", "pol_b1")
+
+
+def _flat_slices() -> dict:
+    slices, start = {}, 0
+    for name in _FLAT_ORDER:
+        stop = start + math.prod(_PARAM_SHAPES[name])
+        slices[name] = slice(start, stop)
+        start = stop
+    return slices
+
+
+_FLAT_SLICES = _flat_slices()
+_FLAT_SIZE = _FLAT_SLICES[_FLAT_ORDER[-1]].stop
+
+
+def _views(flat: np.ndarray) -> dict:
+    """Named, C-ordered views of one flat vector laid out in θ's order."""
+    return {name: flat[where].reshape(_PARAM_SHAPES[name])
+            for name, where in _FLAT_SLICES.items()}
+
+
+def _is_number(value) -> bool:
+    """A finite real number; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        return False
+    return isinstance(value, (int, np.integer)) or math.isfinite(value)
 
 
 @dataclass
@@ -77,13 +107,35 @@ class PearlConfig:
     def __post_init__(self):
         for name in ("entropy_coeff", "learning_rate", "max_grad_norm",
                      "clip_epsilon"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        for name in ("agents", "kappa", "n_steps", "epochs", "total_steps"):
+            if not (_is_number(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigError(f"{name} must be a non-negative number, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("init_log_std", "init_log_std_spread", "init_center_scale"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, "
+                                  f"got {getattr(self, name)!r}")
+        if self.infeasibility_offset is not None \
+                and not _is_number(self.infeasibility_offset):
+            raise ConfigError("infeasibility_offset must be a finite number (or null "
+                              f"for kappa + 1), got {self.infeasibility_offset!r}")
+        # a failed evaluation must earn a negative reward
+        if not (_is_number(self.failure_penalty) and self.failure_penalty > 0):
+            raise ConfigError("failure_penalty must be a positive number, "
+                              f"got {self.failure_penalty!r}")
+        for name in ("agents", "kappa", "n_steps", "epochs", "total_steps",
+                     "workers", "base_seed"):
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.agents < 1 or self.kappa < 1 or self.n_steps < 1:
             raise ConfigError("agents, kappa and n_steps must be positive")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {self.workers!r}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed!r}")
+        if self.checkpoint_interval is not None and not (
+                _is_integer(self.checkpoint_interval) and self.checkpoint_interval >= 1):
+            raise ConfigError("checkpoint_interval must be an integer >= 1 (or null "
+                              f"for none), got {self.checkpoint_interval!r}")
         if self.distance_metric not in METRICS:
             raise ConfigError(f"distance_metric must be one of {list(METRICS)}, "
                               f"got {self.distance_metric!r}")
@@ -98,8 +150,13 @@ class PearlConfig:
         if self.total_steps % self.agents != 0:
             raise ConfigError(f"total_steps ({self.total_steps}) must be divisible "
                               f"by agents ({self.agents})")
-        if self.seeds is not None and len(self.seeds) != self.agents:
-            raise ConfigError("need exactly one seed per agent")
+        if self.seeds is not None:
+            if not (isinstance(self.seeds, (list, tuple))
+                    and all(_is_integer(s) and s >= 0 for s in self.seeds)):
+                raise ConfigError(f"seeds must be a list of non-negative integers, "
+                                  f"got {self.seeds!r}")
+            if len(self.seeds) != self.agents:
+                raise ConfigError("need exactly one seed per agent")
 
     def resolved_infeasibility_offset(self) -> float:
         # default: one worse than the worst possible rank reward, so a
@@ -131,15 +188,43 @@ class PolicyState:
     """Learnable state: mean head and state-independent log-std.
 
     The observation is a constant token, so forward passes take no input.
-    ``theta`` exposes all parameters as one flat vector for gradient checks.
+
+    From the optimizer's first step on, every parameter lives in one flat
+    vector θ, laid out in ``_FLAT_ORDER``; ``params`` holds named views of
+    it and Adam updates it in place.  Before that step ``params`` holds
+    copies of the arrays the policy was built from, each in its own memory
+    layout: a fresh ``pol_wm`` is F-ordered, and the layout decides the BLAS
+    path of the first epoch's products, and with it their last bits.  After
+    one step every tensor is C-ordered either way.  ``theta()`` returns a
+    copy of all parameters in ``_PARAM_SHAPES`` order.
     """
 
     def __init__(self, params: dict):
-        self.params = {k: np.asarray(v, dtype=float) for k, v in params.items()}
+        # copies in the arrays' own layout: the policy shares no memory with
+        # its caller
+        self.params = {k: np.array(params[k], dtype=float, order="K")
+                       for k in _PARAM_SHAPES}
+        self._theta: np.ndarray | None = None
         for name, shape in _PARAM_SHAPES.items():
             if self.params[name].shape != shape:
                 raise ContractError(f"parameter {name} has shape "
                                     f"{self.params[name].shape}, want {shape}")
+
+    def __reduce__(self):
+        # pickled views would come back as arrays that no longer view θ
+        return PolicyState, (self.params,)
+
+    def _flat(self) -> np.ndarray:
+        """θ, built from ``params`` at the first call; ``params`` then views
+        it."""
+        if self._theta is None:
+            theta = np.empty(_FLAT_SIZE)
+            views = _views(theta)
+            for name, view in views.items():
+                view[...] = self.params[name]
+            self._theta = theta
+            self.params = {name: views[name] for name in _PARAM_SHAPES}
+        return self._theta
 
     @classmethod
     def initialize(cls, rng, init_log_std: float = 0.4,
@@ -182,28 +267,30 @@ class PolicyState:
         return self.params["log_std"]
 
     @property
+    def std(self) -> np.ndarray:
+        return np.exp(self.params["log_std"])
+
+    @property
     def entropy(self) -> float:
         """Entropy of the pre-squash Gaussian (closed form)."""
-        return float(np.sum(self.log_std) + 0.5 * ACTION_DIM * (1.0 + LOG_2PI))
+        return float(np.add.reduce(self.log_std) + 0.5 * ACTION_DIM * (1.0 + LOG_2PI))
 
     def theta(self) -> np.ndarray:
         return np.concatenate([self.params[k].ravel() for k in _PARAM_SHAPES])
 
     def set_theta(self, theta: np.ndarray) -> None:
-        # each parameter keeps its memory layout: the layout decides the BLAS
-        # path of later products, and with it their last bits
+        if len(theta) != _FLAT_SIZE:
+            raise ContractError("theta length mismatch")
         offset = 0
         for name, shape in _PARAM_SHAPES.items():
-            size = int(np.prod(shape))
-            fresh = np.empty_like(self.params[name])
-            fresh[...] = theta[offset:offset + size].reshape(shape)
-            self.params[name] = fresh
+            size = math.prod(shape)
+            # in place: each parameter keeps its memory layout, which decides
+            # the BLAS path of later products, and θ (once built) sees it
+            self.params[name][...] = theta[offset:offset + size].reshape(shape)
             offset += size
-        if offset != len(theta):
-            raise ContractError("theta length mismatch")
 
     def copy(self) -> "PolicyState":
-        return PolicyState({k: v.copy(order="K") for k, v in self.params.items()})
+        return PolicyState(self.params)
 
 
 def _sigmoid(x):
@@ -222,31 +309,35 @@ class ActionSample:
 
 
 class _Behaviour(NamedTuple):
-    """A policy's mean and log-std, frozen between two updates so each
-    step's sample skips the forward pass."""
+    """A policy's mean, log-std and std, frozen between two updates so each
+    step's sample skips the forward pass.  It owns its arrays: the learner
+    updates the policy's parameters in place."""
 
     mean: np.ndarray
     log_std: np.ndarray
+    std: np.ndarray
 
     @classmethod
     def of(cls, policy: PolicyState) -> "_Behaviour":
-        return cls(policy.mean, policy.log_std)
+        log_std = policy.log_std.copy()
+        return cls(policy.mean, log_std, np.exp(log_std))
 
 
 def sample_action(policy: PolicyState, rng) -> ActionSample:
     """Draw from the squashed-normal policy; the log-probability carries the
-    squash Jacobian correction.  ``policy`` may be anything with ``mean``
-    and ``log_std``."""
-    mean = policy.mean
-    std = np.exp(policy.log_std)
+    squash Jacobian correction.  ``policy`` may be anything with ``mean``,
+    ``log_std`` and ``std``."""
+    mean, std = policy.mean, policy.std
     x = mean + std * rng.standard_normal(ACTION_DIM)
     u = _sigmoid(x)
-    log_prob = float(np.sum(_gauss_logpdf(x, mean, policy.log_std) - _squash_jacobian(x)))
-    return ActionSample(u=u, log_prob=log_prob, pre_squash=x)
+    per_dim = _gauss_logpdf(x - mean, policy.log_std, std) - _squash_jacobian(x)
+    return ActionSample(u=u, log_prob=float(np.add.reduce(per_dim)), pre_squash=x)
 
 
-def _gauss_logpdf(x, mean, log_std):
-    z = (x - mean) / np.exp(log_std)
+def _gauss_logpdf(diff, log_std, std):
+    """Per-dimension Gaussian log-density of ``diff``, the draw minus the
+    mean; ``std`` is ``exp(log_std)``."""
+    z = diff / std
     return -0.5 * z**2 - log_std - 0.5 * LOG_2PI
 
 
@@ -258,9 +349,9 @@ def _squash_jacobian(x):
 def log_prob_of(policy: PolicyState, pre_squash: np.ndarray) -> np.ndarray:
     """Log-probability of stored pre-squash actions under the current policy."""
     pre_squash = np.atleast_2d(pre_squash)
-    mean = policy.mean
-    per_dim = _gauss_logpdf(pre_squash, mean, policy.log_std) - _squash_jacobian(pre_squash)
-    return per_dim.sum(axis=1)
+    per_dim = _gauss_logpdf(pre_squash - policy.mean, policy.log_std, policy.std) \
+        - _squash_jacobian(pre_squash)
+    return np.add.reduce(per_dim, axis=1)
 
 
 def _mean(x: np.ndarray) -> np.float64:
@@ -300,80 +391,86 @@ class Rollout:
 
 class _Targets(NamedTuple):
     """The policy-independent half of the PPO objective, computed once per
-    update: the advantages and the squash Jacobian."""
+    update: the advantages and their negation, the squash Jacobian and the
+    clip bounds of the importance ratio."""
 
     advantages: np.ndarray
+    neg_advantages: np.ndarray
     jacobian: np.ndarray
+    clip_low: float
+    clip_high: float
 
     @classmethod
-    def of(cls, rollout: Rollout) -> "_Targets":
-        return cls(advantages=rollout.standardized(),
-                   jacobian=_squash_jacobian(rollout.pre_squash))
+    def of(cls, rollout: Rollout, config: PearlConfig) -> "_Targets":
+        advantages = rollout.standardized()
+        return cls(advantages=advantages, neg_advantages=-advantages,
+                   jacobian=_squash_jacobian(rollout.pre_squash),
+                   clip_low=1.0 - config.clip_epsilon,
+                   clip_high=1.0 + config.clip_epsilon)
 
 
 def _loss_and_gradient(policy: PolicyState, rollout: Rollout, targets: _Targets,
-                       config: PearlConfig, with_gradient: bool = True):
-    """Clipped-surrogate loss, optionally its closed-form gradient, and the
-    log importance ratios, from one policy forward."""
+                       config: PearlConfig, grads: dict | None = None):
+    """Clipped-surrogate loss and the log importance ratios, from one policy
+    forward.  Given ``grads``, named views of one flat vector, it also
+    writes the closed-form gradient into them."""
     advantages = targets.advantages
     mean, h1, h2 = policy._policy_forward()
     log_std = policy.log_std
-    per_dim = _gauss_logpdf(rollout.pre_squash, mean, log_std) - targets.jacobian
-    log_ratio = per_dim.sum(axis=1) - rollout.log_probs
+    diff = rollout.pre_squash - mean       # (n, 7)
+    per_dim = _gauss_logpdf(diff, log_std, np.exp(log_std)) - targets.jacobian
+    log_ratio = np.add.reduce(per_dim, axis=1) - rollout.log_probs
     ratio = np.exp(log_ratio)
-    clipped = np.clip(ratio, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
+    clipped = np.minimum(np.maximum(ratio, targets.clip_low), targets.clip_high)
     surrogate, clipped_surrogate = ratio * advantages, clipped * advantages
     pg = -_mean(np.minimum(surrogate, clipped_surrogate))
     loss = float(pg - config.entropy_coeff * policy.entropy)
-    if not with_gradient:
-        return loss, None, log_ratio
+    if grads is None:
+        return loss, log_ratio
 
     n = len(rollout)
     std2 = np.exp(2.0 * log_std)
     # min() follows the unclipped branch on ties, so the in-range case (where
     # both branches coincide) keeps its gradient
     active = surrogate <= clipped_surrogate
-    dlogp = np.where(active, -advantages * ratio, 0.0) / n  # dL/dlogp_i
+    dlogp = np.where(active, targets.neg_advantages * ratio, 0.0) / n  # dL/dlogp_i
 
-    diff = rollout.pre_squash - mean       # (n, 7)
-    d_mean = (dlogp[:, None] * diff / std2).sum(axis=0)
-    d_log_std = (dlogp[:, None] * (diff**2 / std2 - 1.0)).sum(axis=0)
+    d_mean = np.add.reduce(dlogp[:, None] * diff / std2, axis=0, out=grads["pol_bm"])
+    d_log_std = np.add.reduce(dlogp[:, None] * (diff**2 / std2 - 1.0), axis=0,
+                              out=grads["log_std"])
     d_log_std -= config.entropy_coeff
 
-    grads = {"log_std": d_log_std}
     p = policy.params
     d_h2 = p["pol_wm"].T @ d_mean
-    d_pre2 = d_h2 * (1.0 - h2**2)
+    d_pre2 = np.multiply(d_h2, 1.0 - h2**2, out=grads["pol_b2"])
     d_h1 = p["pol_w2"].T @ d_pre2
-    d_pre1 = d_h1 * (1.0 - h1**2)
-    grads.update({
-        "pol_wm": d_mean[:, None] * h2,
-        "pol_bm": d_mean,
-        "pol_w2": d_pre2[:, None] * h1,
-        "pol_b2": d_pre2,
-        "pol_w1": d_pre1[:, None],
-        "pol_b1": d_pre1,
-    })
-    return loss, grads, log_ratio
+    d_pre1 = np.multiply(d_h1, 1.0 - h1**2, out=grads["pol_b1"])
+    np.multiply(d_mean[:, None], h2, out=grads["pol_wm"])
+    np.multiply(d_pre2[:, None], h1, out=grads["pol_w2"])
+    grads["pol_w1"][:, 0] = d_pre1
+    return loss, log_ratio
 
 
 def ppo_loss(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> float:
     """Clipped-surrogate loss plus the entropy term."""
-    return _loss_and_gradient(policy, rollout, _Targets.of(rollout), config,
-                              with_gradient=False)[0]
+    return _loss_and_gradient(policy, rollout, _Targets.of(rollout, config), config)[0]
 
 
 def ppo_gradient(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> dict:
-    """Closed-form gradient of the clipped-surrogate loss."""
-    return _loss_and_gradient(policy, rollout, _Targets.of(rollout), config)[1]
+    """Closed-form gradient of the clipped-surrogate loss, as named arrays
+    that share no memory with the policy."""
+    grads = _views(np.empty(_FLAT_SIZE))
+    _loss_and_gradient(policy, rollout, _Targets.of(rollout, config), config, grads)
+    return grads
 
 
 class AdamOptimizer:
-    """Adam over named parameter tensors.
+    """Adam over one flat parameter vector, updated in place.
 
-    The moments live in one flat vector in the order of the first gradient
-    dict; the arithmetic is elementwise, so the result is the same, bit for
-    bit, as updating tensor by tensor.
+    The moments and two scratch vectors are allocated at the first step.
+    A step runs the textbook sequence of elementwise operations into them,
+    so θ moves by the same bits as a tensor-by-tensor update with fresh
+    arrays would move it.
     """
 
     def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -381,40 +478,45 @@ class AdamOptimizer:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
         self.t = 0
 
-    def step(self, params: dict, grads: dict, scale: float | None = None) -> None:
-        """One update from ``grads``, each first multiplied by ``scale``
-        when given (gradient-norm clipping)."""
-        grad = np.concatenate([g.ravel() for g in grads.values()])
+    def step(self, theta: np.ndarray, grad: np.ndarray,
+             scale: float | None = None) -> None:
+        """One update of ``theta`` in place from ``grad``, first multiplied
+        by ``scale`` when given (gradient-norm clipping).  With ``scale``,
+        ``grad`` is scaled in place."""
         if scale is not None:
-            grad = grad * scale
+            grad *= scale
         self.t += 1
         if self.m is None:
-            self.m = np.zeros_like(grad)
-            self.v = np.zeros_like(grad)
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+            self._scratch = np.empty_like(grad), np.empty_like(grad)
         m, v = self.m, self.v
-        m += (1.0 - self.beta1) * (grad - m)
-        v += (1.0 - self.beta2) * (grad**2 - v)
-        m_hat = m / (1.0 - self.beta1**self.t)
-        v_hat = v / (1.0 - self.beta2**self.t)
-        update = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-        start = 0
-        for name, g in grads.items():
-            stop = start + g.size
-            # a fresh array, not an in-place update: the result's memory
-            # layout decides the BLAS path of later products, and with it
-            # their last bits
-            params[name] = params[name] - update[start:stop].reshape(g.shape)
-            start = stop
+        a, b = self._scratch
+        # m += (1 - beta1) * (grad - m)
+        np.multiply(1.0 - self.beta1, np.subtract(grad, m, out=a), out=a)
+        m += a
+        # v += (1 - beta2) * (grad**2 - v)
+        np.subtract(np.multiply(grad, grad, out=a), v, out=a)
+        np.multiply(1.0 - self.beta2, a, out=a)
+        v += a
+        # theta -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - self.beta1**self.t, out=a)
+        np.divide(v, 1.0 - self.beta2**self.t, out=b)
+        np.add(np.sqrt(b, out=b), self.eps, out=b)
+        np.divide(np.multiply(self.learning_rate, a, out=a), b, out=a)
+        theta -= a
 
 
-def _grad_norm(grads: dict) -> float:
-    """Euclidean norm of all gradients, summed tensor by tensor in dict
+def _grad_norm(grad: np.ndarray, squares: np.ndarray) -> float:
+    """Euclidean norm of the flat gradient: one squaring pass into
+    ``squares``, then the sums of squares added tensor by tensor in θ's
     order."""
+    np.multiply(grad, grad, out=squares)
     total = 0.0
-    for g in grads.values():
-        total += float(np.add.reduce(g.ravel() ** 2))
+    for where in _FLAT_SLICES.values():
+        total += float(np.add.reduce(squares[where]))
     return math.sqrt(total)
 
 
@@ -441,11 +543,13 @@ def ppo_update(policy: PolicyState, rollout: Rollout, config: PearlConfig,
     A non-finite gradient skips the update and logs the incident.
     """
     optimizer = optimizer or AdamOptimizer(config.learning_rate)
-    targets = _Targets.of(rollout)
+    targets = _Targets.of(rollout, config)
+    grad, squares = np.empty(_FLAT_SIZE), np.empty(_FLAT_SIZE)
+    grads = _views(grad)
     skipped = False
     for _ in range(config.epochs):
-        loss, grads, log_ratio = _loss_and_gradient(policy, rollout, targets, config)
-        total_norm = _grad_norm(grads)
+        loss, log_ratio = _loss_and_gradient(policy, rollout, targets, config, grads)
+        total_norm = _grad_norm(grad, squares)
         if not math.isfinite(total_norm) or not math.isfinite(loss):
             logger.warning("skipping policy update: non-finite gradient or loss")
             skipped = True
@@ -453,7 +557,9 @@ def ppo_update(policy: PolicyState, rollout: Rollout, config: PearlConfig,
         scale = None
         if total_norm > config.max_grad_norm:
             scale = config.max_grad_norm / (total_norm + 1e-6)
-        optimizer.step(policy.params, grads, scale)
+        # θ is built here, after the first epoch's products have run on the
+        # arrays the policy was built with
+        optimizer.step(policy._flat(), grad, scale)
     ratio = np.exp(log_ratio)
     return UpdateStats(
         loss=loss, grad_norm=total_norm, entropy=policy.entropy,
@@ -493,6 +599,20 @@ class HistoryRow:
     penalty: float
 
 
+@dataclass(frozen=True)
+class Incident:
+    """One step that went wrong: an evaluation that raised on both
+    attempts (``evaluation_failed``, with the last exception's type name and
+    message), non-finite objectives (``non_finite_objectives``) or an update
+    skipped for a non-finite gradient or loss (``skipped_update``)."""
+
+    seed: int
+    step: int
+    kind: str
+    exception: str | None
+    message: str
+
+
 @dataclass
 class AgentResult:
     seed: int
@@ -500,7 +620,7 @@ class AgentResult:
     history: list
     update_log: list
     policy: PolicyState
-    incidents: int = 0
+    incidents: list = field(default_factory=list)   # of Incident
     truncated: bool = False
 
     def front_points(self) -> list[ObjectivePoint]:
@@ -536,7 +656,7 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
     )
     history: list[HistoryRow] = []
     update_log: list[UpdateStats] = []
-    incidents = 0
+    incidents: list[Incident] = []
     truncated = False
     batch: list = []
 
@@ -546,18 +666,22 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
             break
         action = sample_action(behaviour, rng)
         design = from_unit_cube(action.u)
-        result = None
+        result = incident = None
         for _attempt in range(2):
             try:
                 result = evaluator.evaluate(design)
                 break
-            except Exception:  # noqa: BLE001 - evaluator failures are data
+            except Exception as exc:  # noqa: BLE001 - evaluator failures are data
                 logger.exception("evaluation failed at step %d", step)
+                incident = Incident(seed, step, "evaluation_failed",
+                                    type(exc).__name__, str(exc))
         if result is not None and not np.all(np.isfinite(result[0])):
             logger.warning("non-finite objectives %s at step %d", result[0], step)
+            incident = Incident(seed, step, "non_finite_objectives", None,
+                                f"non-finite objectives {result[0]}")
             result = None
         if result is None:
-            incidents += 1
+            incidents.append(incident)
             reward = -config.failure_penalty
             history.append(HistoryRow(step, reward, False, math.nan, math.nan,
                                       config.failure_penalty))
@@ -582,7 +706,8 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
             stats = ppo_update(policy, rollout, config, optimizer)
             behaviour = _Behaviour.of(policy)
             if stats.skipped:
-                incidents += 1
+                incidents.append(Incident(seed, step, "skipped_update", None,
+                                          "non-finite gradient or loss"))
             update_log.append(stats)
             batch = []
         if (checkpoint_dir is not None and config.checkpoint_interval

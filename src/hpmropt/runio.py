@@ -113,6 +113,15 @@ def write_updates(path, update_log) -> None:
             ])
 
 
+def write_incidents(path, agents) -> None:
+    """One JSON object per line for each agent's incidents
+    (``pearl.Incident``), agent by agent; an empty file when none occurred."""
+    with open(path, "w") as fh:
+        for agent in agents:
+            for incident in agent.incidents:
+                fh.write(json.dumps(dataclasses.asdict(incident), sort_keys=True) + "\n")
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -143,6 +152,7 @@ def run_optimize(config: RunConfig) -> dict:
             write_history(out / f"history-agent{agent.seed}.tsv", agent.history)
             write_updates(out / f"updates-agent{agent.seed}.tsv", agent.update_log)
             agent.buffer.export(out / f"buffer-agent{agent.seed}.tsv")
+        write_incidents(out / "incidents.jsonl", result.agents)
         evaluations = sum(len(agent.history) for agent in result.agents)
         failures = result.failures
         truncated = any(agent.truncated for agent in result.agents)

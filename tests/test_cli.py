@@ -170,6 +170,27 @@ class TestOptimize:
         assert key in capsys.readouterr().err
         assert not (out / "front.tsv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        # these four used to raise a raw TypeError (exit 1, traceback)
+        ("learning_rate", "fast"),
+        ("workers", "2"),
+        ("base_seed", "a"),
+        ("entropy_coeff", None),
+        ("init_log_std", "x"),          # used to fail every agent (exit 1)
+        ("failure_penalty", -1),        # a failed evaluation would earn +1
+        ("checkpoint_interval", -5),    # used to run and write no checkpoint
+        ("workers", 0),                 # used to run serially without a word
+    ])
+    def test_bad_pearl_value_is_config_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"pearl": {"agents": 2, "total_steps": 64, key: value}}))
+        out = tmp_path / "r"
+        code = main(["optimize", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "front.tsv").exists()
+
     def test_steps_not_divisible_by_agents_is_config_error(self, tmp_path, capsys):
         code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
                      "--agents", "3", "--steps", "64", "--out", str(tmp_path / "r")])
@@ -245,6 +266,54 @@ class TestOptimize:
                     + [str(int(stats.skipped))]
         header = (tmp_path / "front.tsv").read_text().splitlines()[0].split("\t")
         assert not set(columns[1:]) & set(header)
+
+    def test_incidents_written_beside_front(self, tmp_path, monkeypatch):
+        from hpmropt import runio
+
+        class Faulty:
+            """The real evaluator, except that step 2 raises on both
+            attempts and step 6 returns a NaN objective."""
+
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def evaluate(self, design):
+                self.calls += 1
+                if self.calls in (3, 4):
+                    raise RuntimeError("solver diverged")
+                objectives, report, qoi = self.inner.evaluate(design)
+                if self.calls == 8:
+                    objectives = np.array([np.nan, objectives[1]])
+                return objectives, report, qoi
+
+        clean = tmp_path / "clean"
+        assert main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
+                     "--agents", "1", "--steps", "8", "--seed", "3",
+                     "--out", str(clean)]) == 0
+        assert (clean / "incidents.jsonl").read_text() == ""
+
+        build = runio.build_evaluator
+        monkeypatch.setattr(runio, "build_evaluator", lambda config: Faulty(build(config)))
+        # two failure penalties of 1e308 overflow the batch's reward sum, so
+        # the standardized returns are NaN and the batch's update is skipped
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "scenario-3", "pearl": {
+            "agents": 1, "total_steps": 8, "base_seed": 3, "failure_penalty": 1e308}}))
+        faulty = tmp_path / "faulty"
+        assert main(["optimize", "--config", str(config), "--out", str(faulty)]) == 0
+        lines = (faulty / "incidents.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"seed": 3, "step": 2, "kind": "evaluation_failed",
+             "exception": "RuntimeError", "message": "solver diverged"},
+            {"seed": 3, "step": 6, "kind": "non_finite_objectives", "exception": None,
+             "message": json.loads(lines[1])["message"]},
+            {"seed": 3, "step": 7, "kind": "skipped_update", "exception": None,
+             "message": "non-finite gradient or loss"},
+        ]
+        assert "nan" in json.loads(lines[1])["message"]
+        header = (faulty / "front.tsv").read_text().splitlines()[0]
+        assert "incident" not in header
+        assert "incident" not in (faulty / "manifest.json").read_text()
 
     def test_max_seconds_truncates_to_partial(self, tmp_path, capsys):
         out_dir = tmp_path / "budget"

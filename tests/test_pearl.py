@@ -146,7 +146,7 @@ class TestPpoUpdate:
         rollout = make_rollout()
         returns = rollout.rewards
         expected = (returns - np.mean(returns)) / (np.std(returns) + 1e-8)
-        assert np.array_equal(_Targets.of(rollout).advantages, expected)
+        assert np.array_equal(_Targets.of(rollout, config).advantages, expected)
         # in the trust region every sample is active, so the mean-head bias
         # gradient is the plain score-function estimate with these advantages
         rollout.log_probs = log_prob_of(policy, rollout.pre_squash)
@@ -159,7 +159,7 @@ class TestPpoUpdate:
         config = small_config(entropy_coeff=0.0)
         policy = PolicyState.initialize(np.random.default_rng(18))
         rollout = make_rollout(n=1)
-        assert np.array_equal(_Targets.of(rollout).advantages, [0.0])
+        assert np.array_equal(_Targets.of(rollout, config).advantages, [0.0])
         grads = ppo_gradient(policy, rollout, config)
         assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -183,7 +183,7 @@ class TestPpoUpdate:
         assert np.isfinite(ppo_gradient(policy, rollout, config)["pol_bm"]).all()
 
     def test_fully_saturated_positive_advantages_zero_policy_grad(self):
-        from hpmropt.pearl import _loss_and_gradient, _squash_jacobian
+        from hpmropt.pearl import _FLAT_SIZE, _loss_and_gradient, _views
 
         config = small_config(entropy_coeff=0.0)
         policy = PolicyState.initialize(np.random.default_rng(13))
@@ -192,9 +192,11 @@ class TestPpoUpdate:
             - np.log(1.0 + 2.0 * config.clip_epsilon)
         # standardized returns always mix signs, so the all-positive case is
         # built from targets directly
-        targets = _Targets(advantages=np.linspace(1.0, 2.0, 8),
-                           jacobian=_squash_jacobian(rollout.pre_squash))
-        _, grads, _ = _loss_and_gradient(policy, rollout, targets, config)
+        advantages = np.linspace(1.0, 2.0, 8)
+        targets = _Targets.of(rollout, config)._replace(
+            advantages=advantages, neg_advantages=-advantages)
+        grads = _views(np.full(_FLAT_SIZE, np.nan))
+        _loss_and_gradient(policy, rollout, targets, config, grads)
         for name in ("pol_w1", "pol_b1", "pol_w2", "pol_b2", "pol_wm", "pol_bm"):
             assert np.all(grads[name] == 0.0), name
 
@@ -221,9 +223,9 @@ class TestPpoUpdate:
 
     def test_clip_scale_comes_from_the_policy_gradient_norm(self):
         class Recording(AdamOptimizer):
-            def step(self, params, grads, scale=None):
-                self.seen = (sorted(grads), scale)
-                super().step(params, grads, scale)
+            def step(self, theta, grad, scale=None):
+                self.seen = (len(theta), len(grad), scale)
+                super().step(theta, grad, scale)
 
         config = small_config(max_grad_norm=0.5, epochs=1)
         policy = PolicyState.initialize(np.random.default_rng(21), init_log_std=0.2)
@@ -233,8 +235,8 @@ class TestPpoUpdate:
         assert norm > config.max_grad_norm          # the clip fires
         optimizer = Recording(config.learning_rate)
         stats_out = ppo_update(policy, rollout, config, optimizer)
-        names, scale = optimizer.seen
-        assert names == sorted(_PARAM_SHAPES)
+        theta_size, grad_size, scale = optimizer.seen
+        assert theta_size == grad_size == len(policy.theta()) == 4750
         assert stats_out.grad_norm == pytest.approx(norm, rel=1e-12)
         assert scale == pytest.approx(config.max_grad_norm / (norm + 1e-6), rel=1e-12)
 
@@ -263,15 +265,21 @@ class TestPpoUpdate:
             assert np.abs(flat[idx] - fd).max() / scale < 1e-4
 
     def test_gradients_flatten_once_per_epoch(self, monkeypatch):
+        # the gradient is written flat, into views of one vector, so no
+        # epoch concatenates anything: not the first, which builds θ, nor a
+        # later one
         config = small_config(epochs=4)
         policy = PolicyState.initialize(np.random.default_rng(17))
-        rollout = make_rollout()
+        optimizer = AdamOptimizer(config.learning_rate)
+        rollouts = [make_rollout(reward_seed=9), make_rollout(reward_seed=10)]
         concatenations = []
         concatenate = np.concatenate
         monkeypatch.setattr(np, "concatenate",
                             lambda *a, **k: concatenations.append(1) or concatenate(*a, **k))
-        ppo_update(policy, rollout, config)
-        assert len(concatenations) == config.epochs
+        for rollout in rollouts:
+            ppo_update(policy, rollout, config, optimizer)
+        assert concatenations == []
+        assert optimizer.t == 2 * config.epochs
 
     def test_nonfinite_gradient_skips_update(self):
         config = small_config()
@@ -296,35 +304,97 @@ class TestPpoUpdate:
 
     def test_update_matches_two_pass_per_tensor_reference(self):
         # the textbook loop: loss and gradient in separate passes, the norm
-        # summed tensor by tensor, Adam moments kept per tensor
+        # summed tensor by tensor, Adam moments kept per tensor and every
+        # step a fresh array.  Consecutive updates share one optimizer; one
+        # batch holds a single sample, and one, in the middle, is skipped for
+        # a NaN reward and must leave theta, m, v and t as they were
+        order = ("log_std", "pol_wm", "pol_bm", "pol_w2", "pol_b2", "pol_w1", "pol_b1")
         config = small_config(epochs=5)
-        rollout = make_rollout()
-        # initialized twice rather than copied: copy() makes every tensor
-        # C-ordered, and the layout decides the BLAS path of the products
-        policy = PolicyState.initialize(np.random.default_rng(16), init_log_std=0.2)
-        reference = PolicyState.initialize(np.random.default_rng(16), init_log_std=0.2)
-        m, v = {}, {}
-        for t in range(1, config.epochs + 1):
-            loss = ppo_loss(reference, rollout, config)
-            grads = ppo_gradient(reference, rollout, config)
-            norm = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
-            if norm > config.max_grad_norm:
-                grads = {k: g * (config.max_grad_norm / (norm + 1e-6))
-                         for k, g in grads.items()}
-            for name, grad in grads.items():
-                m.setdefault(name, np.zeros_like(grad))
-                v.setdefault(name, np.zeros_like(grad))
-                m[name] += (1.0 - 0.9) * (grad - m[name])
-                v[name] += (1.0 - 0.999) * (grad**2 - v[name])
-                m_hat = m[name] / (1.0 - 0.9**t)
-                v_hat = v[name] / (1.0 - 0.999**t)
-                reference.params[name] = reference.params[name] \
-                    - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-        stats_out = ppo_update(policy, rollout, config)
-        assert stats_out.loss == loss and stats_out.grad_norm == norm
-        for name in _PARAM_SHAPES:
-            assert np.array_equal(policy.params[name], reference.params[name]), name
+        for seed in (16, 17, 18, 19):
+            # initialized twice rather than copied: copy() makes every tensor
+            # C-ordered, and the layout decides the BLAS path of the products
+            policy = PolicyState.initialize(np.random.default_rng(seed), init_log_std=0.2)
+            reference = PolicyState.initialize(np.random.default_rng(seed), init_log_std=0.2)
+            optimizer = AdamOptimizer(config.learning_rate)
+            poisoned = make_rollout(seed, seed + 3)
+            poisoned.rewards[3] = np.nan
+            batches = [make_rollout(seed, seed + 1), make_rollout(seed, seed + 2, n=1),
+                       poisoned, make_rollout(seed, seed + 4)]
+            m, v, t = {}, {}, 0
+            for rollout in batches:
+                for _ in range(config.epochs):
+                    loss = ppo_loss(reference, rollout, config)
+                    grads = ppo_gradient(reference, rollout, config)
+                    norm = math.sqrt(sum(float(np.sum(grads[k] ** 2)) for k in order))
+                    if not (math.isfinite(loss) and math.isfinite(norm)):
+                        break
+                    t += 1
+                    if norm > config.max_grad_norm:
+                        grads = {k: g * (config.max_grad_norm / (norm + 1e-6))
+                                 for k, g in grads.items()}
+                    for name in order:
+                        grad = grads[name]
+                        m.setdefault(name, np.zeros_like(grad))
+                        v.setdefault(name, np.zeros_like(grad))
+                        m[name] += (1.0 - 0.9) * (grad - m[name])
+                        v[name] += (1.0 - 0.999) * (grad**2 - v[name])
+                        m_hat = m[name] / (1.0 - 0.9**t)
+                        v_hat = v[name] / (1.0 - 0.999**t)
+                        reference.params[name] = reference.params[name] \
+                            - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+                before = (policy.theta(), optimizer.m, optimizer.v, optimizer.t)
+                before = tuple(x.copy() if isinstance(x, np.ndarray) else x for x in before)
+                stats_out = ppo_update(policy, rollout, config, optimizer)
+                if rollout is poisoned:
+                    assert stats_out.skipped
+                    assert policy.theta().tobytes() == before[0].tobytes()
+                    assert optimizer.m.tobytes() == before[1].tobytes()
+                    assert optimizer.v.tobytes() == before[2].tobytes()
+                    assert optimizer.t == before[3] == t
+                else:
+                    assert not stats_out.skipped
+                    assert stats_out.loss == loss and stats_out.grad_norm == norm
+                    assert optimizer.t == t
+                for name in _PARAM_SHAPES:
+                    assert np.array_equal(policy.params[name], reference.params[name]), \
+                        (seed, name)
+            assert t == 3 * config.epochs
 
+    def test_nothing_handed_out_shares_the_learners_memory(self):
+        # from its first step on, the learner updates theta in place: a
+        # behaviour, a theta(), a copy() and a gradient taken before an
+        # update must read the same bytes after it
+        config = small_config(epochs=3)
+        policy = PolicyState.initialize(np.random.default_rng(24), init_log_std=0.3)
+        optimizer = AdamOptimizer(config.learning_rate)
+        for reward_seed in (9, 10, 11):
+            rollout = make_rollout(reward_seed=reward_seed)
+            behaviour = pearl._Behaviour.of(policy)
+            taken = [behaviour.mean, behaviour.log_std, behaviour.std, policy.theta(),
+                     *policy.copy().params.values(),
+                     *ppo_gradient(policy, rollout, config).values()]
+            saved = [array.tobytes() for array in taken]
+            before = policy.theta()
+            ppo_update(policy, rollout, config, optimizer)
+            assert not np.array_equal(policy.theta(), before)
+            assert [array.tobytes() for array in taken] == saved
+
+    def test_a_pickled_policy_keeps_learning_bit_for_bit(self):
+        import pickle
+
+        config = small_config(epochs=3)
+        policy = PolicyState.initialize(np.random.default_rng(25), init_log_std=0.3)
+        optimizer = AdamOptimizer(config.learning_rate)
+        ppo_update(policy, make_rollout(reward_seed=9), config, optimizer)
+        clone = pickle.loads(pickle.dumps(policy))
+        clone_optimizer = pickle.loads(pickle.dumps(optimizer))
+        for reward_seed in (10, 11):
+            ppo_update(policy, make_rollout(reward_seed=reward_seed), config, optimizer)
+            ppo_update(clone, make_rollout(reward_seed=reward_seed), config,
+                       clone_optimizer)
+        assert policy.theta().tobytes() == clone.theta().tobytes()
+        for name in _PARAM_SHAPES:
+            assert clone.params[name].tobytes() == policy.params[name].tobytes()
 
     def test_update_stats_read_the_last_epoch_ratios(self):
         config = small_config(epochs=1)
@@ -410,7 +480,10 @@ class TestRunAgent:
         assert flaky.calls == 8  # one retry per step
         assert all(r.reward == -123.0 for r in result.history)
         assert len(result.buffer) == 0
-        assert result.incidents >= 4
+        assert [i.kind for i in result.incidents] == ["evaluation_failed"] * 4
+        assert [i.step for i in result.incidents] == [0, 1, 2, 3]
+        assert {(i.exception, i.message) for i in result.incidents} == \
+            {("RuntimeError", "boom")}
 
     def test_deadline_truncates(self, toy_env):
         import time
@@ -452,7 +525,10 @@ class TestRunAgent:
         bad = result.history[2]
         assert bad.reward == -321.0 and not bad.feasible
         assert math.isnan(bad.objective_0) and bad.penalty == 321.0
-        assert result.incidents == 1
+        [incident] = result.incidents
+        assert (incident.seed, incident.step, incident.kind, incident.exception) == \
+            (4, 2, "non_finite_objectives", None)
+        assert "nan" in incident.message
         assert all(math.isfinite(r.objective_0) for i, r in enumerate(result.history)
                    if i != 2)
         assert all(np.isfinite(p.objectives).all() for p in result.buffer.entries)
