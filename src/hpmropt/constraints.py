@@ -99,9 +99,10 @@ def evaluate_constraints(specs, qoi) -> ConstraintReport:
     attributes (or a mapping).  A missing quantity is a contract error
     naming the constraint.
     """
-    report = ConstraintReport()
+    mapping = isinstance(qoi, dict)
+    rows = []
     for spec in specs:
-        if isinstance(qoi, dict):
+        if mapping:
             if spec.qoi not in qoi:
                 raise ContractError(f"constraint {spec.name}: missing QoI {spec.qoi!r}")
             value = qoi[spec.qoi]
@@ -114,17 +115,10 @@ def evaluate_constraints(specs, qoi) -> ConstraintReport:
                 ) from exc
         if value is None:
             raise ContractError(f"constraint {spec.name}: QoI {spec.qoi!r} not set")
-        p = phi(spec, float(value))
-        report.rows.append(
-            ConstraintRow(
-                name=spec.name,
-                value=float(value),
-                phi=p,
-                weighted_penalty=spec.weight * p,
-                satisfied=p == 0.0,
-            )
-        )
-    return report
+        value = float(value)
+        p = phi(spec, value)
+        rows.append(ConstraintRow(spec.name, value, p, spec.weight * p, p == 0.0))
+    return ConstraintReport(rows)
 
 
 def default_constraints() -> list[ConstraintSpec]:

@@ -41,6 +41,10 @@ STATIC_BOUNDS = {
 
 PIN_PITCH_BOUNDS = STATIC_BOUNDS["x_pp"]
 
+# (lower bound, width) of the five uncoupled variables, in field order, for
+# the unit-cube maps
+_STATIC_SPANS = tuple((lo, hi - lo) for lo, hi in STATIC_BOUNDS.values())
+
 
 @dataclass(frozen=True)
 class DesignVector:
@@ -143,8 +147,8 @@ def validate(design: DesignVector) -> list[str]:
     message per violated bound.  Bounds are inclusive at both ends.
     """
     violations = []
-    for name, (lo, hi) in STATIC_BOUNDS.items():
-        value = getattr(design, name)
+    statics = (design.x_ca, design.x_b10, design.x_fh, design.x_pp, design.x_e)
+    for value, (name, (lo, hi)) in zip(statics, STATIC_BOUNDS.items()):
         if not (lo <= value <= hi):
             violations.append(f"{name}={value} outside [{lo}, {hi}]")
     lo, hi = PIN_PITCH_BOUNDS
@@ -180,20 +184,19 @@ def from_unit_cube(u) -> DesignVector:
     # a chained comparison is False for NaN, so this also rejects NaN and inf
     if not all(0.0 <= v <= 1.0 for v in values):
         raise DecodeError(f"coordinates outside [0, 1]: {values}")
-    statics = {name: lo + v * (hi - lo)
-               for v, (name, (lo, hi)) in zip(values, STATIC_BOUNDS.items())}
-    (cr_lo, cr_hi), (mr_lo, mr_hi) = resolve_bounds(statics["x_pp"])
-    return DesignVector(
-        x_cr=cr_lo + values[5] * (cr_hi - cr_lo),
-        x_mr=mr_lo + values[6] * (mr_hi - mr_lo),
-        **statics,
-    )
+    x_ca, x_b10, x_fh, x_pp, x_e = [lo + v * span
+                                    for v, (lo, span) in zip(values, _STATIC_SPANS)]
+    (cr_lo, cr_hi), (mr_lo, mr_hi) = resolve_bounds(x_pp)
+    return DesignVector(x_ca, x_b10, x_fh, x_pp, x_e,
+                        cr_lo + values[5] * (cr_hi - cr_lo),
+                        mr_lo + values[6] * (mr_hi - mr_lo))
 
 
 def to_unit_cube(design: DesignVector) -> np.ndarray:
     """Inverse of ``from_unit_cube`` for an admissible design."""
-    z = [(getattr(design, name) - lo) / (hi - lo)
-         for name, (lo, hi) in STATIC_BOUNDS.items()]
+    z = [(x - lo) / span for x, (lo, span) in zip(
+        (design.x_ca, design.x_b10, design.x_fh, design.x_pp, design.x_e),
+        _STATIC_SPANS)]
     (cr_lo, cr_hi), (mr_lo, mr_hi) = resolve_bounds(design.x_pp)
     z.append((design.x_cr - cr_lo) / (cr_hi - cr_lo))
     z.append((design.x_mr - mr_lo) / (mr_hi - mr_lo))

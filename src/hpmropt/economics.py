@@ -142,7 +142,9 @@ class CashFlowSchedule:
                 self._scan()
             self.ledger = np.array(list(self.flows.values()))
             self.flows = dict(zip(self.flows, self.ledger))
-        if (self.ledger < 0).any():
+        # `not >= 0` is also true for a NaN minimum; the scan then raises
+        # only for a negative flow, so NaN flows alone pass
+        if not np.minimum.reduce(self.ledger, axis=None, initial=0) >= 0:
             self._scan()
 
     def _scan(self):
@@ -156,7 +158,8 @@ class CashFlowSchedule:
 
     @property
     def total_by_year(self) -> np.ndarray:
-        return self.ledger.sum(axis=0)
+        # the reduction ledger.sum(axis=0) runs, without the method's wrapper
+        return np.add.reduce(self.ledger, axis=0)
 
 
 def _buy_fuel(fuel: np.ndarray, interval: float, n: int, batch_cost: float) -> None:

@@ -26,6 +26,7 @@ from .design_space import (
     to_unit_cube,
     validate,
 )
+from .economics import CostScenario, build_cash_flows, lcoe
 from .errors import ContractError, EvaluationError, TableLoadError
 
 # Constants recovered from the anchor table (see scripts/fit_proxy_coefficients.py
@@ -345,9 +346,6 @@ class DesignEvaluator:
     """
 
     def __init__(self, scenario, model="proxy", proxy_config: ProxyModelConfig | None = None):
-        # imported here to keep module dependencies one-directional
-        from .economics import CostScenario
-
         if not isinstance(scenario, CostScenario):
             raise ContractError("scenario must be a CostScenario")
         self.scenario = scenario
@@ -407,8 +405,8 @@ class DesignEvaluator:
 
     def evaluate(self, design: DesignVector):
         """Returns (objectives [lcoe, f_dh], ConstraintReport, QoIVector)."""
-        from .economics import build_cash_flows, lcoe
-
+        # build_cash_flows and lcoe are looked up as module globals on every
+        # call, so an instrument that rebinds them here sees each call
         _require_valid(design)
         qoi = self._qoi(design)
         econ = self.scenario.econ

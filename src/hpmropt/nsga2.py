@@ -14,8 +14,14 @@ import numpy as np
 from .design_space import from_unit_cube
 from .errors import ConfigError
 from .metrics import FrontReport
-from .pareto import DesignPayload, ObjectivePoint, crowding_distance, nondominated_sort
-from .pearl import merge_fronts
+from .pareto import (
+    DesignPayload,
+    ObjectivePoint,
+    _is_integer,
+    crowding_distance,
+    nondominated_sort,
+)
+from .pearl import _is_number, merge_fronts
 
 GENOME_DIM = 7
 
@@ -31,11 +37,23 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population", "generations", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.population < 2 or self.population % 2 != 0:
             raise ConfigError("population must be even and at least 2")
+        for name in ("generations", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         for name in ("crossover_prob", "mutation_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
+            value = getattr(self, name)
+            if not (_is_number(value) and 0.0 <= value <= 1.0):
+                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
+        for name in ("crossover_eta", "mutation_eta"):
+            value = getattr(self, name)
+            if not (_is_number(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite non-negative number, "
+                                  f"got {value!r}")
 
     def evaluations(self) -> int:
         return self.population * (self.generations + 1)
@@ -60,51 +78,58 @@ class GaResult:
         return FrontReport(points=list(self.front), label=label)
 
 
+# The operators run on Python floats and build one array per child.  Each
+# step is the IEEE double operation numpy's float64 scalars perform (``**``
+# is libm's pow in both), so on genomes in [0, 1], the only ones NSGA-II
+# makes, the children are bit for bit those of ``tests/oracles.py``'s
+# numpy-scalar operators, from the same draws in the same order.  (A NaN
+# gene could divide by a zero span, which raises here and gives inf in
+# numpy.)  ``min(max(x, 0.0), 1.0)`` is ``np.clip(x, 0.0, 1.0)`` exactly,
+# NaN and -0.0 included.
+
 def _sbx_pair(a, b, eta, rng):
     """Simulated binary crossover on [0, 1] genomes (bounded form)."""
-    child1, child2 = a.copy(), b.copy()
-    for i in range(len(a)):
-        if rng.random() > 0.5 or abs(a[i] - b[i]) < 1e-14:
+    parent1, parent2 = a.tolist(), b.tolist()
+    child1, child2 = parent1[:], parent2[:]
+    power, inverse = -(eta + 1.0), 1.0 / (eta + 1.0)
+    for i, (x1, x2) in enumerate(zip(parent1, parent2)):
+        if rng.random() > 0.5 or abs(x1 - x2) < 1e-14:
             continue
-        y1, y2 = min(a[i], b[i]), max(a[i], b[i])
+        y1, y2 = min(x1, x2), max(x1, x2)
         span = y2 - y1
         u = rng.random()
-        beta = 1.0 + 2.0 * y1 / span
-        alpha = 2.0 - beta ** -(eta + 1.0)
-        if u <= 1.0 / alpha:
-            beta_q = (u * alpha) ** (1.0 / (eta + 1.0))
-        else:
-            beta_q = (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta + 1.0))
-        c1 = 0.5 * (y1 + y2 - beta_q * span)
-        beta = 1.0 + 2.0 * (1.0 - y2) / span
-        alpha = 2.0 - beta ** -(eta + 1.0)
-        if u <= 1.0 / alpha:
-            beta_q = (u * alpha) ** (1.0 / (eta + 1.0))
-        else:
-            beta_q = (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta + 1.0))
-        c2 = 0.5 * (y1 + y2 + beta_q * span)
-        c1, c2 = np.clip(c1, 0.0, 1.0), np.clip(c2, 0.0, 1.0)
+        c1 = 0.5 * (y1 + y2 - _sbx_spread(1.0 + 2.0 * y1 / span, u, power, inverse) * span)
+        c2 = 0.5 * (y1 + y2
+                    + _sbx_spread(1.0 + 2.0 * (1.0 - y2) / span, u, power, inverse) * span)
+        c1, c2 = min(max(c1, 0.0), 1.0), min(max(c2, 0.0), 1.0)
         if rng.random() < 0.5:
             c1, c2 = c2, c1
         child1[i], child2[i] = c1, c2
-    return child1, child2
+    return np.array(child1), np.array(child2)
+
+
+def _sbx_spread(beta, u, power, inverse):
+    """The spread factor beta_q of one child, from the distance ``beta`` of
+    the parents to the bound on its side."""
+    alpha = 2.0 - beta ** power
+    if u <= 1.0 / alpha:
+        return (u * alpha) ** inverse
+    return (1.0 / (2.0 - u * alpha)) ** inverse
 
 
 def _polynomial_mutation(genome, prob, eta, rng):
-    mutant = genome.copy()
-    for i in range(len(genome)):
+    mutant = genome.tolist()
+    power, inverse = eta + 1.0, 1.0 / (eta + 1.0)
+    for i, y in enumerate(mutant):
         if rng.random() >= prob:
             continue
-        y = mutant[i]
         u = rng.random()
         if u < 0.5:
-            delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - y) ** (eta + 1.0)) \
-                ** (1.0 / (eta + 1.0)) - 1.0
+            delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - y) ** power) ** inverse - 1.0
         else:
-            delta = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * y ** (eta + 1.0)) \
-                ** (1.0 / (eta + 1.0))
-        mutant[i] = np.clip(y + delta, 0.0, 1.0)
-    return mutant
+            delta = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * y ** power) ** inverse
+        mutant[i] = min(max(y + delta, 0.0), 1.0)
+    return np.array(mutant)
 
 
 def _tournament(pop, rng) -> Individual:
@@ -149,10 +174,11 @@ def run_nsga2(evaluator, config: GaConfig) -> GaResult:
         design = from_unit_cube(genome)
         objectives, report, _qoi = evaluator.evaluate(design)
         evaluations += 1
+        feasible = report.feasible
         point = ObjectivePoint(
             objectives=objectives,
-            feasible=report.feasible,
-            penalty=0.0 if report.feasible else report.penalty,
+            feasible=feasible,
+            penalty=0.0 if feasible else report.penalty,
             payload=DesignPayload(id=tag, design=design),
         )
         return Individual(genome=genome, point=point)
@@ -169,17 +195,17 @@ def run_nsga2(evaluator, config: GaConfig) -> GaResult:
             if rng.random() < config.crossover_prob:
                 g1, g2 = _sbx_pair(p1.genome, p2.genome, config.crossover_eta, rng)
             else:
-                g1, g2 = p1.genome.copy(), p2.genome.copy()
+                g1, g2 = p1.genome, p2.genome   # mutation returns a new array
             genomes.append(_polynomial_mutation(
                 g1, config.mutation_prob, config.mutation_eta, rng))
             genomes.append(_polynomial_mutation(
                 g2, config.mutation_prob, config.mutation_eta, rng))
         # exact-duplicate genomes add nothing and can flood out distinct
         # elites at front boundaries; drop them before evaluation
-        seen = {tuple(ind.genome) for ind in population}
+        seen = {tuple(ind.genome.tolist()) for ind in population}
         offspring = []
         for genome in genomes:
-            key = tuple(genome)
+            key = tuple(genome.tolist())
             if key not in seen:
                 seen.add(key)
                 offspring.append(make(genome, f"g{gen}-{len(offspring)}"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
@@ -22,6 +23,8 @@ import numpy as np
 from .errors import ContractError
 
 METRICS = ("crowding", "niching")
+
+_FLOAT64 = np.dtype(float)
 
 
 @dataclass(eq=False)
@@ -37,8 +40,14 @@ class ObjectivePoint:
     payload: Any = None
 
     def __post_init__(self):
-        self.objectives = np.atleast_1d(np.asarray(self.objectives, dtype=float))
-        if not np.all(np.isfinite(self.objectives)):
+        objectives = self.objectives
+        # a 1-D float64 array is kept as it is, the same object; anything
+        # else is converted as np.atleast_1d(np.asarray(x, dtype=float))
+        if type(objectives) is not np.ndarray or objectives.dtype is not _FLOAT64 \
+                or objectives.ndim != 1:
+            self.objectives = objectives = np.atleast_1d(
+                np.asarray(objectives, dtype=float))
+        if not all(map(math.isfinite, objectives.ravel().tolist())):
             raise ContractError(f"non-finite objectives: {self.objectives}")
         if not self.penalty >= 0:
             raise ContractError("penalty must be non-negative")

@@ -6,7 +6,10 @@ repeatedly scanning for points not dominated by any survivor, and the
 buffer rank is recomputed from whole cloth for every insertion.  The
 evaluation oracles spell a proxy evaluation out step by step: one fuel
 batch at a time, a dict of yearly arrays, discount factors recomputed per
-call; the package must match them bit for bit.
+call; the package must match them bit for bit.  NSGA-II's variation
+operators are kept as they first ran, on numpy float64 scalars clamped
+with ``np.clip``; the package's float versions must match their children
+and leave the generator in the same state.
 """
 
 import csv
@@ -375,3 +378,53 @@ def evaluate_oracle(design, scenario, config=None):
     qoi = replace(qoi, lcoe=cost)
     report = evaluate_constraints(scenario.constraints, qoi)
     return np.array([qoi.lcoe, qoi.f_dh]), report, qoi
+
+
+def sbx_pair_oracle(a, b, eta, rng):
+    """Simulated binary crossover on numpy float64 scalars, clamped with
+    ``np.clip``: the operator as NSGA-II first ran it."""
+    child1, child2 = a.copy(), b.copy()
+    for i in range(len(a)):
+        if rng.random() > 0.5 or abs(a[i] - b[i]) < 1e-14:
+            continue
+        y1, y2 = min(a[i], b[i]), max(a[i], b[i])
+        span = y2 - y1
+        u = rng.random()
+        beta = 1.0 + 2.0 * y1 / span
+        alpha = 2.0 - beta ** -(eta + 1.0)
+        if u <= 1.0 / alpha:
+            beta_q = (u * alpha) ** (1.0 / (eta + 1.0))
+        else:
+            beta_q = (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta + 1.0))
+        c1 = 0.5 * (y1 + y2 - beta_q * span)
+        beta = 1.0 + 2.0 * (1.0 - y2) / span
+        alpha = 2.0 - beta ** -(eta + 1.0)
+        if u <= 1.0 / alpha:
+            beta_q = (u * alpha) ** (1.0 / (eta + 1.0))
+        else:
+            beta_q = (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta + 1.0))
+        c2 = 0.5 * (y1 + y2 + beta_q * span)
+        c1, c2 = np.clip(c1, 0.0, 1.0), np.clip(c2, 0.0, 1.0)
+        if rng.random() < 0.5:
+            c1, c2 = c2, c1
+        child1[i], child2[i] = c1, c2
+    return child1, child2
+
+
+def polynomial_mutation_oracle(genome, prob, eta, rng):
+    """Polynomial mutation on numpy float64 scalars, clamped with
+    ``np.clip``: the operator as NSGA-II first ran it."""
+    mutant = genome.copy()
+    for i in range(len(genome)):
+        if rng.random() >= prob:
+            continue
+        y = mutant[i]
+        u = rng.random()
+        if u < 0.5:
+            delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - y) ** (eta + 1.0)) \
+                ** (1.0 / (eta + 1.0)) - 1.0
+        else:
+            delta = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * y ** (eta + 1.0)) \
+                ** (1.0 / (eta + 1.0))
+        mutant[i] = np.clip(y + delta, 0.0, 1.0)
+    return mutant

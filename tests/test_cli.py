@@ -191,6 +191,29 @@ class TestOptimize:
         assert key in capsys.readouterr().err
         assert not (out / "front.tsv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("crossover_eta", -1),          # these two divided by zero (exit 1)
+        ("mutation_eta", -1.0),
+        ("crossover_eta", None),        # these six raised a raw TypeError
+        ("mutation_eta", "x"),
+        ("crossover_prob", "x"),
+        ("population", "64"),
+        ("generations", 2.5),
+        ("seed", "a"),
+        ("seed", -1),                   # raised a raw ValueError
+        ("generations", -3),            # ran no generation and exited 0
+    ])
+    def test_bad_nsga2_value_is_config_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"optimizer": "nsga2", "nsga2": {"population": 8, "generations": 1,
+                                             key: value}}))
+        out = tmp_path / "r"
+        code = main(["optimize", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "front.tsv").exists()
+
     def test_steps_not_divisible_by_agents_is_config_error(self, tmp_path, capsys):
         code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
                      "--agents", "3", "--steps", "64", "--out", str(tmp_path / "r")])

@@ -201,6 +201,19 @@ class TestSchedule:
             CashFlowSchedule(years=np.arange(3),
                              flows={"fuel": [1.0, 2.0, 3.0], "capital": [0.0, -1.0, 0.0]})
 
+    def test_nan_flows_pass_and_do_not_hide_a_negative_one(self):
+        CashFlowSchedule(years=np.arange(2), flows={"fuel": [np.nan, 1.0]})
+        CashFlowSchedule(years=np.arange(2), flows={})
+        CashFlowSchedule(years=np.arange(2), flows={"fuel": [-0.0, 0]})
+        with pytest.raises(ContractError, match="o_and_m: negative flow"):
+            CashFlowSchedule(years=np.arange(2),
+                             flows={"fuel": [np.nan, 1.0], "o_and_m": [1.0, -1e-300]})
+        ledger = np.zeros((2, 2))
+        ledger[1, 0] = -np.inf
+        with pytest.raises(ContractError, match="capital: negative flow"):
+            CashFlowSchedule(years=np.arange(2), ledger=ledger,
+                             flows=dict(zip(("fuel", "capital"), ledger)))
+
     def test_length_mismatch_names_its_category(self):
         with pytest.raises(ContractError, match="o_and_m: length mismatch"):
             CashFlowSchedule(years=np.arange(3),

@@ -665,3 +665,37 @@ def test_objective_point_invariants():
         ObjectivePoint(np.array([1.0, 2.0]), False, penalty=-1.0)
     with pytest.raises(ContractError):
         ObjectivePoint(np.array([1.0, 2.0]), False, penalty=math.nan)
+
+
+class TestObjectivePointObjectives:
+    """What ``ObjectivePoint`` makes of its objectives: a 1-D float64 array
+    is kept as the same object; anything else becomes
+    ``np.atleast_1d(np.asarray(x, dtype=float))``; a NaN or an infinity
+    anywhere is a contract error."""
+
+    def test_float64_array_is_kept_as_the_same_object(self):
+        objectives = np.array([1.0, 2.0])
+        assert ObjectivePoint(objectives, True).objectives is objectives
+
+    @pytest.mark.parametrize("given", [
+        [1.0, 2.0], (3, 4), [5], np.float64(2.5), 7, np.array(1.5),
+        np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32),
+        np.array([1.0, 2.0], dtype=">f8"), np.arange(6.0)[::2],
+        np.array([[1.0, 2.0]]),
+    ])
+    def test_other_inputs_are_converted_as_before(self, given):
+        point = ObjectivePoint(given, True)
+        want = np.atleast_1d(np.asarray(given, dtype=float))
+        assert type(point.objectives) is np.ndarray
+        assert point.objectives.dtype == np.float64
+        assert point.objectives.shape == want.shape
+        assert point.objectives.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("wrap", [
+        lambda v: np.array([1.0, v]), lambda v: [v, 1.0], lambda v: v,
+        lambda v: np.array(v), lambda v: np.array([[1.0, v]]),
+    ])
+    def test_non_finite_values_are_rejected(self, bad, wrap):
+        with pytest.raises(ContractError, match="non-finite objectives"):
+            ObjectivePoint(wrap(bad), True)
