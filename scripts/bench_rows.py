@@ -34,6 +34,7 @@ PER_LAYER = ("pareto.insert.us", "pareto.insert.calls", "pearl.ppo_update.us",
              "economics.build_cash_flows.self_s", "economics.lcoe.self_s",
              "constraints.evaluate_constraints.self_s",
              "nsga2.run_nsga2.self_s", "pearl.random_search.self_s",
+             "setup.import_s", "setup.evaluator_s",
              "trace.evals_per_s_untraced", "trace.overhead_pct")
 RECORD = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .constraints import constraints_from_config, default_constraints
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, _is_integer, _is_number
 
 CATEGORIES = ("fuel", "o_and_m", "capital", "reflector", "reactivity_control")
 
@@ -44,12 +44,16 @@ class EconParams:
     annual_energy_mwh: float = field(default_factory=default_annual_energy_mwh)
 
     def __post_init__(self):
-        if not 0.0 <= self.discount_rate < 1.0:
-            raise ConfigError(f"discount rate {self.discount_rate} outside [0, 1)")
-        if self.plant_life_years < 1:
-            raise ConfigError("plant life must be at least 1 year")
-        if self.replacement_period_years < 1:
-            raise ConfigError("replacement period must be at least 1 year")
+        if not (_is_number(self.discount_rate) and 0.0 <= self.discount_rate < 1.0):
+            raise ConfigError(f"discount_rate must be a number in [0, 1), "
+                              f"got {self.discount_rate!r}")
+        for name in ("plant_life_years", "replacement_period_years"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not (_is_number(self.annual_energy_mwh) and self.annual_energy_mwh > 0):
+            raise ConfigError("annual_energy_mwh must be a finite positive number, "
+                              f"got {self.annual_energy_mwh!r}")
 
     def discount_factors(self) -> np.ndarray:
         return self._discount.copy()
@@ -106,8 +110,17 @@ class CostScenario:
         for name in ("axial_reflector_price_per_kg", "drum_reflector_price_per_kg",
                      "absorber_price_per_kg", "fuel_price_per_kgu",
                      "fixed_direct_capital", "annual_om"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{self.name}: {name} must be non-negative")
+            value = getattr(self, name)
+            if not (_is_number(value) and value >= 0):
+                raise ConfigError(f"{self.name}: {name} must be a finite non-negative "
+                                  f"number, got {value!r}")
+        for name in ("vessel_height_cm", "axial_reflector_kg_per_cm",
+                     "drum_reflector_total_kg", "absorber_total_kg",
+                     "b10_premium_slope", "replacement_fraction"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ConfigError(f"{self.name}: {name} must be a finite number, "
+                                  f"got {value!r}")
 
     def axial_reflector_mass(self, x_fh: float) -> float:
         return self.axial_reflector_kg_per_cm * max(self.vessel_height_cm - x_fh, 0.0)

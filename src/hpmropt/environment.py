@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import RBFInterpolator
-from scipy.optimize import linprog
 
 from .constraints import ConstraintReport, evaluate_constraints
 from .design_space import (
@@ -270,6 +268,10 @@ class SampleTable:
         degree = 1 if len(designs) >= self.sites.shape[1] + 1 else 0
         if kernel == "linear":
             degree = 0
+        # scipy.interpolate is imported on the first table, not with the
+        # package: the proxy path never needs it (nor in_hull's LP)
+        from scipy.interpolate import RBFInterpolator
+
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*`degree` should not be below.*")
             self._rbf = RBFInterpolator(self.sites, qois, kernel=kernel, degree=degree)
@@ -300,6 +302,8 @@ class SampleTable:
 
     def in_hull(self, z: np.ndarray) -> bool:
         """Exact convex-hull membership via a small feasibility LP."""
+        from scipy.optimize import linprog
+
         n = len(self.sites)
         res = linprog(
             c=np.zeros(n),

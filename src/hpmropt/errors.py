@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all hpmropt modules."""
+"""Exception hierarchy shared by all hpmropt modules, and the two value
+checks that configuration classes use before raising ``ConfigError``."""
+
+import math
+
+import numpy as np
 
 
 class HpmroptError(Exception):
@@ -31,3 +36,16 @@ class ConfigError(HpmroptError):
 
 class EvaluationError(HpmroptError):
     """Design evaluation failed or was attempted with an unusable model."""
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a boolean is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite real number; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        return False
+    return isinstance(value, (int, np.integer)) or math.isfinite(value)

@@ -12,16 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design_space import from_unit_cube
-from .errors import ConfigError
+from .errors import ConfigError, _is_integer, _is_number
 from .metrics import FrontReport
 from .pareto import (
     DesignPayload,
     ObjectivePoint,
-    _is_integer,
     crowding_distance,
     nondominated_sort,
 )
-from .pearl import _is_number, merge_fronts
+from .pearl import merge_fronts
 
 GENOME_DIM = 7
 

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _is_integer
 
 METRICS = ("crowding", "niching")
 
@@ -49,6 +49,8 @@ class ObjectivePoint:
                 np.asarray(objectives, dtype=float))
         if not all(map(math.isfinite, objectives.ravel().tolist())):
             raise ContractError(f"non-finite objectives: {self.objectives}")
+        if objectives.ndim != 1:
+            raise ContractError(f"objectives must be 1-D, got shape {objectives.shape}")
         if not self.penalty >= 0:
             raise ContractError("penalty must be non-negative")
         if self.feasible != (self.penalty == 0.0):
@@ -427,10 +429,6 @@ class _Ranking:
         for k, run in enumerate(_penalty_runs(by_rank, self.pen), len(self.fronts)):
             ranked.extend((row, k, 0.0) for row in run)
         return ranked
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ParetoBuffer:

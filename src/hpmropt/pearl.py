@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .design_space import from_unit_cube
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, _is_integer, _is_number
 from .metrics import FrontReport
 from .pareto import (
     METRICS,
@@ -28,7 +28,6 @@ from .pareto import (
     ObjectivePoint,
     ParetoBuffer,
     _first_front,
-    _is_integer,
 )
 
 logger = logging.getLogger(__name__)
@@ -68,14 +67,6 @@ def _views(flat: np.ndarray) -> dict:
     """Named, C-ordered views of one flat vector laid out in θ's order."""
     return {name: flat[where].reshape(_PARAM_SHAPES[name])
             for name, where in _FLAT_SLICES.items()}
-
-
-def _is_number(value) -> bool:
-    """A finite real number; a boolean is not one."""
-    if isinstance(value, bool) or not isinstance(
-            value, (int, float, np.integer, np.floating)):
-        return False
-    return isinstance(value, (int, np.integer)) or math.isfinite(value)
 
 
 @dataclass

@@ -65,6 +65,43 @@ class TestEvaluate:
         code = main(["evaluate", nominal_file, "--evaluator", "tabular:/nope.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        # the two periods must be integers of at least 1; these two raised
+        # a raw TypeError (exit 1), and a bool is not an integer
+        ("econ", "plant_life_years", 2.5),
+        ("econ", "replacement_period_years", 2.5),
+        ("econ", "plant_life_years", True),
+        ("econ", "replacement_period_years", 0),
+        # annual energy must be finite and positive: 0 divided by zero
+        # (exit 1), -5 and NaN printed a negative or NaN lcoe (exit 0)
+        ("econ", "annual_energy_mwh", 0),
+        ("econ", "annual_energy_mwh", -5),
+        ("econ", "annual_energy_mwh", float("nan")),
+        ("econ", "discount_rate", "0.06"),
+        # the six prices must be finite and non-negative: NaN printed
+        # lcoe=nan (exit 0)
+        ("costs", "fuel_price_per_kgu", float("nan")),
+        ("costs", "annual_om", -1.0),
+        ("costs", "absorber_price_per_kg", "cheap"),
+        # every other numeric cost field must be finite
+        ("costs", "vessel_height_cm", float("inf")),
+        ("costs", "replacement_fraction", None),
+    ])
+    def test_bad_scenario_value_is_config_error(self, tmp_path, nominal_file, capsys,
+                                                section, key, value):
+        from importlib import resources
+
+        config = json.loads(resources.files("hpmropt.data")
+                            .joinpath("scenario-3.json").read_text())
+        config[section][key] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(config))
+        code = main(["evaluate", nominal_file, "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert key in captured.err
+        assert captured.out == ""
+
 
 class TestScenarios:
     def test_exactly_three_presets(self, capsys):

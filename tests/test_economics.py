@@ -68,9 +68,8 @@ class TestLcoe:
         assert scaled == pytest.approx(7.3 * base, rel=1e-12)
 
     def test_zero_energy_rejected(self):
-        econ = EconParams(annual_energy_mwh=0.0)
-        with pytest.raises(ZeroDivisionError):
-            lcoe(flat_schedule(np.ones(61)), econ)
+        with pytest.raises(ConfigError, match="annual_energy_mwh"):
+            EconParams(annual_energy_mwh=0.0)
 
     def test_span_mismatch_rejected(self):
         econ = EconParams(plant_life_years=60)

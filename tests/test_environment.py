@@ -1,9 +1,15 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hpmropt
 from hpmropt.anchors import ANCHOR_RECORDS, NOMINAL_ANCHOR
 from hpmropt.design_space import NOMINAL_DESIGN, DesignVector, from_unit_cube, to_unit_cube
 from hpmropt.environment import (
@@ -262,6 +268,54 @@ class TestSampleTable:
                         "90,0.95,160,2.3,0.197,1.0,oops,7,-6725,1.47,0.0188\n")
         with pytest.raises(TableLoadError):
             SampleTable.from_file(path)
+
+
+SCIPY_TABLE_MODULES = ("scipy.interpolate", "scipy.optimize", "scipy.special",
+                       "scipy.sparse", "scipy.spatial")
+
+_PROXY_PATH_THEN_TABLE = """
+import json, sys
+import numpy as np
+import hpmropt
+from hpmropt.design_space import NOMINAL_DESIGN, from_unit_cube
+from hpmropt.economics import load_scenario
+from hpmropt.environment import DesignEvaluator, SampleTable
+from hpmropt.runio import RunConfig, run_optimize
+
+out, watched = sys.argv[1], sys.argv[2:]
+DesignEvaluator(load_scenario("scenario-3")).evaluate(NOMINAL_DESIGN)
+run_optimize(RunConfig(optimizer="nsga2", out_dir=out + "/nsga2",
+                       nsga2={"population": 8, "generations": 2}))
+run_optimize(RunConfig(optimizer="pearl", out_dir=out + "/pearl",
+                       pearl={"agents": 1, "total_steps": 16}))
+proxy_path = [m for m in watched if m in sys.modules]
+table = SampleTable([from_unit_cube(np.full(7, 0.2)), from_unit_cube(np.full(7, 0.8))],
+                    [[4.0, -6000.0, 1.2, 0.02], [8.0, -8000.0, 1.4, 0.01]],
+                    kernel="linear")
+values, extrapolated = table(from_unit_cube(np.full(7, 0.5)))
+print(json.dumps({"proxy_path": proxy_path, "values": values,
+                  "extrapolated": extrapolated,
+                  "after_table": [m for m in watched if m in sys.modules]}))
+"""
+
+
+def test_proxy_path_loads_no_scipy_table_module(tmp_path):
+    # a fresh interpreter: this one already holds scipy through other tests
+    src = str(Path(hpmropt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _PROXY_PATH_THEN_TABLE, str(tmp_path),
+         *SCIPY_TABLE_MODULES],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    seen = json.loads(child.stdout.splitlines()[-1])
+    assert seen["proxy_path"] == []
+    assert (tmp_path / "nsga2" / "front.tsv").exists()
+    assert (tmp_path / "pearl" / "front.tsv").exists()
+    # the first table loads interpolation and the LP, and answers
+    assert seen["values"] == pytest.approx([6.0, -7000.0, 1.3, 0.015], rel=1e-9)
+    assert seen["extrapolated"] is False
+    assert {"scipy.interpolate", "scipy.optimize"} <= set(seen["after_table"])
 
 
 class TestDesignEvaluator:

@@ -671,7 +671,7 @@ class TestObjectivePointObjectives:
     """What ``ObjectivePoint`` makes of its objectives: a 1-D float64 array
     is kept as the same object; anything else becomes
     ``np.atleast_1d(np.asarray(x, dtype=float))``; a NaN or an infinity
-    anywhere is a contract error."""
+    anywhere is a contract error, and so is a result that is not 1-D."""
 
     def test_float64_array_is_kept_as_the_same_object(self):
         objectives = np.array([1.0, 2.0])
@@ -681,7 +681,6 @@ class TestObjectivePointObjectives:
         [1.0, 2.0], (3, 4), [5], np.float64(2.5), 7, np.array(1.5),
         np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32),
         np.array([1.0, 2.0], dtype=">f8"), np.arange(6.0)[::2],
-        np.array([[1.0, 2.0]]),
     ])
     def test_other_inputs_are_converted_as_before(self, given):
         point = ObjectivePoint(given, True)
@@ -690,6 +689,12 @@ class TestObjectivePointObjectives:
         assert point.objectives.dtype == np.float64
         assert point.objectives.shape == want.shape
         assert point.objectives.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("given", [np.array([[1.0, 2.0]]), [[3.0], [4.0]],
+                                       np.zeros((1, 1, 2))])
+    def test_objectives_not_1d_are_rejected(self, given):
+        with pytest.raises(ContractError, match="1-D"):
+            ObjectivePoint(given, True)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("wrap", [
