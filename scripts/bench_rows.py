@@ -8,8 +8,10 @@ into one ``BENCH_*.json`` file.
 
 Each ``result-<workload>-seed<N>-trace<T>.json`` record in a directory is one
 benchmark run.  For every workload and every metric listed below, the file
-gets the per-run values of both sides, their medians and the after/before
-ratio of the medians.  Timed runs (``--trace 0``) give the end-to-end rows,
+gets the per-run values of both sides, their medians, the after/before
+ratio of the medians, the before side's quartile spread, and how many
+same-seed pairs the after side won in the metric's "better" direction from
+BENCHMARK.json.  Timed runs (``--trace 0``) give the end-to-end rows,
 traced runs (``--trace 1``) the per-layer rows.  ``--note`` adds a figure
 measured outside the benchmark (name, before, after, unit).
 """
@@ -36,6 +38,7 @@ PER_LAYER = ("pareto.insert.us", "pareto.insert.calls", "pearl.ppo_update.us",
              "nsga2.run_nsga2.self_s", "pearl.random_search.self_s",
              "setup.import_s", "setup.evaluator_s",
              "trace.evals_per_s_untraced", "trace.overhead_pct")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 RECORD = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 
 
@@ -53,25 +56,54 @@ def load(directory: Path) -> dict:
             for key, records in runs.items()}
 
 
+def better_directions() -> dict:
+    """{metric: "higher" or "lower"} from the benchmark's declaration."""
+    declared = json.loads(BENCHMARK.read_text())
+    return {m["name"]: m["better"]
+            for m in declared.get("end_to_end", []) + declared.get("per_layer", [])}
+
+
 def side(records, name) -> dict:
     values = [r["all_values"][name] for r in records if name in r["all_values"]]
     return {"runs": values, "median": statistics.median(values) if values else None,
             "seeds": [r["machine"]["seed"] for r in records]}
 
 
-def rows(before: dict, after: dict) -> list[dict]:
+def quartile_spread(values) -> float | None:
+    """Third minus first quartile, or None below two values."""
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def pairs_won(before, after, name, better) -> dict:
+    """How many same-seed pairs the after side won, in direction ``better``."""
+    old = {r["machine"]["seed"]: r["all_values"][name]
+           for r in before if name in r["all_values"]}
+    new = {r["machine"]["seed"]: r["all_values"][name]
+           for r in after if name in r["all_values"]}
+    seeds = sorted(set(old) & set(new))
+    sign = 1 if better == "higher" else -1
+    return {"pairs": len(seeds), "won": sum(sign * (new[s] - old[s]) > 0 for s in seeds),
+            "better": better}
+
+
+def rows(before: dict, after: dict, directions: dict) -> list[dict]:
     out = []
     for (workload, trace) in sorted(set(before) & set(after)):
+        old_records, new_records = before[(workload, trace)], after[(workload, trace)]
         for name in (PER_LAYER if trace else END_TO_END):
-            old, new = side(before[(workload, trace)], name), \
-                side(after[(workload, trace)], name)
+            old, new = side(old_records, name), side(new_records, name)
             if old["median"] is None or new["median"] is None:
                 continue
-            unit = after[(workload, trace)][0]["metrics"].get(name, {}).get("unit")
+            unit = new_records[0]["metrics"].get(name, {}).get("unit")
             out.append({
                 "workload": workload, "traced": bool(trace), "metric": name,
                 "unit": unit, "before": old, "after": new,
                 "ratio": new["median"] / old["median"] if old["median"] else None,
+                "before_quartile_spread": quartile_spread(old["runs"]),
+                **pairs_won(old_records, new_records, name, directions[name]),
             })
     return out
 
@@ -91,15 +123,19 @@ def main(argv=None) -> int:
     machine = {k: v for k, v in machine.items() if k != "seed"}
     payload = {
         "machine": machine,
-        "rows": rows(before, after),
+        "rows": rows(before, after, better_directions()),
         "notes": [{"name": name, "before": float(b), "after": float(a), "unit": unit}
                   for name, b, a, unit in args.note],
     }
     args.out.write_text(json.dumps(payload, indent=1) + "\n")
     for row in payload["rows"]:
         ratio = "" if row["ratio"] is None else f"  x{row['ratio']:.3f}"
+        won = f"  won {row['won']}/{row['pairs']}"
+        spread = row["before_quartile_spread"]
+        spread = "" if spread is None else f"  spread {spread:.4g}"
         print(f"{row['workload']:12s} {row['metric']:34s} "
-              f"{row['before']['median']:>12.6g} -> {row['after']['median']:>12.6g}{ratio}")
+              f"{row['before']['median']:>12.6g} -> {row['after']['median']:>12.6g}"
+              f"{ratio}{won}{spread}")
     return 0
 
 

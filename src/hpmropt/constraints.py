@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ContractError, NormalizationError
+from .errors import ConfigError, ContractError, NormalizationError, _is_number
 
 DEFAULT_WEIGHT = 10_000.0
 
@@ -36,15 +36,16 @@ class ConstraintSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ContractError(f"unknown constraint kind {self.kind!r}")
-        if self.weight <= 0:
+            raise ContractError(f"{self.name}: unknown constraint kind {self.kind!r}")
+        # `not >` also rejects a NaN weight
+        if not self.weight > 0:
             raise ContractError(f"{self.name}: weight must be positive")
         if self.kind == "range":
             lo, hi = self.limit
             if not lo < hi:
                 raise ContractError(f"{self.name}: range limits must satisfy lo < hi")
             if lo == 0 or hi == 0:
-                raise NormalizationError(f"{self.name}: zero range endpoint")
+                raise NormalizationError(f"{self.name}: range limit has a zero endpoint")
         elif self.limit == 0:
             raise NormalizationError(f"{self.name}: zero limit")
 
@@ -134,21 +135,34 @@ def default_constraints() -> list[ConstraintSpec]:
 
 
 def constraints_from_config(records) -> list[ConstraintSpec]:
-    """Build a constraint set from scenario-file records."""
+    """Build a constraint set from scenario-file records.
+
+    A ``limit`` must be a finite number, or a pair of finite numbers for a
+    range, and a ``weight`` a finite positive number.  Those, and every
+    record ``ConstraintSpec`` rejects, raise ``ConfigError`` naming the
+    constraint and the key.
+    """
     specs = []
     for rec in records:
-        limit = rec["limit"]
-        if rec["kind"] == "range":
+        name, kind, limit = rec["name"], rec["kind"], rec["limit"]
+        if kind == "range":
+            if not (isinstance(limit, (list, tuple)) and len(limit) == 2
+                    and all(map(_is_number, limit))):
+                raise ConfigError(f"constraint {name}: limit must be a pair of finite "
+                                  f"numbers for a range, got {limit!r}")
             limit = (float(limit[0]), float(limit[1]))
         else:
+            if not _is_number(limit):
+                raise ConfigError(f"constraint {name}: limit must be a finite number, "
+                                  f"got {limit!r}")
             limit = float(limit)
-        specs.append(
-            ConstraintSpec(
-                name=rec["name"],
-                qoi=rec["qoi"],
-                kind=rec["kind"],
-                limit=limit,
-                weight=float(rec.get("weight", DEFAULT_WEIGHT)),
-            )
-        )
+        weight = rec.get("weight", DEFAULT_WEIGHT)
+        if not (_is_number(weight) and weight > 0):
+            raise ConfigError(f"constraint {name}: weight must be a finite positive "
+                              f"number, got {weight!r}")
+        try:
+            specs.append(ConstraintSpec(name=name, qoi=rec["qoi"], kind=kind,
+                                        limit=limit, weight=float(weight)))
+        except (ContractError, NormalizationError) as exc:
+            raise ConfigError(f"constraint {exc}") from exc
     return specs

@@ -141,8 +141,8 @@ class CashFlowSchedule:
 
     ``ledger`` holds one row per category and ``flows`` maps each category
     to its row, a view into the ledger.  Given ``flows`` alone, the schedule
-    stacks them into a new ledger; ``build_cash_flows`` passes the ledger it
-    filled together with its rows.
+    stacks them into a new ledger.  ``build_cash_flows`` returns the
+    ``_DesignSchedule`` subclass instead, which builds both only when read.
     """
 
     years: np.ndarray
@@ -152,57 +152,109 @@ class CashFlowSchedule:
     def __post_init__(self):
         if self.ledger is None:
             if any(len(values) != len(self.years) for values in self.flows.values()):
-                self._scan()
+                _scan(self.flows, self.years)
             self.ledger = np.array(list(self.flows.values()))
             self.flows = dict(zip(self.flows, self.ledger))
-        # `not >= 0` is also true for a NaN minimum; the scan then raises
-        # only for a negative flow, so NaN flows alone pass
-        if not np.minimum.reduce(self.ledger, axis=None, initial=0) >= 0:
-            self._scan()
-
-    def _scan(self):
-        """Raise for the first category of the wrong length or with a
-        negative flow."""
-        for category, values in self.flows.items():
-            if len(values) != len(self.years):
-                raise ContractError(f"category {category}: length mismatch")
-            if np.any(np.asarray(values) < 0):
-                raise ContractError(f"category {category}: negative flow")
+        _check(self.ledger, self.flows, self.years)
 
     @property
     def total_by_year(self) -> np.ndarray:
-        # the reduction ledger.sum(axis=0) runs, without the method's wrapper
+        # the reduction ledger.sum(axis=0) runs, without the method's wrapper:
+        # row by row, in category order
         return np.add.reduce(self.ledger, axis=0)
 
 
-def _buy_fuel(fuel: np.ndarray, interval: float, n: int, batch_cost: float) -> None:
-    """Fill ``fuel`` (years 0..n) with the cost of every fuel batch.
+def _check(ledger: np.ndarray, flows: dict, years) -> None:
+    # `not >= 0` is also true for a NaN minimum; the scan then raises only
+    # for a negative flow, so NaN flows alone pass
+    if not np.minimum.reduce(ledger, axis=None, initial=0) >= 0:
+        _scan(flows, years)
+
+
+def _scan(flows: dict, years) -> None:
+    """Raise for the first category of the wrong length or with a negative
+    flow."""
+    for category, values in flows.items():
+        if len(values) != len(years):
+            raise ContractError(f"category {category}: length mismatch")
+        if np.any(np.asarray(values) < 0):
+            raise ContractError(f"category {category}: negative flow")
+
+
+class _DesignSchedule(CashFlowSchedule):
+    """One design's schedule, kept as its yearly totals and the amounts
+    they were summed from.
+
+    ``lcoe`` reads only the totals.  The ledger and its rows are built from
+    the same amounts on first read (``cost_breakdown``, ``hpmropt
+    evaluate``), and checked then.
+    """
+
+    def __init__(self, years, totals: np.ndarray, amounts: tuple):
+        self.years = years
+        self._totals = totals
+        self._amounts = amounts
+
+    @cached_property
+    def ledger(self) -> np.ndarray:
+        interval, batch_cost, om, capital, axial, control, fraction, period = \
+            self._amounts
+        n = len(self.years) - 1
+        ledger = np.zeros((len(CATEGORIES), n + 1))
+        flows = dict(zip(CATEGORIES, ledger))   # row views
+        _buy_fuel(flows["fuel"], interval, n, batch_cost)
+        flows["o_and_m"][1:] = om
+        flows["capital"][0] = capital
+        flows["reflector"][0] = axial
+        flows["reactivity_control"][0] = control
+        flows["reflector"][period:n:period] = fraction * axial
+        flows["reactivity_control"][period:n:period] = fraction * control
+        _check(ledger, flows, self.years)
+        return ledger
+
+    @cached_property
+    def flows(self) -> dict:
+        return dict(zip(CATEGORIES, self.ledger))
+
+    @property
+    def total_by_year(self) -> np.ndarray:
+        # the schedule's own array, not a copy: read it, do not write it
+        return self._totals
+
+
+def _buy_fuel(row, interval: float, n: int, batch_cost: float) -> None:
+    """Add the cost of every fuel batch to ``row`` (years 0..n).
 
     Batch k is bought in year ceil(k * interval) while k * interval < n.  A
-    year buying several batches pays their count times the batch cost; that
+    year buying several batches adds their count times the batch cost; that
     count comes from a floor(t / interval) candidate corrected against the
     same float product k * interval, so the work is O(n) for any interval.
+    A year buying one batch adds the batch cost itself, the same float as
+    1 * batch_cost.
     """
-    below_n = math.nextafter(n, 0.0)
-    k = 0
-    while k * interval < n:
-        year = math.ceil(k * interval)
-        # batches k, k+1, ... buy in this year while their product is <= t
-        t = year if year < n else below_n
-        end = k + 1   # first batch of a later year
-        if end * interval <= t:
-            end = math.floor(t / interval) + 1
-            while (end - 1) * interval > t:
-                end -= 1
-            while end * interval <= t:
-                end += 1
-        fuel[year] = (end - k) * batch_cost
-        k = end
+    k, product = 0, 0.0   # product is k * interval
+    while product < n:
+        year = math.ceil(product)
+        k += 1
+        product = k * interval
+        if product <= year:
+            # batches up to the last one whose product is <= t buy this year
+            first = k - 1
+            t = year if year < n else math.nextafter(n, 0.0)
+            k = math.floor(t / interval) + 1
+            while (k - 1) * interval > t:
+                k -= 1
+            while k * interval <= t:
+                k += 1
+            product = k * interval
+            row[year] = (k - first) * batch_cost + row[year]
+        else:
+            row[year] = batch_cost + row[year]
 
 
 def build_cash_flows(design, qoi, scenario: CostScenario,
                      econ: EconParams | None = None) -> CashFlowSchedule:
-    """Assemble the yearly ledger for one design.
+    """The yearly flows of one design.
 
     Fuel batches are purchased at t=0 and then at the ceiling of every
     batch-interval multiple, where the interval is min(fuel lifetime,
@@ -211,15 +263,20 @@ def build_cash_flows(design, qoi, scenario: CostScenario,
     count times the batch cost.  Equipment (reflector, drums, absorber) is
     bought at t=0 and re-bought at the replacement fraction on every
     replacement year.  O&M is constant over the operating years.
+
+    Each year's total is summed here, in Python floats, and the ledger
+    waits until it is read.  A year adds its flows in category order, as
+    the ledger's reduction adds its rows, but skips the ledger's structural
+    zeros (capital after year 0, fuel and equipment outside their purchase
+    years).  Adding +0.0 changes a sum only in the sign of a zero, which
+    ``lcoe``'s dot product cannot see, as its sum starts at +0.0; so LCOE
+    keeps its bits.
     """
     econ = econ or scenario.econ
     # `not >` also rejects NaN, which would buy no fuel at all
     if qoi.lifetime is None or not qoi.lifetime > 0:
         raise ContractError(f"fuel lifetime must be positive, got {qoi.lifetime}")
     n = econ.plant_life_years
-    ledger = np.zeros((len(CATEGORIES), n + 1))
-    flows = dict(zip(CATEGORIES, ledger))   # row views
-
     batch_cost = qoi.uranium_mass * scenario.fuel_price_per_kgu
     interval = min(qoi.lifetime, float(econ.replacement_period_years))
     # batch indices stay exact floats up to 2**53; past that, k * interval
@@ -227,21 +284,34 @@ def build_cash_flows(design, qoi, scenario: CostScenario,
     if not n / interval <= 2.0**53:
         raise ContractError(f"fuel lifetime {qoi.lifetime} is too small: over "
                             f"{n} years its batch count exceeds 2**53")
-    _buy_fuel(flows["fuel"], interval, n, batch_cost)
-
     axial = scenario.axial_reflector_mass(design.x_fh) * scenario.axial_reflector_price_per_kg
     drums = scenario.drum_reflector_mass(design.x_ca) * scenario.drum_reflector_price_per_kg
     absorber = scenario.absorber_mass(design.x_ca) * scenario.absorber_unit_price(design.x_b10)
-    flows["reflector"][0] = axial
-    flows["reactivity_control"][0] = drums + absorber
-    flows["capital"][0] = scenario.fixed_direct_capital
+    control = drums + absorber
+    om, capital, fraction = (scenario.annual_om, scenario.fixed_direct_capital,
+                             scenario.replacement_fraction)
     period = econ.replacement_period_years
-    flows["reflector"][period:n:period] = scenario.replacement_fraction * axial
-    flows["reactivity_control"][period:n:period] = \
-        scenario.replacement_fraction * (drums + absorber)
 
-    flows["o_and_m"][1:] = scenario.annual_om
-    return CashFlowSchedule(years=econ._years, flows=flows, ledger=ledger)
+    # Python floats go in and out of the array through a memoryview at
+    # list speed, with no numpy scalar on the way
+    yearly = np.empty(n + 1)
+    yearly.fill(om)
+    totals = memoryview(yearly)
+    totals[0] = 0.0
+    _buy_fuel(totals, interval, n, batch_cost)
+    totals[0] = totals[0] + capital + axial + control
+    replaced_axial, replaced_control = fraction * axial, fraction * control
+    for year in range(period, n, period):
+        totals[year] = totals[year] + replaced_axial + replaced_control
+
+    schedule = _DesignSchedule(econ._years, yearly, (
+        interval, batch_cost, om, capital, axial, control, fraction, period))
+    # a fuel year pays a positive multiple of batch_cost; a negative or NaN
+    # amount builds the ledger, whose check names a negative flow's category
+    if not min(batch_cost, om, capital, axial, control,
+               replaced_axial, replaced_control) >= 0:
+        schedule.ledger
+    return schedule
 
 
 def lcoe(schedule: CashFlowSchedule, econ: EconParams) -> float:

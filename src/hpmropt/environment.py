@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .design_space import (
     validate,
 )
 from .economics import CostScenario, build_cash_flows, lcoe
-from .errors import ContractError, EvaluationError, TableLoadError
+from .errors import ConfigError, ContractError, EvaluationError, TableLoadError, _is_number
 
 # Constants recovered from the anchor table (see scripts/fit_proxy_coefficients.py
 # and the cross-row consistency tests):
@@ -140,6 +140,10 @@ _SIGN_RULES = {
 }
 
 
+_PROXY_CONSTANTS = ("heat_flux_k", "uranium_mass_coeff", "thermal_power_mw",
+                    "power_density_scale")
+
+
 @dataclass
 class ProxyModelConfig:
     """Constants and coefficients of the calibrated analytic proxy."""
@@ -153,8 +157,11 @@ class ProxyModelConfig:
     nominal_z: np.ndarray = field(default_factory=lambda: to_unit_cube(NOMINAL_DESIGN))
 
     def __post_init__(self):
-        if self.heat_flux_k <= 0 or self.uranium_mass_coeff <= 0 or self.thermal_power_mw <= 0:
-            raise EvaluationError("proxy constants must be positive")
+        for name in _PROXY_CONSTANTS:
+            value = getattr(self, name)
+            if not (_is_number(value) and value > 0):
+                raise EvaluationError(f"{name} must be a finite positive number, "
+                                      f"got {value!r}")
         self.betas = {k: np.asarray(v, dtype=float) for k, v in self.betas.items()}
 
     def require_calibrated(self):
@@ -186,9 +193,32 @@ class ProxyModelConfig:
 
     @classmethod
     def from_config(cls, section: dict) -> "ProxyModelConfig":
+        """The config of a scenario file's ``proxy`` section.  An unknown
+        key, a constant that is not a finite positive number, or an anchor
+        or coefficient that is not finite raises ``ConfigError`` naming it;
+        an incomplete calibration is left to ``require_calibrated``."""
+        if not isinstance(section, dict):
+            raise ConfigError(f"proxy: expected an object, got {section!r}")
         kwargs = dict(section)
         kwargs.pop("nominal_z", None)
-        return cls(**kwargs)
+        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"proxy: unknown keys {unknown}")
+        anchors, betas = kwargs.get("anchors", {}), kwargs.get("betas", {})
+        if not (isinstance(anchors, dict) and isinstance(betas, dict)):
+            raise ConfigError("proxy: anchors and betas must be objects")
+        for key, value in anchors.items():
+            if not _is_number(value):
+                raise ConfigError(f"proxy: anchors.{key} must be a finite number, "
+                                  f"got {value!r}")
+        for key, value in betas.items():
+            if not (isinstance(value, (list, tuple)) and all(map(_is_number, value))):
+                raise ConfigError(f"proxy: betas.{key} must be a list of finite "
+                                  f"numbers, got {value!r}")
+        try:
+            return cls(**kwargs)   # checks the constants
+        except EvaluationError as exc:
+            raise ConfigError(f"proxy: {exc}") from exc
 
     def snapshot(self) -> "ProxyModelConfig":
         """A copy of the current constants and coefficients whose arrays
@@ -274,7 +304,16 @@ class SampleTable:
 
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*`degree` should not be below.*")
-            self._rbf = RBFInterpolator(self.sites, qois, kernel=kernel, degree=degree)
+            try:
+                self._rbf = RBFInterpolator(self.sites, qois, kernel=kernel, degree=degree)
+            except np.linalg.LinAlgError as exc:
+                # sites on a hyperplane leave the linear tail's monomial
+                # matrix [1, sites] short of full column rank
+                monomials = np.column_stack([np.ones(len(designs)), self.sites])
+                raise TableLoadError(
+                    f"sample sites are degenerate: [1, sites] has rank "
+                    f"{np.linalg.matrix_rank(monomials)} of {monomials.shape[1]}, "
+                    f"and the interpolation system is singular ({exc})") from exc
 
     @classmethod
     def from_file(cls, path, kernel: str = "thin_plate_spline") -> "SampleTable":

@@ -40,21 +40,27 @@ class ObjectivePoint:
     payload: Any = None
 
     def __post_init__(self):
-        objectives = self.objectives
-        # a 1-D float64 array is kept as it is, the same object; anything
-        # else is converted as np.atleast_1d(np.asarray(x, dtype=float))
-        if type(objectives) is not np.ndarray or objectives.dtype is not _FLOAT64 \
-                or objectives.ndim != 1:
-            self.objectives = objectives = np.atleast_1d(
-                np.asarray(objectives, dtype=float))
-        if not all(map(math.isfinite, objectives.ravel().tolist())):
-            raise ContractError(f"non-finite objectives: {self.objectives}")
-        if objectives.ndim != 1:
-            raise ContractError(f"objectives must be 1-D, got shape {objectives.shape}")
-        if not self.penalty >= 0:
-            raise ContractError("penalty must be non-negative")
-        if self.feasible != (self.penalty == 0.0):
-            raise ContractError("penalty must be zero exactly for feasible points")
+        self.objectives = _checked_objectives(self.objectives, self.feasible,
+                                              self.penalty)
+
+
+def _checked_objectives(objectives, feasible, penalty) -> np.ndarray:
+    """The objectives an ``ObjectivePoint`` of these fields keeps, after the
+    checks it makes; a caller that builds no point can still check one."""
+    # a 1-D float64 array is kept as it is, the same object; anything else
+    # is converted as np.atleast_1d(np.asarray(x, dtype=float))
+    if type(objectives) is not np.ndarray or objectives.dtype is not _FLOAT64 \
+            or objectives.ndim != 1:
+        objectives = np.atleast_1d(np.asarray(objectives, dtype=float))
+    if not all(map(math.isfinite, objectives.ravel().tolist())):
+        raise ContractError(f"non-finite objectives: {objectives}")
+    if objectives.ndim != 1:
+        raise ContractError(f"objectives must be 1-D, got shape {objectives.shape}")
+    if not penalty >= 0:
+        raise ContractError("penalty must be non-negative")
+    if feasible != (penalty == 0.0):
+        raise ContractError("penalty must be zero exactly for feasible points")
+    return objectives
 
 
 @dataclass(frozen=True)

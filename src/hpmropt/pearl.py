@@ -27,6 +27,7 @@ from .pareto import (
     DesignPayload,
     ObjectivePoint,
     ParetoBuffer,
+    _checked_objectives,
     _first_front,
 )
 
@@ -792,30 +793,44 @@ def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,
     return MultiResult(agents=results, merged_front=merged, failures=failures)
 
 
+_DRAW_BLOCK = 1024   # random-search designs drawn per generator call
+
+
 def random_search(evaluator, evaluations: int, seed: int = 0) -> list[ObjectivePoint]:
     """Uniform sampling baseline under the same decode.
 
     Returns the non-dominated set over every evaluation (feasible points
     dominate infeasible ones, so the result is all-feasible whenever any
-    feasible design was sampled).
+    feasible design was sampled).  A point is built only for a design the
+    result may hold: every feasible one, and an infeasible one whose
+    penalty beats the best so far.  Every other design is checked as its
+    point would have been.
     """
     rng = np.random.default_rng(seed)
     feasible: list[ObjectivePoint] = []
     best_infeasible: ObjectivePoint | None = None
     for step in range(evaluations):
-        u = rng.random(ACTION_DIM)
-        design = from_unit_cube(u)
+        if step % _DRAW_BLOCK == 0:
+            # one call fills a block from the same stream, in the same
+            # order, as one draw of ACTION_DIM per design
+            draws = rng.random((min(_DRAW_BLOCK, evaluations - step), ACTION_DIM))
+        design = from_unit_cube(draws[step % _DRAW_BLOCK])
         objectives, report, _qoi = evaluator.evaluate(design)
-        point = ObjectivePoint(
-            objectives=objectives,
-            feasible=report.feasible,
-            penalty=0.0 if report.feasible else report.penalty,
-            payload=DesignPayload(id=f"rs-{step}", design=design),
-        )
-        if point.feasible:
-            feasible.append(point)
-        elif best_infeasible is None or point.penalty < best_infeasible.penalty:
-            best_infeasible = point
+        is_feasible = report.feasible
+        penalty = 0.0 if is_feasible else report.penalty
+        if is_feasible or best_infeasible is None or penalty < best_infeasible.penalty:
+            point = ObjectivePoint(
+                objectives=objectives,
+                feasible=is_feasible,
+                penalty=penalty,
+                payload=DesignPayload(id=f"rs-{step}", design=design),
+            )
+            if is_feasible:
+                feasible.append(point)
+            else:
+                best_infeasible = point
+        else:
+            _checked_objectives(objectives, is_feasible, penalty)
     if not feasible:
         return [] if best_infeasible is None else [best_infeasible]
     return [feasible[i] for i in _first_front(feasible)]

@@ -9,7 +9,11 @@ batch at a time, a dict of yearly arrays, discount factors recomputed per
 call; the package must match them bit for bit.  NSGA-II's variation
 operators are kept as they first ran, on numpy float64 scalars clamped
 with ``np.clip``; the package's float versions must match their children
-and leave the generator in the same state.
+and leave the generator in the same state.  The cost engine is kept as
+it first ran too: a five-row ledger filled per design and reduced over its
+rows before the discounting product; the package's direct yearly totals
+must give the same LCOE bytes and reject the same first negative
+category.  Random search is kept building a point for every design.
 """
 
 import csv
@@ -19,7 +23,13 @@ from dataclasses import replace
 import numpy as np
 
 from hpmropt.constraints import evaluate_constraints
-from hpmropt.design_space import FIELD_NAMES, STATIC_BOUNDS, resolve_bounds, validate
+from hpmropt.design_space import (
+    FIELD_NAMES,
+    STATIC_BOUNDS,
+    from_unit_cube,
+    resolve_bounds,
+    validate,
+)
 from hpmropt.economics import CATEGORIES
 from hpmropt.environment import (
     ProxyModelConfig,
@@ -30,10 +40,13 @@ from hpmropt.environment import (
     u235_mass,
     uranium_mass,
 )
-from hpmropt.errors import EvaluationError
+from hpmropt.errors import ContractError, EvaluationError
 from hpmropt.pareto import (
+    DesignPayload,
+    ObjectivePoint,
     _associate,
     _feasible_fronts,
+    _first_front,
     _niche_order,
     _penalty_runs,
     crowding_distance,
@@ -428,3 +441,81 @@ def polynomial_mutation_oracle(genome, prob, eta, rng):
                 ** (1.0 / (eta + 1.0))
         mutant[i] = np.clip(y + delta, 0.0, 1.0)
     return mutant
+
+
+def ledger_oracle(design, qoi, scenario, econ=None):
+    """The yearly ledger as the cost engine first filled it for each design:
+    a (5, n + 1) array of zeros, the fuel row written one purchase year at a
+    time, the equipment and O&M rows by slices, then every row checked.
+    Raises ``ContractError`` naming the first category with a negative
+    flow; NaN flows pass."""
+    econ = econ or scenario.econ
+    if qoi.lifetime is None or not qoi.lifetime > 0:
+        raise ContractError(f"fuel lifetime must be positive, got {qoi.lifetime}")
+    n = econ.plant_life_years
+    ledger = np.zeros((len(CATEGORIES), n + 1))
+    flows = dict(zip(CATEGORIES, ledger))
+    batch_cost = qoi.uranium_mass * scenario.fuel_price_per_kgu
+    interval = min(qoi.lifetime, float(econ.replacement_period_years))
+    if not n / interval <= 2.0**53:
+        raise ContractError("fuel lifetime is too small")
+    fuel, below_n, k = flows["fuel"], math.nextafter(n, 0.0), 0
+    while k * interval < n:
+        year = math.ceil(k * interval)
+        t = year if year < n else below_n
+        end = k + 1
+        if end * interval <= t:
+            end = math.floor(t / interval) + 1
+            while (end - 1) * interval > t:
+                end -= 1
+            while end * interval <= t:
+                end += 1
+        fuel[year] = (end - k) * batch_cost
+        k = end
+    axial = scenario.axial_reflector_mass(design.x_fh) * scenario.axial_reflector_price_per_kg
+    drums = scenario.drum_reflector_mass(design.x_ca) * scenario.drum_reflector_price_per_kg
+    absorber = scenario.absorber_mass(design.x_ca) * scenario.absorber_unit_price(design.x_b10)
+    flows["reflector"][0] = axial
+    flows["reactivity_control"][0] = drums + absorber
+    flows["capital"][0] = scenario.fixed_direct_capital
+    period = econ.replacement_period_years
+    flows["reflector"][period:n:period] = scenario.replacement_fraction * axial
+    flows["reactivity_control"][period:n:period] = \
+        scenario.replacement_fraction * (drums + absorber)
+    flows["o_and_m"][1:] = scenario.annual_om
+    for category, values in flows.items():
+        if np.any(values < 0):
+            raise ContractError(f"category {category}: negative flow")
+    return ledger
+
+
+def ledger_lcoe_oracle(design, qoi, scenario, econ=None):
+    """LCOE from ``ledger_oracle``: the ledger summed over its rows, then
+    one 61-term product with the discount factors."""
+    econ = econ or scenario.econ
+    ledger = ledger_oracle(design, qoi, scenario, econ)
+    numerator = float(np.add.reduce(ledger, axis=0) @ econ._discount)
+    return numerator / econ._discounted_energy
+
+
+def random_search_oracle(evaluator, evaluations, seed=0):
+    """Random search building an ``ObjectivePoint``, a payload and an id for
+    every design, as it first ran."""
+    rng = np.random.default_rng(seed)
+    feasible, best_infeasible = [], None
+    for step in range(evaluations):
+        design = from_unit_cube(rng.random(7))
+        objectives, report, _ = evaluator.evaluate(design)
+        point = ObjectivePoint(
+            objectives=objectives,
+            feasible=report.feasible,
+            penalty=0.0 if report.feasible else report.penalty,
+            payload=DesignPayload(id=f"rs-{step}", design=design),
+        )
+        if point.feasible:
+            feasible.append(point)
+        elif best_infeasible is None or point.penalty < best_infeasible.penalty:
+            best_infeasible = point
+    if not feasible:
+        return [] if best_infeasible is None else [best_infeasible]
+    return [feasible[i] for i in _first_front(feasible)]

@@ -6,7 +6,7 @@ import pytest
 
 from hpmropt.anchors import ANCHOR_RECORDS, anchor_by_name
 from hpmropt.cli import main
-from hpmropt.design_space import NOMINAL_DESIGN, write_design_file
+from hpmropt.design_space import NOMINAL_DESIGN, from_unit_cube, write_design_file
 
 
 @pytest.fixture
@@ -100,6 +100,107 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert code == 2
         assert key in captured.err
+        assert captured.out == ""
+
+    @staticmethod
+    def scenario_file(tmp_path, **sections):
+        from importlib import resources
+
+        config = json.loads(resources.files("hpmropt.data")
+                            .joinpath("scenario-3.json").read_text())
+        config.update(sections)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    @pytest.mark.parametrize("changes, key", [
+        # a NaN at_most limit was never violated (phi=0 ... ok, exit 0), and
+        # infinite limits and a NaN weight passed unchecked too
+        ({"limit": float("nan")}, "limit"),
+        ({"limit": float("inf")}, "limit"),
+        ({"limit": float("-inf")}, "limit"),
+        ({"limit": "0.025"}, "limit"),
+        ({"limit": True}, "limit"),
+        ({"weight": float("nan")}, "weight"),
+        ({"weight": float("inf")}, "weight"),
+        ({"weight": 0}, "weight"),
+        ({"weight": -1.0}, "weight"),
+        ({"weight": None}, "weight"),
+        # rejected before as an evaluation error (exit 3) or an error (exit 1)
+        ({"kind": "equals"}, "kind"),
+        ({"limit": 0.0}, "limit"),
+    ])
+    def test_bad_constraint_record_is_config_error(self, tmp_path, nominal_file, capsys,
+                                                   changes, key):
+        records = [{"name": "peak-heat-flux", "qoi": "q_max", "kind": "at_most",
+                    "limit": 0.025, "weight": 10000.0, **changes}]
+        scenario = self.scenario_file(tmp_path, constraints=records)
+        code = main(["evaluate", nominal_file, "--scenario", scenario])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert key in captured.err and "peak-heat-flux" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("limit", [
+        [6.0, float("nan")], [float("-inf"), 10.4], [6.0, 10.4, 12.0], [6.0], 6.0,
+        [10.4, 6.0], [0.0, 10.4],
+    ])
+    def test_bad_range_limit_is_config_error(self, tmp_path, nominal_file, capsys, limit):
+        records = [{"name": "fuel-lifetime", "qoi": "lifetime", "kind": "range",
+                    "limit": limit}]
+        scenario = self.scenario_file(tmp_path, constraints=records)
+        code = main(["evaluate", nominal_file, "--scenario", scenario])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "limit" in captured.err and "fuel-lifetime" in captured.err
+
+    @pytest.mark.parametrize("proxy, key", [
+        # a raw TypeError from ProxyModelConfig.__init__ (exit 1)
+        ({"bogus": 1.0}, "bogus"),
+        # printed burnup nan (exit 0)
+        ({"thermal_power_mw": float("nan")}, "thermal_power_mw"),
+        # an evaluation error (exit 3)
+        ({"thermal_power_mw": -1}, "thermal_power_mw"),
+        ({"heat_flux_k": 0}, "heat_flux_k"),
+        ({"uranium_mass_coeff": float("inf")}, "uranium_mass_coeff"),
+        ({"power_density_scale": "x"}, "power_density_scale"),
+        ({"anchors": {"lifetime": float("nan")}}, "anchors.lifetime"),
+        ({"betas": {"f_dh": [0.1, 0.0, 0.0, 0.2, 0.0, 0.1, float("inf")]}}, "betas.f_dh"),
+        ({"betas": 3}, "betas"),
+    ])
+    def test_bad_proxy_section_is_config_error(self, tmp_path, nominal_file, capsys,
+                                               proxy, key):
+        scenario = self.scenario_file(tmp_path, proxy=proxy)
+        code = main(["evaluate", nominal_file, "--scenario", scenario])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert key in captured.err
+        assert captured.out == ""
+
+    def test_proxy_override_still_applies(self, tmp_path, nominal_file, capsys):
+        scenario = self.scenario_file(tmp_path, proxy={"thermal_power_mw": 4.0})
+        assert main(["evaluate", nominal_file, "--scenario", scenario]) == 0
+        assert "19.4" in capsys.readouterr().out    # burnup doubled from 9.72
+
+    def test_degenerate_sample_table_is_table_error(self, tmp_path, nominal_file, capsys):
+        # twelve sites with one unit-cube coordinate fixed lie on a
+        # hyperplane; the RBF's linear tail raised a raw LinAlgError (exit 1)
+        rng = np.random.default_rng(4)
+        header = "x_ca,x_b10,x_fh,x_pp,x_e,x_cr,x_mr,lifetime,sdm,f_dh,q_max"
+        rows = [header]
+        for u in rng.random((12, 7)):
+            u[2] = 0.5
+            d = from_unit_cube(u)
+            rows.append(",".join(map(repr, [
+                d.x_ca, d.x_b10, d.x_fh, d.x_pp, d.x_e, d.x_cr, d.x_mr,
+                rng.uniform(6, 10), -rng.uniform(6000, 8000), rng.uniform(1.3, 1.6),
+                rng.uniform(0.015, 0.03)])))
+        table = tmp_path / "samples.csv"
+        table.write_text("\n".join(rows) + "\n")
+        code = main(["evaluate", nominal_file, "--evaluator", f"tabular:{table}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "rank 7 of 8" in captured.err
         assert captured.out == ""
 
 

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import math
+import struct
 import time
 
 import numpy as np
 import pytest
 
 from hpmropt.anchors import NOMINAL_ANCHOR
-from hpmropt.design_space import NOMINAL_DESIGN
+from hpmropt.design_space import NOMINAL_DESIGN, from_unit_cube
 from hpmropt.economics import (
     CashFlowSchedule,
     CostScenario,
@@ -20,7 +22,7 @@ from hpmropt.economics import (
 from hpmropt.environment import DesignEvaluator
 from hpmropt.errors import ConfigError, ContractError
 
-from oracles import fuel_counts_oracle, fuel_row_oracle
+from oracles import fuel_counts_oracle, fuel_row_oracle, ledger_lcoe_oracle, ledger_oracle
 
 
 def flat_schedule(costs, category="capital"):
@@ -174,6 +176,15 @@ class TestFuelPurchases:
         assert np.array_equal(fuel, counts * cost)
         np.testing.assert_allclose(fuel, fuel_row_oracle(interval, 60, cost), rtol=1e-12)
 
+    def test_divisor_lifetimes_and_their_neighbours_equal_batch_walk(self):
+        # at 60 / k a batch product can land exactly on a year or on the
+        # plant life; one ulp either side moves it across
+        for k in range(6, 300):
+            for lifetime in (60 / k, math.nextafter(60 / k, 0.0), math.nextafter(60 / k, 99.0)):
+                fuel, interval, cost = fuel_row(lifetime, 1.0)
+                counts = np.array(fuel_counts_oracle(interval, 60), dtype=float)
+                assert np.array_equal(fuel, counts * cost), lifetime
+
     def test_clamped_lifetime_is_bounded(self):
         # 1e-6 y is the tabular evaluator's lifetime clamp: 6e7 batches,
         # which a batch-by-batch walk takes about half a minute to place
@@ -226,6 +237,131 @@ class TestSchedule:
         factors[:] = 0.0
         assert econ.discount_factors()[0] == 1.0
         assert lcoe(schedule, econ) == before
+
+
+def _bytes(value):
+    return struct.pack("<d", value)
+
+
+def _outcome(function, *args):
+    """The LCOE bytes, or the ContractError message, of one computation."""
+    try:
+        return _bytes(function(*args))
+    except ContractError as exc:
+        return str(exc)
+
+
+def package_lcoe(design, qoi, scenario, econ=None):
+    econ = econ or scenario.econ
+    return lcoe(build_cash_flows(design, qoi, scenario, econ), econ)
+
+
+def _random_cases(scenario, count, seed):
+    """(design, QoI) pairs of random designs under the proxy."""
+    evaluator = DesignEvaluator(scenario)
+    rng = np.random.default_rng(seed)
+    designs = [from_unit_cube(rng.random(7)) for _ in range(count)]
+    return [(design, evaluator.qoi(design)) for design in designs]
+
+
+class TestLcoeMatchesLedgerOracle:
+    """``build_cash_flows`` sums each year directly and builds no ledger;
+    its LCOE must equal the ledger-filling oracle's byte for byte, and a
+    negative flow must name the oracle's category."""
+
+    def assert_same(self, cases, scenario, econ=None):
+        for design, qoi in cases:
+            want = _outcome(ledger_lcoe_oracle, design, qoi, scenario, econ)
+            got = _outcome(package_lcoe, design, qoi, scenario, econ)
+            assert got == want, (design, qoi.lifetime)
+
+    @pytest.mark.parametrize("name", ["scenario-1", "scenario-2", "scenario-3"])
+    def test_random_designs_on_each_preset(self, name):
+        scenario = load_scenario(name)
+        self.assert_same(_random_cases(scenario, 400, seed=11), scenario)
+
+    def test_lifetimes_from_a_thousandth_to_twenty_years(self):
+        scenario = load_scenario("scenario-3")
+        rng = np.random.default_rng(12)
+        lifetimes = [float(x) for x in 10.0 ** rng.uniform(-3.0, math.log10(20.0), 300)]
+        lifetimes += [1e-3, 20.0, 10.0, 10.4, 1.0, 60 / 7, 6.0, 6.99]
+        cases = [(design, dataclasses.replace(qoi, lifetime=lifetime))
+                 for (design, qoi), lifetime in zip(
+                     _random_cases(scenario, len(lifetimes), seed=13), lifetimes)]
+        self.assert_same(cases, scenario)
+
+    @pytest.mark.parametrize("overrides", [
+        {"fuel_price_per_kgu": 0.0},
+        {"fuel_price_per_kgu": -0.0, "annual_om": -0.0},
+        {"annual_om": 0.0, "fixed_direct_capital": 0.0},
+        {"axial_reflector_price_per_kg": 0.0, "drum_reflector_price_per_kg": 0.0,
+         "absorber_price_per_kg": 0.0, "fuel_price_per_kgu": 0.0,
+         "fixed_direct_capital": 0.0, "annual_om": 0.0},
+        {"axial_reflector_price_per_kg": -0.0, "drum_reflector_price_per_kg": -0.0,
+         "absorber_price_per_kg": -0.0, "fuel_price_per_kgu": -0.0,
+         "fixed_direct_capital": -0.0, "annual_om": -0.0},
+        {"replacement_fraction": 0.0},
+        {"replacement_fraction": -0.0},
+        {"replacement_fraction": 0.35},
+    ])
+    def test_zero_prices_and_replacement_fractions(self, overrides):
+        scenario = dataclasses.replace(load_scenario("scenario-2"), **overrides)
+        self.assert_same(_random_cases(scenario, 150, seed=14), scenario)
+
+    @pytest.mark.parametrize("econ", [
+        EconParams(plant_life_years=1, replacement_period_years=1),
+        EconParams(plant_life_years=7, replacement_period_years=10),
+        EconParams(plant_life_years=30, replacement_period_years=3, discount_rate=0.0),
+    ])
+    def test_other_plant_lives(self, econ):
+        scenario = load_scenario("scenario-1")
+        self.assert_same(_random_cases(scenario, 100, seed=15), scenario, econ)
+
+    def test_nan_flows_pass(self):
+        scenario = load_scenario("scenario-3")
+        design, qoi = _random_cases(scenario, 1, seed=16)[0]
+        qoi = dataclasses.replace(qoi, uranium_mass=float("nan"))
+        want = ledger_lcoe_oracle(design, qoi, scenario)
+        got = package_lcoe(design, qoi, scenario)
+        assert math.isnan(got) and _bytes(got) == _bytes(want)
+        schedule = build_cash_flows(design, qoi, scenario)
+        assert np.isnan(schedule.flows["fuel"][0])
+
+    @pytest.mark.parametrize("overrides, qoi_overrides, category", [
+        ({}, {"uranium_mass": -1.0}, "fuel"),
+        ({"axial_reflector_kg_per_cm": -1.0}, {}, "reflector"),
+        ({"replacement_fraction": -0.5}, {}, "reflector"),
+        ({"b10_premium_slope": -1e6}, {}, "reactivity_control"),
+        ({"drum_reflector_total_kg": -5000.0}, {"uranium_mass": float("nan")},
+         "reactivity_control"),
+        ({"axial_reflector_kg_per_cm": -1.0}, {"uranium_mass": -1.0}, "fuel"),
+        ({"replacement_fraction": -0.5}, {"uranium_mass": float("nan")}, "reflector"),
+    ])
+    def test_negative_flows_name_the_same_first_category(self, overrides,
+                                                         qoi_overrides, category):
+        scenario = dataclasses.replace(load_scenario("scenario-1"), **overrides)
+        design, qoi = _random_cases(scenario, 1, seed=17)[0]
+        qoi = dataclasses.replace(qoi, **qoi_overrides)
+        message = f"category {category}: negative flow"
+        with pytest.raises(ContractError, match=message):
+            ledger_lcoe_oracle(design, qoi, scenario)
+        with pytest.raises(ContractError, match=message):
+            build_cash_flows(design, qoi, scenario)
+
+    def test_negative_fraction_without_a_replacement_year_passes(self):
+        # a plant life within one replacement period re-buys no equipment
+        scenario = dataclasses.replace(load_scenario("scenario-1"), replacement_fraction=-1.0)
+        econ = EconParams(plant_life_years=10, replacement_period_years=10)
+        self.assert_same(_random_cases(scenario, 20, seed=18), scenario, econ)
+
+    def test_lazy_ledger_equals_the_oracle_ledger(self):
+        for name in ("scenario-1", "scenario-3"):
+            scenario = load_scenario(name)
+            for design, qoi in _random_cases(scenario, 100, seed=19):
+                schedule = build_cash_flows(design, qoi, scenario)
+                want = ledger_oracle(design, qoi, scenario)
+                assert np.array_equal(schedule.ledger, want)
+                assert np.array_equal(schedule.total_by_year, want.sum(axis=0))
 
 
 class TestCostBreakdown:

@@ -213,6 +213,21 @@ class TestSampleTable:
         with pytest.raises(TableLoadError):
             SampleTable([NOMINAL_DESIGN, NOMINAL_DESIGN], qois)
 
+    def test_sites_on_a_hyperplane_rejected_naming_the_rank(self):
+        # twelve rows pick the linear tail, which needs [1, sites] of full
+        # column rank 8; one coordinate fixed at 0.5 leaves rank 7, and the
+        # RBF raised a raw LinAlgError
+        rng = np.random.default_rng(21)
+        sites = rng.random((12, 7))
+        sites[:, 3] = 0.5
+        qois = np.column_stack([rng.uniform(6, 10, 12), -rng.uniform(6000, 8000, 12),
+                                rng.uniform(1.3, 1.6, 12), rng.uniform(0.015, 0.03, 12)])
+        with pytest.raises(TableLoadError, match="rank 7 of 8"):
+            SampleTable([from_unit_cube(u) for u in sites], qois)
+        # off the hyperplane the same rows load
+        sites[:, 3] = rng.random(12)
+        SampleTable([from_unit_cube(u) for u in sites], qois)
+
     def test_single_row_rejected(self):
         with pytest.raises(TableLoadError):
             SampleTable([NOMINAL_DESIGN], np.array([[4.0, -6000.0, 1.2, 0.02]]))

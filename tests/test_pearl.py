@@ -6,7 +6,9 @@ from scipy import integrate, stats
 
 from hpmropt.constraints import ConstraintReport, ConstraintRow
 from hpmropt.design_space import from_unit_cube
-from hpmropt.errors import ConfigError
+from hpmropt.economics import load_scenario
+from hpmropt.environment import DesignEvaluator
+from hpmropt.errors import ConfigError, ContractError
 from hpmropt.metrics import default_reference, hypervolume_2d, nondominated_filter
 from hpmropt import pearl
 from hpmropt.pareto import ObjectivePoint, ParetoBuffer
@@ -32,6 +34,7 @@ from hpmropt.pearl import (
 )
 
 from conftest import AlwaysFeasibleEvaluator, ToyEvaluator
+from oracles import random_search_oracle
 
 
 def small_config(**overrides):
@@ -628,6 +631,59 @@ def test_random_search_returns_nondominated_feasible(toy_env):
     assert all(p.feasible for p in front)
     objs = np.vstack([p.objectives for p in front])
     assert len(nondominated_filter(objs)) == len(objs)
+
+
+class ScriptedEvaluator:
+    """Returns scripted (objectives, penalty) pairs in turn; a penalty of 0
+    is a feasible design."""
+
+    def __init__(self, script):
+        self.script = iter(script)
+
+    def evaluate(self, design):
+        objectives, penalty = next(self.script)
+        return objectives, report_with_penalty(penalty), None
+
+
+class TestRandomSearchBuildsOnlyKeptPoints:
+    """Random search builds a point only for a design it may keep; its
+    result must equal the eager search that builds one for every design."""
+
+    @staticmethod
+    def as_rows(front):
+        return [(p.objectives.tobytes(), p.feasible, p.penalty, p.payload.id,
+                 p.payload.design) for p in front]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_eager_search_on_scenario_3(self, seed):
+        evaluator = DesignEvaluator(load_scenario("scenario-3"))
+        want = random_search_oracle(evaluator, 3000, seed=seed)
+        got = random_search(evaluator, 3000, seed=seed)
+        assert len(got) > 1
+        assert self.as_rows(got) == self.as_rows(want)
+
+    def test_all_infeasible_keeps_the_least_penalty(self):
+        script = [(np.array([1.0, 1.0]), p) for p in (5.0, 3.0, 4.0, 3.0, 7.0)]
+        front = random_search(ScriptedEvaluator(script), len(script))
+        want = random_search_oracle(ScriptedEvaluator(script), len(script))
+        assert self.as_rows(front) == self.as_rows(want)
+        assert [p.payload.id for p in front] == ["rs-1"]
+
+    @pytest.mark.parametrize("bad", [
+        (np.array([np.nan, 1.0]), 9.0),        # NaN objectives, not an improvement
+        (np.array([1.0, np.inf]), 9.0),
+        (np.array([1.0, 2.0]), float("nan")),  # NaN penalty
+        (np.array([1.0, 2.0]), -1.0),
+        (np.array([[1.0, 2.0]]), 9.0),          # not 1-D
+    ])
+    def test_discarded_designs_are_still_checked(self, bad):
+        # the bad design follows a feasible design and an infeasible one of
+        # penalty 2, so unless its penalty is lower no point of it is kept
+        script = [(np.array([1.0, 1.0]), 0.0), (np.array([1.0, 1.0]), 2.0), bad]
+        with pytest.raises(ContractError):
+            random_search_oracle(ScriptedEvaluator(script), 3)
+        with pytest.raises(ContractError):
+            random_search(ScriptedEvaluator(script), 3)
 
 
 def test_merge_fronts_dedupes_exact_duplicates():
