@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConfigError, ContractError, NormalizationError, _is_number
 
 DEFAULT_WEIGHT = 10_000.0
 
 KINDS = ("at_most", "at_least", "range")
+
+# The quantities a scenario file's constraint may name: the fields of
+# ``environment.QoIVector``, which asserts that the two agree.
+QOI_NAMES = ("lifetime", "sdm", "f_dh", "q_max", "q_avg", "uranium_mass",
+             "u235_mass", "burnup", "power_density", "lcoe", "itc", "extrapolated")
 
 
 @dataclass(frozen=True)
@@ -93,15 +99,56 @@ class ConstraintReport:
         return all(row.satisfied for row in self.rows)
 
 
+class _EvaluatedReport(ConstraintReport):
+    """The report ``evaluate_constraints`` returns: its penalty and
+    feasibility as the loop summed them, and its rows built from the same
+    values on first read (``hpmropt evaluate``, ``repr``, ``==``).  It
+    prints and compares as the ``ConstraintReport`` of those rows."""
+
+    def __init__(self, specs, values: list, phis: list, penalty: float,
+                 feasible: bool):
+        self._specs = specs
+        self._values = values
+        self._phis = phis
+        self._penalty = penalty
+        self._feasible = feasible
+
+    @cached_property
+    def rows(self) -> list:
+        return [ConstraintRow(spec.name, value, p, spec.weight * p, p == 0.0)
+                for spec, value, p in zip(self._specs, self._values, self._phis)]
+
+    @property
+    def penalty(self) -> float:
+        return self._penalty
+
+    @property
+    def feasible(self) -> bool:
+        return self._feasible
+
+    def __repr__(self) -> str:
+        return f"ConstraintReport(rows={self.rows!r})"
+
+    def __eq__(self, other):
+        if isinstance(other, ConstraintReport):
+            return self.rows == other.rows
+        return NotImplemented
+
+
 def evaluate_constraints(specs, qoi) -> ConstraintReport:
     """Evaluate every constraint against a QoI bundle.
 
     ``qoi`` may be any object exposing the constrained quantities as
     attributes (or a mapping).  A missing quantity is a contract error
-    naming the constraint.
+    naming the constraint.  The penalty is summed in constraint order from
+    0, as ``ConstraintReport.penalty`` sums its rows; the rows themselves
+    are built only when read.
     """
     mapping = isinstance(qoi, dict)
-    rows = []
+    if type(specs) is not tuple:
+        specs = tuple(specs)   # kept for the rows, so fixed now
+    values, phis = [], []
+    penalty, feasible = 0, True
     for spec in specs:
         if mapping:
             if spec.qoi not in qoi:
@@ -118,8 +165,11 @@ def evaluate_constraints(specs, qoi) -> ConstraintReport:
             raise ContractError(f"constraint {spec.name}: QoI {spec.qoi!r} not set")
         value = float(value)
         p = phi(spec, value)
-        rows.append(ConstraintRow(spec.name, value, p, spec.weight * p, p == 0.0))
-    return ConstraintReport(rows)
+        values.append(value)
+        phis.append(p)
+        penalty += spec.weight * p
+        feasible = feasible and p == 0.0
+    return _EvaluatedReport(specs, values, phis, penalty, feasible)
 
 
 def default_constraints() -> list[ConstraintSpec]:
@@ -137,14 +187,17 @@ def default_constraints() -> list[ConstraintSpec]:
 def constraints_from_config(records) -> list[ConstraintSpec]:
     """Build a constraint set from scenario-file records.
 
-    A ``limit`` must be a finite number, or a pair of finite numbers for a
-    range, and a ``weight`` a finite positive number.  Those, and every
-    record ``ConstraintSpec`` rejects, raise ``ConfigError`` naming the
-    constraint and the key.
+    A ``qoi`` must be one of ``QOI_NAMES``, a ``limit`` a finite number, or
+    a pair of finite numbers for a range, and a ``weight`` a finite positive
+    number.  Those, and every record ``ConstraintSpec`` rejects, raise
+    ``ConfigError`` naming the constraint and the key.
     """
     specs = []
     for rec in records:
         name, kind, limit = rec["name"], rec["kind"], rec["limit"]
+        if rec["qoi"] not in QOI_NAMES:
+            raise ConfigError(f"constraint {name}: qoi must be one of "
+                              f"{', '.join(QOI_NAMES)}; got {rec['qoi']!r}")
         if kind == "range":
             if not (isinstance(limit, (list, tuple)) and len(limit) == 2
                     and all(map(_is_number, limit))):

@@ -41,9 +41,9 @@ STATIC_BOUNDS = {
 
 PIN_PITCH_BOUNDS = STATIC_BOUNDS["x_pp"]
 
-# (lower bound, width) of the five uncoupled variables, in field order, for
-# the unit-cube maps
-_STATIC_SPANS = tuple((lo, hi - lo) for lo, hi in STATIC_BOUNDS.values())
+# (lower bound, upper bound, width) of the five uncoupled variables, in
+# field order, for the bound checks and the unit-cube maps
+_STATIC_SPANS = tuple((lo, hi, hi - lo) for lo, hi in STATIC_BOUNDS.values())
 
 
 @dataclass(frozen=True)
@@ -112,19 +112,27 @@ class DesignBounds:
         return lo, hi
 
 
+def _check_pitch(x_pp: float) -> None:
+    lo, hi = PIN_PITCH_BOUNDS
+    if not (lo <= x_pp <= hi):
+        raise BoundsDomainError(f"x_pp={x_pp} outside [{lo}, {hi}]")
+
+
+def _coupled_bounds(x_pp: float):
+    """``(cr_lo, cr_hi, mr_lo, mr_hi)`` at pin pitch x_pp, unchecked."""
+    span = x_pp - 2.0 * MODERATOR_GAP_CM
+    return x_pp / 4.0, x_pp / 2.0, span / 5.0, span / 2.0
+
+
 def resolve_bounds(x_pp: float):
     """Coupled (lower, upper) intervals for x_cr and x_mr at pin pitch x_pp.
 
     Returns ``((cr_lo, cr_hi), (mr_lo, mr_hi))``.  Raises BoundsDomainError
     when x_pp lies outside its static bounds.
     """
-    lo, hi = PIN_PITCH_BOUNDS
-    if not (lo <= x_pp <= hi):
-        raise BoundsDomainError(f"x_pp={x_pp} outside [{lo}, {hi}]")
-    cr = (x_pp / 4.0, x_pp / 2.0)
-    span = x_pp - 2.0 * MODERATOR_GAP_CM
-    mr = (span / 5.0, span / 2.0)
-    return cr, mr
+    _check_pitch(x_pp)
+    cr_lo, cr_hi, mr_lo, mr_hi = _coupled_bounds(x_pp)
+    return (cr_lo, cr_hi), (mr_lo, mr_hi)
 
 
 def bounds_for(x_pp: float) -> DesignBounds:
@@ -171,36 +179,78 @@ def is_valid(design: DesignVector) -> bool:
     return not validate(design)
 
 
+_new = object.__new__
+_set = object.__setattr__
+_FLOAT64 = np.dtype(float)
+
+
 def from_unit_cube(u) -> DesignVector:
     """Decode a point of [0, 1]^7 into an admissible design.
 
     The pin pitch is decoded before the two radii so their coupled bounds
     are always consistent; every decoded design passes ``validate``.
     """
-    u = np.asarray(u, dtype=float)
+    if type(u) is not np.ndarray or u.dtype is not _FLOAT64:
+        u = np.asarray(u, dtype=float)
     if u.shape != (7,):
         raise DecodeError(f"expected 7 coordinates, got shape {u.shape}")
     values = u.tolist()
+    v_ca, v_b10, v_fh, v_pp, v_e, v_cr, v_mr = values
     # a chained comparison is False for NaN, so this also rejects NaN and inf
-    if not all(0.0 <= v <= 1.0 for v in values):
+    if not (0.0 <= v_ca <= 1.0 and 0.0 <= v_b10 <= 1.0 and 0.0 <= v_fh <= 1.0
+            and 0.0 <= v_pp <= 1.0 and 0.0 <= v_e <= 1.0 and 0.0 <= v_cr <= 1.0
+            and 0.0 <= v_mr <= 1.0):
         raise DecodeError(f"coordinates outside [0, 1]: {values}")
-    x_ca, x_b10, x_fh, x_pp, x_e = [lo + v * span
-                                    for v, (lo, span) in zip(values, _STATIC_SPANS)]
-    (cr_lo, cr_hi), (mr_lo, mr_hi) = resolve_bounds(x_pp)
-    return DesignVector(x_ca, x_b10, x_fh, x_pp, x_e,
-                        cr_lo + values[5] * (cr_hi - cr_lo),
-                        mr_lo + values[6] * (mr_hi - mr_lo))
+    ((ca, _, ca_span), (b10, _, b10_span), (fh, _, fh_span), (pp, _, pp_span),
+     (e, _, e_span)) = _STATIC_SPANS
+    # lo + v * span never leaves [lo, hi] (asserted at the end of the
+    # module), so the pitch needs no domain check here
+    x_pp = pp + v_pp * pp_span
+    cr_lo, cr_hi, mr_lo, mr_hi = _coupled_bounds(x_pp)
+    # the stores the frozen dataclass's __init__ makes, without its call;
+    # filling design.__dict__ instead would be faster to build, but it
+    # turns the instance's inline attribute values into a full dict: about
+    # twice the memory per design and slower attribute reads
+    design = _new(DesignVector)
+    _set(design, "x_ca", ca + v_ca * ca_span)
+    _set(design, "x_b10", b10 + v_b10 * b10_span)
+    _set(design, "x_fh", fh + v_fh * fh_span)
+    _set(design, "x_pp", x_pp)
+    _set(design, "x_e", e + v_e * e_span)
+    _set(design, "x_cr", cr_lo + v_cr * (cr_hi - cr_lo))
+    _set(design, "x_mr", mr_lo + v_mr * (mr_hi - mr_lo))
+    return design
+
+
+def _unit_cube_image(design: DesignVector, checked: bool = True):
+    """The unit-cube image of ``design`` as a list, from one set of coupled
+    bounds.
+
+    When ``checked``, None unless the design meets every bound ``validate``
+    checks, by the same comparisons, so a NaN or inf field fails them too.
+    Unchecked, the pitch must lie within its bounds.
+    """
+    x_ca, x_b10, x_fh, x_pp, x_e, x_cr, x_mr = (
+        design.x_ca, design.x_b10, design.x_fh, design.x_pp, design.x_e,
+        design.x_cr, design.x_mr)
+    ((ca, ca_hi, ca_span), (b10, b10_hi, b10_span), (fh, fh_hi, fh_span),
+     (pp, pp_hi, pp_span), (e, e_hi, e_span)) = _STATIC_SPANS
+    if checked and not (ca <= x_ca <= ca_hi and b10 <= x_b10 <= b10_hi
+                        and fh <= x_fh <= fh_hi and pp <= x_pp <= pp_hi
+                        and e <= x_e <= e_hi):
+        return None
+    cr_lo, cr_hi, mr_lo, mr_hi = _coupled_bounds(x_pp)
+    if checked and not (cr_lo <= x_cr <= cr_hi and mr_lo <= x_mr <= mr_hi):
+        return None
+    return [(x_ca - ca) / ca_span, (x_b10 - b10) / b10_span, (x_fh - fh) / fh_span,
+            (x_pp - pp) / pp_span, (x_e - e) / e_span,
+            (x_cr - cr_lo) / (cr_hi - cr_lo), (x_mr - mr_lo) / (mr_hi - mr_lo)]
 
 
 def to_unit_cube(design: DesignVector) -> np.ndarray:
     """Inverse of ``from_unit_cube`` for an admissible design."""
-    z = [(x - lo) / span for x, (lo, span) in zip(
-        (design.x_ca, design.x_b10, design.x_fh, design.x_pp, design.x_e),
-        _STATIC_SPANS)]
-    (cr_lo, cr_hi), (mr_lo, mr_hi) = resolve_bounds(design.x_pp)
-    z.append((design.x_cr - cr_lo) / (cr_hi - cr_lo))
-    z.append((design.x_mr - mr_lo) / (mr_hi - mr_lo))
-    return np.array(z, dtype=float)
+    _check_pitch(design.x_pp)
+    return np.array(_unit_cube_image(design, checked=False), dtype=float)
 
 
 def write_design_file(design: DesignVector, path) -> None:
@@ -237,3 +287,6 @@ def read_design_file(path) -> DesignVector:
 assert FIELD_NAMES == tuple(f.name for f in fields(DesignVector))
 # the unit-cube maps walk STATIC_BOUNDS in field order
 assert tuple(STATIC_BOUNDS) == FIELD_NAMES[:5]
+# lo + v * width rounds monotonically in v, so for v in [0, 1] a decoded
+# static variable stays within [lo, lo + width], and so within [lo, hi]
+assert all(lo + width <= hi for lo, hi, width in _STATIC_SPANS)

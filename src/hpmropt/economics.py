@@ -231,10 +231,24 @@ def _buy_fuel(row, interval: float, n: int, batch_cost: float) -> None:
     same float product k * interval, so the work is O(n) for any interval.
     A year buying one batch adds the batch cost itself, the same float as
     1 * batch_cost.
+
+    An interval of at least 1 + n * 2**-52 buys at most one batch a year,
+    so a plain loop adds one batch cost per batch.  For m = ceil(k *
+    interval) after rounding, the exact k * interval exceeds m - 1, so the
+    exact (k + 1) * interval exceeds m + n * 2**-52 >= m + ulp(m) for any
+    year m <= n, and rounds above m.
     """
+    ceil = math.ceil
     k, product = 0, 0.0   # product is k * interval
+    if interval >= 1.0 + n * 2.0**-52:
+        while product < n:
+            year = ceil(product)
+            row[year] = batch_cost + row[year]
+            k += 1
+            product = k * interval
+        return
     while product < n:
-        year = math.ceil(product)
+        year = ceil(product)
         k += 1
         product = k * interval
         if product <= year:
@@ -322,7 +336,8 @@ def lcoe(schedule: CashFlowSchedule, econ: EconParams) -> float:
     disc = econ._discount
     if len(disc) != len(schedule.years):
         raise ContractError("schedule span does not match plant life")
-    numerator = float(schedule.total_by_year @ disc)
+    # ndarray.dot: the same BLAS ddot as `@`, without the matmul dispatch
+    numerator = float(schedule.total_by_year.dot(disc))
     return numerator / econ._discounted_energy
 
 

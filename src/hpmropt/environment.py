@@ -16,11 +16,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .constraints import ConstraintReport, evaluate_constraints
+from .constraints import QOI_NAMES, ConstraintReport, evaluate_constraints
 from .design_space import (
     FIELD_NAMES,
     NOMINAL_DESIGN,
     DesignVector,
+    _unit_cube_image,
     to_unit_cube,
     validate,
 )
@@ -61,6 +62,10 @@ class QoIVector:
     lcoe: float | None = None
     itc: float | None = None
     extrapolated: bool = False
+
+
+# a scenario's constraints are checked against QOI_NAMES when it loads
+assert QOI_NAMES == tuple(f.name for f in fields(QoIVector))
 
 
 def avg_heat_flux(x_cr: float, x_fh: float, k: float = HEAT_FLUX_K) -> float:
@@ -236,18 +241,23 @@ class ProxyModelConfig:
 def _proxy_values(dz: np.ndarray, q_avg: float, config):
     """(lifetime, sdm, f_dh, q_max) from a unit-cube offset to the nominal
     design; ``config`` is a calibrated ProxyModelConfig."""
+    # ndarray.dot reaches the same BLAS ddot as `@` without the matmul
+    # ufunc's dispatch
     anchors, betas = config.anchors, config.betas
-    lifetime = anchors["lifetime"] * float(np.exp(betas["lifetime"] @ dz))
-    sdm = -anchors["sdm_magnitude"] * float(np.exp(betas["sdm_magnitude"] @ dz))
-    f_dh = anchors["f_dh"] * float(np.exp(betas["f_dh"] @ dz))
-    q_max = q_avg * (1.0 + anchors["peaking"] * float(np.exp(betas["peaking"] @ dz)))
+    lifetime = anchors["lifetime"] * float(np.exp(betas["lifetime"].dot(dz)))
+    sdm = -anchors["sdm_magnitude"] * float(np.exp(betas["sdm_magnitude"].dot(dz)))
+    f_dh = anchors["f_dh"] * float(np.exp(betas["f_dh"].dot(dz)))
+    q_max = q_avg * (1.0 + anchors["peaking"] * float(np.exp(betas["peaking"].dot(dz))))
     return lifetime, sdm, f_dh, q_max
 
 
-def _require_valid(design: DesignVector) -> None:
-    problems = validate(design)
-    if problems:
-        raise EvaluationError("invalid design: " + "; ".join(problems))
+def _checked_image(design: DesignVector) -> list:
+    """The unit-cube image of an admissible design, as a list; for any other
+    design, an EvaluationError naming every violated bound."""
+    z = _unit_cube_image(design)
+    if z is None:
+        raise EvaluationError("invalid design: " + "; ".join(validate(design)))
+    return z
 
 
 def proxy_eval(design: DesignVector, config: ProxyModelConfig | None = None):
@@ -259,9 +269,9 @@ def proxy_eval(design: DesignVector, config: ProxyModelConfig | None = None):
     """
     config = config or ProxyModelConfig()
     config.require_calibrated()
-    _require_valid(design)
+    z = _checked_image(design)
     q_avg = avg_heat_flux(design.x_cr, design.x_fh, config.heat_flux_k)
-    return _proxy_values(to_unit_cube(design) - config.nominal_z, q_avg, config)
+    return _proxy_values(np.array(z) - config.nominal_z, q_avg, config)
 
 
 class SampleTable:
@@ -364,8 +374,7 @@ class SampleTable:
         return None
 
     def __call__(self, design: DesignVector):
-        _require_valid(design)
-        return self._query(to_unit_cube(design))
+        return self._query(np.array(_checked_image(design)))
 
     def _query(self, z: np.ndarray):
         values = self._rbf(z[None, :])[0]
@@ -409,13 +418,12 @@ class DesignEvaluator:
         self.constraints = scenario.constraints
 
     def qoi(self, design: DesignVector) -> QoIVector:
-        _require_valid(design)
-        return self._qoi(design)
+        return self._qoi(design, _checked_image(design))
 
-    def _qoi(self, design: DesignVector) -> QoIVector:
-        """QoI bundle of a design already known to be valid."""
+    def _qoi(self, design: DesignVector, image: list) -> QoIVector:
+        """QoI bundle of a valid design with unit-cube image ``image``."""
         cfg = self._proxy
-        z = to_unit_cube(design)
+        z = np.array(image)
         q_avg = avg_heat_flux(design.x_cr, design.x_fh, cfg.heat_flux_k)
         extrapolated = False
         itc = None
@@ -448,10 +456,10 @@ class DesignEvaluator:
 
     def evaluate(self, design: DesignVector):
         """Returns (objectives [lcoe, f_dh], ConstraintReport, QoIVector)."""
-        # build_cash_flows and lcoe are looked up as module globals on every
-        # call, so an instrument that rebinds them here sees each call
-        _require_valid(design)
-        qoi = self._qoi(design)
+        # build_cash_flows, lcoe and evaluate_constraints are looked up as
+        # module globals on every call, so an instrument that rebinds them
+        # here sees each call
+        qoi = self._qoi(design, _checked_image(design))
         econ = self.scenario.econ
         schedule = build_cash_flows(design, qoi, self.scenario, econ)
         qoi.lcoe = lcoe(schedule, econ)

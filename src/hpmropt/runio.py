@@ -29,6 +29,9 @@ STATUS_CLEAN = "clean"
 STATUS_PARTIAL = "partial"
 STATUS_FAILED = "failed"
 
+# the pearl.Incident kinds that stand for a failed evaluation
+_FAILED_EVALUATION = ("evaluation_failed", "non_finite_objectives")
+
 
 @dataclass
 class RunConfig:
@@ -131,7 +134,9 @@ def _write_json(path, payload) -> None:
 def run_optimize(config: RunConfig) -> dict:
     """Execute one experiment and populate its run directory.
 
-    Returns a summary dict with a status of clean / partial / failed.
+    Returns a summary dict with a status of clean / partial / failed.  A
+    PEARL run fails when no agent finished, or when its agents evaluated
+    designs and every evaluation failed.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,10 +159,15 @@ def run_optimize(config: RunConfig) -> dict:
             agent.buffer.export(out / f"buffer-agent{agent.seed}.tsv")
         write_incidents(out / "incidents.jsonl", result.agents)
         evaluations = sum(len(agent.history) for agent in result.agents)
+        # every evaluation that failed left an incident; the rest succeeded
+        failed_evaluations = sum(
+            incident.kind in _FAILED_EVALUATION for agent in result.agents
+            for incident in agent.incidents)
         failures = result.failures
         truncated = any(agent.truncated for agent in result.agents)
         status = (
             STATUS_FAILED if not result.agents
+            or (evaluations and failed_evaluations == evaluations)
             else STATUS_PARTIAL if failures or truncated
             else STATUS_CLEAN
         )

@@ -13,7 +13,9 @@ and leave the generator in the same state.  The cost engine is kept as
 it first ran too: a five-row ledger filled per design and reduced over its
 rows before the discounting product; the package's direct yearly totals
 must give the same LCOE bytes and reject the same first negative
-category.  Random search is kept building a point for every design.
+category.  The constraint report is kept as it first ran: one row record
+per constraint, the penalty summed over the rows and feasibility read from
+them.  Random search is kept building a point for every design.
 """
 
 import csv
@@ -22,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hpmropt.constraints import evaluate_constraints
+from hpmropt.constraints import ConstraintRow
 from hpmropt.design_space import (
     FIELD_NAMES,
     STATIC_BOUNDS,
@@ -339,11 +341,58 @@ def _unit_cube_oracle(design):
     return z
 
 
+def phi_oracle(spec, x):
+    """((x - c) / c)^2 on the violating side of the limit c, else 0."""
+    if not math.isfinite(x):
+        raise ContractError(f"{spec.name}: non-finite value {x}")
+    if spec.kind == "at_most":
+        c = spec.limit
+        return ((x - c) / c) ** 2 if x > c else 0.0
+    if spec.kind == "at_least":
+        c = spec.limit
+        return ((x - c) / c) ** 2 if x < c else 0.0
+    lo, hi = spec.limit
+    if x < lo:
+        return ((x - lo) / lo) ** 2
+    if x > hi:
+        return ((x - hi) / hi) ** 2
+    return 0.0
+
+
+class ReportOracle:
+    """A constraint report as the package first kept it: its rows, with the
+    penalty and feasibility computed from them on every read."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    @property
+    def penalty(self):
+        return sum(row.weighted_penalty for row in self.rows)
+
+    @property
+    def feasible(self):
+        return all(row.satisfied for row in self.rows)
+
+
+def constraints_oracle(specs, qoi):
+    """One ``ConstraintRow`` per constraint, built as the value is read."""
+    rows = []
+    for spec in specs:
+        value = getattr(qoi, spec.qoi)
+        if value is None:
+            raise ContractError(f"constraint {spec.name}: QoI {spec.qoi!r} not set")
+        value = float(value)
+        p = phi_oracle(spec, value)
+        rows.append(ConstraintRow(spec.name, value, p, spec.weight * p, p == 0.0))
+    return ReportOracle(rows)
+
+
 def evaluate_oracle(design, scenario, config=None):
     """Proxy evaluation the long way: validate, check the calibration, the
     proxy from a dict of scales, a dict of five yearly arrays filled one
     fuel batch at a time, fresh discount factors, and ``replace`` for the
-    cost.  Returns (objectives, ConstraintReport, QoIVector)."""
+    cost.  Returns (objectives, ReportOracle, QoIVector)."""
     if config is None:
         config = (ProxyModelConfig.from_config(scenario.proxy)
                   if scenario.proxy else ProxyModelConfig())
@@ -389,7 +438,7 @@ def evaluate_oracle(design, scenario, config=None):
     total = np.sum([flows[c] for c in flows], axis=0)
     cost = float(total @ disc) / float(econ.annual_energy_mwh * disc.sum())
     qoi = replace(qoi, lcoe=cost)
-    report = evaluate_constraints(scenario.constraints, qoi)
+    report = constraints_oracle(scenario.constraints, qoi)
     return np.array([qoi.lcoe, qoi.f_dh]), report, qoi
 
 

@@ -1,13 +1,17 @@
 """What the benchmark in ``perfbench/`` needs from the package: the names its
-probe wraps, report points built through ``metrics.FrontPoint``, and the
-payload fields of random-search points.  A rename that would break the
-benchmark fails here instead."""
+probe wraps, and sees called once per design, report points built through
+``metrics.FrontPoint``, and the payload fields of random-search points.  A
+rename that would break the benchmark, or a fused path that would hide a
+layer from its trace, fails here instead."""
 
 import csv
 import importlib
 from pathlib import Path
 
+import hpmropt.runio  # noqa: F401 - the probe wraps names in every traced module
 from hpmropt.design_space import FIELD_NAMES, NOMINAL_DESIGN
+from hpmropt.economics import load_scenario
+from hpmropt.environment import DesignEvaluator
 from hpmropt.metrics import FrontPoint, FrontReport, export_front
 from hpmropt.pearl import random_search
 
@@ -30,6 +34,18 @@ def test_traced_names_resolve():
             assert hasattr(owner, part), f"{layer}: hpmropt.{module_name}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), layer
+
+
+def test_probe_sees_each_evaluation_layer_once_per_design():
+    namespace = probe_namespace()
+    evaluator = DesignEvaluator(load_scenario("scenario-3"))
+    with namespace["Probe"](namespace["TRACED"]) as probe:
+        random_search(evaluator, 200, seed=1)
+    for layer in ("environment.evaluate", "design_space.from_unit_cube",
+                  "economics.build_cash_flows", "economics.lcoe",
+                  "constraints.evaluate_constraints"):
+        assert probe.count(layer) == 200, layer
+        assert probe.failures(layer) == 0, layer
 
 
 def test_front_point_exports(tmp_path):

@@ -129,6 +129,9 @@ class TestEvaluate:
         # rejected before as an evaluation error (exit 3) or an error (exit 1)
         ({"kind": "equals"}, "kind"),
         ({"limit": 0.0}, "limit"),
+        # loaded, then failed every evaluation (exit 3)
+        ({"qoi": "f_dhh"}, "qoi"),
+        ({"qoi": None}, "qoi"),
     ])
     def test_bad_constraint_record_is_config_error(self, tmp_path, nominal_file, capsys,
                                                    changes, key):
@@ -475,6 +478,44 @@ class TestOptimize:
         header = (faulty / "front.tsv").read_text().splitlines()[0]
         assert "incident" not in header
         assert "incident" not in (faulty / "manifest.json").read_text()
+
+    def test_misspelled_constraint_qoi_fails_at_load(self, tmp_path, capsys):
+        # the record loaded, then every evaluation failed: one incident per
+        # step, "status: clean" and exit 0
+        records = [*json.loads(Path(TestEvaluate.scenario_file(tmp_path))
+                               .read_text())["constraints"],
+                   {"name": "typo", "qoi": "f_dhh", "kind": "at_most", "limit": 1.5}]
+        scenario = TestEvaluate.scenario_file(tmp_path, constraints=records)
+        out_dir = tmp_path / "typo-run"
+        code = main(["optimize", "--scenario", scenario, "--optimizer", "pearl",
+                     "--agents", "2", "--steps", "256", "--seed", "1",
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "constraint typo" in captured.err and "qoi" in captured.err
+        assert "'f_dhh'" in captured.err
+        assert not (out_dir / "report.json").exists()
+
+    def test_run_with_no_successful_evaluation_fails(self, tmp_path, monkeypatch,
+                                                     capsys):
+        from hpmropt import runio
+
+        class Broken:
+            def evaluate(self, design):
+                raise RuntimeError("solver unavailable")
+
+        monkeypatch.setattr(runio, "build_evaluator", lambda config: Broken())
+        out_dir = tmp_path / "broken"
+        code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
+                     "--agents", "2", "--steps", "128", "--seed", "1",
+                     "--out", str(out_dir)])
+        assert code == 1
+        assert "status        : failed" in capsys.readouterr().out
+        summary = json.loads((out_dir / "report.json").read_text())
+        assert summary["status"] == "failed"
+        assert summary["evaluations"] == 128 and summary["front_size"] == 0
+        incidents = (out_dir / "incidents.jsonl").read_text().splitlines()
+        assert len(incidents) == 128
 
     def test_max_seconds_truncates_to_partial(self, tmp_path, capsys):
         out_dir = tmp_path / "budget"

@@ -1,8 +1,12 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpmropt.constraints import (
+    ConstraintReport,
+    ConstraintRow,
     ConstraintSpec,
     default_constraints,
     evaluate_constraints,
@@ -93,6 +97,40 @@ def test_feasible_iff_zero_penalty(values):
     qoi = dict(zip(("lifetime", "sdm", "f_dh", "q_max"), values))
     report = evaluate_constraints(default_constraints(), qoi)
     assert report.feasible == (report.penalty == 0.0)
+
+
+@pytest.mark.parametrize("specs, qoi", [
+    (default_constraints(), {"lifetime": 6.99, "sdm": -6725.0, "f_dh": 1.469,
+                             "q_max": 0.0188}),
+    (default_constraints(), {"lifetime": 11.0, "sdm": -4830.0, "f_dh": 1.6,
+                             "q_max": 0.03}),
+    ([], {}),
+])
+def test_report_reads_as_the_report_of_its_rows(specs, qoi):
+    report = evaluate_constraints(specs, qoi)
+    rows = [ConstraintRow(s.name, qoi[s.qoi], phi(s, qoi[s.qoi]),
+                          s.weight * phi(s, qoi[s.qoi]), phi(s, qoi[s.qoi]) == 0.0)
+            for s in specs]
+    built = ConstraintReport(rows=rows)
+    # read before and after the rows are built
+    assert repr(report.penalty) == repr(built.penalty)
+    assert report.feasible is built.feasible
+    assert report.rows == rows
+    assert repr(report.penalty) == repr(built.penalty)
+    assert report == built and built == report and not report != built
+    assert repr(report) == repr(built)
+    assert report != ConstraintReport(rows=[*rows, ConstraintRow("x", 0.0, 0.0, 0.0, True)])
+    assert pickle.loads(pickle.dumps(report)) == built
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+def test_report_keeps_the_specs_it_was_given():
+    specs = list(default_constraints())
+    report = evaluate_constraints(iter(specs), {
+        "lifetime": 6.99, "sdm": -6725.0, "f_dh": 1.469, "q_max": 0.0188})
+    specs.clear()
+    assert [row.name for row in report.rows] == [s.name for s in default_constraints()]
 
 
 def test_zero_limit_rejected():

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +130,47 @@ class TestFromUnitCube:
         for _ in range(50):
             u = rng.random(7)
             assert to_unit_cube(from_unit_cube(u)) == pytest.approx(u, abs=1e-12)
+
+    @pytest.mark.parametrize("u, same_as", [
+        ([0.25, 0.5, 0.75, 1.0, 0.0, 0.125, 0.875],
+         np.array([0.25, 0.5, 0.75, 1.0, 0.0, 0.125, 0.875])),
+        (np.array([0, 1, 0, 1, 1, 0, 1]), np.array([0.0, 1, 0, 1, 1, 0, 1])),
+        (np.arange(1, 8, dtype=np.float32) / 10,
+         (np.arange(1, 8, dtype=np.float32) / 10).astype(float)),
+        (np.full(7, 0.3, dtype=">f8"), np.full(7, 0.3)),
+    ])
+    def test_any_array_like_decodes_as_float64(self, u, same_as):
+        assert repr(from_unit_cube(u)) == repr(from_unit_cube(same_as))
+
+    @pytest.mark.parametrize("u, message", [
+        (np.full((1, 7), 0.5), "expected 7 coordinates, got shape (1, 7)"),
+        ([[0.5] * 7], "expected 7 coordinates, got shape (1, 7)"),
+        (np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.1], dtype=np.float32),
+         "coordinates outside [0, 1]: [0.10000000149011612, 0.20000000298023224, "
+         "0.30000001192092896, 0.4000000059604645, 0.5, 0.6000000238418579, "
+         "1.100000023841858]"),
+        ([0, 2, 0, 0, 0, 0, 0],
+         "coordinates outside [0, 1]: [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]"),
+        ([0.5] * 6 + [np.nan],
+         "coordinates outside [0, 1]: [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, nan]"),
+    ])
+    def test_decode_error_text(self, u, message):
+        with pytest.raises(DecodeError) as info:
+            from_unit_cube(u)
+        assert str(info.value) == message
+
+    def test_decoded_design_is_a_frozen_value(self):
+        d = from_unit_cube(np.array([0.1, 0.9, 0.3, 0.7, 0.5, 0.2, 0.8]))
+        fields = [getattr(d, f.name) for f in dataclasses.fields(d)]
+        built = DesignVector(*fields)
+        assert d == built and built == d
+        assert hash(d) == hash(built)
+        assert repr(d) == repr(built)
+        assert pickle.dumps(d) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(d)) == d
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.x_ca = 40.0
+        assert dataclasses.replace(d, x_ca=40.0).x_ca == 40.0
 
 
 def test_design_file_round_trip(tmp_path):

@@ -13,6 +13,7 @@ from hpmropt.economics import (
     CashFlowSchedule,
     CostScenario,
     EconParams,
+    _buy_fuel,
     build_cash_flows,
     cost_breakdown,
     lcoe,
@@ -184,6 +185,16 @@ class TestFuelPurchases:
                 fuel, interval, cost = fuel_row(lifetime, 1.0)
                 counts = np.array(fuel_counts_oracle(interval, 60), dtype=float)
                 assert np.array_equal(fuel, counts * cost), lifetime
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 1000])
+    def test_intervals_near_one_year_equal_batch_walk(self, n):
+        # from 1 + n * 2**-52 on, the walk buys at most one batch a year
+        # and the plain loop runs; below it, the counting loop
+        steps = {*range(21), *range(n - 2, n + 3), 2 * n}
+        for interval in sorted(1.0 + i * 2.0**-52 for i in steps if i >= 0):
+            row = np.zeros(n + 1)
+            _buy_fuel(memoryview(row), interval, n, 1.0)
+            assert row.tolist() == fuel_counts_oracle(interval, n), interval
 
     def test_clamped_lifetime_is_bounded(self):
         # 1e-6 y is the tabular evaluator's lifetime clamp: 6e7 batches,

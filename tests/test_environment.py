@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,16 @@ import pytest
 
 import hpmropt
 from hpmropt.anchors import ANCHOR_RECORDS, NOMINAL_ANCHOR
-from hpmropt.design_space import NOMINAL_DESIGN, DesignVector, from_unit_cube, to_unit_cube
+from hpmropt.design_space import (
+    FIELD_NAMES,
+    NOMINAL_DESIGN,
+    STATIC_BOUNDS,
+    DesignVector,
+    from_unit_cube,
+    resolve_bounds,
+    to_unit_cube,
+    validate,
+)
 from hpmropt.environment import (
     PROXY_BETA,
     DesignEvaluator,
@@ -390,8 +401,8 @@ class TestDesignEvaluator:
 
 class TestEvaluationPath:
     """``DesignEvaluator.evaluate`` against ``oracles.evaluate_oracle``,
-    which checks the calibration on every call and fills a dict of yearly
-    arrays one fuel batch at a time."""
+    which checks the calibration on every call, fills a dict of yearly
+    arrays one fuel batch at a time and sums the penalty over row records."""
 
     @pytest.mark.parametrize("scenario", ["scenario-1", "scenario-2", "scenario-3"])
     def test_matches_oracle_bit_for_bit(self, scenario):
@@ -404,6 +415,7 @@ class TestEvaluationPath:
             want = evaluate_oracle(design, evaluator.scenario)
             assert repr(got[0].tolist()) == repr(want[0].tolist()), u
             assert repr(got[1].penalty) == repr(want[1].penalty), u
+            assert got[1].feasible is want[1].feasible, u
             assert repr(got[1].rows) == repr(want[1].rows), u
             assert repr(got[2]) == repr(want[2]), u
 
@@ -435,6 +447,46 @@ class TestEvaluationPath:
         cfg.betas["f_dh"][0] = -0.5  # coating-angle coefficient must be positive
         with pytest.raises(EvaluationError):
             proxy_eval(NOMINAL_DESIGN, cfg)
+
+    @staticmethod
+    def bound_designs():
+        """(on the bound, one ulp outside it) for each side of each of the
+        seven bounds.  The other fields are nominal, but for a compact
+        radius that stays within its coupled bounds at either end of the
+        pitch range."""
+        base = dataclasses.replace(NOMINAL_DESIGN, x_cr=0.8)
+        (cr_lo, cr_hi), (mr_lo, mr_hi) = resolve_bounds(base.x_pp)
+        bounds = {**STATIC_BOUNDS, "x_cr": (cr_lo, cr_hi), "x_mr": (mr_lo, mr_hi)}
+        for name in FIELD_NAMES:
+            for edge, outward in zip(bounds[name], (-np.inf, np.inf)):
+                yield (dataclasses.replace(base, **{name: edge}),
+                       dataclasses.replace(base, **{name: math.nextafter(edge, outward)}))
+
+    def test_one_ulp_outside_a_bound_is_rejected_with_validates_message(self):
+        evaluator = DesignEvaluator(load_scenario("scenario-3"))
+        designs = list(self.bound_designs())
+        assert len(designs) == 14
+        for on_bound, outside in designs:
+            assert validate(on_bound) == []
+            evaluator.evaluate(on_bound)
+            problems = validate(outside)
+            assert len(problems) == 1
+            for call in (evaluator.evaluate, evaluator.qoi, proxy_eval):
+                with pytest.raises(EvaluationError) as info:
+                    call(outside)
+                assert str(info.value) == "invalid design: " + problems[0]
+
+    @pytest.mark.parametrize("name", FIELD_NAMES + ("all",))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_are_rejected(self, name, value):
+        evaluator = DesignEvaluator(load_scenario("scenario-3"))
+        names = FIELD_NAMES if name == "all" else (name,)
+        design = dataclasses.replace(NOMINAL_DESIGN, **dict.fromkeys(names, value))
+        problems = validate(design)
+        assert problems
+        with pytest.raises(EvaluationError) as info:
+            evaluator.evaluate(design)
+        assert str(info.value) == "invalid design: " + "; ".join(problems)
 
     def test_public_qoi_still_validates(self):
         evaluator = DesignEvaluator(load_scenario("scenario-1"))
