@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import ConfigError, ContractError, NormalizationError, _is_number
 
@@ -88,51 +87,51 @@ class ConstraintRow:
 
 @dataclass
 class ConstraintReport:
+    """One row per constraint, and the aggregate penalty and feasibility.
+
+    A report built from ``rows`` sums them on every read.  The report
+    ``evaluate_constraints`` returns keeps the penalty and feasibility its
+    loop computed, in the order the rows would sum them, and builds its
+    rows from the same values on first read (``hpmropt evaluate``,
+    ``repr``, ``==``): until then the instance has no ``rows`` and
+    ``__getattr__`` builds them.
+    """
+
     rows: list = field(default_factory=list)
 
-    @property
-    def penalty(self) -> float:
-        return sum(row.weighted_penalty for row in self.rows)
+    # (specs, values, phis) of a report from evaluate_constraints
+    _loop = None
 
-    @property
-    def feasible(self) -> bool:
-        return all(row.satisfied for row in self.rows)
+    @classmethod
+    def _from_loop(cls, specs, values: list, phis: list, penalty: float,
+                   feasible: bool) -> "ConstraintReport":
+        report = object.__new__(cls)
+        report._loop = (specs, values, phis)
+        report._penalty = penalty
+        report._feasible = feasible
+        return report
 
-
-class _EvaluatedReport(ConstraintReport):
-    """The report ``evaluate_constraints`` returns: its penalty and
-    feasibility as the loop summed them, and its rows built from the same
-    values on first read (``hpmropt evaluate``, ``repr``, ``==``).  It
-    prints and compares as the ``ConstraintReport`` of those rows."""
-
-    def __init__(self, specs, values: list, phis: list, penalty: float,
-                 feasible: bool):
-        self._specs = specs
-        self._values = values
-        self._phis = phis
-        self._penalty = penalty
-        self._feasible = feasible
-
-    @cached_property
-    def rows(self) -> list:
-        return [ConstraintRow(spec.name, value, p, spec.weight * p, p == 0.0)
-                for spec, value, p in zip(self._specs, self._values, self._phis)]
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks
+        if name != "rows" or self._loop is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        specs, values, phis = self._loop
+        self.rows = [ConstraintRow(spec.name, value, p, spec.weight * p, p == 0.0)
+                     for spec, value, p in zip(specs, values, phis)]
+        return self.rows
 
     @property
     def penalty(self) -> float:
+        if self._loop is None:
+            return sum(row.weighted_penalty for row in self.rows)
         return self._penalty
 
     @property
     def feasible(self) -> bool:
+        if self._loop is None:
+            return all(row.satisfied for row in self.rows)
         return self._feasible
-
-    def __repr__(self) -> str:
-        return f"ConstraintReport(rows={self.rows!r})"
-
-    def __eq__(self, other):
-        if isinstance(other, ConstraintReport):
-            return self.rows == other.rows
-        return NotImplemented
 
 
 def evaluate_constraints(specs, qoi) -> ConstraintReport:
@@ -169,7 +168,7 @@ def evaluate_constraints(specs, qoi) -> ConstraintReport:
         phis.append(p)
         penalty += spec.weight * p
         feasible = feasible and p == 0.0
-    return _EvaluatedReport(specs, values, phis, penalty, feasible)
+    return ConstraintReport._from_loop(specs, values, phis, penalty, feasible)
 
 
 def default_constraints() -> list[ConstraintSpec]:

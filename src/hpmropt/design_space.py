@@ -154,6 +154,8 @@ def validate(design: DesignVector) -> list[str]:
     Returns an empty list when the design is admissible, otherwise one
     message per violated bound.  Bounds are inclusive at both ends.
     """
+    if _admissible_bounds(design) is not None:
+        return []
     violations = []
     statics = (design.x_ca, design.x_b10, design.x_fh, design.x_pp, design.x_e)
     for value, (name, (lo, hi)) in zip(statics, STATIC_BOUNDS.items()):
@@ -222,35 +224,43 @@ def from_unit_cube(u) -> DesignVector:
     return design
 
 
-def _unit_cube_image(design: DesignVector, checked: bool = True):
-    """The unit-cube image of ``design`` as a list, from one set of coupled
-    bounds.
+def _admissible_bounds(design: DesignVector):
+    """The coupled bounds ``(cr_lo, cr_hi, mr_lo, mr_hi)`` of a design that
+    meets every bound, else None.
 
-    When ``checked``, None unless the design meets every bound ``validate``
-    checks, by the same comparisons, so a NaN or inf field fails them too.
-    Unchecked, the pitch must lie within its bounds.
+    ``validate`` words its messages only when this returns None.  A chained
+    comparison is False for NaN, so a NaN field fails it too.
     """
-    x_ca, x_b10, x_fh, x_pp, x_e, x_cr, x_mr = (
-        design.x_ca, design.x_b10, design.x_fh, design.x_pp, design.x_e,
-        design.x_cr, design.x_mr)
-    ((ca, ca_hi, ca_span), (b10, b10_hi, b10_span), (fh, fh_hi, fh_span),
-     (pp, pp_hi, pp_span), (e, e_hi, e_span)) = _STATIC_SPANS
-    if checked and not (ca <= x_ca <= ca_hi and b10 <= x_b10 <= b10_hi
-                        and fh <= x_fh <= fh_hi and pp <= x_pp <= pp_hi
-                        and e <= x_e <= e_hi):
+    x_pp = design.x_pp
+    ((ca, ca_hi, _), (b10, b10_hi, _), (fh, fh_hi, _), (pp, pp_hi, _),
+     (e, e_hi, _)) = _STATIC_SPANS
+    if not (ca <= design.x_ca <= ca_hi and b10 <= design.x_b10 <= b10_hi
+            and fh <= design.x_fh <= fh_hi and pp <= x_pp <= pp_hi
+            and e <= design.x_e <= e_hi):
         return None
-    cr_lo, cr_hi, mr_lo, mr_hi = _coupled_bounds(x_pp)
-    if checked and not (cr_lo <= x_cr <= cr_hi and mr_lo <= x_mr <= mr_hi):
+    coupled = cr_lo, cr_hi, mr_lo, mr_hi = _coupled_bounds(x_pp)
+    if not (cr_lo <= design.x_cr <= cr_hi and mr_lo <= design.x_mr <= mr_hi):
         return None
-    return [(x_ca - ca) / ca_span, (x_b10 - b10) / b10_span, (x_fh - fh) / fh_span,
-            (x_pp - pp) / pp_span, (x_e - e) / e_span,
-            (x_cr - cr_lo) / (cr_hi - cr_lo), (x_mr - mr_lo) / (mr_hi - mr_lo)]
+    return coupled
+
+
+def _unit_cube_image(design: DesignVector, coupled) -> list:
+    """The unit-cube image of ``design`` as a list, given its coupled
+    bounds ``(cr_lo, cr_hi, mr_lo, mr_hi)``."""
+    ((ca, _, ca_span), (b10, _, b10_span), (fh, _, fh_span), (pp, _, pp_span),
+     (e, _, e_span)) = _STATIC_SPANS
+    cr_lo, cr_hi, mr_lo, mr_hi = coupled
+    return [(design.x_ca - ca) / ca_span, (design.x_b10 - b10) / b10_span,
+            (design.x_fh - fh) / fh_span, (design.x_pp - pp) / pp_span,
+            (design.x_e - e) / e_span, (design.x_cr - cr_lo) / (cr_hi - cr_lo),
+            (design.x_mr - mr_lo) / (mr_hi - mr_lo)]
 
 
 def to_unit_cube(design: DesignVector) -> np.ndarray:
     """Inverse of ``from_unit_cube`` for an admissible design."""
     _check_pitch(design.x_pp)
-    return np.array(_unit_cube_image(design, checked=False), dtype=float)
+    return np.array(_unit_cube_image(design, _coupled_bounds(design.x_pp)),
+                    dtype=float)
 
 
 def write_design_file(design: DesignVector, path) -> None:

@@ -231,24 +231,10 @@ def _buy_fuel(row, interval: float, n: int, batch_cost: float) -> None:
     same float product k * interval, so the work is O(n) for any interval.
     A year buying one batch adds the batch cost itself, the same float as
     1 * batch_cost.
-
-    An interval of at least 1 + n * 2**-52 buys at most one batch a year,
-    so a plain loop adds one batch cost per batch.  For m = ceil(k *
-    interval) after rounding, the exact k * interval exceeds m - 1, so the
-    exact (k + 1) * interval exceeds m + n * 2**-52 >= m + ulp(m) for any
-    year m <= n, and rounds above m.
     """
-    ceil = math.ceil
     k, product = 0, 0.0   # product is k * interval
-    if interval >= 1.0 + n * 2.0**-52:
-        while product < n:
-            year = ceil(product)
-            row[year] = batch_cost + row[year]
-            k += 1
-            product = k * interval
-        return
     while product < n:
-        year = ceil(product)
+        year = math.ceil(product)
         k += 1
         product = k * interval
         if product <= year:

@@ -21,6 +21,7 @@ from .design_space import (
     FIELD_NAMES,
     NOMINAL_DESIGN,
     DesignVector,
+    _admissible_bounds,
     _unit_cube_image,
     to_unit_cube,
     validate,
@@ -254,10 +255,10 @@ def _proxy_values(dz: np.ndarray, q_avg: float, config):
 def _checked_image(design: DesignVector) -> list:
     """The unit-cube image of an admissible design, as a list; for any other
     design, an EvaluationError naming every violated bound."""
-    z = _unit_cube_image(design)
-    if z is None:
+    coupled = _admissible_bounds(design)
+    if coupled is None:
         raise EvaluationError("invalid design: " + "; ".join(validate(design)))
-    return z
+    return _unit_cube_image(design, coupled)
 
 
 def proxy_eval(design: DesignVector, config: ProxyModelConfig | None = None):

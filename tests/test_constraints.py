@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -121,6 +123,8 @@ def test_report_reads_as_the_report_of_its_rows(specs, qoi):
     assert repr(report) == repr(built)
     assert report != ConstraintReport(rows=[*rows, ConstraintRow("x", 0.0, 0.0, 0.0, True)])
     assert pickle.loads(pickle.dumps(report)) == built
+    assert dataclasses.replace(report) == built
+    assert copy.copy(report) == built
     with pytest.raises(TypeError):
         hash(report)
 

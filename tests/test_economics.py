@@ -188,8 +188,8 @@ class TestFuelPurchases:
 
     @pytest.mark.parametrize("n", [1, 7, 60, 1000])
     def test_intervals_near_one_year_equal_batch_walk(self, n):
-        # from 1 + n * 2**-52 on, the walk buys at most one batch a year
-        # and the plain loop runs; below it, the counting loop
+        # just above one year, k * interval can round onto the year of
+        # the next batch, so a year may buy one batch or two
         steps = {*range(21), *range(n - 2, n + 3), 2 * n}
         for interval in sorted(1.0 + i * 2.0**-52 for i in steps if i >= 0):
             row = np.zeros(n + 1)
