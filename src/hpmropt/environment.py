@@ -392,8 +392,10 @@ class DesignEvaluator:
     """Complete design evaluation: neutronics model, closed-form relations,
     cost engine, and constraint report.
 
-    Construction checks the proxy calibration (proxy model only) and takes
-    a read-only snapshot of ``proxy_config``; evaluations use only the
+    Construction checks the proxy calibration (proxy model only), rejects
+    with ``ConfigError`` a constraint on ``itc`` that the model never sets
+    (the proxy, or a table with no itc column), and takes a read-only
+    snapshot of ``proxy_config``; evaluations use only the
     snapshot, so editing ``proxy_config`` afterwards changes nothing.
     Immutable after construction; safe to call from concurrent workers.
     """
@@ -414,6 +416,14 @@ class DesignEvaluator:
             self.table = model
         else:
             raise ContractError(f"unknown evaluator model {model!r}")
+        if self.table is None or self.table.itc is None:
+            source = ("the proxy evaluator" if self.table is None
+                      else "a sample table with no itc column")
+            for spec in scenario.constraints:
+                if spec.qoi == "itc":
+                    raise ConfigError(f"constraint {spec.name}: qoi 'itc' is never set "
+                                      f"by {source}; only a sample table with an itc "
+                                      f"column provides it")
         self.proxy_config = proxy_config
         self._proxy = proxy_config.snapshot()
         self.constraints = scenario.constraints

@@ -9,13 +9,16 @@ batch at a time, a dict of yearly arrays, discount factors recomputed per
 call; the package must match them bit for bit.  NSGA-II's variation
 operators are kept as they first ran, on numpy float64 scalars clamped
 with ``np.clip``; the package's float versions must match their children
-and leave the generator in the same state.  The cost engine is kept as
-it first ran too: a five-row ledger filled per design and reduced over its
-rows before the discounting product; the package's direct yearly totals
-must give the same LCOE bytes and reject the same first negative
-category.  The constraint report is kept as it first ran: one row record
-per constraint, the penalty summed over the rows and feasibility read from
-them.  Random search is kept building a point for every design.
+and leave their draw stream where the generator is.  Its generational
+loop is kept drawing from a ``Generator`` one scalar at a time, through
+those operators; the package's block-read draws must give the same
+genomes.  The cost engine is kept as it first ran too: a five-row ledger
+filled per design and reduced over its rows before the discounting
+product; the package's direct yearly totals must give the same LCOE bytes
+and reject the same first negative category.  The constraint report is
+kept as it first ran: one row record per constraint, the penalty summed
+over the rows and feasibility read from them.  Random search is kept
+building a point for every design.
 """
 
 import csv
@@ -43,6 +46,7 @@ from hpmropt.environment import (
     uranium_mass,
 )
 from hpmropt.errors import ContractError, EvaluationError
+from hpmropt.nsga2 import GENOME_DIM, Individual, _survival
 from hpmropt.pareto import (
     DesignPayload,
     ObjectivePoint,
@@ -54,6 +58,7 @@ from hpmropt.pareto import (
     crowding_distance,
     reference_directions,
 )
+from hpmropt.pearl import merge_fronts
 
 
 def dominates_oracle(obj_a, feas_a, pen_a, obj_b, feas_b, pen_b):
@@ -490,6 +495,74 @@ def polynomial_mutation_oracle(genome, prob, eta, rng):
                 ** (1.0 / (eta + 1.0))
         mutant[i] = np.clip(y + delta, 0.0, 1.0)
     return mutant
+
+
+def nsga2_oracle(evaluator, config):
+    """NSGA-II's generational loop drawing each random number from a
+    ``Generator`` call, with the numpy-scalar operators above.  Returns the
+    genomes evaluated by generation (the initial population first, then
+    each generation's offspring after duplicates were dropped) and the
+    survivors of each generation as genome bytes, the evaluation count and
+    the final front."""
+    rng = np.random.default_rng(config.seed)
+    evaluated, survivors = [[]], []
+
+    def make(genome, tag):
+        evaluated[-1].append(genome.tobytes())
+        design = from_unit_cube(genome)
+        objectives, report, _ = evaluator.evaluate(design)
+        point = ObjectivePoint(
+            objectives=objectives,
+            feasible=report.feasible,
+            penalty=0.0 if report.feasible else report.penalty,
+            payload=DesignPayload(id=tag, design=design),
+        )
+        return Individual(genome=genome, point=point)
+
+    def survive(candidates):
+        population = _survival(candidates, config.population)
+        survivors.append([ind.genome.tobytes() for ind in population])
+        evaluated.append([])
+        return population
+
+    def tournament(pop):
+        i, j = rng.integers(len(pop)), rng.integers(len(pop))
+        a, b = pop[i], pop[j]
+        if a.point.feasible != b.point.feasible:
+            return a if a.point.feasible else b
+        if not a.point.feasible:
+            return a if a.point.penalty <= b.point.penalty else b
+        if a.rank != b.rank:
+            return a if a.rank < b.rank else b
+        return a if a.crowding >= b.crowding else b
+
+    population = survive([make(rng.random(GENOME_DIM), f"g0-{i}")
+                          for i in range(config.population)])
+    for gen in range(1, config.generations + 1):
+        genomes = []
+        while len(genomes) < config.population:
+            p1, p2 = tournament(population), tournament(population)
+            if rng.random() < config.crossover_prob:
+                g1, g2 = sbx_pair_oracle(p1.genome, p2.genome, config.crossover_eta, rng)
+            else:
+                g1, g2 = p1.genome, p2.genome
+            for genome in (g1, g2):
+                genomes.append(polynomial_mutation_oracle(
+                    genome, config.mutation_prob, config.mutation_eta, rng))
+        seen = {tuple(ind.genome.tolist()) for ind in population}
+        offspring = []
+        for genome in genomes:
+            key = tuple(genome.tolist())
+            if key not in seen:
+                seen.add(key)
+                offspring.append(make(genome, f"g{gen}-{len(offspring)}"))
+        population = survive(population + offspring)
+    return {
+        "genomes": evaluated[:-1],
+        "survivors": survivors,
+        "evaluations": sum(map(len, evaluated)),
+        "front": merge_fronts([[ind.point for ind in population if ind.rank == 0]]),
+    }
 
 
 def ledger_oracle(design, qoi, scenario, econ=None):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -144,6 +145,46 @@ class TestEvaluate:
         assert key in captured.err and "peak-heat-flux" in captured.err
         assert captured.out == ""
 
+    ITC_RECORD = {"name": "temperature-coefficient", "qoi": "itc", "kind": "at_most",
+                  "limit": -1.0}
+
+    @pytest.mark.parametrize("evaluator, source", [
+        (None, "the proxy evaluator"),
+        ("no-itc-column", "a sample table with no itc column"),
+    ])
+    def test_itc_constraint_without_itc_source_is_config_error(
+            self, tmp_path, nominal_file, capsys, evaluator, source):
+        # loaded, then failed the evaluation with "QoI 'itc' not set" (exit 3)
+        records = [*json.loads(Path(self.scenario_file(tmp_path)).read_text())
+                   ["constraints"], self.ITC_RECORD]
+        scenario = self.scenario_file(tmp_path, constraints=records)
+        flags = []
+        if evaluator:
+            table = tmp_path / "samples.csv"
+            write_anchor_table(table)
+            flags = ["--evaluator", f"tabular:{table}"]
+        code = main(["evaluate", nominal_file, "--scenario", scenario, *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "constraint temperature-coefficient" in captured.err
+        assert "'itc'" in captured.err and source in captured.err
+        assert captured.out == ""
+
+    def test_itc_constraint_evaluates_on_a_table_with_itc(self, tmp_path, capsys):
+        table = tmp_path / "samples.csv"
+        write_anchor_table(table)
+        lines = table.read_text().splitlines()
+        table.write_text("\n".join([lines[0] + ",itc"]
+                                   + [f"{line},-2.5" for line in lines[1:]]) + "\n")
+        design_file = tmp_path / "design.txt"
+        write_design_file(ANCHOR_RECORDS[0].design, design_file)
+        scenario = self.scenario_file(tmp_path, constraints=[self.ITC_RECORD])
+        code = main(["evaluate", str(design_file), "--scenario", scenario,
+                     "--evaluator", f"tabular:{table}"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "temperature-coefficient" in out and "-2.5" in out
+
     @pytest.mark.parametrize("limit", [
         [6.0, float("nan")], [float("-inf"), 10.4], [6.0, 10.4, 12.0], [6.0], 6.0,
         [10.4, 6.0], [0.0, 10.4],
@@ -269,6 +310,29 @@ class TestOptimize:
         assert (first / "front.tsv").read_bytes() == (second / "front.tsv").read_bytes()
         assert (first / "manifest.json").read_bytes() == \
             (second / "manifest.json").read_bytes()
+
+    def test_worker_count_changes_no_run_file(self, tmp_path):
+        # groundwork for running agents on every core: a pooled run writes
+        # the serial run's files, byte for byte, and its manifest differs
+        # only in the worker count it records
+        runs = {}
+        for workers in (1, 2):
+            out_dir = tmp_path / f"workers-{workers}"
+            assert main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
+                         "--agents", "2", "--steps", "256", "--seed", "5",
+                         "--workers", str(workers), "--out", str(out_dir)]) == 0
+            runs[workers] = {path.name: path.read_bytes()
+                             for path in sorted(out_dir.iterdir())}
+        serial, pooled = runs[1], runs[2]
+        assert sorted(serial) == sorted(pooled)
+        assert {"front.tsv", "report.json", "history-agent5.tsv", "history-agent6.tsv",
+                "updates-agent5.tsv", "buffer-agent6.tsv"} <= set(serial)
+        manifests = [json.loads(run.pop("manifest.json")) for run in (serial, pooled)]
+        assert [m["config"]["pearl"].pop("workers") for m in manifests] == [1, 2]
+        assert manifests[0] == manifests[1]
+        for name in serial:
+            assert hashlib.sha256(serial[name]).hexdigest() == \
+                hashlib.sha256(pooled[name]).hexdigest(), name
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HPMROPT_OUTPUT_ROOT", str(tmp_path))
@@ -494,6 +558,20 @@ class TestOptimize:
         assert code == 2
         assert "constraint typo" in captured.err and "qoi" in captured.err
         assert "'f_dhh'" in captured.err
+        assert not (out_dir / "report.json").exists()
+
+    def test_itc_constraint_on_proxy_fails_at_load(self, tmp_path, capsys):
+        # the run started, then exited 3 at its first evaluation
+        records = [*json.loads(Path(TestEvaluate.scenario_file(tmp_path))
+                               .read_text())["constraints"], TestEvaluate.ITC_RECORD]
+        scenario = TestEvaluate.scenario_file(tmp_path, constraints=records)
+        out_dir = tmp_path / "itc-run"
+        code = main(["optimize", "--scenario", scenario, "--optimizer", "nsga2",
+                     "--steps", "128", "--seed", "1", "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "constraint temperature-coefficient" in captured.err
+        assert "'itc'" in captured.err and "proxy" in captured.err
         assert not (out_dir / "report.json").exists()
 
     def test_run_with_no_successful_evaluation_fails(self, tmp_path, monkeypatch,

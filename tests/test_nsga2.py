@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from hpmropt import nsga2
 from hpmropt.design_space import is_valid
-from hpmropt.errors import ConfigError
+from hpmropt.economics import load_scenario
+from hpmropt.environment import DesignEvaluator
+from hpmropt.errors import ConfigError, ContractError
 from hpmropt.metrics import hypervolume_2d, nondominated_filter
-from hpmropt.nsga2 import GaConfig, _polynomial_mutation, _sbx_pair, run_nsga2
+from hpmropt.nsga2 import DrawStream, GaConfig, _polynomial_mutation, _sbx_pair, run_nsga2
 
 from conftest import ToyEvaluator, Zdt1Evaluator
-from oracles import polynomial_mutation_oracle, sbx_pair_oracle
+from oracles import nsga2_oracle, polynomial_mutation_oracle, sbx_pair_oracle
 
 
 def analytic_convex_front_hypervolume(reference=(1.1, 1.1)):
@@ -143,15 +146,23 @@ def _parent_stream(seed, count):
         yield a, b
 
 
+def _assert_in_step(stream, rng):
+    """The stream's next double and next 32-bit-range integer are the
+    generator's: the first reads the next 64-bit word, the second the
+    buffered half-word, so both positions must agree."""
+    assert stream.random() == rng.random()
+    assert stream.integers(2**32 - 5) == rng.integers(2**32 - 5)
+
+
 class TestOperatorsMatchOracles:
     """The float operators against the numpy-scalar operators NSGA-II first
     ran, kept in ``tests/oracles.py``: the same children, byte for byte, and
-    the generator left in the same state after every call, on genomes in
-    [0, 1], the only ones NSGA-II makes."""
+    after every call the draw stream in step with the oracle's generator,
+    on genomes in [0, 1], the only ones NSGA-II makes."""
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 2, 15.0, 20.0, 300.0])
     def test_sbx_pair(self, eta):
-        new, old = np.random.default_rng(7), np.random.default_rng(7)
+        new, old = DrawStream(np.random.default_rng(7)), np.random.default_rng(7)
         for a, b in _parent_stream(int(eta * 10) + 1, 1200):
             before = a.tobytes(), b.tobytes()
             got, want = _sbx_pair(a, b, eta, new), sbx_pair_oracle(a, b, eta, old)
@@ -160,12 +171,12 @@ class TestOperatorsMatchOracles:
                 assert child.tobytes() == reference.tobytes(), (a, b, eta)
                 assert not np.shares_memory(child, a) and not np.shares_memory(child, b)
             assert (a.tobytes(), b.tobytes()) == before
-            assert new.bit_generator.state == old.bit_generator.state
+            _assert_in_step(new, old)
 
     @pytest.mark.parametrize("prob, eta", [(1.0 / 7, 20.0), (0.5, 0.0), (1.0, 20),
                                            (1.0, 0.5), (1.0, 300.0), (0.0, 20.0)])
     def test_polynomial_mutation(self, prob, eta):
-        new, old = np.random.default_rng(11), np.random.default_rng(11)
+        new, old = DrawStream(np.random.default_rng(11)), np.random.default_rng(11)
         for a, b in _parent_stream(int(prob * 100 + eta), 1200):
             for genome in (a, b):
                 before = genome.tobytes()
@@ -175,7 +186,7 @@ class TestOperatorsMatchOracles:
                 assert got.tobytes() == want.tobytes(), (genome, prob, eta)
                 assert not np.shares_memory(got, genome)
                 assert genome.tobytes() == before
-            assert new.bit_generator.state == old.bit_generator.state
+                _assert_in_step(new, old)
 
     @pytest.mark.parametrize("x", [-0.0, 0.0, math.nan, -math.inf, math.inf, -1e-300,
                                    1.0 + 2**-52, 0.5, 5e-324])
@@ -183,3 +194,134 @@ class TestOperatorsMatchOracles:
         clamped = min(max(x, 0.0), 1.0)
         assert np.float64(clamped).tobytes() == \
             np.clip(np.float64(x), 0.0, 1.0).tobytes()
+
+
+# n = 3e9 rejects about 30% of its 32-bit draws; 2**31 - 1 and 2**32 - 5
+# reject almost never but enter the threshold test when the low half of
+# the product is below n
+RANGES = [2, 3, 7, 10, 64, 100, 2**31 - 1, 2**32 - 5, 3 * 10**9]
+
+
+class _CountingStream(DrawStream):
+    """Counts the 32-bit draws, to show the rejection loop ran."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.halves = 0
+
+    def _uint32(self):
+        self.halves += 1
+        return super()._uint32()
+
+
+class TestDrawStream:
+    """``DrawStream`` against the ``Generator`` it reads ahead of: the same
+    doubles and integers, in any mix, across block refills."""
+
+    @pytest.mark.parametrize("block", [1, 3, nsga2._RAW_BLOCK])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_mixed_draws_equal_generator(self, seed, block, monkeypatch):
+        monkeypatch.setattr(nsga2, "_RAW_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        stream = _CountingStream(np.random.default_rng(seed))
+        pick = np.random.default_rng(10_000 + seed)
+        kinds = pick.integers(len(RANGES) + 1, size=2000)
+        integer_draws = 0
+        for k, kind in enumerate(kinds.tolist()):
+            if kind == len(RANGES):
+                got, want = stream.random(), rng.random()
+                assert type(got) is float
+            else:
+                n = RANGES[kind]
+                got, want = stream.integers(n), int(rng.integers(n))
+                assert type(got) is int and 0 <= got < n
+                integer_draws += 1
+            assert got == want, (seed, block, k, kind)
+        # 2000 draws span several blocks of every size here, and n = 3e9 took
+        # the rejection loop
+        assert stream.halves > integer_draws
+        assert stream.random() == rng.random()
+
+    @pytest.mark.parametrize("n", RANGES + [2**32])
+    def test_one_range_equals_generator(self, n, monkeypatch):
+        monkeypatch.setattr(nsga2, "_RAW_BLOCK", 5)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            stream = DrawStream(np.random.default_rng(seed))
+            for _ in range(300):
+                assert stream.integers(n) == rng.integers(n)
+            assert stream.random() == rng.random()
+
+    def test_rejection_loop_runs_for_three_billion(self):
+        stream = _CountingStream(np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            assert stream.integers(3 * 10**9) == rng.integers(3 * 10**9)
+        assert stream.halves > 1300
+
+    def test_takes_over_a_buffered_half_word(self):
+        # a generator that made one 32-bit draw keeps the other half
+        for seed in range(20):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng.integers(10), oracle.integers(10)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            stream = DrawStream(rng)
+            for _ in range(5):
+                assert stream.integers(1000) == oracle.integers(1000)
+            assert stream.random() == oracle.random()
+
+    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox,
+                                      np.random.SFC64, np.random.PCG64DXSM])
+    def test_other_bit_generators_are_refused(self, bits):
+        with pytest.raises(ContractError, match=bits.__name__):
+            DrawStream(np.random.Generator(bits(1)))
+
+    @pytest.mark.parametrize("n", [1, 0, -1, 2**32 + 1])
+    def test_range_out_of_bounds_is_refused(self, n):
+        with pytest.raises(ContractError, match="integers"):
+            DrawStream(np.random.default_rng(0)).integers(n)
+
+
+def _record_run(evaluator, config, monkeypatch):
+    """``run_nsga2``'s genomes by generation, in ``nsga2_oracle``'s form."""
+    evaluated, survivors = [[]], []
+    decode, survive = nsga2.from_unit_cube, nsga2._survival
+
+    def recording_decode(genome):
+        evaluated[-1].append(genome.tobytes())
+        return decode(genome)
+
+    def recording_survival(candidates, size):
+        population = survive(candidates, size)
+        survivors.append([ind.genome.tobytes() for ind in population])
+        evaluated.append([])
+        return population
+
+    monkeypatch.setattr(nsga2, "from_unit_cube", recording_decode)
+    monkeypatch.setattr(nsga2, "_survival", recording_survival)
+    try:
+        result = run_nsga2(evaluator, config)
+    finally:
+        monkeypatch.undo()
+    return {"genomes": evaluated[:-1], "survivors": survivors,
+            "evaluations": result.evaluations, "front": result.front}
+
+
+def _front_key(front):
+    return [(p.objectives.tobytes(), p.feasible, p.penalty, p.payload.id,
+             p.payload.design) for p in front]
+
+
+@pytest.mark.parametrize("population", [10, 64])
+@pytest.mark.parametrize("seed", [2, 17])
+def test_run_matches_generator_loop_oracle(population, seed, monkeypatch):
+    evaluator = DesignEvaluator(load_scenario("scenario-3"))
+    config = GaConfig(population=population, generations=3, seed=seed)
+    got = _record_run(evaluator, config, monkeypatch)
+    want = nsga2_oracle(evaluator, config)
+    assert len(got["genomes"]) == len(want["genomes"]) == 4
+    for gen in range(4):
+        assert got["genomes"][gen] == want["genomes"][gen], gen
+        assert got["survivors"][gen] == want["survivors"][gen], gen
+    assert got["evaluations"] == want["evaluations"]
+    assert _front_key(got["front"]) == _front_key(want["front"])
