@@ -280,7 +280,9 @@ class SampleTable:
 
     Designs are normalized to the unit cube before interpolation; queries
     reproduce sample sites exactly and extrapolate (flagged) outside the
-    convex hull of the samples.
+    convex hull of the samples.  An optional ``itc`` column (NaN for a
+    blank cell) is interpolated with the QoIs when it is complete; the data
+    rows where it is blank, counted from 1, are ``itc_blank_rows``.
     """
 
     REQUIRED_COLUMNS = FIELD_NAMES + QOI_KEYS
@@ -303,6 +305,17 @@ class SampleTable:
             raise TableLoadError("duplicate sample sites")
         self.qois = qois
         self.itc = None if itc is None else np.asarray(itc, dtype=float)
+        self.itc_blank_rows: list[int] = []
+        values = qois
+        if self.itc is not None:
+            if self.itc.shape != (len(designs),):
+                raise TableLoadError(f"itc column must have {len(designs)} values, "
+                                     f"got shape {self.itc.shape}")
+            if np.any(np.isinf(self.itc)):
+                raise TableLoadError("sample table contains an infinite itc value")
+            self.itc_blank_rows = (np.flatnonzero(np.isnan(self.itc)) + 1).tolist()
+            if not self.itc_blank_rows:
+                values = np.column_stack([qois, self.itc])
         # linear polynomial tail needs dims+1 points; fall back to a constant
         # tail so two-point tables stay well-posed (scipy warns about the
         # constant tail for some kernels; deliberate here)
@@ -316,7 +329,8 @@ class SampleTable:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*`degree` should not be below.*")
             try:
-                self._rbf = RBFInterpolator(self.sites, qois, kernel=kernel, degree=degree)
+                self._rbf = RBFInterpolator(self.sites, values, kernel=kernel,
+                                            degree=degree)
             except np.linalg.LinAlgError as exc:
                 # sites on a hyperplane leave the linear tail's monomial
                 # matrix [1, sites] short of full column rank
@@ -347,8 +361,8 @@ class SampleTable:
                     raise TableLoadError(f"{path}:{lineno}: {exc}") from exc
         if not designs:
             raise TableLoadError(f"{path}: no data rows")
-        itc_arr = None if np.all(np.isnan(itc)) else np.asarray(itc)
-        return cls(designs, np.asarray(qois), itc=itc_arr, kernel=kernel)
+        has_itc = "itc" in reader.fieldnames
+        return cls(designs, np.asarray(qois), itc=itc if has_itc else None, kernel=kernel)
 
     def in_hull(self, z: np.ndarray) -> bool:
         """Exact convex-hull membership via a small feasibility LP."""
@@ -364,22 +378,17 @@ class SampleTable:
         )
         return bool(res.success)
 
-    def itc_at(self, z: np.ndarray) -> float | None:
-        """Pass-through temperature-coefficient value at an exact sample
-        site (it is carried data, never interpolated)."""
-        if self.itc is None:
-            return None
-        matches = np.flatnonzero(np.all(np.abs(self.sites - z) < 1e-12, axis=1))
-        if len(matches) and np.isfinite(self.itc[matches[0]]):
-            return float(self.itc[matches[0]])
-        return None
-
     def __call__(self, design: DesignVector):
-        return self._query(np.array(_checked_image(design)))
+        values, _, extrapolated = self._query(np.array(_checked_image(design)))
+        return values, extrapolated
 
     def _query(self, z: np.ndarray):
-        values = self._rbf(z[None, :])[0]
-        return tuple(float(v) for v in values), not self.in_hull(z)
+        """The four interpolated QoIs, the interpolated itc (``None``
+        without a complete itc column), and whether ``z`` lies outside the
+        samples' convex hull."""
+        values = self._rbf(z[None, :])[0].tolist()
+        itc = values.pop() if len(values) > len(QOI_KEYS) else None
+        return tuple(values), itc, not self.in_hull(z)
 
 
 def tabular_eval(design: DesignVector, table: SampleTable):
@@ -393,10 +402,11 @@ class DesignEvaluator:
     cost engine, and constraint report.
 
     Construction checks the proxy calibration (proxy model only), rejects
-    with ``ConfigError`` a constraint on ``itc`` that the model never sets
-    (the proxy, or a table with no itc column), and takes a read-only
-    snapshot of ``proxy_config``; evaluations use only the
-    snapshot, so editing ``proxy_config`` afterwards changes nothing.
+    with ``ConfigError`` a constraint on ``itc`` that the model cannot set
+    (the proxy, or a table whose itc column is missing or has blank
+    cells), and takes a read-only snapshot of ``proxy_config``; evaluations
+    use only the snapshot, so editing ``proxy_config`` afterwards changes
+    nothing.
     Immutable after construction; safe to call from concurrent workers.
     """
 
@@ -416,14 +426,19 @@ class DesignEvaluator:
             self.table = model
         else:
             raise ContractError(f"unknown evaluator model {model!r}")
-        if self.table is None or self.table.itc is None:
-            source = ("the proxy evaluator" if self.table is None
-                      else "a sample table with no itc column")
-            for spec in scenario.constraints:
-                if spec.qoi == "itc":
-                    raise ConfigError(f"constraint {spec.name}: qoi 'itc' is never set "
-                                      f"by {source}; only a sample table with an itc "
-                                      f"column provides it")
+        missing = None
+        if self.table is None:
+            missing = "is never set by the proxy evaluator"
+        elif self.table.itc is None:
+            missing = "is never set by a sample table with no itc column"
+        elif self.table.itc_blank_rows:
+            missing = ("cannot be interpolated: the sample table's itc column is blank "
+                       f"in data rows {', '.join(map(str, self.table.itc_blank_rows))} "
+                       "(counted from 1 after the header)")
+        for spec in scenario.constraints:
+            if missing and spec.qoi == "itc":
+                raise ConfigError(f"constraint {spec.name}: qoi 'itc' {missing}; only a "
+                                  f"sample table with a complete itc column provides it")
         self.proxy_config = proxy_config
         self._proxy = proxy_config.snapshot()
         self.constraints = scenario.constraints
@@ -441,8 +456,7 @@ class DesignEvaluator:
         if self.table is None:
             lifetime_y, sdm, f_dh, q_max = _proxy_values(z - cfg.nominal_z, q_avg, cfg)
         else:
-            (lifetime_y, sdm, f_dh, q_max), extrapolated = self.table._query(z)
-            itc = self.table.itc_at(z)
+            (lifetime_y, sdm, f_dh, q_max), itc, extrapolated = self.table._query(z)
             # extrapolated tables can leave the physical domain; clamp so the
             # bundle invariants (positive lifetime, peak >= average, negative
             # shutdown margin) survive far outside the sampled region

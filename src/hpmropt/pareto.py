@@ -208,31 +208,48 @@ def nondominated_sort(points) -> list[list[int]]:
 
 
 def crowding_distance(front) -> np.ndarray:
-    """NSGA-II crowding distance for one mutually non-dominated front.
+    """NSGA-II crowding distance for one mutually non-dominated front, over
+    its distinct rows (Fortin & Parizeau 2013).
 
-    Boundary points get +inf; interior points accumulate span-normalized
-    neighbor gaps per objective.  A zero-span objective contributes nothing.
-    Fronts of one or two points are all-boundary.  ``front`` is a sequence
-    of points or objective rows, or an (n, n_obj) array.
+    Exact duplicate rows ("twins") count once, and each twin gets its row's
+    distance.  Over the distinct rows, boundary rows get +inf and interior
+    rows accumulate span-normalized neighbor gaps per objective; rows tied
+    in one objective are ordered lexicographically.  A zero-span objective
+    contributes nothing, and two or fewer distinct rows are all boundary.
+    The result depends only on the rows, not on their order.  ``front`` is
+    a sequence of points or objective rows, or an (n, n_obj) array.
     """
     obj = front if isinstance(front, np.ndarray) and front.ndim == 2 else np.vstack([
         p.objectives if isinstance(p, ObjectivePoint) else np.atleast_1d(p)
         for p in front
     ])
     n, n_obj = obj.shape
-    distances = np.zeros(n)
     if n <= 2:
         return np.full(n, np.inf)
-    for j in range(n_obj):
-        order = np.argsort(obj[:, j], kind="stable")
-        distances[order[0]] = np.inf
-        distances[order[-1]] = np.inf
-        span = obj[order[-1], j] - obj[order[0], j]
-        if span == 0:
-            continue
-        gaps = (obj[order[2:], j] - obj[order[:-2], j]) / span
-        distances[order[1:-1]] += gaps
-    return distances
+    # lexicographic order sorts objective 0 and puts twins side by side
+    lex = np.lexsort(obj.T[::-1])
+    rows = obj[lex]
+    row_of = slice(None)                  # each row is distinct
+    if (rows[1:, 0] == rows[:-1, 0]).any():
+        # keep each distinct row once
+        distinct = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+        rows = rows[distinct]
+        row_of = np.cumsum(distinct) - 1
+    distances = np.full(len(rows), np.inf)
+    span = rows[-1, 0] - rows[0, 0]
+    distances[1:-1] = (rows[2:, 0] - rows[:-2, 0]) / span if span > 0 else 0.0
+    for j in range(1, n_obj):
+        # a stable sort keeps the lexicographic order of rows tied in
+        # objective j
+        order = np.argsort(rows[:, j], kind="stable")
+        column = rows[order, j]
+        distances[order[0]] = distances[order[-1]] = np.inf
+        span = column[-1] - column[0]
+        if span > 0:
+            distances[order[1:-1]] += (column[2:] - column[:-2]) / span
+    out = np.empty(n)
+    out[lex] = distances[row_of]
+    return out
 
 
 def reference_directions(n_obj: int, divisions: int) -> np.ndarray:
@@ -332,16 +349,14 @@ class _Ranking:
     first) and the one normalization and association that niching
     orderings share are computed at most once, when first asked for.  The
     insert asks for the candidate's front and the last one; the full order
-    is assembled from the same orderings only when the buffer is read, by
-    a new ranking of the same rows given the orderings that cannot be
-    recomputed (``orders``).
+    is assembled only when the buffer is read, by a new ranking of the same
+    rows.
     """
 
-    def __init__(self, buffer: "ParetoBuffer", size: int, orders=None):
+    def __init__(self, buffer: "ParetoBuffer", size: int):
         self.metric, self.directions = buffer.metric, buffer.directions
         self.obj, self.feas = buffer._obj[:size], buffer._feas[:size]
         self.pen, self.seq = buffer._pen[:size], buffer._seq[:size]
-        self.pos = buffer._pos[:size]     # written through to the buffer
         members = np.flatnonzero(self.feas)
         self.n_feasible = len(members)
         self.fronts: list[list[int]] = []
@@ -351,7 +366,7 @@ class _Ranking:
             # are adjacent
             self.fronts = [[rows[i] for i in front]
                            for front in _sweep_fronts(self.obj[members])]
-        self._orders: dict[int, tuple[list[int], list[float]]] = dict(orders or {})
+        self._orders: dict[int, tuple[list[int], list[float]]] = {}
         self._association = None
 
     def _associate(self):
@@ -377,14 +392,10 @@ class _Ranking:
         front = self.fronts[k]
         if self.metric == "crowding" or len(front) == 1:
             rows = np.array(front)
-            # crowding breaks ties between exact duplicates by position, and
-            # the position is the rank the previous insert gave them
-            rows = rows[np.lexsort((self.seq[rows], self.pos[rows]))]
             dist = crowding_distance(self.obj[rows])
+            # twins share their distance and follow by age
             best = np.lexsort((self.seq[rows], -dist))
-            rows = rows[best]
-            self.pos[rows] = np.arange(len(rows))
-            ordered = rows.tolist(), dist[best].tolist()
+            ordered = rows[best].tolist(), dist[best].tolist()
         else:
             niche, perp = self._associate()
             # every member of an earlier niching front was picked before
@@ -415,13 +426,6 @@ class _Ranking:
             worst = infeasible[pen == pen.max()]
             return int(worst[np.argmax(self.seq[worst])])
         return self.order(len(self.fronts) - 1)[0][-1]
-
-    def tied_fronts(self) -> list[int]:
-        """Fronts holding exact duplicates, whose crowding order depends on
-        the order the previous insert left them in."""
-        obj = self.obj.tolist()
-        return [k for k, front in enumerate(self.fronts)
-                if any(obj[a] == obj[b] for a, b in zip(front, front[1:]))]
 
     def full(self) -> list[tuple[int, int, float]]:
         """(row, front, distance) for every row of the union, best first."""
@@ -477,13 +481,9 @@ class ParetoBuffer:
         self._feas = np.zeros(capacity + 1, dtype=bool)
         self._pen = np.zeros(capacity + 1)
         self._seq = np.zeros(capacity + 1, dtype=np.int64)
-        self._pos = np.zeros(capacity + 1, dtype=np.int64)
         self._points: list[ObjectivePoint | None] = [None] * (capacity + 1)
         self._size = 0                    # rows in the last insert's union
         self._evicted: int | None = None  # the row that union dropped
-        # the last insert's orderings of tied crowding fronts: ordering such a
-        # front again could swap its twins
-        self._tied: dict[int, tuple[list[int], list[float]]] = {}
         self._ranked: list[tuple[int, int, float]] | None = None
         self._next_seq = 0
 
@@ -522,16 +522,10 @@ class ParetoBuffer:
         self._feas[row] = point.feasible
         self._pen[row] = point.penalty
         self._seq[row] = self._next_seq
-        self._pos[row] = self.capacity + 1     # behind every ranked row
         self._points[row] = point
         self._next_seq += 1
 
         ranking = _Ranking(self, self._size)
-        # the order of exact duplicates in a crowding front can change with
-        # every ranking, even of an unchanged front, so tied fronts are
-        # ordered on every insert
-        self._tied = {k: ranking.order(k) for k in ranking.tied_fronts()} \
-            if self.metric == "crowding" else {}
         rank = ranking.rank(row)
         self._evicted = ranking.last() if self._size > self.capacity else None
         self._ranked = None
@@ -543,7 +537,7 @@ class ParetoBuffer:
             # a ranking held from insert to insert would keep small objects
             # alive across evaluations and fragment the allocator's heap
             self._ranked = [] if not self._size else [
-                entry for entry in _Ranking(self, self._size, self._tied).full()
+                entry for entry in _Ranking(self, self._size).full()
                 if entry[0] != self._evicted]
         return self._ranked
 

@@ -2,8 +2,10 @@
 
 Everything here is written from scratch against the same mathematical
 definitions, favoring obviousness over speed: fronts are peeled by
-repeatedly scanning for points not dominated by any survivor, and the
-buffer rank is recomputed from whole cloth for every insertion.  The
+repeatedly scanning for points not dominated by any survivor, crowding is
+summed over the distinct objective rows with each twin given its row's
+distance, and the buffer rank is recomputed from whole cloth for every
+insertion.  The
 evaluation oracles spell a proxy evaluation out step by step: one fuel
 batch at a time, a dict of yearly arrays, discount factors recomputed per
 call; the package must match them bit for bit.  NSGA-II's variation
@@ -117,22 +119,26 @@ def nondominated_filter_oracle(objectives):
 
 
 def crowding_oracle(objectives):
-    """Textbook crowding distance with per-objective span normalization."""
-    obj = np.asarray(objectives, dtype=float)
-    n, n_obj = obj.shape
-    if n <= 2:
-        return np.full(n, np.inf)
-    dist = np.zeros(n)
-    for j in range(n_obj):
-        order = sorted(range(n), key=lambda i: (obj[i, j], i))
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        span = obj[order[-1], j] - obj[order[0], j]
+    """Crowding distance over the distinct rows (Fortin & Parizeau 2013).
+
+    Twins are grouped by their row tuple; the textbook span-normalized
+    neighbor gaps are summed over the distinct rows, with rows tied in an
+    objective ordered by their tuples, and every twin gets its row's
+    distance."""
+    points = [tuple(row) for row in np.asarray(objectives, dtype=float).tolist()]
+    rows = sorted(set(points))
+    if len(rows) <= 2:
+        return np.full(len(points), np.inf)
+    dist = dict.fromkeys(rows, 0.0)
+    for j in range(len(rows[0])):
+        order = sorted(rows, key=lambda row: (row[j], row))
+        dist[order[0]] = dist[order[-1]] = math.inf
+        span = order[-1][j] - order[0][j]
         if span == 0:
             continue
-        for pos in range(1, n - 1):
-            dist[order[pos]] += (obj[order[pos + 1], j] - obj[order[pos - 1], j]) / span
-    return dist
+        for pos in range(1, len(order) - 1):
+            dist[order[pos]] += (order[pos + 1][j] - order[pos - 1][j]) / span
+    return np.array([dist[point] for point in points])
 
 
 def niching_oracle(normalized, directions, counts=None, seq=None):
@@ -213,7 +219,9 @@ class EagerBuffer:
     re-ranks the whole union, keeps it in ranked order, and stores each
     solution's front and distance.  ``ParetoBuffer`` must match its
     rewards, ``entries``, ``front(k)`` and ``export`` bytes after every
-    insert."""
+    insert.  The list order feeds no ranking: twins share their row's
+    crowding distance and order by age, so each re-rank depends only on the
+    union's contents."""
 
     def __init__(self, capacity=64, metric="crowding", divisions=None):
         self.capacity, self.metric, self.divisions = capacity, metric, divisions

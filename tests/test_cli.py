@@ -28,6 +28,15 @@ def write_anchor_table(path):
     Path(path).write_text("\n".join(rows) + "\n")
 
 
+def write_itc_table(path, cells):
+    """The anchor table plus an ``itc`` column holding ``cells``."""
+    write_anchor_table(path)
+    lines = Path(path).read_text().splitlines()
+    Path(path).write_text("\n".join([lines[0] + ",itc"]
+                                    + [f"{line},{cell}" for line, cell
+                                       in zip(lines[1:], cells)]) + "\n")
+
+
 class TestEvaluate:
     def test_nominal_design_feasible(self, nominal_file, capsys):
         code = main(["evaluate", nominal_file, "--scenario", "scenario-1"])
@@ -172,10 +181,7 @@ class TestEvaluate:
 
     def test_itc_constraint_evaluates_on_a_table_with_itc(self, tmp_path, capsys):
         table = tmp_path / "samples.csv"
-        write_anchor_table(table)
-        lines = table.read_text().splitlines()
-        table.write_text("\n".join([lines[0] + ",itc"]
-                                   + [f"{line},-2.5" for line in lines[1:]]) + "\n")
+        write_itc_table(table, [-2.5] * len(ANCHOR_RECORDS))
         design_file = tmp_path / "design.txt"
         write_design_file(ANCHOR_RECORDS[0].design, design_file)
         scenario = self.scenario_file(tmp_path, constraints=[self.ITC_RECORD])
@@ -184,6 +190,43 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert code == 0
         assert "temperature-coefficient" in out and "-2.5" in out
+
+    def test_itc_constraint_evaluates_away_from_sample_sites(self, tmp_path, capsys):
+        # the itc column was read at the sample sites only: this design
+        # exited 3 ("constraint tc: QoI 'itc' not set")
+        table = tmp_path / "samples.csv"
+        write_itc_table(table, [-2.0 - 0.1 * i for i in range(len(ANCHOR_RECORDS))])
+        design_file = tmp_path / "design.txt"
+        write_design_file(from_unit_cube(np.full(7, 0.41)), design_file)
+        records = [*json.loads(Path(self.scenario_file(tmp_path)).read_text())
+                   ["constraints"], {**self.ITC_RECORD, "name": "tc"}]
+        scenario = self.scenario_file(tmp_path, constraints=records)
+        code = main(["evaluate", str(design_file), "--scenario", scenario,
+                     "--evaluator", f"tabular:{table}"])
+        captured = capsys.readouterr()
+        # infeasible on the table's clamped lifetime, and the itc row is read
+        assert code == 1
+        assert captured.err == ""
+        tc_row = next(line for line in captured.out.splitlines()
+                      if line.strip().startswith("tc "))
+        assert tc_row.split()[-1] == "ok"
+        assert any(line.split()[0] == "itc" for line in captured.out.splitlines()
+                   if line.strip())
+
+    def test_itc_column_with_blank_cells_is_config_error(self, tmp_path, nominal_file,
+                                                         capsys):
+        table = tmp_path / "samples.csv"
+        cells = [-2.0] * len(ANCHOR_RECORDS)
+        cells[1] = cells[4] = ""
+        write_itc_table(table, cells)
+        scenario = self.scenario_file(tmp_path, constraints=[self.ITC_RECORD])
+        code = main(["evaluate", nominal_file, "--scenario", scenario,
+                     "--evaluator", f"tabular:{table}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "constraint temperature-coefficient" in captured.err
+        assert "blank in data rows 2, 5" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("limit", [
         [6.0, float("nan")], [float("-inf"), 10.4], [6.0, 10.4, 12.0], [6.0], 6.0,
@@ -573,6 +616,24 @@ class TestOptimize:
         assert "constraint temperature-coefficient" in captured.err
         assert "'itc'" in captured.err and "proxy" in captured.err
         assert not (out_dir / "report.json").exists()
+
+    def test_itc_constraint_on_a_table_runs(self, tmp_path, capsys):
+        # with an itc column the run exited 3 at its first evaluation away
+        # from a sample site
+        table = tmp_path / "samples.csv"
+        write_itc_table(table, [-2.0 - 0.1 * i for i in range(len(ANCHOR_RECORDS))])
+        records = [*json.loads(Path(TestEvaluate.scenario_file(tmp_path))
+                               .read_text())["constraints"],
+                   {**TestEvaluate.ITC_RECORD, "name": "tc"}]
+        scenario = TestEvaluate.scenario_file(tmp_path, constraints=records)
+        out_dir = tmp_path / "itc-run"
+        code = main(["optimize", "--scenario", scenario, "--optimizer", "nsga2",
+                     "--evaluator", f"tabular:{table}", "--steps", "128", "--seed", "1",
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "status        : clean" in captured.out
+        assert json.loads((out_dir / "report.json").read_text())["evaluations"] > 0
 
     def test_run_with_no_successful_evaluation_fails(self, tmp_path, monkeypatch,
                                                      capsys):

@@ -265,25 +265,54 @@ class TestSampleTable:
         got = tabular_eval(ANCHOR_RECORDS[0].design, table)
         assert got[0] == pytest.approx(ANCHOR_RECORDS[0].lifetime, rel=1e-6)
 
-    def test_itc_passes_through_at_sample_sites(self, tmp_path):
-        from hpmropt.environment import DesignEvaluator
-        from hpmropt.economics import load_scenario
-
-        path = tmp_path / "samples.csv"
+    @staticmethod
+    def _itc_table(path, itc_cells):
+        """The first ``len(itc_cells)`` anchor records, with an itc column."""
         header = "x_ca,x_b10,x_fh,x_pp,x_e,x_cr,x_mr,lifetime,sdm,f_dh,q_max,itc"
         rows = [header]
-        for i, rec in enumerate(ANCHOR_RECORDS[:4]):
+        for rec, cell in zip(ANCHOR_RECORDS, itc_cells):
             d = rec.design
             rows.append(",".join(map(str, [d.x_ca, d.x_b10, d.x_fh, d.x_pp, d.x_e,
                                            d.x_cr, d.x_mr, rec.lifetime, rec.sdm,
-                                           rec.f_dh, rec.q_max, -2.0 - i])))
+                                           rec.f_dh, rec.q_max, cell])))
         path.write_text("\n".join(rows) + "\n")
-        evaluator = DesignEvaluator(load_scenario("scenario-1"),
-                                    model=SampleTable.from_file(path))
-        at_site = evaluator.qoi(ANCHOR_RECORDS[1].design)
-        assert at_site.itc == -3.0
-        between = evaluator.qoi(from_unit_cube(np.full(7, 0.41)))
-        assert between.itc is None  # carried data, never interpolated
+        return SampleTable.from_file(path)
+
+    def test_itc_is_interpolated_like_the_qois(self, tmp_path):
+        from hpmropt.environment import DesignEvaluator
+        from hpmropt.economics import load_scenario
+
+        table = self._itc_table(tmp_path / "samples.csv", [-2.0 - i for i in range(4)])
+        evaluator = DesignEvaluator(load_scenario("scenario-1"), model=table)
+        assert evaluator.qoi(ANCHOR_RECORDS[1].design).itc == pytest.approx(-3.0, rel=1e-12)
+        # away from the sites too (it used to be None there): the same
+        # interpolation as a table whose lifetime column holds the itc values
+        between = from_unit_cube(np.full(7, 0.41))
+        qois = table.qois.copy()
+        qois[:, 0] = table.itc
+        alone = SampleTable(table.designs, qois)
+        assert evaluator.qoi(between).itc == pytest.approx(
+            tabular_eval(between, alone)[0], rel=1e-12)
+
+    def test_itc_column_with_blank_cells_is_not_interpolated(self, tmp_path):
+        from hpmropt.environment import DesignEvaluator
+        from hpmropt.economics import load_scenario
+
+        table = self._itc_table(tmp_path / "blank.csv", [-2.0, "", -4.0, "", -6.0])
+        assert table.itc_blank_rows == [2, 4]
+        plain = SampleTable(table.designs, table.qois)
+        evaluator = DesignEvaluator(load_scenario("scenario-1"), model=table)
+        for u in (0.41, 0.5):
+            design = from_unit_cube(np.full(7, u))
+            assert table(design) == plain(design)
+            assert evaluator.qoi(design).itc is None
+
+    @pytest.mark.parametrize("itc", [[-2.0] * 3, [-2.0, math.inf, -2.0, -2.0]])
+    def test_bad_itc_column_rejected(self, itc):
+        designs = [rec.design for rec in ANCHOR_RECORDS[:4]]
+        qois = [[rec.lifetime, rec.sdm, rec.f_dh, rec.q_max] for rec in ANCHOR_RECORDS[:4]]
+        with pytest.raises(TableLoadError, match="itc"):
+            SampleTable(designs, qois, itc=itc)
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

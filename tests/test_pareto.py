@@ -137,10 +137,20 @@ class TestCrowding:
     def test_two_point_front_all_infinite(self):
         assert np.all(np.isinf(crowding_distance([feasible(0, 2), feasible(1, 1)])))
 
-    def test_identical_points_interior_zero(self):
-        d = crowding_distance([feasible(1, 1) for _ in range(5)])
-        assert np.isinf(d[0]) and np.isinf(d[-1])
-        assert np.all(d[1:-1] == 0.0)
+    def test_identical_points_all_infinite(self):
+        # five twins are one distinct row, and a lone row is a boundary
+        assert np.all(np.isinf(crowding_distance([feasible(1, 1) for _ in range(5)])))
+
+    @pytest.mark.parametrize("rows", [[(0, 1), (0, 2), (0, 3)], [(1, 0), (2, 0), (3, 0)]])
+    def test_zero_span_objective_adds_nothing(self, rows):
+        d = crowding_distance([feasible(*row) for row in rows])
+        assert d.tolist() == [math.inf, 1.0, math.inf]
+        assert np.array_equal(d, crowding_oracle(rows))
+
+    def test_twins_share_their_row_distance(self):
+        d = crowding_distance([feasible(1, 1), feasible(0, 2), feasible(1, 1),
+                               feasible(2, 0), feasible(1, 1)])
+        assert d.tolist() == [2.0, math.inf, 2.0, math.inf, 2.0]
 
     def test_matches_oracle(self, rng):
         for _ in range(30):
@@ -408,6 +418,16 @@ class TestTieHeavyOracles:
             mine = crowding_distance([feasible(*row) for row in obj])
             assert np.array_equal(mine, crowding_oracle(obj))
 
+    def test_crowding_ignores_row_order_with_ties(self, rng):
+        for _ in range(300):
+            n_obj = int(rng.integers(1, 4))
+            obj = rng.integers(0, 3, (int(rng.integers(3, 20)), n_obj)).astype(float)
+            p = rng.permutation(len(obj))
+            assert np.array_equal(crowding_distance(obj[p]), crowding_distance(obj)[p])
+            front = obj[fronts_oracle(obj.tolist())[0]] if n_obj < 3 else obj
+            p = rng.permutation(len(front))
+            assert np.array_equal(crowding_distance(front[p]), crowding_distance(front)[p])
+
     def test_niching_matches_oracle_with_duplicates(self, rng):
         dirs = reference_directions(2, 3)
         for _ in range(100):
@@ -558,36 +578,37 @@ class TestLazyArchive:
         assert set(rewards) <= {-1, -2}
 
     def test_duplicates_keep_their_crowding_positions(self, tmp_path):
-        # exact duplicates inside a crowding front take their boundary and
-        # gap shares by position, and the position is the rank the previous
-        # insert gave them; a stream of repeated points checks that the
-        # order carried between inserts matches the eager re-rank
+        # exact duplicates inside a crowding front share their row's
+        # distance and follow by age; a stream of repeated points checks
+        # that every insert agrees with the eager re-rank
         base = [(0, 4), (1, 2), (2, 1), (4, 0)]
         points = [feasible(*base[i % 4]) for i in range(24)]
         points += [feasible(1, 2), feasible(0.5, 3), feasible(3, 0.5)]
         replay(points, 12, "crowding", tmp_path)
 
-    def test_untouched_tied_front_is_reranked_every_insert(self, tmp_path):
-        # the twins of (1, 2) get 0.75 and 1.25 by position, so each full
-        # re-rank swaps them; the later points land in other fronts, and
-        # the twins must still swap on every insert
-        twin_a, twin_b = feasible(1, 2), feasible(1, 2)
-        points = [feasible(0, 4), twin_a, twin_b, feasible(4, 0)]
-        points += [feasible(5 + i, 5 + i) for i in range(7)]
+    def test_twins_order_by_age_across_inserts(self, tmp_path):
+        # the twins of (1, 2) share their row's distance, so they follow the
+        # boundary points by age; later points land in other fronts or join
+        # the twins, and neither an insert nor a read reorders them
+        end_a, end_b = feasible(0, 4), feasible(4, 0)
+        twin_a, twin_b, twin_c = (feasible(1, 2) for _ in range(3))
+        points = [twin_a, end_a, end_b, twin_b]
+        points += [feasible(5 + i, 5 + i) for i in range(4)] + [twin_c]
+        points += [feasible(6 + i, 5 + i) for i in range(3)]
+        expected = [[end_a, end_b, twin_a, twin_b]] * 5 + \
+            [[end_a, end_b, twin_a, twin_b, twin_c]] * 4
         buf = ParetoBuffer(capacity=16, metric="crowding")
-        first_twin = []
-        for p in points:
+        for p in points[:3]:
             buf.insert(p)
-            first_twin.append(next((q for q in buf.front(0) if q in (twin_a, twin_b)), None))
-        assert first_twin[3:] == [twin_b, twin_a] * 4
-        replay(points, 16, "crowding", tmp_path)
-        # reading the order must not be what moves the twins: a buffer read
-        # only at the end agrees too
-        for n in range(4, len(points) + 1):
+        for n, p in enumerate(points[3:], 4):
+            buf.insert(p)
+            assert buf.front(0) == expected[n - 4], n
+            # a buffer read only at the end agrees
             unread = ParetoBuffer(capacity=16, metric="crowding")
-            for p in points[:n]:
-                unread.insert(p)
-            assert unread.front(0)[2] is first_twin[n - 1], n
+            for q in points[:n]:
+                unread.insert(q)
+            assert unread.front(0) == expected[n - 4], n
+        replay(points, 16, "crowding", tmp_path)
 
     def test_empty_buffer_reads(self, tmp_path):
         buf = ParetoBuffer(capacity=4, metric="niching")
