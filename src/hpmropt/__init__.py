@@ -26,7 +26,6 @@ from .constraints import (
 from .design_space import (
     MODERATOR_GAP_CM,
     NOMINAL_DESIGN,
-    DesignBounds,
     DesignVector,
     from_unit_cube,
     is_valid,

@@ -94,24 +94,6 @@ NOMINAL_DESIGN = DesignVector(
 )
 
 
-@dataclass(frozen=True)
-class DesignBounds:
-    """Resolved per-variable (lower, upper) pairs for a given pin pitch."""
-
-    x_ca: tuple
-    x_b10: tuple
-    x_fh: tuple
-    x_pp: tuple
-    x_e: tuple
-    x_cr: tuple
-    x_mr: tuple
-
-    def as_arrays(self):
-        lo = np.array([getattr(self, f)[0] for f in FIELD_NAMES])
-        hi = np.array([getattr(self, f)[1] for f in FIELD_NAMES])
-        return lo, hi
-
-
 def _check_pitch(x_pp: float) -> None:
     lo, hi = PIN_PITCH_BOUNDS
     if not (lo <= x_pp <= hi):
@@ -133,19 +115,6 @@ def resolve_bounds(x_pp: float):
     _check_pitch(x_pp)
     cr_lo, cr_hi, mr_lo, mr_hi = _coupled_bounds(x_pp)
     return (cr_lo, cr_hi), (mr_lo, mr_hi)
-
-
-def bounds_for(x_pp: float) -> DesignBounds:
-    cr, mr = resolve_bounds(x_pp)
-    return DesignBounds(
-        x_ca=STATIC_BOUNDS["x_ca"],
-        x_b10=STATIC_BOUNDS["x_b10"],
-        x_fh=STATIC_BOUNDS["x_fh"],
-        x_pp=STATIC_BOUNDS["x_pp"],
-        x_e=STATIC_BOUNDS["x_e"],
-        x_cr=cr,
-        x_mr=mr,
-    )
 
 
 def validate(design: DesignVector) -> list[str]:

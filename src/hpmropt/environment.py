@@ -346,8 +346,10 @@ class SampleTable:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise TableLoadError(f"{path}: missing header row")
-            header = [name.strip() for name in reader.fieldnames]
-            missing = [c for c in cls.REQUIRED_COLUMNS if c not in header]
+            # rows are read by the stripped names: a header written with ", "
+            # separators names the same columns
+            reader.fieldnames = [name.strip() for name in reader.fieldnames]
+            missing = [c for c in cls.REQUIRED_COLUMNS if c not in reader.fieldnames]
             if missing:
                 raise TableLoadError(f"{path}: missing columns {missing}")
             designs, qois, itc = [], [], []
@@ -356,7 +358,8 @@ class SampleTable:
                     designs.append(DesignVector.from_record(
                         {f: float(row[f]) for f in FIELD_NAMES}))
                     qois.append([float(row[k]) for k in QOI_KEYS])
-                    itc.append(float(row["itc"]) if row.get("itc") else np.nan)
+                    itc_cell = (row.get("itc") or "").strip()
+                    itc.append(float(itc_cell) if itc_cell else np.nan)
                 except (TypeError, ValueError) as exc:
                     raise TableLoadError(f"{path}:{lineno}: {exc}") from exc
         if not designs:

@@ -11,6 +11,8 @@ closed form (no autodiff dependency).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import math
 import time
@@ -37,31 +39,30 @@ ACTION_DIM = 7
 HIDDEN_WIDTH = 64
 LOG_2PI = math.log(2.0 * math.pi)
 
-_PARAM_SHAPES = {
-    "pol_w1": (HIDDEN_WIDTH, 1),
-    "pol_b1": (HIDDEN_WIDTH,),
-    "pol_w2": (HIDDEN_WIDTH, HIDDEN_WIDTH),
-    "pol_b2": (HIDDEN_WIDTH,),
-    "pol_wm": (ACTION_DIM, HIDDEN_WIDTH),
-    "pol_bm": (ACTION_DIM,),
-    "log_std": (ACTION_DIM,),
-}
 # θ's order: the gradient's, whose per-tensor sums of squares the gradient
 # norm adds in this order (a float sum's order decides its last bits)
-_FLAT_ORDER = ("log_std", "pol_wm", "pol_bm", "pol_w2", "pol_b2", "pol_w1", "pol_b1")
+_PARAM_SHAPES = {
+    "log_std": (ACTION_DIM,),
+    "pol_wm": (ACTION_DIM, HIDDEN_WIDTH),
+    "pol_bm": (ACTION_DIM,),
+    "pol_w2": (HIDDEN_WIDTH, HIDDEN_WIDTH),
+    "pol_b2": (HIDDEN_WIDTH,),
+    "pol_w1": (HIDDEN_WIDTH, 1),
+    "pol_b1": (HIDDEN_WIDTH,),
+}
 
 
 def _flat_slices() -> dict:
     slices, start = {}, 0
-    for name in _FLAT_ORDER:
-        stop = start + math.prod(_PARAM_SHAPES[name])
+    for name, shape in _PARAM_SHAPES.items():
+        stop = start + math.prod(shape)
         slices[name] = slice(start, stop)
         start = stop
     return slices
 
 
 _FLAT_SLICES = _flat_slices()
-_FLAT_SIZE = _FLAT_SLICES[_FLAT_ORDER[-1]].stop
+_FLAT_SIZE = sum(math.prod(shape) for shape in _PARAM_SHAPES.values())
 
 
 def _views(flat: np.ndarray) -> dict:
@@ -137,6 +138,8 @@ class PearlConfig:
                               f"for kappa - 1), got {self.niching_divisions!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
+        if self.total_steps < 1:
+            raise ConfigError(f"total_steps must be at least 1, got {self.total_steps!r}")
         if self.total_steps % self.n_steps != 0:
             raise ConfigError("total_steps must be divisible by n_steps")
         if self.total_steps % self.agents != 0:
@@ -182,13 +185,13 @@ class PolicyState:
     The observation is a constant token, so forward passes take no input.
 
     From the optimizer's first step on, every parameter lives in one flat
-    vector θ, laid out in ``_FLAT_ORDER``; ``params`` holds named views of
-    it and Adam updates it in place.  Before that step ``params`` holds
-    copies of the arrays the policy was built from, each in its own memory
-    layout: a fresh ``pol_wm`` is F-ordered, and the layout decides the BLAS
-    path of the first epoch's products, and with it their last bits.  After
-    one step every tensor is C-ordered either way.  ``theta()`` returns a
-    copy of all parameters in ``_PARAM_SHAPES`` order.
+    vector θ, laid out in ``_PARAM_SHAPES`` order; ``params`` holds named
+    views of it and Adam updates it in place.  Before that step ``params``
+    holds copies of the arrays the policy was built from, each in its own
+    memory layout: a fresh ``pol_wm`` is F-ordered, and the layout decides
+    the BLAS path of the first epoch's products, and with it their last
+    bits.  After one step every tensor is C-ordered either way.
+    ``theta()`` returns a copy of θ, ``set_theta()`` takes one.
     """
 
     def __init__(self, params: dict):
@@ -215,7 +218,7 @@ class PolicyState:
             for name, view in views.items():
                 view[...] = self.params[name]
             self._theta = theta
-            self.params = {name: views[name] for name in _PARAM_SHAPES}
+            self.params = views
         return self._theta
 
     @classmethod
@@ -273,13 +276,10 @@ class PolicyState:
     def set_theta(self, theta: np.ndarray) -> None:
         if len(theta) != _FLAT_SIZE:
             raise ContractError("theta length mismatch")
-        offset = 0
-        for name, shape in _PARAM_SHAPES.items():
-            size = math.prod(shape)
+        for name, view in _views(theta).items():
             # in place: each parameter keeps its memory layout, which decides
             # the BLAS path of later products, and θ (once built) sees it
-            self.params[name][...] = theta[offset:offset + size].reshape(shape)
-            offset += size
+            self.params[name][...] = view
 
     def copy(self) -> "PolicyState":
         return PolicyState(self.params)
@@ -735,10 +735,11 @@ class MultiResult:
         return FrontReport(points=list(self.merged_front), label=label)
 
 
-def _run_agent_worker(args):
-    evaluator, config, seed, steps, deadline, checkpoint_dir = args
-    return run_agent(evaluator, config, seed, steps, deadline=deadline,
-                     checkpoint_dir=checkpoint_dir)
+def _run_agent(*args):
+    # run_multi's one call per seed.  It looks ``run_agent`` up as it runs, so
+    # a rebound one (a probe's wrapper) runs; a process pool pickles it by
+    # this name, which nothing rebinds
+    return run_agent(*args)
 
 
 def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,
@@ -753,39 +754,25 @@ def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,
     ``time.monotonic()`` value.
     """
     seeds = config.agent_seeds()
-    steps = config.steps_per_agent()
+    shared = ParetoBuffer(capacity=config.kappa, metric=config.distance_metric,
+                          divisions=config.niching_divisions) \
+        if config.shared_buffer else None
+    jobs = [functools.partial(_run_agent, evaluator, config, seed,
+                              config.steps_per_agent(), shared, checkpoint_dir,
+                              deadline)
+            for seed in seeds]
     results: list[AgentResult] = []
     failures: list[dict] = []
+    with contextlib.ExitStack() as stack:
+        if config.workers > 1 and shared is None:
+            # imported here: the serial path never needs multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-    if config.shared_buffer:
-        shared = ParetoBuffer(capacity=config.kappa, metric=config.distance_metric,
-                              divisions=config.niching_divisions)
-        for seed in seeds:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
+            jobs = [pool.submit(job).result for job in jobs]
+        for seed, job in zip(seeds, jobs):
             try:
-                results.append(run_agent(evaluator, config, seed, steps,
-                                         buffer=shared, deadline=deadline,
-                                         checkpoint_dir=checkpoint_dir))
-            except Exception as exc:  # noqa: BLE001
-                failures.append({"seed": seed, "error": repr(exc)})
-    elif config.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            jobs = {seed: pool.submit(
-                _run_agent_worker,
-                (evaluator, config, seed, steps, deadline, checkpoint_dir))
-                for seed in seeds}
-            for seed, job in jobs.items():
-                try:
-                    results.append(job.result())
-                except Exception as exc:  # noqa: BLE001
-                    failures.append({"seed": seed, "error": repr(exc)})
-    else:
-        for seed in seeds:
-            try:
-                results.append(run_agent(evaluator, config, seed, steps,
-                                         deadline=deadline,
-                                         checkpoint_dir=checkpoint_dir))
+                results.append(job())
             except Exception as exc:  # noqa: BLE001
                 failures.append({"seed": seed, "error": repr(exc)})
 

@@ -13,7 +13,7 @@ from hpmropt.design_space import FIELD_NAMES, NOMINAL_DESIGN
 from hpmropt.economics import load_scenario
 from hpmropt.environment import DesignEvaluator
 from hpmropt.metrics import FrontPoint, FrontReport, export_front
-from hpmropt.pearl import random_search
+from hpmropt.pearl import PearlConfig, random_search, run_multi
 
 from conftest import ToyEvaluator
 
@@ -46,6 +46,16 @@ def test_probe_sees_each_evaluation_layer_once_per_design():
                   "constraints.evaluate_constraints"):
         assert probe.count(layer) == 200, layer
         assert probe.failures(layer) == 0, layer
+
+
+def test_probe_sees_every_agent_of_a_serial_run():
+    namespace = probe_namespace()
+    config = PearlConfig(agents=2, total_steps=32, kappa=8, base_seed=3)
+    with namespace["Probe"](namespace["TRACED"]) as probe:
+        result = run_multi(ToyEvaluator(), config)
+    assert len(result.agents) == 2
+    assert probe.count("pearl.run_agent") == 2
+    assert probe.failures("pearl.run_agent") == 0
 
 
 def test_front_point_exports(tmp_path):

@@ -213,6 +213,26 @@ class TestEvaluate:
         assert any(line.split()[0] == "itc" for line in captured.out.splitlines()
                    if line.strip())
 
+    def test_spaced_table_header_evaluates_like_the_plain_one(self, tmp_path, capsys):
+        # a header written with ", " separators died with a raw KeyError
+        plain = tmp_path / "plain.csv"
+        write_itc_table(plain, [-2.0 - 0.1 * i for i in range(len(ANCHOR_RECORDS))])
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(plain.read_text().replace(",", ", "))
+        design_file = tmp_path / "design.txt"
+        write_design_file(from_unit_cube(np.full(7, 0.41)), design_file)
+        scenario = self.scenario_file(tmp_path, constraints=[self.ITC_RECORD])
+        runs = []
+        for table in (plain, spaced):
+            code = main(["evaluate", str(design_file), "--scenario", scenario,
+                         "--evaluator", f"tabular:{table}"])
+            runs.append((code, capsys.readouterr()))
+        (plain_code, plain_out), (spaced_code, spaced_out) = runs
+        assert spaced_code == plain_code == 0
+        assert spaced_out.out == plain_out.out
+        assert spaced_out.err == plain_out.err == ""
+        assert "temperature-coefficient" in spaced_out.out
+
     def test_itc_column_with_blank_cells_is_config_error(self, tmp_path, nominal_file,
                                                          capsys):
         table = tmp_path / "samples.csv"
@@ -467,6 +487,15 @@ class TestOptimize:
                      "--agents", "3", "--steps", "64", "--out", str(tmp_path / "r")])
         assert code == 2
         assert "divisible by agents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "-8"])
+    def test_pearl_steps_below_one_is_config_error(self, tmp_path, capsys, steps):
+        # used to print "status: clean" and "evaluations: 0", then exit 0
+        code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
+                     "--agents", "2", "--steps", steps, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "total_steps" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "front.tsv").exists()
 
     def test_nsga2_steps_below_two_populations_is_config_error(self, tmp_path, capsys):
         code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "nsga2",

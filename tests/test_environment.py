@@ -294,6 +294,29 @@ class TestSampleTable:
         assert evaluator.qoi(between).itc == pytest.approx(
             tabular_eval(between, alone)[0], rel=1e-12)
 
+    @pytest.mark.parametrize("itc_cells", [[-2.0, -3.0, -4.0, -5.0, -6.0],
+                                           [-2.0, "", -4.0, "", -6.0]])
+    def test_spaced_header_reads_the_same_columns(self, tmp_path, itc_cells):
+        # rows were read by the unspaced names: a raw KeyError, and a
+        # " itc" column was ignored
+        from hpmropt.environment import DesignEvaluator
+        from hpmropt.economics import load_scenario
+
+        plain = self._itc_table(tmp_path / "plain.csv", itc_cells)
+        spaced_path = tmp_path / "spaced.csv"
+        spaced_path.write_text((tmp_path / "plain.csv").read_text().replace(",", ", "))
+        spaced = SampleTable.from_file(spaced_path)
+        assert np.array_equal(spaced.itc, plain.itc, equal_nan=True)
+        assert spaced.itc_blank_rows == plain.itc_blank_rows
+        scenario = load_scenario("scenario-1")
+        for u in (0.41, 0.5):
+            design = from_unit_cube(np.full(7, u))
+            got = DesignEvaluator(scenario, model=spaced).evaluate(design)
+            want = DesignEvaluator(scenario, model=plain).evaluate(design)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[2].itc == want[2].itc
+            assert (got[2].itc is None) == bool(plain.itc_blank_rows)
+
     def test_itc_column_with_blank_cells_is_not_interpolated(self, tmp_path):
         from hpmropt.environment import DesignEvaluator
         from hpmropt.economics import load_scenario
@@ -327,6 +350,8 @@ class TestSampleTable:
 
 SCIPY_TABLE_MODULES = ("scipy.interpolate", "scipy.optimize", "scipy.special",
                        "scipy.sparse", "scipy.spatial")
+# nor does a one-worker PEARL run start a process pool
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
 
 _PROXY_PATH_THEN_TABLE = """
 import json, sys
@@ -361,7 +386,7 @@ def test_proxy_path_loads_no_scipy_table_module(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
         [sys.executable, "-c", _PROXY_PATH_THEN_TABLE, str(tmp_path),
-         *SCIPY_TABLE_MODULES],
+         *SCIPY_TABLE_MODULES, *POOL_MODULES],
         env=env, capture_output=True, text=True, timeout=300, check=True)
     seen = json.loads(child.stdout.splitlines()[-1])
     assert seen["proxy_path"] == []

@@ -610,6 +610,27 @@ class TestRunMulti:
         b = sorted(map(tuple, (p.objectives for p in pooled.merged_front)))
         assert a == b
 
+    def test_shared_buffer_ignores_workers(self, toy_env):
+        # one archive cannot cross processes: the agents run serially
+        runs = [run_multi(toy_env, small_config(agents=2, total_steps=64,
+                                                shared_buffer=True, workers=workers))
+                for workers in (1, 2)]
+        rewards = [[[repr(row.reward) for row in agent.history] for agent in run.agents]
+                   for run in runs]
+        assert rewards[0] == rewards[1]
+        fronts = [[(repr(p.objectives.tolist()), p.payload.id) for p in run.merged_front]
+                  for run in runs]
+        assert fronts[0] == fronts[1]
+        assert runs[1].agents[0].buffer is runs[1].agents[1].buffer
+
+    def test_worker_pool_runs_every_agent_of_repeated_seeds(self, toy_env):
+        # the pool kept one job per distinct seed, so two of three agents
+        # went missing
+        config = small_config(agents=3, total_steps=96, seeds=(7, 7, 7), workers=2)
+        result = run_multi(toy_env, config)
+        assert [agent.seed for agent in result.agents] == [7, 7, 7]
+        assert not result.failures
+
 
 def test_entropy_decreases_or_plateaus(toy_env):
     # median entropy trend over 10 short runs: final <= initial + margin
@@ -706,6 +727,9 @@ def test_config_validation():
         PearlConfig(epochs=-3)
     with pytest.raises(ConfigError, match="agents"):
         PearlConfig(agents=3, total_steps=8000)  # would silently run 7998
+    for steps in (0, -8):       # used to run no step and report a clean run
+        with pytest.raises(ConfigError, match="total_steps"):
+            PearlConfig(agents=2, total_steps=steps)
     assert PearlConfig(agents=3, total_steps=7992).steps_per_agent() == 2664
     config = PearlConfig(kappa=64)
     assert config.resolved_infeasibility_offset() == 65.0
