@@ -8,6 +8,7 @@ feasible point (report) or unexpected error, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -75,19 +76,19 @@ def cmd_evaluate(args) -> int:
 
 def cmd_optimize(args) -> int:
     if args.config:
-        manifest = json.loads(Path(args.config).read_text())
+        try:
+            manifest = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:   # ValueError: bad JSON or encoding
+            raise ConfigError(f"cannot read --config {args.config}: {exc}") from exc
         config = RunConfig.from_manifest(manifest, out_dir=args.out or "run")
     else:
         config = RunConfig(out_dir=args.out or "run")
-    # command-line flags override the file layer
-    if args.scenario:
-        config.scenario = args.scenario
-    if args.evaluator:
-        config.evaluator = args.evaluator
-    if args.optimizer:
-        config.optimizer = args.optimizer
+    # command-line flags override the file layer, and are checked as it is
+    flags = {key: getattr(args, key) for key in ("scenario", "evaluator", "optimizer")
+             if getattr(args, key)}
     if args.max_seconds is not None:
-        config.max_seconds = args.max_seconds
+        flags["max_seconds"] = args.max_seconds
+    config = dataclasses.replace(config, **flags)
     if config.optimizer == "pearl":
         overrides = config.pearl
         if args.agents is not None:

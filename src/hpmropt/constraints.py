@@ -10,9 +10,10 @@ constraints; a design is feasible exactly when the aggregate is zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, ContractError, NormalizationError, _is_number
+from .errors import (NUMBER, POSITIVE, STRING, ConfigError, ContractError,
+                     NormalizationError, check, list_of, one_of, reject_unknown)
 
 DEFAULT_WEIGHT = 10_000.0
 
@@ -22,6 +23,9 @@ KINDS = ("at_most", "at_least", "range")
 # ``environment.QoIVector``, which asserts that the two agree.
 QOI_NAMES = ("lifetime", "sdm", "f_dh", "q_max", "q_avg", "uranium_mass",
              "u235_mass", "burnup", "power_density", "lcoe", "itc", "extrapolated")
+
+
+SPEC_RULES = {"name": STRING, "qoi": STRING, "kind": one_of(*KINDS), "weight": POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -40,19 +44,15 @@ class ConstraintSpec:
     weight: float = DEFAULT_WEIGHT
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ContractError(f"{self.name}: unknown constraint kind {self.kind!r}")
-        # `not >` also rejects a NaN weight
-        if not self.weight > 0:
-            raise ContractError(f"{self.name}: weight must be positive")
-        if self.kind == "range":
-            lo, hi = self.limit
-            if not lo < hi:
-                raise ContractError(f"{self.name}: range limits must satisfy lo < hi")
-            if lo == 0 or hi == 0:
-                raise NormalizationError(f"{self.name}: range limit has a zero endpoint")
-        elif self.limit == 0:
-            raise NormalizationError(f"{self.name}: zero limit")
+        where, pair = f"{self.name}: ", self.kind == "range"
+        check(self, {**SPEC_RULES, "limit": list_of(NUMBER, 2) if pair else NUMBER}, where,
+              ContractError)
+        limit = tuple(map(float, self.limit)) if pair else float(self.limit)
+        if pair and not limit[0] < limit[1]:
+            raise ContractError(f"{where}range limits must satisfy lo < hi")
+        if 0 in (limit if pair else (limit,)):
+            raise NormalizationError(f"{where}zero limit {self.limit!r}")
+        object.__setattr__(self, "limit", limit)   # floats, and a tuple for a range
 
 
 def phi(spec: ConstraintSpec, x: float) -> float:
@@ -184,37 +184,13 @@ def default_constraints() -> list[ConstraintSpec]:
 
 
 def constraints_from_config(records) -> list[ConstraintSpec]:
-    """Build a constraint set from scenario-file records.
-
-    A ``qoi`` must be one of ``QOI_NAMES``, a ``limit`` a finite number, or
-    a pair of finite numbers for a range, and a ``weight`` a finite positive
-    number.  Those, and every record ``ConstraintSpec`` rejects, raise
-    ``ConfigError`` naming the constraint and the key.
-    """
-    specs = []
+    """Constraints from scenario-file records.  An unknown key, a ``qoi`` not in ``QOI_NAMES``
+    or a value ``ConstraintSpec`` rejects is a ``ConfigError`` naming constraint and key."""
     for rec in records:
-        name, kind, limit = rec["name"], rec["kind"], rec["limit"]
-        if rec["qoi"] not in QOI_NAMES:
-            raise ConfigError(f"constraint {name}: qoi must be one of "
-                              f"{', '.join(QOI_NAMES)}; got {rec['qoi']!r}")
-        if kind == "range":
-            if not (isinstance(limit, (list, tuple)) and len(limit) == 2
-                    and all(map(_is_number, limit))):
-                raise ConfigError(f"constraint {name}: limit must be a pair of finite "
-                                  f"numbers for a range, got {limit!r}")
-            limit = (float(limit[0]), float(limit[1]))
-        else:
-            if not _is_number(limit):
-                raise ConfigError(f"constraint {name}: limit must be a finite number, "
-                                  f"got {limit!r}")
-            limit = float(limit)
-        weight = rec.get("weight", DEFAULT_WEIGHT)
-        if not (_is_number(weight) and weight > 0):
-            raise ConfigError(f"constraint {name}: weight must be a finite positive "
-                              f"number, got {weight!r}")
-        try:
-            specs.append(ConstraintSpec(name=name, qoi=rec["qoi"], kind=kind,
-                                        limit=limit, weight=float(weight)))
-        except (ContractError, NormalizationError) as exc:
-            raise ConfigError(f"constraint {exc}") from exc
-    return specs
+        where = f"constraint {rec['name']}: "
+        reject_unknown(rec, [f.name for f in fields(ConstraintSpec)], where)
+        check(rec, {"qoi": one_of(*QOI_NAMES)}, where)
+    try:
+        return [ConstraintSpec(**rec) for rec in records]
+    except (ContractError, NormalizationError) as exc:
+        raise ConfigError(f"constraint {exc}") from exc

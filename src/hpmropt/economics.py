@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .constraints import constraints_from_config, default_constraints
-from .errors import ConfigError, ContractError, _is_integer, _is_number
+from .errors import (NON_NEGATIVE, NUMBER, POSITIVE, STRING, ConfigError, ContractError,
+                     check, integer, reject_unknown, within)
 
 CATEGORIES = ("fuel", "o_and_m", "capital", "reflector", "reactivity_control")
 
@@ -36,6 +37,13 @@ def default_annual_energy_mwh(thermal_power_mw: float = 2.0,
     return thermal_power_mw * 8766.0 * efficiency * capacity_factor
 
 
+# the discount arrays hold plant_life_years + 1 entries, so its bound keeps
+# their time and memory bounded
+ECON_RULES = {"discount_rate": within(0, 1, open_top=True),
+              "plant_life_years": integer(1, 1000), "replacement_period_years": integer(1),
+              "annual_energy_mwh": POSITIVE}
+
+
 @dataclass(frozen=True)
 class EconParams:
     discount_rate: float = 0.06
@@ -44,16 +52,7 @@ class EconParams:
     annual_energy_mwh: float = field(default_factory=default_annual_energy_mwh)
 
     def __post_init__(self):
-        if not (_is_number(self.discount_rate) and 0.0 <= self.discount_rate < 1.0):
-            raise ConfigError(f"discount_rate must be a number in [0, 1), "
-                              f"got {self.discount_rate!r}")
-        for name in ("plant_life_years", "replacement_period_years"):
-            value = getattr(self, name)
-            if not (_is_integer(value) and value >= 1):
-                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
-        if not (_is_number(self.annual_energy_mwh) and self.annual_energy_mwh > 0):
-            raise ConfigError("annual_energy_mwh must be a finite positive number, "
-                              f"got {self.annual_energy_mwh!r}")
+        check(self, ECON_RULES)
 
     def discount_factors(self) -> np.ndarray:
         return self._discount.copy()
@@ -76,6 +75,19 @@ class EconParams:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+COST_RULES = {
+    "name": STRING, "description": STRING,
+    **dict.fromkeys(("axial_reflector_price_per_kg", "drum_reflector_price_per_kg",
+                     "absorber_price_per_kg", "fuel_price_per_kgu", "fixed_direct_capital",
+                     "annual_om"), NON_NEGATIVE),
+    **dict.fromkeys(("vessel_height_cm", "axial_reflector_kg_per_cm", "drum_reflector_total_kg",
+                     "absorber_total_kg", "b10_premium_slope", "replacement_fraction"), NUMBER),
+}
+
+# the keys of a scenario file; "costs" holds CostScenario's numeric fields
+SCENARIO_KEYS = ("name", "description", "econ", "costs", "constraints", "proxy")
 
 
 @dataclass(frozen=True)
@@ -107,20 +119,7 @@ class CostScenario:
     proxy: dict | None = None  # optional surrogate-model overrides
 
     def __post_init__(self):
-        for name in ("axial_reflector_price_per_kg", "drum_reflector_price_per_kg",
-                     "absorber_price_per_kg", "fuel_price_per_kgu",
-                     "fixed_direct_capital", "annual_om"):
-            value = getattr(self, name)
-            if not (_is_number(value) and value >= 0):
-                raise ConfigError(f"{self.name}: {name} must be a finite non-negative "
-                                  f"number, got {value!r}")
-        for name in ("vessel_height_cm", "axial_reflector_kg_per_cm",
-                     "drum_reflector_total_kg", "absorber_total_kg",
-                     "b10_premium_slope", "replacement_fraction"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise ConfigError(f"{self.name}: {name} must be a finite number, "
-                                  f"got {value!r}")
+        check(self, COST_RULES, f"{self.name}: ")
 
     def axial_reflector_mass(self, x_fh: float) -> float:
         return self.axial_reflector_kg_per_cm * max(self.vessel_height_cm - x_fh, 0.0)
@@ -337,23 +336,15 @@ def cost_breakdown(schedule: CashFlowSchedule, econ: EconParams) -> dict:
     return {c: v / total for c, v in discounted.items()}
 
 
-def _scenario_from_config(config: dict) -> CostScenario:
+def _scenario_from_config(config: dict, where: str) -> CostScenario:
+    reject_unknown(config, SCENARIO_KEYS, where)
+    records = config.get("constraints")
     try:
-        econ = EconParams(**config.get("econ", {}))
-        constraint_records = config.get("constraints")
-        constraints = (
-            tuple(constraints_from_config(constraint_records))
-            if constraint_records
-            else tuple(default_constraints())
-        )
-        return CostScenario(
-            name=config["name"],
-            description=config.get("description", ""),
-            econ=econ,
-            constraints=constraints,
-            proxy=config.get("proxy"),
-            **config["costs"],
-        )
+        constraints = constraints_from_config(records) if records else default_constraints()
+        return CostScenario(name=config["name"], description=config.get("description", ""),
+                            econ=EconParams(**config.get("econ", {})),
+                            constraints=tuple(constraints), proxy=config.get("proxy"),
+                            **config["costs"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad scenario configuration: {exc}") from exc
 
@@ -365,14 +356,14 @@ def load_scenario(name_or_path) -> CostScenario:
         text = resources.files("hpmropt.data").joinpath(f"{name}.json").read_text()
     else:
         path = Path(name_or_path)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"no such scenario preset or file: {name}")
         text = path.read_text()
     try:
         config = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer past Python's digit limit
         raise ConfigError(f"{name}: invalid JSON: {exc}") from exc
-    return _scenario_from_config(config)
+    return _scenario_from_config(config, f"{name}: ")
 
 
 def list_scenarios(extra_dir=None) -> list[CostScenario]:

@@ -27,7 +27,8 @@ from .design_space import (
     validate,
 )
 from .economics import CostScenario, build_cash_flows, lcoe
-from .errors import ConfigError, ContractError, EvaluationError, TableLoadError, _is_number
+from .errors import (NUMBER, POSITIVE, ConfigError, ContractError, EvaluationError,
+                     TableLoadError, check, list_of, reject_unknown)
 
 # Constants recovered from the anchor table (see scripts/fit_proxy_coefficients.py
 # and the cross-row consistency tests):
@@ -146,8 +147,8 @@ _SIGN_RULES = {
 }
 
 
-_PROXY_CONSTANTS = ("heat_flux_k", "uranium_mass_coeff", "thermal_power_mw",
-                    "power_density_scale")
+PROXY_RULES = dict.fromkeys(("heat_flux_k", "uranium_mass_coeff", "thermal_power_mw",
+                             "power_density_scale"), POSITIVE)
 
 
 @dataclass
@@ -163,11 +164,7 @@ class ProxyModelConfig:
     nominal_z: np.ndarray = field(default_factory=lambda: to_unit_cube(NOMINAL_DESIGN))
 
     def __post_init__(self):
-        for name in _PROXY_CONSTANTS:
-            value = getattr(self, name)
-            if not (_is_number(value) and value > 0):
-                raise EvaluationError(f"{name} must be a finite positive number, "
-                                      f"got {value!r}")
+        check(self, PROXY_RULES, error=EvaluationError)
         self.betas = {k: np.asarray(v, dtype=float) for k, v in self.betas.items()}
 
     def require_calibrated(self):
@@ -199,30 +196,17 @@ class ProxyModelConfig:
 
     @classmethod
     def from_config(cls, section: dict) -> "ProxyModelConfig":
-        """The config of a scenario file's ``proxy`` section.  An unknown
-        key, a constant that is not a finite positive number, or an anchor
-        or coefficient that is not finite raises ``ConfigError`` naming it;
-        an incomplete calibration is left to ``require_calibrated``."""
-        if not isinstance(section, dict):
-            raise ConfigError(f"proxy: expected an object, got {section!r}")
-        kwargs = dict(section)
-        kwargs.pop("nominal_z", None)
-        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"proxy: unknown keys {unknown}")
-        anchors, betas = kwargs.get("anchors", {}), kwargs.get("betas", {})
-        if not (isinstance(anchors, dict) and isinstance(betas, dict)):
-            raise ConfigError("proxy: anchors and betas must be objects")
-        for key, value in anchors.items():
-            if not _is_number(value):
-                raise ConfigError(f"proxy: anchors.{key} must be a finite number, "
-                                  f"got {value!r}")
-        for key, value in betas.items():
-            if not (isinstance(value, (list, tuple)) and all(map(_is_number, value))):
-                raise ConfigError(f"proxy: betas.{key} must be a list of finite "
-                                  f"numbers, got {value!r}")
+        """The config of a scenario file's ``proxy`` section; a key or value
+        its rules reject is a ``ConfigError`` naming it.  An incomplete
+        calibration is left to ``require_calibrated``."""
+        reject_unknown(section, [*PROXY_RULES, "anchors", "betas"], "proxy: ")
+        for name, known, rule in (("anchors", PROXY_ANCHORS, NUMBER),
+                                  ("betas", PROXY_BETA, list_of(NUMBER))):
+            values = section.get(name, {})
+            reject_unknown(values, known, f"proxy: {name}: ")
+            check(values, dict.fromkeys(values, rule), f"proxy: {name}.")
         try:
-            return cls(**kwargs)   # checks the constants
+            return cls(**section)   # checks the constants
         except EvaluationError as exc:
             raise ConfigError(f"proxy: {exc}") from exc
 

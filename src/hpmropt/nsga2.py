@@ -13,7 +13,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .design_space import from_unit_cube
-from .errors import ConfigError, ContractError, _is_integer, _is_number
+from .errors import NON_NEGATIVE, ConfigError, ContractError, check, integer, within
 from .metrics import FrontReport
 from .pareto import (
     DesignPayload,
@@ -24,6 +24,10 @@ from .pareto import (
 from .pearl import merge_fronts
 
 GENOME_DIM = 7
+
+GA_RULES = {"population": integer(2), "generations": integer(0), "seed": integer(0),
+            **dict.fromkeys(("crossover_prob", "mutation_prob"), within(0, 1)),
+            **dict.fromkeys(("crossover_eta", "mutation_eta"), NON_NEGATIVE)}
 
 
 @dataclass
@@ -37,23 +41,9 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population", "generations", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.population < 2 or self.population % 2 != 0:
-            raise ConfigError("population must be even and at least 2")
-        for name in ("generations", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        for name in ("crossover_prob", "mutation_prob"):
-            value = getattr(self, name)
-            if not (_is_number(value) and 0.0 <= value <= 1.0):
-                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
-        for name in ("crossover_eta", "mutation_eta"):
-            value = getattr(self, name)
-            if not (_is_number(value) and value >= 0):
-                raise ConfigError(f"{name} must be a finite non-negative number, "
-                                  f"got {value!r}")
+        check(self, GA_RULES)
+        if self.population % 2:
+            raise ConfigError(f"population must be even, got {self.population}")
 
     def evaluations(self) -> int:
         return self.population * (self.generations + 1)

@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .design_space import from_unit_cube
-from .errors import ConfigError, ContractError, _is_integer, _is_number
+from .errors import (BOOLEAN, NON_NEGATIVE, NUMBER, POSITIVE, ConfigError, ContractError,
+                     check, integer, list_of, one_of, optional)
 from .metrics import FrontReport
 from .pareto import (
     METRICS,
@@ -71,6 +72,21 @@ def _views(flat: np.ndarray) -> dict:
             for name, where in _FLAT_SLICES.items()}
 
 
+PEARL_RULES = {
+    **dict.fromkeys(("n_steps", "kappa", "agents", "total_steps", "epochs", "workers"),
+                    integer(1)),
+    **dict.fromkeys(("entropy_coeff", "learning_rate", "max_grad_norm", "clip_epsilon"),
+                    NON_NEGATIVE),
+    **dict.fromkeys(("init_log_std", "init_log_std_spread", "init_center_scale"), NUMBER),
+    "distance_metric": one_of(*METRICS), "base_seed": integer(0), "shared_buffer": BOOLEAN,
+    "niching_divisions": optional(integer(1)),     # null: kappa - 1
+    "infeasibility_offset": optional(NUMBER),      # null: kappa + 1
+    "seeds": optional(list_of(integer(0))),        # one per agent
+    "failure_penalty": POSITIVE,   # a failed evaluation earns a negative reward
+    "checkpoint_interval": optional(integer(1)),   # null: no checkpoints
+}
+
+
 @dataclass
 class PearlConfig:
     """Hyperparameters of the optimizer and its buffer."""
@@ -98,60 +114,12 @@ class PearlConfig:
     checkpoint_interval: int | None = None
 
     def __post_init__(self):
-        for name in ("entropy_coeff", "learning_rate", "max_grad_norm",
-                     "clip_epsilon"):
-            if not (_is_number(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ConfigError(f"{name} must be a non-negative number, "
-                                  f"got {getattr(self, name)!r}")
-        for name in ("init_log_std", "init_log_std_spread", "init_center_scale"):
-            if not _is_number(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number, "
-                                  f"got {getattr(self, name)!r}")
-        if self.infeasibility_offset is not None \
-                and not _is_number(self.infeasibility_offset):
-            raise ConfigError("infeasibility_offset must be a finite number (or null "
-                              f"for kappa + 1), got {self.infeasibility_offset!r}")
-        # a failed evaluation must earn a negative reward
-        if not (_is_number(self.failure_penalty) and self.failure_penalty > 0):
-            raise ConfigError("failure_penalty must be a positive number, "
-                              f"got {self.failure_penalty!r}")
-        for name in ("agents", "kappa", "n_steps", "epochs", "total_steps",
-                     "workers", "base_seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.agents < 1 or self.kappa < 1 or self.n_steps < 1:
-            raise ConfigError("agents, kappa and n_steps must be positive")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers!r}")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed!r}")
-        if self.checkpoint_interval is not None and not (
-                _is_integer(self.checkpoint_interval) and self.checkpoint_interval >= 1):
-            raise ConfigError("checkpoint_interval must be an integer >= 1 (or null "
-                              f"for none), got {self.checkpoint_interval!r}")
-        if self.distance_metric not in METRICS:
-            raise ConfigError(f"distance_metric must be one of {list(METRICS)}, "
-                              f"got {self.distance_metric!r}")
-        if self.niching_divisions is not None and not (
-                _is_integer(self.niching_divisions) and self.niching_divisions >= 1):
-            raise ConfigError("niching_divisions must be an integer >= 1 (or null "
-                              f"for kappa - 1), got {self.niching_divisions!r}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.total_steps < 1:
-            raise ConfigError(f"total_steps must be at least 1, got {self.total_steps!r}")
-        if self.total_steps % self.n_steps != 0:
-            raise ConfigError("total_steps must be divisible by n_steps")
-        if self.total_steps % self.agents != 0:
-            raise ConfigError(f"total_steps ({self.total_steps}) must be divisible "
-                              f"by agents ({self.agents})")
-        if self.seeds is not None:
-            if not (isinstance(self.seeds, (list, tuple))
-                    and all(_is_integer(s) and s >= 0 for s in self.seeds)):
-                raise ConfigError(f"seeds must be a list of non-negative integers, "
-                                  f"got {self.seeds!r}")
-            if len(self.seeds) != self.agents:
-                raise ConfigError("need exactly one seed per agent")
+        check(self, PEARL_RULES)
+        for name in ("n_steps", "agents"):
+            if self.total_steps % getattr(self, name):
+                raise ConfigError(f"total_steps {self.total_steps} must be divisible by {name}")
+        if self.seeds is not None and len(self.seeds) != self.agents:
+            raise ConfigError("need exactly one seed per agent")
 
     def resolved_infeasibility_offset(self) -> float:
         # default: one worse than the worst possible rank reward, so a

@@ -20,7 +20,7 @@ import scipy
 from . import __version__
 from .economics import load_scenario
 from .environment import DesignEvaluator, SampleTable
-from .errors import ConfigError
+from .errors import POSITIVE, STRING, ConfigError, check, one_of, optional, reject_unknown
 from .metrics import default_reference, export_front, render_scatter
 from .nsga2 import GaConfig, run_nsga2
 from .pearl import PearlConfig, run_multi
@@ -31,6 +31,10 @@ STATUS_FAILED = "failed"
 
 # the pearl.Incident kinds that stand for a failed evaluation
 _FAILED_EVALUATION = ("evaluation_failed", "non_finite_objectives")
+
+
+RUN_RULES = {"scenario": STRING, "evaluator": STRING, "optimizer": one_of("pearl", "nsga2"),
+             "out_dir": STRING, "max_seconds": optional(POSITIVE)}
 
 
 @dataclass
@@ -46,15 +50,12 @@ class RunConfig:
     max_seconds: float | None = None
 
     def __post_init__(self):
-        if self.optimizer not in ("pearl", "nsga2"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        check(self, RUN_RULES)
         if self.evaluator != "proxy" and not self.evaluator.startswith("tabular:"):
             raise ConfigError(f"unknown evaluator {self.evaluator!r}")
         for section, cls in (("pearl", PearlConfig), ("nsga2", GaConfig)):
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = set(getattr(self, section)) - known
-            if unknown:
-                raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+            reject_unknown(getattr(self, section),
+                           [f.name for f in dataclasses.fields(cls)], f"{section}: ")
 
     def to_manifest(self) -> dict:
         record = dataclasses.asdict(self)
@@ -70,13 +71,9 @@ class RunConfig:
 
     @classmethod
     def from_manifest(cls, manifest: dict, out_dir: str) -> "RunConfig":
-        config = dict(manifest.get("config", manifest))
-        config["out_dir"] = out_dir
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(config) - known
-        if unknown:
-            raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
-        return cls(**config)
+        config = manifest.get("config", manifest) if isinstance(manifest, dict) else manifest
+        reject_unknown(config, [f.name for f in dataclasses.fields(cls)], "manifest: ")
+        return cls(**{**config, "out_dir": out_dir})
 
 
 def build_evaluator(config: RunConfig) -> DesignEvaluator:

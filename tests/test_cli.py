@@ -96,6 +96,12 @@ class TestEvaluate:
         # every other numeric cost field must be finite
         ("costs", "vessel_height_cm", float("inf")),
         ("costs", "replacement_fraction", None),
+        # the discount arrays grow with the plant life: 10**7 years took
+        # 3.6 s and exited 0
+        ("econ", "plant_life_years", 10**7),
+        # an integer past the float range raised a raw OverflowError
+        pytest.param("econ", "annual_energy_mwh", 10**400,
+                     id="econ-annual_energy_mwh-10**400"),
     ])
     def test_bad_scenario_value_is_config_error(self, tmp_path, nominal_file, capsys,
                                                 section, key, value):
@@ -142,6 +148,10 @@ class TestEvaluate:
         # loaded, then failed every evaluation (exit 3)
         ({"qoi": "f_dhh"}, "qoi"),
         ({"qoi": None}, "qoi"),
+        # a misspelled key used to be ignored, so the weight took its default
+        ({"wieght": 1.0}, "wieght"),
+        # an integer past the float range raised a raw OverflowError
+        ({"limit": 10**400}, "limit"),
     ])
     def test_bad_constraint_record_is_config_error(self, tmp_path, nominal_file, capsys,
                                                    changes, key):
@@ -274,10 +284,25 @@ class TestEvaluate:
         ({"anchors": {"lifetime": float("nan")}}, "anchors.lifetime"),
         ({"betas": {"f_dh": [0.1, 0.0, 0.0, 0.2, 0.0, 0.1, float("inf")]}}, "betas.f_dh"),
         ({"betas": 3}, "betas"),
+        # ignored (exit 0), and an unknown anchor failed the calibration (exit 3)
+        ({"nominal_z": [0.5] * 7}, "nominal_z"),
+        ({"anchors": {"lifetime_": 7.0}}, "lifetime_"),
     ])
     def test_bad_proxy_section_is_config_error(self, tmp_path, nominal_file, capsys,
                                                proxy, key):
         scenario = self.scenario_file(tmp_path, proxy=proxy)
+        code = main(["evaluate", nominal_file, "--scenario", scenario])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert key in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key", ["constriants", "ecn"])
+    def test_unknown_scenario_key_is_config_error(self, tmp_path, nominal_file, capsys,
+                                                  key):
+        # a misspelled section used to be ignored: the default constraints
+        # or economics applied, and evaluate exited 0
+        scenario = self.scenario_file(tmp_path, **{key: {}})
         code = main(["evaluate", nominal_file, "--scenario", scenario])
         captured = capsys.readouterr()
         assert code == 2
@@ -407,12 +432,44 @@ class TestOptimize:
     def test_bad_config_exit_code(self, capsys):
         assert main(["optimize", "--scenario", "scenario-9"]) == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        # each raised a raw exception (exit 1) from reading the file or a flag
+        (["--config", "{tmp}/missing.json"], "missing.json"),
+        (["--config", "{tmp}/invalid.json"], "invalid.json"),
+        (["--config", "{tmp}/huge.json"], "huge.json"),
+        (["--scenario", "{tmp}"], "{tmp}"),
+        (["--scenario", "{tmp}/huge.json"], "huge.json"),
+        (["--evaluator", "bogus"], "bogus"),
+        # ran with no deadline and exited 0
+        (["--max-seconds", "nan"], "max_seconds"),
+    ])
+    def test_unreadable_file_or_bad_flag_is_config_error(self, tmp_path, capsys,
+                                                         argv, name):
+        (tmp_path / "invalid.json").write_text("{bad")
+        # past Python's limit on the digits of a decimal integer
+        (tmp_path / "huge.json").write_text('{"max_seconds": ' + "9" * 5000 + "}")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code = main(["optimize", *argv, "--agents", "2", "--steps", "16",
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert name.format(tmp=tmp_path) in capsys.readouterr().err
+        assert not (tmp_path / "r" / "front.tsv").exists()
+
     @pytest.mark.parametrize("manifest, key", [
         ({"pearl": {"bogus": 1}}, "bogus"),
         ({"optimizer": "nsga2", "nsga2": {"popsize": 3}}, "popsize"),
         # keys of the retired value head: old manifests that carry them exit 2
         ({"pearl": {"value_coeff": 0.5}}, "value_coeff"),
         ({"pearl": {"normalize_advantage": True}}, "normalize_advantage"),
+        # these six raised a raw AttributeError or TypeError
+        ({"evaluator": 5}, "evaluator"),
+        ({"scenario": None}, "scenario"),
+        ({"scenario": 5}, "scenario"),
+        ({"nsga2": None}, "nsga2"),
+        ([1, 2], "manifest"),
+        ({"max_seconds": "x"}, "max_seconds"),
+        # ran the whole default budget with no deadline, and exited 0
+        ({"max_seconds": float("nan")}, "max_seconds"),
     ])
     def test_unknown_optimizer_key_is_config_error(self, tmp_path, capsys,
                                                    manifest, key):
@@ -448,6 +505,8 @@ class TestOptimize:
         ("failure_penalty", -1),        # a failed evaluation would earn +1
         ("checkpoint_interval", -5),    # used to run and write no checkpoint
         ("workers", 0),                 # used to run serially without a word
+        ("shared_buffer", "yes"),       # these two ran with a shared archive
+        ("shared_buffer", "false"),
     ])
     def test_bad_pearl_value_is_config_error(self, tmp_path, capsys, key, value):
         config = tmp_path / "config.json"
