@@ -52,7 +52,6 @@ from .environment import (
     burnup,
     power_density,
     proxy_eval,
-    tabular_eval,
     u235_mass,
     uranium_mass,
 )

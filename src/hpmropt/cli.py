@@ -54,8 +54,9 @@ def cmd_evaluate(args) -> int:
         print(f"  {name:<14} {getattr(qoi, name):.6g}")
     if qoi.itc is not None:
         print(f"  {'itc':<14} {qoi.itc:.6g}")
-    if qoi.extrapolated:
-        print("  (sample-table query outside the convex hull of samples)")
+    if evaluator.table is not None:
+        print(f"  nearest sample site at unit-cube distance "
+              f"{evaluator.table.nearest_site_distance(design):.6g}")
 
     print("\nconstraints")
     for row in report.rows:
@@ -100,6 +101,10 @@ def cmd_optimize(args) -> int:
         if args.workers is not None:
             overrides["workers"] = args.workers
     else:
+        for flag in ("agents", "workers"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} applies to PEARL only; NSGA-II runs one "
+                                  f"population in one process")
         overrides = config.nsga2
         if args.seed is not None:
             overrides["seed"] = args.seed

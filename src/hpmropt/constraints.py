@@ -22,7 +22,7 @@ KINDS = ("at_most", "at_least", "range")
 # The quantities a scenario file's constraint may name: the fields of
 # ``environment.QoIVector``, which asserts that the two agree.
 QOI_NAMES = ("lifetime", "sdm", "f_dh", "q_max", "q_avg", "uranium_mass",
-             "u235_mass", "burnup", "power_density", "lcoe", "itc", "extrapolated")
+             "u235_mass", "burnup", "power_density", "lcoe", "itc")
 
 
 SPEC_RULES = {"name": STRING, "qoi": STRING, "kind": one_of(*KINDS), "weight": POSITIVE}

@@ -47,9 +47,8 @@ QOI_KEYS = ("lifetime", "sdm", "f_dh", "q_max")
 class QoIVector:
     """Per-design quantities of interest.
 
-    ``lcoe`` is filled by the cost engine; ``itc`` is pass-through data when a
-    sample table provides it; ``extrapolated`` flags table queries outside
-    the convex hull of the samples.
+    ``lcoe`` is filled by the cost engine; ``itc`` is interpolated when a
+    sample table with a complete itc column provides it.
     """
 
     lifetime: float
@@ -63,7 +62,6 @@ class QoIVector:
     power_density: float
     lcoe: float | None = None
     itc: float | None = None
-    extrapolated: bool = False
 
 
 # a scenario's constraints are checked against QOI_NAMES when it loads
@@ -263,10 +261,11 @@ class SampleTable:
     """Neutronics samples interpolated with radial basis functions.
 
     Designs are normalized to the unit cube before interpolation; queries
-    reproduce sample sites exactly and extrapolate (flagged) outside the
-    convex hull of the samples.  An optional ``itc`` column (NaN for a
-    blank cell) is interpolated with the QoIs when it is complete; the data
-    rows where it is blank, counted from 1, are ``itc_blank_rows``.
+    reproduce sample sites exactly and extrapolate, unflagged, away from
+    them (``nearest_site_distance`` says how far).  An optional ``itc``
+    column (NaN for a blank cell) is interpolated with the QoIs when it is
+    complete; the data rows where it is blank, counted from 1, are
+    ``itc_blank_rows``.
     """
 
     REQUIRED_COLUMNS = FIELD_NAMES + QOI_KEYS
@@ -283,6 +282,10 @@ class SampleTable:
             )
         if not np.all(np.isfinite(qois)):
             raise TableLoadError("sample table contains non-finite QoIs")
+        finite = np.isfinite([d.as_array() for d in designs]).all(axis=1)
+        if not finite.all():
+            raise TableLoadError("sample table contains non-finite design values in rows "
+                                 + ", ".join(map(str, np.flatnonzero(~finite) + 1)))
         self.designs = designs
         self.sites = np.vstack([to_unit_cube(d) for d in designs])
         if len(np.unique(self.sites.round(12), axis=0)) != len(designs):
@@ -306,8 +309,8 @@ class SampleTable:
         degree = 1 if len(designs) >= self.sites.shape[1] + 1 else 0
         if kernel == "linear":
             degree = 0
-        # scipy.interpolate is imported on the first table, not with the
-        # package: the proxy path never needs it (nor in_hull's LP)
+        # scipy.interpolate (which itself imports scipy.optimize) is imported
+        # on the first table, not with the package: the proxy path never needs it
         from scipy.interpolate import RBFInterpolator
 
         with warnings.catch_warnings():
@@ -339,49 +342,38 @@ class SampleTable:
             designs, qois, itc = [], [], []
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    designs.append(DesignVector.from_record(
-                        {f: float(row[f]) for f in FIELD_NAMES}))
+                    record = {f: float(row[f]) for f in FIELD_NAMES}
+                    designs.append(DesignVector.from_record(record))
                     qois.append([float(row[k]) for k in QOI_KEYS])
                     itc_cell = (row.get("itc") or "").strip()
                     itc.append(float(itc_cell) if itc_cell else np.nan)
                 except (TypeError, ValueError) as exc:
                     raise TableLoadError(f"{path}:{lineno}: {exc}") from exc
+                bad = [f for f, value in record.items() if not np.isfinite(value)]
+                if bad:
+                    raise TableLoadError(f"{path}:{lineno}: design value {bad[0]} is "
+                                         f"not finite: {row[bad[0]].strip()!r}")
         if not designs:
             raise TableLoadError(f"{path}: no data rows")
         has_itc = "itc" in reader.fieldnames
         return cls(designs, np.asarray(qois), itc=itc if has_itc else None, kernel=kernel)
 
-    def in_hull(self, z: np.ndarray) -> bool:
-        """Exact convex-hull membership via a small feasibility LP."""
-        from scipy.optimize import linprog
-
-        n = len(self.sites)
-        res = linprog(
-            c=np.zeros(n),
-            A_eq=np.vstack([self.sites.T, np.ones(n)]),
-            b_eq=np.concatenate([z, [1.0]]),
-            bounds=[(0, None)] * n,
-            method="highs",
-        )
-        return bool(res.success)
-
     def __call__(self, design: DesignVector):
-        values, _, extrapolated = self._query(np.array(_checked_image(design)))
-        return values, extrapolated
+        """(lifetime, sdm, f_dh, q_max) interpolated at a valid design."""
+        return self._query(np.array(_checked_image(design)))[0]
 
     def _query(self, z: np.ndarray):
-        """The four interpolated QoIs, the interpolated itc (``None``
-        without a complete itc column), and whether ``z`` lies outside the
-        samples' convex hull."""
+        """The four interpolated QoIs at unit-cube point ``z``, and the
+        interpolated itc (``None`` without a complete itc column)."""
         values = self._rbf(z[None, :])[0].tolist()
         itc = values.pop() if len(values) > len(QOI_KEYS) else None
-        return tuple(values), itc, not self.in_hull(z)
+        return tuple(values), itc
 
-
-def tabular_eval(design: DesignVector, table: SampleTable):
-    """(lifetime, sdm, f_dh, q_max) interpolated from a sample table."""
-    values, _ = table(design)
-    return values
+    def nearest_site_distance(self, design: DesignVector) -> float:
+        """Euclidean unit-cube distance from a valid design to the nearest
+        sample site: 0.0 at a site; the interpolant's error tends to grow with it."""
+        offsets = self.sites - np.array(_checked_image(design))
+        return float(np.sqrt((offsets * offsets).sum(axis=1).min()))
 
 
 class DesignEvaluator:
@@ -438,12 +430,11 @@ class DesignEvaluator:
         cfg = self._proxy
         z = np.array(image)
         q_avg = avg_heat_flux(design.x_cr, design.x_fh, cfg.heat_flux_k)
-        extrapolated = False
         itc = None
         if self.table is None:
             lifetime_y, sdm, f_dh, q_max = _proxy_values(z - cfg.nominal_z, q_avg, cfg)
         else:
-            (lifetime_y, sdm, f_dh, q_max), itc, extrapolated = self.table._query(z)
+            (lifetime_y, sdm, f_dh, q_max), itc = self.table._query(z)
             # extrapolated tables can leave the physical domain; clamp so the
             # bundle invariants (positive lifetime, peak >= average, negative
             # shutdown margin) survive far outside the sampled region
@@ -463,7 +454,6 @@ class DesignEvaluator:
             burnup=burnup(lifetime_y, mass, cfg.thermal_power_mw),
             power_density=power_density(q_avg, design.x_cr, cfg.power_density_scale),
             itc=itc,
-            extrapolated=extrapolated,
         )
 
     def evaluate(self, design: DesignVector):

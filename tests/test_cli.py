@@ -152,6 +152,8 @@ class TestEvaluate:
         ({"wieght": 1.0}, "wieght"),
         # an integer past the float range raised a raw OverflowError
         ({"limit": 10**400}, "limit"),
+        # the retired hull flag is no quantity of the bundle
+        ({"qoi": "extrapolated"}, "qoi"),
     ])
     def test_bad_constraint_record_is_config_error(self, tmp_path, nominal_file, capsys,
                                                    changes, key):
@@ -313,6 +315,35 @@ class TestEvaluate:
         scenario = self.scenario_file(tmp_path, proxy={"thermal_power_mw": 4.0})
         assert main(["evaluate", nominal_file, "--scenario", scenario]) == 0
         assert "19.4" in capsys.readouterr().out    # burnup doubled from 9.72
+
+    def test_tabular_evaluate_prints_the_nearest_site_distance(self, tmp_path, capsys):
+        from hpmropt.environment import SampleTable
+
+        table = tmp_path / "samples.csv"
+        write_anchor_table(table)
+        for design, want in ((ANCHOR_RECORDS[2].design, "0"),
+                             (from_unit_cube(np.full(7, 0.41)), None)):
+            design_file = tmp_path / "design.txt"
+            write_design_file(design, design_file)
+            main(["evaluate", str(design_file), "--evaluator", f"tabular:{table}"])
+            out = capsys.readouterr().out
+            want = want or f"{SampleTable.from_file(table).nearest_site_distance(design):.6g}"
+            assert f"nearest sample site at unit-cube distance {want}\n" in out
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_design_cell_is_table_error(self, tmp_path, nominal_file, capsys,
+                                                   cell):
+        # loaded, then died in linprog with a raw ValueError (exit 1)
+        table = tmp_path / "samples.csv"
+        write_anchor_table(table)
+        lines = table.read_text().splitlines()
+        lines[3] = cell + lines[3][lines[3].index(","):]
+        table.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", nominal_file, "--evaluator", f"tabular:{table}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"{table}:4: design value x_ca is not finite: '{cell}'" in captured.err
+        assert captured.out == ""
 
     def test_degenerate_sample_table_is_table_error(self, tmp_path, nominal_file, capsys):
         # twelve sites with one unit-cube coordinate fixed lie on a
@@ -540,6 +571,37 @@ class TestOptimize:
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (out / "front.tsv").exists()
+
+    @pytest.mark.parametrize("flag", ["--agents", "--workers"])
+    def test_pearl_only_flag_on_nsga2_is_config_error(self, tmp_path, capsys, flag):
+        # NSGA-II ran its 126 evaluations and exited 0, ignoring the flag
+        out = tmp_path / "r"
+        code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "nsga2",
+                     flag, "3", "--steps", "128", "--out", str(out)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tabular_runs_solve_no_linear_program(self, tmp_path, monkeypatch, capsys):
+        # every tabular evaluation used to solve a hull-membership LP
+        import scipy.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tabular evaluation called linprog")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        table = tmp_path / "samples.csv"
+        write_anchor_table(table)
+        design_file = tmp_path / "design.txt"
+        write_design_file(from_unit_cube(np.full(7, 0.41)), design_file)
+        assert main(["evaluate", str(design_file), "--scenario", "scenario-3",
+                     "--evaluator", f"tabular:{table}"]) in (0, 1)
+        out = tmp_path / "run"
+        assert main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
+                     "--evaluator", f"tabular:{table}", "--agents", "2",
+                     "--steps", "32", "--seed", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "incidents.jsonl").read_text() == ""
 
     def test_steps_not_divisible_by_agents_is_config_error(self, tmp_path, capsys):
         code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",

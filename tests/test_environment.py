@@ -32,7 +32,6 @@ from hpmropt.environment import (
     burnup,
     power_density,
     proxy_eval,
-    tabular_eval,
     u235_mass,
     uranium_mass,
 )
@@ -188,7 +187,7 @@ class TestSampleTable:
     def test_exact_at_sample_sites(self):
         table = _table_from_anchors()
         for rec in ANCHOR_RECORDS:
-            values = tabular_eval(rec.design, table)
+            values = table(rec.design)
             assert values == pytest.approx(
                 (rec.lifetime, rec.sdm, rec.f_dh, rec.q_max), rel=1e-6, abs=1e-9)
 
@@ -198,7 +197,7 @@ class TestSampleTable:
         mid = from_unit_cube(np.full(7, 0.5))
         qois = np.array([[4.0, -6000.0, 1.2, 0.02], [8.0, -8000.0, 1.4, 0.01]])
         table = SampleTable([d1, d2], qois, kernel="linear")
-        values = tabular_eval(mid, table)
+        values = table(mid)
         assert values == pytest.approx((6.0, -7000.0, 1.3, 0.015), rel=1e-9)
 
     def test_dense_proxy_table_self_consistency(self):
@@ -215,7 +214,7 @@ class TestSampleTable:
         for _ in range(60):
             u = queries.random(7) * 0.7 + 0.15
             d = from_unit_cube(u)
-            got = np.array(tabular_eval(d, table))
+            got = np.array(table(d))
             want = np.array(proxy_eval(d))
             assert np.all(np.abs(got - want) <= 0.05 * np.abs(want) + 1e-9)
 
@@ -243,13 +242,28 @@ class TestSampleTable:
         with pytest.raises(TableLoadError):
             SampleTable([NOMINAL_DESIGN], np.array([[4.0, -6000.0, 1.2, 0.02]]))
 
-    def test_hull_flag(self):
+    def test_nearest_site_distance_is_zero_at_every_site(self):
         table = _table_from_anchors()
-        inside, extrapolated = table(NOMINAL_DESIGN)
-        assert not extrapolated
-        corner = from_unit_cube(np.zeros(7))
-        _, extrapolated = table(corner)
-        assert extrapolated
+        for rec in ANCHOR_RECORDS:
+            assert table.nearest_site_distance(rec.design) == 0.0
+
+    def test_nearest_site_distance_matches_brute_force(self, rng):
+        table = _table_from_anchors()
+        for _ in range(50):
+            design = from_unit_cube(rng.random(7))
+            z = to_unit_cube(design)
+            want = min(np.linalg.norm(site - z) for site in table.sites)
+            assert table.nearest_site_distance(design) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(EvaluationError):
+            table.nearest_site_distance(DesignVector(90, 0.95, 160, 2.3, 0.197, 1.2, 0.825))
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_non_finite_design_value_rejected_naming_the_row(self, cell):
+        designs = [rec.design.as_array() for rec in ANCHOR_RECORDS[:4]]
+        designs[2][0] = cell
+        qois = [[rec.lifetime, rec.sdm, rec.f_dh, rec.q_max] for rec in ANCHOR_RECORDS[:4]]
+        with pytest.raises(TableLoadError, match="non-finite design values in rows 3$"):
+            SampleTable(designs, qois)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -262,7 +276,7 @@ class TestSampleTable:
                                            rec.f_dh, rec.q_max])))
         path.write_text("\n".join(rows) + "\n")
         table = SampleTable.from_file(path)
-        got = tabular_eval(ANCHOR_RECORDS[0].design, table)
+        got = table(ANCHOR_RECORDS[0].design)
         assert got[0] == pytest.approx(ANCHOR_RECORDS[0].lifetime, rel=1e-6)
 
     @staticmethod
@@ -292,7 +306,7 @@ class TestSampleTable:
         qois[:, 0] = table.itc
         alone = SampleTable(table.designs, qois)
         assert evaluator.qoi(between).itc == pytest.approx(
-            tabular_eval(between, alone)[0], rel=1e-12)
+            alone(between)[0], rel=1e-12)
 
     @pytest.mark.parametrize("itc_cells", [[-2.0, -3.0, -4.0, -5.0, -6.0],
                                            [-2.0, "", -4.0, "", -6.0]])
@@ -372,9 +386,8 @@ proxy_path = [m for m in watched if m in sys.modules]
 table = SampleTable([from_unit_cube(np.full(7, 0.2)), from_unit_cube(np.full(7, 0.8))],
                     [[4.0, -6000.0, 1.2, 0.02], [8.0, -8000.0, 1.4, 0.01]],
                     kernel="linear")
-values, extrapolated = table(from_unit_cube(np.full(7, 0.5)))
+values = table(from_unit_cube(np.full(7, 0.5)))
 print(json.dumps({"proxy_path": proxy_path, "values": values,
-                  "extrapolated": extrapolated,
                   "after_table": [m for m in watched if m in sys.modules]}))
 """
 
@@ -392,9 +405,9 @@ def test_proxy_path_loads_no_scipy_table_module(tmp_path):
     assert seen["proxy_path"] == []
     assert (tmp_path / "nsga2" / "front.tsv").exists()
     assert (tmp_path / "pearl" / "front.tsv").exists()
-    # the first table loads interpolation and the LP, and answers
+    # the first table loads interpolation, which imports scipy.optimize
+    # itself, and answers
     assert seen["values"] == pytest.approx([6.0, -7000.0, 1.3, 0.015], rel=1e-9)
-    assert seen["extrapolated"] is False
     assert {"scipy.interpolate", "scipy.optimize"} <= set(seen["after_table"])
 
 
@@ -428,12 +441,6 @@ class TestDesignEvaluator:
             u[3] = 0.3
             q = evaluator.qoi(from_unit_cube(u)).q_avg
             assert q <= q_corner + 1e-12
-
-    def test_tabular_evaluator_flags_extrapolation(self):
-        table = _table_from_anchors()
-        evaluator = DesignEvaluator(load_scenario("scenario-1"), model=table)
-        qoi = evaluator.qoi(from_unit_cube(np.zeros(7)))
-        assert qoi.extrapolated
 
     def test_scenario_file_proxy_section(self, tmp_path):
         import json
