@@ -27,8 +27,8 @@ from .design_space import (
     validate,
 )
 from .economics import CostScenario, build_cash_flows, lcoe
-from .errors import (NUMBER, POSITIVE, ConfigError, ContractError, EvaluationError,
-                     TableLoadError, check, list_of, reject_unknown)
+from .errors import (NUMBER, POSITIVE, BoundsDomainError, ConfigError, ContractError,
+                     EvaluationError, TableLoadError, check, list_of, reject_unknown)
 
 # Constants recovered from the anchor table (see scripts/fit_proxy_coefficients.py
 # and the cross-row consistency tests):
@@ -353,6 +353,10 @@ class SampleTable:
                 if bad:
                     raise TableLoadError(f"{path}:{lineno}: design value {bad[0]} is "
                                          f"not finite: {row[bad[0]].strip()!r}")
+                try:
+                    to_unit_cube(designs[-1])       # a pitch outside its domain
+                except BoundsDomainError as exc:
+                    raise TableLoadError(f"{path}:{lineno}: {exc}") from exc
         if not designs:
             raise TableLoadError(f"{path}: no data rows")
         has_itc = "itc" in reader.fieldnames

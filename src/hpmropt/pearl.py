@@ -6,7 +6,9 @@ negative constraint penalty (infeasible design) or the negative rank the
 design earns in the owner agent's Pareto buffer (feasible design).  The
 policy is a small tanh network over a constant observation token, updated
 with a clipped-surrogate policy-gradient step; gradients are computed in
-closed form (no autodiff dependency).
+closed form (no autodiff dependency).  The agents of a run step in
+lockstep, and one stacked learner call updates them all at each batch
+boundary; each agent's results are, bit for bit, those of its run alone.
 """
 
 from __future__ import annotations
@@ -67,9 +69,15 @@ _FLAT_SIZE = sum(math.prod(shape) for shape in _PARAM_SHAPES.values())
 
 
 def _views(flat: np.ndarray) -> dict:
-    """Named, C-ordered views of one flat vector laid out in θ's order."""
-    return {name: flat[where].reshape(_PARAM_SHAPES[name])
+    """Named, C-ordered views of a vector laid out in θ's order, or of each
+    row of an (A, N) stack of them, shaped (A, ...)."""
+    lead = flat.shape[:-1]
+    return {name: flat[..., where].reshape(lead + _PARAM_SHAPES[name])
             for name, where in _FLAT_SLICES.items()}
+
+
+# the parameters the network multiplies by, whose layout picks the BLAS path
+_MATRICES = ("pol_w2", "pol_wm")
 
 
 PEARL_RULES = {
@@ -154,12 +162,14 @@ class PolicyState:
 
     From the optimizer's first step on, every parameter lives in one flat
     vector θ, laid out in ``_PARAM_SHAPES`` order; ``params`` holds named
-    views of it and Adam updates it in place.  Before that step ``params``
-    holds copies of the arrays the policy was built from, each in its own
-    memory layout: a fresh ``pol_wm`` is F-ordered, and the layout decides
-    the BLAS path of the first epoch's products, and with it their last
-    bits.  After one step every tensor is C-ordered either way.
-    ``theta()`` returns a copy of θ, ``set_theta()`` takes one.
+    views of it and Adam updates it in place.  θ is the policy's own, or a
+    row of the (A, N) stack of a group of agents that learn in lockstep.
+    Before that step ``params`` holds copies of the arrays the policy was
+    built from, each in its own memory layout: a fresh ``pol_wm`` is
+    F-ordered, and the layout decides the BLAS path of the first epoch's
+    products, and with it their last bits.  After one step every tensor is
+    C-ordered either way.  ``theta()`` returns a copy of θ, ``set_theta()``
+    takes one.
     """
 
     def __init__(self, params: dict):
@@ -177,17 +187,11 @@ class PolicyState:
         # pickled views would come back as arrays that no longer view θ
         return PolicyState, (self.params,)
 
-    def _flat(self) -> np.ndarray:
-        """θ, built from ``params`` at the first call; ``params`` then views
-        it."""
-        if self._theta is None:
-            theta = np.empty(_FLAT_SIZE)
-            views = _views(theta)
-            for name, view in views.items():
-                view[...] = self.params[name]
-            self._theta = theta
-            self.params = views
-        return self._theta
+    def _bind(self, row: np.ndarray) -> None:
+        """View ``row``, which holds this policy's parameters in θ's order,
+        as θ from now on."""
+        self._theta = row
+        self.params = _views(row)
 
     @classmethod
     def initialize(cls, rng, init_log_std: float = 0.4,
@@ -214,16 +218,9 @@ class PolicyState:
         rng.standard_normal(HIDDEN_WIDTH + HIDDEN_WIDTH * HIDDEN_WIDTH + HIDDEN_WIDTH)
         return cls(params)
 
-    def _policy_forward(self):
-        p = self.params
-        h1 = np.tanh(p["pol_w1"][:, 0] + p["pol_b1"])
-        h2 = np.tanh(p["pol_w2"] @ h1 + p["pol_b2"])
-        mean = p["pol_wm"] @ h2 + p["pol_bm"]
-        return mean, h1, h2
-
     @property
     def mean(self) -> np.ndarray:
-        return self._policy_forward()[0]
+        return _forward(_Stack.one(self))[0][0]
 
     @property
     def log_std(self) -> np.ndarray:
@@ -236,7 +233,7 @@ class PolicyState:
     @property
     def entropy(self) -> float:
         """Entropy of the pre-squash Gaussian (closed form)."""
-        return float(np.add.reduce(self.log_std) + 0.5 * ACTION_DIM * (1.0 + LOG_2PI))
+        return float(_entropy(self.log_std))
 
     def theta(self) -> np.ndarray:
         return np.concatenate([self.params[k].ravel() for k in _PARAM_SHAPES])
@@ -251,6 +248,69 @@ class PolicyState:
 
     def copy(self) -> "PolicyState":
         return PolicyState(self.params)
+
+
+def _entropy(log_std: np.ndarray):
+    """Entropy of the pre-squash Gaussian from the last axis of log-stds."""
+    return np.add.reduce(log_std, axis=-1) + 0.5 * ACTION_DIM * (1.0 + LOG_2PI)
+
+
+class _Stack(NamedTuple):
+    """The parameters of A policies as the learner reads them: named
+    (A, ...) arrays, and for each of ``_MATRICES`` a mask of the rows whose
+    products must read that matrix F-ordered (None: no row)."""
+
+    params: dict
+    fortran: dict
+
+    @classmethod
+    def one(cls, policy: PolicyState) -> "_Stack":
+        """One policy's own arrays, as views: each keeps its layout."""
+        return cls({name: array[None] for name, array in policy.params.items()},
+                   dict.fromkeys(_MATRICES))
+
+    @classmethod
+    def of(cls, policies, theta: np.ndarray) -> "_Stack":
+        """Views of ``theta``, the (A, N) stack of the policies' θ.  The row
+        of a policy that views none yet (no step taken) is filled with a
+        copy of its parameters, and its F-ordered matrices are marked."""
+        params = _views(theta)
+        for row, policy in enumerate(policies):
+            if policy._theta is None:
+                for name, array in policy.params.items():
+                    params[name][row] = array
+        return cls(params, {name: _mask([np.isfortran(p.params[name]) for p in policies])
+                            for name in _MATRICES})
+
+
+def _mask(flags):
+    """A boolean row mask, or None when it marks no row."""
+    return np.array(flags) if any(flags) else None
+
+
+def _matvec(w: np.ndarray, x: np.ndarray, flip: np.ndarray | None) -> np.ndarray:
+    """``w[a] @ x[a]`` for every row a of a stack of matrices (A, r, c) and
+    of vectors (A, c), as one stacked ``np.matmul``: the same BLAS ``gemv``
+    per row as a single product.  The rows marked in ``flip`` multiply a
+    copy of their matrix in the other memory layout."""
+    y = np.matmul(w, x[:, :, None])[:, :, 0]
+    if flip is not None:
+        count, rows, cols = int(np.count_nonzero(flip)), w.shape[1], w.shape[2]
+        other = (np.empty((count, cols, rows)).transpose(0, 2, 1)
+                 if w.strides[-1] == w.itemsize else np.empty((count, rows, cols)))
+        other[...] = w[flip]
+        y[flip] = np.matmul(other, x[flip][:, :, None])[:, :, 0]
+    return y
+
+
+def _forward(stack: _Stack):
+    """The mean head and both hidden layers of every row, (A, 7) and
+    (A, 64) twice."""
+    p = stack.params
+    h1 = np.tanh(p["pol_w1"][:, :, 0] + p["pol_b1"])
+    h2 = np.tanh(_matvec(p["pol_w2"], h1, stack.fortran["pol_w2"]) + p["pol_b2"])
+    mean = _matvec(p["pol_wm"], h2, stack.fortran["pol_wm"]) + p["pol_bm"]
+    return mean, h1, h2
 
 
 def _sigmoid(x):
@@ -314,31 +374,40 @@ def log_prob_of(policy: PolicyState, pre_squash: np.ndarray) -> np.ndarray:
     return np.add.reduce(per_dim, axis=1)
 
 
-def _mean(x: np.ndarray) -> np.float64:
-    """``np.mean`` of a 1-D float array: the same sum over the same count,
-    so the same bits, without the dispatch that dominates at this size."""
-    return np.add.reduce(x) / len(x)
+def _mean(x: np.ndarray):
+    """``np.mean`` over the last axis of a float array: the same sum over
+    the same count, so the same bits, without the dispatch that dominates
+    at this size."""
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def _std(x: np.ndarray) -> np.float64:
-    """``np.std`` (ddof 0) of a 1-D float array, computed as numpy does:
-    deviations from the mean, their squares summed over the count, the
-    square root."""
-    deviation = x - np.add.reduce(x) / len(x)
-    return np.sqrt(np.add.reduce(deviation * deviation) / len(x))
+def _std(x: np.ndarray):
+    """``np.std`` (ddof 0) over the last axis of a float array, computed as
+    numpy does: deviations from the mean, their squares summed over the
+    count, the square root."""
+    deviation = x - _mean(x)[..., None]
+    return np.sqrt(np.add.reduce(deviation * deviation, axis=-1) / x.shape[-1])
 
 
 @dataclass
 class Rollout:
-    pre_squash: np.ndarray   # (n, 7)
-    log_probs: np.ndarray    # (n,)
-    rewards: np.ndarray      # (n,)
+    pre_squash: np.ndarray   # (n, 7); stacked for a group, (A, n, 7)
+    log_probs: np.ndarray    # (n,), or (A, n)
+    rewards: np.ndarray      # (n,), or (A, n)
 
-    def __len__(self):
-        return len(self.rewards)
+    @classmethod
+    def stack(cls, rollouts) -> "Rollout":
+        """One rollout per agent, of one length, stacked row by row."""
+        return cls(*(np.stack(arrays) for arrays in zip(
+            *((r.pre_squash, r.log_probs, r.rewards) for r in rollouts))))
+
+    def row(self) -> "Rollout":
+        """This rollout as a one-row stack, of views."""
+        return Rollout(self.pre_squash[None], self.log_probs[None], self.rewards[None])
 
     def standardized(self):
-        """The advantages: rewards standardized over the batch.
+        """The advantages: rewards standardized over the batch (over each
+        row of a stack).
 
         Every episode is one action from the same constant observation, so a
         learned baseline could only be one constant per batch, and the
@@ -346,7 +415,7 @@ class Rollout:
         has advantage 0.
         """
         r = self.rewards
-        return (r - _mean(r)) / (_std(r) + 1e-8)
+        return (r - _mean(r)[..., None]) / (_std(r)[..., None] + 1e-8)
 
 
 class _Targets(NamedTuple):
@@ -369,46 +438,63 @@ class _Targets(NamedTuple):
                    clip_high=1.0 + config.clip_epsilon)
 
 
-def _loss_and_gradient(policy: PolicyState, rollout: Rollout, targets: _Targets,
-                       config: PearlConfig, grads: dict | None = None):
-    """Clipped-surrogate loss and the log importance ratios, from one policy
-    forward.  Given ``grads``, named views of one flat vector, it also
-    writes the closed-form gradient into them."""
+def _stack_loss_and_gradient(stack: _Stack, rollout: Rollout, targets: _Targets,
+                             config: PearlConfig, grads: dict | None = None):
+    """Every row's clipped-surrogate loss (A,) and log importance ratios
+    (A, n), from one stacked forward, for a stacked rollout and its targets.
+    Given ``grads``, named (A, ...) views of an (A, N) stack, it also writes
+    each row's closed-form gradient into them."""
     advantages = targets.advantages
-    mean, h1, h2 = policy._policy_forward()
-    log_std = policy.log_std
-    diff = rollout.pre_squash - mean       # (n, 7)
-    per_dim = _gauss_logpdf(diff, log_std, np.exp(log_std)) - targets.jacobian
-    log_ratio = np.add.reduce(per_dim, axis=1) - rollout.log_probs
+    mean, h1, h2 = _forward(stack)
+    p = stack.params
+    log_std = p["log_std"]
+    diff = rollout.pre_squash - mean[:, None]                       # (A, n, 7)
+    per_dim = _gauss_logpdf(diff, log_std[:, None], np.exp(log_std)[:, None]) \
+        - targets.jacobian
+    log_ratio = np.add.reduce(per_dim, axis=2) - rollout.log_probs
     ratio = np.exp(log_ratio)
     clipped = np.minimum(np.maximum(ratio, targets.clip_low), targets.clip_high)
     surrogate, clipped_surrogate = ratio * advantages, clipped * advantages
     pg = -_mean(np.minimum(surrogate, clipped_surrogate))
-    loss = float(pg - config.entropy_coeff * policy.entropy)
+    loss = pg - config.entropy_coeff * _entropy(log_std)
     if grads is None:
         return loss, log_ratio
 
-    n = len(rollout)
-    std2 = np.exp(2.0 * log_std)
+    n = log_ratio.shape[1]
+    std2 = np.exp(2.0 * log_std)[:, None]
     # min() follows the unclipped branch on ties, so the in-range case (where
     # both branches coincide) keeps its gradient
     active = surrogate <= clipped_surrogate
-    dlogp = np.where(active, targets.neg_advantages * ratio, 0.0) / n  # dL/dlogp_i
+    dlogp = (np.where(active, targets.neg_advantages * ratio, 0.0) / n)[:, :, None]
 
-    d_mean = np.add.reduce(dlogp[:, None] * diff / std2, axis=0, out=grads["pol_bm"])
-    d_log_std = np.add.reduce(dlogp[:, None] * (diff**2 / std2 - 1.0), axis=0,
+    d_mean = np.add.reduce(dlogp * diff / std2, axis=1, out=grads["pol_bm"])
+    d_log_std = np.add.reduce(dlogp * (diff**2 / std2 - 1.0), axis=1,
                               out=grads["log_std"])
     d_log_std -= config.entropy_coeff
 
-    p = policy.params
-    d_h2 = p["pol_wm"].T @ d_mean
+    d_h2 = _matvec(p["pol_wm"].transpose(0, 2, 1), d_mean, stack.fortran["pol_wm"])
     d_pre2 = np.multiply(d_h2, 1.0 - h2**2, out=grads["pol_b2"])
-    d_h1 = p["pol_w2"].T @ d_pre2
+    d_h1 = _matvec(p["pol_w2"].transpose(0, 2, 1), d_pre2, stack.fortran["pol_w2"])
     d_pre1 = np.multiply(d_h1, 1.0 - h1**2, out=grads["pol_b1"])
-    np.multiply(d_mean[:, None], h2, out=grads["pol_wm"])
-    np.multiply(d_pre2[:, None], h1, out=grads["pol_w2"])
-    grads["pol_w1"][:, 0] = d_pre1
+    np.multiply(d_mean[:, :, None], h2[:, None], out=grads["pol_wm"])
+    np.multiply(d_pre2[:, :, None], h1[:, None], out=grads["pol_w2"])
+    grads["pol_w1"][:, :, 0] = d_pre1
     return loss, log_ratio
+
+
+def _loss_and_gradient(policy: PolicyState, rollout: Rollout, targets: _Targets,
+                       config: PearlConfig, grads: dict | None = None):
+    """One policy's loss and log importance ratios: the one-row case of
+    ``_stack_loss_and_gradient``.  Given ``grads``, named views of one flat
+    vector, it also writes the gradient into them."""
+    targets = targets._replace(advantages=targets.advantages[None],
+                               neg_advantages=targets.neg_advantages[None],
+                               jacobian=targets.jacobian[None])
+    if grads is not None:
+        grads = {name: g[None] for name, g in grads.items()}
+    loss, log_ratio = _stack_loss_and_gradient(_Stack.one(policy), rollout.row(), targets,
+                                               config, grads)
+    return float(loss[0]), log_ratio[0]
 
 
 def ppo_loss(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> float:
@@ -424,13 +510,24 @@ def ppo_gradient(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> 
     return grads
 
 
-class AdamOptimizer:
-    """Adam over one flat parameter vector, updated in place.
+def _bias_correction(beta: float, t):
+    """1 - beta**t for a step count or a stack's (A, 1) counts, each power
+    taken by Python's float ``**`` (numpy's vectorized power can round
+    differently)."""
+    if isinstance(t, int):
+        return 1.0 - beta ** t
+    return np.array([[1.0 - beta ** k] for k in t.ravel().tolist()])
 
-    The moments and two scratch vectors are allocated at the first step.
-    A step runs the textbook sequence of elementwise operations into them,
-    so θ moves by the same bits as a tensor-by-tensor update with fresh
-    arrays would move it.
+
+class AdamOptimizer:
+    """Adam over one flat parameter vector, or over the (A, N) stack of a
+    group of agents, one row each, updated in place.
+
+    The moments and two scratch arrays are allocated at the first step,
+    shaped as θ; a stack's step count is an (A, 1) array, one per row.  A
+    step runs the textbook sequence of elementwise operations into them,
+    so each row of θ moves by the same bits as a tensor-by-tensor update
+    with fresh arrays would move it.
     """
 
     def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -441,43 +538,58 @@ class AdamOptimizer:
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
         self.t = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray,
-             scale: float | None = None) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray, scale=None,
+             where=True) -> None:
         """One update of ``theta`` in place from ``grad``, first multiplied
-        by ``scale`` when given (gradient-norm clipping).  With ``scale``,
-        ``grad`` is scaled in place."""
+        by ``scale`` when given (gradient-norm clipping; a stack's is one
+        factor per row, (A, 1), and 1.0 leaves a row exact).  With ``scale``,
+        ``grad`` is scaled in place.  ``where``, an (A, 1) mask, limits the
+        step to the marked rows of a stack: the others, their moments and
+        their step counts stay as they are."""
         if scale is not None:
             grad *= scale
-        self.t += 1
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
             self._scratch = np.empty_like(grad), np.empty_like(grad)
+            if grad.ndim > 1:
+                self.t = np.zeros(grad.shape[:-1] + (1,), dtype=np.int64)
+        self.t += where          # True counts 1: a row's count moves when it steps
         m, v = self.m, self.v
         a, b = self._scratch
+        # a mask only when some row sits out: an explicit where=True slows
+        # every call
+        rows = {} if where is True else {"where": where}
         # m += (1 - beta1) * (grad - m)
-        np.multiply(1.0 - self.beta1, np.subtract(grad, m, out=a), out=a)
-        m += a
+        np.multiply(1.0 - self.beta1, np.subtract(grad, m, out=a, **rows), out=a, **rows)
+        np.add(m, a, out=m, **rows)
         # v += (1 - beta2) * (grad**2 - v)
-        np.subtract(np.multiply(grad, grad, out=a), v, out=a)
-        np.multiply(1.0 - self.beta2, a, out=a)
-        v += a
+        np.subtract(np.multiply(grad, grad, out=a, **rows), v, out=a, **rows)
+        np.multiply(1.0 - self.beta2, a, out=a, **rows)
+        np.add(v, a, out=v, **rows)
         # theta -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, 1.0 - self.beta1**self.t, out=a)
-        np.divide(v, 1.0 - self.beta2**self.t, out=b)
-        np.add(np.sqrt(b, out=b), self.eps, out=b)
-        np.divide(np.multiply(self.learning_rate, a, out=a), b, out=a)
-        theta -= a
+        np.divide(m, _bias_correction(self.beta1, self.t), out=a, **rows)
+        np.divide(v, _bias_correction(self.beta2, self.t), out=b, **rows)
+        np.add(np.sqrt(b, out=b, **rows), self.eps, out=b, **rows)
+        np.divide(np.multiply(self.learning_rate, a, out=a, **rows), b, out=a, **rows)
+        np.subtract(theta, a, out=theta, **rows)
+
+    def take(self, rows) -> None:
+        """Keep only ``rows`` of a stack's state, in that order."""
+        if self.m is not None:
+            self.m, self.v, self.t = self.m[rows], self.v[rows], self.t[rows]
+            self._scratch = np.empty_like(self.m), np.empty_like(self.m)
 
 
-def _grad_norm(grad: np.ndarray, squares: np.ndarray) -> float:
-    """Euclidean norm of the flat gradient: one squaring pass into
-    ``squares``, then the sums of squares added tensor by tensor in θ's
-    order."""
+def _grad_norm(grad: np.ndarray, squares: np.ndarray, tensors: list) -> np.ndarray:
+    """Euclidean norm of each row of an (A, N) gradient stack: one squaring
+    pass into ``squares``, then each row's sums of squares over
+    ``tensors``, views of ``squares`` in θ's order, added tensor by tensor
+    (a float sum's order decides its last bits)."""
     np.multiply(grad, grad, out=squares)
-    total = 0.0
-    for where in _FLAT_SLICES.values():
-        total += float(np.add.reduce(squares[where]))
-    return math.sqrt(total)
+    total = np.add.reduce(tensors[0], axis=1)
+    for tensor in tensors[1:]:
+        total += np.add.reduce(tensor, axis=1)
+    return np.sqrt(total)
 
 
 @dataclass
@@ -496,36 +608,93 @@ class UpdateStats:
     skipped: bool = False
 
 
+def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: PearlConfig,
+            optimizer: AdamOptimizer, buffers: tuple | None = None) -> list[UpdateStats]:
+    """config.epochs clipped-surrogate steps for every policy of a group at
+    once, in place.
+
+    ``theta`` is the (A, N) stack whose rows the policies view, or one
+    policy's flat θ; ``rollout`` is stacked, one row per policy.  The
+    gradient and its squares go into ``buffers``, two arrays shaped as
+    ``theta`` that a caller keeps across updates (fresh ones when None: a
+    group's are large enough that first touching new pages costs more than
+    an epoch's norm).  Each epoch
+    is one stacked forward and backward, one norm per row and one stacked
+    Adam step.  A row whose gradient or loss turns non-finite sits out the
+    rest of the update, as if its own update had stopped there: its θ and
+    its optimizer state stay as they were, and its stats are that epoch's.
+    """
+    count = len(policies)
+    rows = theta.reshape(count, _FLAT_SIZE)
+    stack = _Stack.of(policies, rows)
+    targets = _Targets.of(rollout, config)
+    grad, squares = buffers or (np.empty_like(theta), np.empty_like(theta))
+    grad_rows, squares_rows = grad.reshape(count, -1), squares.reshape(count, -1)
+    grads = _views(grad_rows)
+    tensors = [squares_rows[:, where] for where in _FLAT_SLICES.values()]
+    live = np.ones(count, dtype=bool)
+    all_live = True
+    for epoch in range(config.epochs):
+        epoch_loss, epoch_log_ratio = _stack_loss_and_gradient(stack, rollout, targets,
+                                                               config, grads)
+        epoch_norm = _grad_norm(grad_rows, squares_rows, tensors)
+        if all_live:
+            loss, norm, log_ratio = epoch_loss, epoch_norm, epoch_log_ratio
+        else:
+            loss = np.where(live, epoch_loss, loss)
+            norm = np.where(live, epoch_norm, norm)
+            log_ratio = np.where(live[:, None], epoch_log_ratio, log_ratio)
+        finite = np.isfinite(epoch_norm) & np.isfinite(epoch_loss)
+        # the ufuncs' reduce: ndarray.all() and .any() cost a Python-level
+        # call each
+        if not np.logical_and.reduce(finite):
+            for _ in range(np.count_nonzero(live & ~finite)):
+                logger.warning("skipping policy update: non-finite gradient or loss")
+            live &= finite
+            all_live = bool(live.all())
+            if not live.any():
+                break
+        clip = epoch_norm > config.max_grad_norm
+        if not all_live:
+            clip &= live
+        scale = None
+        if np.logical_or.reduce(clip):
+            scale = np.where(clip, config.max_grad_norm / (epoch_norm + 1e-6), 1.0)
+            scale = scale.reshape(theta.shape[:-1] + (1,))
+        if all_live:
+            optimizer.step(theta, grad, scale)
+        else:
+            optimizer.step(theta, grad, scale, where=live[:, None])
+        if epoch == 0:
+            # a policy that stepped views its row of θ, C-ordered, from now on
+            for row, (policy, stepped) in enumerate(zip(policies, live)):
+                if stepped and policy._theta is None:
+                    policy._bind(rows[row])
+            for name, flip in stack.fortran.items():
+                if flip is not None:
+                    stack.fortran[name] = _mask(flip & ~live)
+    ratio = np.exp(log_ratio)
+    entropy = _entropy(stack.params["log_std"])
+    approx_kl = _mean((ratio - 1.0) - log_ratio)
+    clip_frac = _mean(np.abs(ratio - 1.0) > config.clip_epsilon)
+    return [UpdateStats(loss=float(loss[a]), grad_norm=float(norm[a]),
+                        entropy=float(entropy[a]), approx_kl=float(approx_kl[a]),
+                        clip_frac=float(clip_frac[a]), skipped=not live[a])
+            for a in range(count)]
+
+
 def ppo_update(policy: PolicyState, rollout: Rollout, config: PearlConfig,
                optimizer: AdamOptimizer | None = None) -> UpdateStats:
-    """One (or config.epochs) clipped-surrogate gradient steps in place.
+    """One (or config.epochs) clipped-surrogate gradient steps in place: the
+    one-agent case of the group learner.
 
     A non-finite gradient skips the update and logs the incident.
     """
     optimizer = optimizer or AdamOptimizer(config.learning_rate)
-    targets = _Targets.of(rollout, config)
-    grad, squares = np.empty(_FLAT_SIZE), np.empty(_FLAT_SIZE)
-    grads = _views(grad)
-    skipped = False
-    for _ in range(config.epochs):
-        loss, log_ratio = _loss_and_gradient(policy, rollout, targets, config, grads)
-        total_norm = _grad_norm(grad, squares)
-        if not math.isfinite(total_norm) or not math.isfinite(loss):
-            logger.warning("skipping policy update: non-finite gradient or loss")
-            skipped = True
-            break
-        scale = None
-        if total_norm > config.max_grad_norm:
-            scale = config.max_grad_norm / (total_norm + 1e-6)
-        # θ is built here, after the first epoch's products have run on the
-        # arrays the policy was built with
-        optimizer.step(policy._flat(), grad, scale)
-    ratio = np.exp(log_ratio)
-    return UpdateStats(
-        loss=loss, grad_norm=total_norm, entropy=policy.entropy,
-        approx_kl=float(_mean((ratio - 1.0) - log_ratio)),
-        clip_frac=float(_mean(np.abs(ratio - 1.0) > config.clip_epsilon)),
-        skipped=skipped)
+    # θ is built here, and bound at the first step, after the first epoch's
+    # products have run on the arrays the policy was built with
+    theta = np.empty(_FLAT_SIZE) if policy._theta is None else policy._theta
+    return _update([policy], theta, rollout.row(), config, optimizer)[0]
 
 
 def step_reward(objectives, report, buffer: ParetoBuffer, payload=None,
@@ -576,6 +745,7 @@ class Incident:
 @dataclass
 class AgentResult:
     seed: int
+    name: str           # tags the agent's run files; see agent_names
     buffer: ParetoBuffer
     history: list
     update_log: list
@@ -587,44 +757,56 @@ class AgentResult:
         return self.buffer.front(0)
 
 
-def run_agent(evaluator, config: PearlConfig, seed: int,
-              steps: int | None = None, buffer: ParetoBuffer | None = None,
-              checkpoint_dir=None, deadline: float | None = None) -> AgentResult:
-    """One agent's full optimization loop: sample, evaluate, archive, learn.
+def agent_names(seeds) -> list[str]:
+    """The tag of each agent's run files (``history-agent<tag>.tsv``,
+    ``policy-<tag>-step…``): its seed, or, when the seeds repeat, its seed
+    and its position in the list (``7-0``, ``7-1``)."""
+    if len(set(seeds)) == len(seeds):
+        return [str(seed) for seed in seeds]
+    return [f"{seed}-{index}" for index, seed in enumerate(seeds)]
 
-    Bit-reproducible for a fixed seed.  A failing evaluation is retried
-    once, then recorded as infeasible with the configured failure penalty
-    (nothing is archived for it: there are no objectives to rank); so is an
-    evaluation that returns non-finite objectives.  An expired deadline, a
-    ``time.monotonic()`` value, stops the loop early and marks the result
-    truncated.
-    """
-    steps = config.steps_per_agent() if steps is None else steps
-    rng = np.random.default_rng(seed)
-    # each seed draws its own initial exploration scale from the configured
-    # band, so a team of agents covers the front instead of collapsing onto
-    # one region; identical seeds still yield identical agents
-    init_log_std = config.init_log_std \
-        + config.init_log_std_spread * (rng.random() - 0.5)
-    policy = PolicyState.initialize(rng, init_log_std, config.init_center_scale)
-    behaviour = _Behaviour.of(policy)
-    optimizer = AdamOptimizer(config.learning_rate)
-    own_buffer = buffer if buffer is not None else ParetoBuffer(
-        capacity=config.kappa,
-        metric=config.distance_metric,
-        divisions=config.niching_divisions,
-    )
-    history: list[HistoryRow] = []
-    update_log: list[UpdateStats] = []
-    incidents: list[Incident] = []
-    truncated = False
-    batch: list = []
 
-    for step in range(steps):
-        if deadline is not None and time.monotonic() > deadline:
-            truncated = True
-            break
-        action = sample_action(behaviour, rng)
+@dataclass(eq=False)
+class _Agent:
+    """One agent of a group: its generator, policy, archive and records.
+    Its learner state is a row of the group's."""
+
+    seed: int
+    name: str
+    rng: np.random.Generator
+    policy: PolicyState
+    behaviour: _Behaviour
+    buffer: ParetoBuffer
+    history: list = field(default_factory=list)       # of HistoryRow
+    update_log: list = field(default_factory=list)    # of UpdateStats
+    incidents: list = field(default_factory=list)     # of Incident
+    batch: list = field(default_factory=list)         # of (ActionSample, reward)
+
+    @classmethod
+    def start(cls, seed: int, name: str, config: PearlConfig,
+              buffer: ParetoBuffer | None) -> "_Agent":
+        rng = np.random.default_rng(seed)
+        # each seed draws its own initial exploration scale from the configured
+        # band, so a team of agents covers the front instead of collapsing onto
+        # one region; identical seeds still yield identical agents
+        init_log_std = config.init_log_std \
+            + config.init_log_std_spread * (rng.random() - 0.5)
+        policy = PolicyState.initialize(rng, init_log_std, config.init_center_scale)
+        if buffer is None:
+            buffer = ParetoBuffer(capacity=config.kappa, metric=config.distance_metric,
+                                  divisions=config.niching_divisions)
+        return cls(seed, name, rng, policy, _Behaviour.of(policy), buffer)
+
+    def act(self, evaluator, config: PearlConfig, step: int) -> None:
+        """Sample, evaluate and archive one design.
+
+        A failing evaluation is retried once, then recorded as infeasible
+        with the configured failure penalty (nothing is archived for it:
+        there are no objectives to rank); so is an evaluation that returns
+        non-finite objectives.
+        """
+        seed = self.seed
+        action = sample_action(self.behaviour, self.rng)
         design = from_unit_cube(action.u)
         result = incident = None
         for _attempt in range(2):
@@ -641,43 +823,144 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
                                 f"non-finite objectives {result[0]}")
             result = None
         if result is None:
-            incidents.append(incident)
+            self.incidents.append(incident)
             reward = -config.failure_penalty
-            history.append(HistoryRow(step, reward, False, math.nan, math.nan,
-                                      config.failure_penalty))
+            self.history.append(HistoryRow(step, reward, False, math.nan, math.nan,
+                                           config.failure_penalty))
         else:
             objectives, report, _qoi = result
             payload = DesignPayload(id=f"{seed}-{step}", design=design)
-            reward = step_reward(objectives, report, own_buffer, payload,
+            reward = step_reward(objectives, report, self.buffer, payload,
                                  config.resolved_infeasibility_offset())
-            history.append(HistoryRow(
+            self.history.append(HistoryRow(
                 step, reward, report.feasible,
                 float(objectives[0]), float(objectives[1]),
                 float(report.penalty),
             ))
-        batch.append((action, reward))
+        self.batch.append((action, reward))
 
-        if len(batch) == config.n_steps or step == steps - 1:
-            rollout = Rollout(
-                pre_squash=np.vstack([a.pre_squash for a, _ in batch]),
-                log_probs=np.array([a.log_prob for a, _ in batch]),
-                rewards=np.array([r for _, r in batch]),
-            )
-            stats = ppo_update(policy, rollout, config, optimizer)
-            behaviour = _Behaviour.of(policy)
-            if stats.skipped:
-                incidents.append(Incident(seed, step, "skipped_update", None,
-                                          "non-finite gradient or loss"))
-            update_log.append(stats)
-            batch = []
+    def rollout(self) -> Rollout:
+        return Rollout(
+            pre_squash=np.vstack([a.pre_squash for a, _ in self.batch]),
+            log_probs=np.array([a.log_prob for a, _ in self.batch]),
+            rewards=np.array([r for _, r in self.batch]),
+        )
+
+    def learned(self, stats: UpdateStats, step: int) -> None:
+        """Record an update and sample from the updated policy."""
+        self.behaviour = _Behaviour.of(self.policy)
+        if stats.skipped:
+            self.incidents.append(Incident(self.seed, step, "skipped_update", None,
+                                           "non-finite gradient or loss"))
+        self.update_log.append(stats)
+        self.batch = []
+
+    def checkpoint(self, directory, step: int) -> None:
+        np.savez(f"{directory}/policy-{self.name}-step{step + 1:06d}.npz",
+                 **self.policy.params)
+
+    def result(self, truncated: bool) -> AgentResult:
+        return AgentResult(seed=self.seed, name=self.name, buffer=self.buffer,
+                           history=self.history, update_log=self.update_log,
+                           policy=self.policy, incidents=self.incidents,
+                           truncated=truncated)
+
+
+class _Group:
+    """Agents that run in lockstep: every agent takes step k before any takes
+    step k + 1, and one learner call updates them all at each batch
+    boundary.  From its first step on, each agent's policy views a row of
+    the (A, N) stack θ, and one Adam optimizer holds the stacked moments.
+    An agent whose own work raises leaves the group, and its failure is
+    recorded."""
+
+    def __init__(self, agents: list, config: PearlConfig):
+        self.agents = agents
+        self.theta = np.empty((len(agents), _FLAT_SIZE))
+        self.buffers = np.empty_like(self.theta), np.empty_like(self.theta)
+        self.optimizer = AdamOptimizer(config.learning_rate)
+        self.failures: list = []     # of (agent, exception)
+
+    def each(self, work) -> None:
+        """``work(agent)`` for every agent, in order."""
+        failed = []
+        for agent in self.agents:
+            try:
+                work(agent)
+            except Exception as exc:  # noqa: BLE001 - one agent's crash is data
+                logger.exception("agent %d failed", agent.seed)
+                self.failures.append((agent, exc))
+                failed.append(agent)
+        if failed:
+            keep = [i for i, agent in enumerate(self.agents) if agent not in failed]
+            self.agents = [self.agents[i] for i in keep]
+            self.theta = self.theta[keep]
+            self.buffers = np.empty_like(self.theta), np.empty_like(self.theta)
+            for agent, row in zip(self.agents, self.theta):
+                if agent.policy._theta is not None:
+                    agent.policy._bind(row)
+            self.optimizer.take(keep)
+
+    def learn(self, config: PearlConfig, step: int) -> None:
+        rollout = Rollout.stack([agent.rollout() for agent in self.agents])
+        stats = _update([agent.policy for agent in self.agents], self.theta, rollout,
+                        config, self.optimizer, self.buffers)
+        for agent, agent_stats in zip(self.agents, stats):
+            agent.learned(agent_stats, step)
+
+
+def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
+               steps: int, buffer: ParetoBuffer | None = None, checkpoint_dir=None,
+               deadline: float | None = None):
+    """The agent loop: the agents of ``seeds`` sample, evaluate, archive and
+    learn in lockstep.
+
+    Returns the finished agents' results, in seed order, and a
+    ``(seed, exception)`` pair for each agent that crashed, in seed order.
+    Bit for bit, each agent runs as it would alone: it keeps its own
+    generator, archive (unless ``buffer`` is shared), history, update log
+    and incidents, and evaluates one design per step.  An expired
+    deadline, a ``time.monotonic()`` value, stops every agent at the same
+    step and marks the results truncated.
+    """
+    agents = [_Agent.start(seed, name, config, buffer) for seed, name in zip(seeds, names)]
+    group = _Group(agents, config)
+    truncated = False
+    for step in range(steps):
+        if not group.agents:
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            truncated = True
+            break
+        group.each(lambda agent: agent.act(evaluator, config, step))
+        if group.agents and (len(group.agents[0].batch) == config.n_steps
+                             or step == steps - 1):
+            group.learn(config, step)
         if (checkpoint_dir is not None and config.checkpoint_interval
                 and (step + 1) % config.checkpoint_interval == 0):
-            np.savez(f"{checkpoint_dir}/policy-{seed}-step{step + 1:06d}.npz",
-                     **policy.params)
+            group.each(lambda agent: agent.checkpoint(checkpoint_dir, step))
+    failures = sorted(group.failures, key=lambda pair: agents.index(pair[0]))
+    return ([agent.result(truncated) for agent in group.agents],
+            [(agent.seed, exc) for agent, exc in failures])
 
-    return AgentResult(seed=seed, buffer=own_buffer, history=history,
-                       update_log=update_log, policy=policy,
-                       incidents=incidents, truncated=truncated)
+
+def run_agent(evaluator, config: PearlConfig, seed: int,
+              steps: int | None = None, buffer: ParetoBuffer | None = None,
+              checkpoint_dir=None, deadline: float | None = None) -> AgentResult:
+    """One agent's full optimization loop: the agent loop for a group of one.
+
+    Bit-reproducible for a fixed seed.  A failing evaluation is retried
+    once, then recorded as infeasible with the configured failure penalty;
+    so is an evaluation that returns non-finite objectives.  An expired
+    deadline, a ``time.monotonic()`` value, stops the loop early and marks
+    the result truncated.  Any other exception propagates.
+    """
+    steps = config.steps_per_agent() if steps is None else steps
+    results, failures = _run_group(evaluator, config, [seed], [str(seed)], steps, buffer,
+                                   checkpoint_dir, deadline)
+    if failures:
+        raise failures[0][1]
+    return results[0]
 
 
 def merge_fronts(agent_fronts) -> list[ObjectivePoint]:
@@ -703,46 +986,54 @@ class MultiResult:
         return FrontReport(points=list(self.merged_front), label=label)
 
 
-def _run_agent(*args):
-    # run_multi's one call per seed.  It looks ``run_agent`` up as it runs, so
-    # a rebound one (a probe's wrapper) runs; a process pool pickles it by
-    # this name, which nothing rebinds
-    return run_agent(*args)
-
-
 def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,
               checkpoint_dir=None) -> MultiResult:
-    """Run all agents on distinct seeds and merge their fronts.
+    """Run all agents on their seeds and merge their fronts.
 
-    Agents are independent; with ``config.workers`` > 1 they run in separate
-    processes (results are identical to the serial path).  A crashing agent
-    contributes a failure record instead of aborting the run.  With
-    ``config.shared_buffer`` every agent inserts into one common buffer and
-    execution is serial by construction.  ``deadline`` is a
-    ``time.monotonic()`` value.
+    The agents run in lockstep groups (see ``_run_group``), and each agent's
+    results are those it would reach alone, bit for bit:
+
+    - one group of every agent, by default;
+    - with ``config.workers`` > 1, one group per worker process, each a
+      contiguous run of the seeds; results come back in seed order;
+    - with ``config.shared_buffer``, every agent inserts into one common
+      buffer, so the agents run one after another in seed order, groups
+      of one, whatever ``workers`` says.
+
+    A crashing agent contributes a failure record instead of aborting the
+    run.  ``deadline`` is a ``time.monotonic()`` value.
     """
     seeds = config.agent_seeds()
+    names = agent_names(seeds)
     shared = ParetoBuffer(capacity=config.kappa, metric=config.distance_metric,
                           divisions=config.niching_divisions) \
         if config.shared_buffer else None
-    jobs = [functools.partial(_run_agent, evaluator, config, seed,
-                              config.steps_per_agent(), shared, checkpoint_dir,
-                              deadline)
-            for seed in seeds]
+    if shared is not None:
+        groups = [[index] for index in range(len(seeds))]
+    else:
+        count = min(config.workers, len(seeds))
+        bounds = [len(seeds) * k // count for k in range(count + 1)]
+        groups = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    jobs = [functools.partial(_run_group, evaluator, config, [seeds[i] for i in group],
+                              [names[i] for i in group], config.steps_per_agent(),
+                              shared, checkpoint_dir, deadline)
+            for group in groups]
     results: list[AgentResult] = []
     failures: list[dict] = []
     with contextlib.ExitStack() as stack:
-        if config.workers > 1 and shared is None:
+        if len(jobs) > 1 and shared is None:
             # imported here: the serial path never needs multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=len(jobs)))
             jobs = [pool.submit(job).result for job in jobs]
-        for seed, job in zip(seeds, jobs):
+        for group, job in zip(groups, jobs):
             try:
-                results.append(job())
-            except Exception as exc:  # noqa: BLE001
-                failures.append({"seed": seed, "error": repr(exc)})
+                finished, crashed = job()
+            except Exception as exc:  # noqa: BLE001 - a lost worker loses its group
+                finished, crashed = [], [(seeds[i], exc) for i in group]
+            results += finished
+            failures += [{"seed": seed, "error": repr(exc)} for seed, exc in crashed]
 
     merged = merge_fronts([r.front_points() for r in results])
     return MultiResult(agents=results, merged_front=merged, failures=failures)

@@ -59,7 +59,11 @@ class RunConfig:
 
     def to_manifest(self) -> dict:
         record = dataclasses.asdict(self)
-        record.pop("out_dir")  # ambient, not part of the experiment
+        # ambient, not part of the experiment: the run directory, and the
+        # worker count, which splits the agents into groups without
+        # changing a bit of the run
+        record.pop("out_dir")
+        record["pearl"].pop("workers", None)
         return {
             "config": record,
             "versions": {
@@ -151,9 +155,10 @@ def run_optimize(config: RunConfig) -> dict:
                            checkpoint_dir=checkpoint_dir)
         report = result.front_report(label=f"pearl:{config.scenario}")
         for agent in result.agents:
-            write_history(out / f"history-agent{agent.seed}.tsv", agent.history)
-            write_updates(out / f"updates-agent{agent.seed}.tsv", agent.update_log)
-            agent.buffer.export(out / f"buffer-agent{agent.seed}.tsv")
+            # named by seed, plus the agent's position when seeds repeat
+            write_history(out / f"history-agent{agent.name}.tsv", agent.history)
+            write_updates(out / f"updates-agent{agent.name}.tsv", agent.update_log)
+            agent.buffer.export(out / f"buffer-agent{agent.name}.tsv")
         write_incidents(out / "incidents.jsonl", result.agents)
         evaluations = sum(len(agent.history) for agent in result.agents)
         # every evaluation that failed left an incident; the rest succeeded

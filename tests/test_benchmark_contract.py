@@ -49,13 +49,17 @@ def test_probe_sees_each_evaluation_layer_once_per_design():
 
 
 def test_probe_sees_every_agent_of_a_serial_run():
+    # the agents of a run step in lockstep, not one run_agent call each: the
+    # probe sees every step of every agent in the layers the loop calls
     namespace = probe_namespace()
     config = PearlConfig(agents=2, total_steps=32, kappa=8, base_seed=3)
     with namespace["Probe"](namespace["TRACED"]) as probe:
         result = run_multi(ToyEvaluator(), config)
     assert len(result.agents) == 2
-    assert probe.count("pearl.run_agent") == 2
-    assert probe.failures("pearl.run_agent") == 0
+    for layer in ("pearl.sample_action", "design_space.from_unit_cube",
+                  "pareto.insert"):
+        assert probe.count(layer) == 32, layer
+        assert probe.failures(layer) == 0, layer
 
 
 def test_front_point_exports(tmp_path):

@@ -345,6 +345,21 @@ class TestEvaluate:
         assert f"{table}:4: design value x_ca is not finite: '{cell}'" in captured.err
         assert captured.out == ""
 
+    def test_pitch_outside_its_domain_is_table_error(self, tmp_path, nominal_file, capsys):
+        # escaped as a raw BoundsDomainError: exit 1, no file or line
+        table = tmp_path / "samples.csv"
+        write_anchor_table(table)
+        lines = table.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = "9.5"                                  # x_pp
+        lines[5] = ",".join(cells)
+        table.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", nominal_file, "--evaluator", f"tabular:{table}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"{table}:6: x_pp=9.5 outside [1.94, 2.78]" in captured.err
+        assert captured.out == ""
+
     def test_degenerate_sample_table_is_table_error(self, tmp_path, nominal_file, capsys):
         # twelve sites with one unit-cube coordinate fixed lie on a
         # hyperplane; the RBF's linear tail raised a raw LinAlgError (exit 1)
@@ -431,9 +446,8 @@ class TestOptimize:
             (second / "manifest.json").read_bytes()
 
     def test_worker_count_changes_no_run_file(self, tmp_path):
-        # groundwork for running agents on every core: a pooled run writes
-        # the serial run's files, byte for byte, and its manifest differs
-        # only in the worker count it records
+        # the worker count only splits the agents into groups: a pooled run
+        # writes the serial run's files, manifest included, byte for byte
         runs = {}
         for workers in (1, 2):
             out_dir = tmp_path / f"workers-{workers}"
@@ -446,12 +460,24 @@ class TestOptimize:
         assert sorted(serial) == sorted(pooled)
         assert {"front.tsv", "report.json", "history-agent5.tsv", "history-agent6.tsv",
                 "updates-agent5.tsv", "buffer-agent6.tsv"} <= set(serial)
-        manifests = [json.loads(run.pop("manifest.json")) for run in (serial, pooled)]
-        assert [m["config"]["pearl"].pop("workers") for m in manifests] == [1, 2]
-        assert manifests[0] == manifests[1]
+        assert "workers" not in json.loads(serial["manifest.json"])["config"]["pearl"]
         for name in serial:
             assert hashlib.sha256(serial[name]).hexdigest() == \
                 hashlib.sha256(pooled[name]).hexdigest(), name
+
+    def test_manifest_with_a_worker_count_still_reruns(self, tmp_path):
+        # manifests written before the count left them still carry it
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
+                     "--agents", "2", "--steps", "64", "--seed", "11",
+                     "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"]["pearl"]["workers"] = 2
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert main(["optimize", "--config", str(old), "--out", str(second)]) == 0
+        for name in ("front.tsv", "manifest.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HPMROPT_OUTPUT_ROOT", str(tmp_path))
@@ -660,6 +686,25 @@ class TestOptimize:
             "policy-4-step000016.npz", "policy-4-step000032.npz"]
         loaded = np.load(checkpoints[-1])
         assert loaded["log_std"].shape == (7,)
+
+    def test_repeated_seeds_keep_every_agents_files(self, tmp_path):
+        # two agents of seed 7 wrote one history-agent7.tsv of 8 rows: the
+        # second overwrote the first
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pearl": {
+            "agents": 2, "total_steps": 16, "seeds": [7, 7], "shared_buffer": True,
+            "checkpoint_interval": 8}}))
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["evaluations"] == 16
+        histories = sorted(out.glob("history-agent*.tsv"))
+        assert [p.name for p in histories] == ["history-agent7-0.tsv",
+                                               "history-agent7-1.tsv"]
+        assert [len(p.read_text().splitlines()) - 1 for p in histories] == [8, 8]
+        for kind in ("updates", "buffer"):
+            assert len(list(out.glob(f"{kind}-agent7-?.tsv"))) == 2, kind
+        assert sorted(p.name for p in out.glob("policy-*.npz")) == [
+            "policy-7-0-step000008.npz", "policy-7-1-step000008.npz"]
 
     def test_update_telemetry_written_beside_history(self, tmp_path):
         import csv

@@ -436,12 +436,13 @@ class TestRunAgent:
 
     def test_samples_from_the_policy_frozen_between_updates(self, toy_env, monkeypatch):
         # one forward pass per update for sampling (plus the first policy),
-        # and every action bit-identical to sampling the live policy
+        # and every action bit-identical to sampling the live policy; every
+        # forward, the learner's stacked ones too, runs through _forward
         config = small_config(n_steps=8, epochs=3)
         forwards = []
-        forward = PolicyState._policy_forward
-        monkeypatch.setattr(PolicyState, "_policy_forward",
-                            lambda self: forwards.append(1) or forward(self))
+        forward = pearl._forward
+        monkeypatch.setattr(pearl, "_forward",
+                            lambda stack: forwards.append(1) or forward(stack))
         frozen = run_agent(toy_env, config, seed=4, steps=32)
         assert len(forwards) == 1 + 4 * (config.epochs + 1)
         monkeypatch.setattr(pearl._Behaviour, "of", classmethod(lambda cls, policy: policy))
@@ -574,29 +575,29 @@ class TestRunMulti:
                     assert not (np.all(a.objectives <= b.objectives)
                                 and np.any(a.objectives < b.objectives))
 
-    def test_crashing_agent_reports_partial(self, toy_env):
-        class Exploder:
-            def evaluate(self, design):
-                raise MemoryError("cannot evaluate")
+    def test_crashing_agent_reports_partial(self, toy_env, monkeypatch):
+        # the loop absorbs evaluator errors; a crash in one agent's own work
+        # (here, archiving its design of step 10, after its first update)
+        # removes that agent alone
+        config = small_config(agents=3, total_steps=48)
+        crashed = config.agent_seeds()[1]
+        archive = pearl.step_reward
 
-        config = small_config(agents=2, total_steps=16, failure_penalty=1.0)
-
-        # run_agent absorbs evaluator errors; simulate a crash at agent level
-        import hpmropt.pearl as pearl_mod
-        original = pearl_mod.run_agent
-
-        def crashing(evaluator, config, seed, *args, **kwargs):
-            if seed == config.agent_seeds()[1]:
+        def crashing(objectives, report, buffer, payload=None, *args):
+            if payload.id == f"{crashed}-10":
                 raise RuntimeError("agent crashed")
-            return original(evaluator, config, seed, *args, **kwargs)
+            return archive(objectives, report, buffer, payload, *args)
 
-        pearl_mod.run_agent = crashing
-        try:
-            result = run_multi(toy_env, config)
-        finally:
-            pearl_mod.run_agent = original
-        assert len(result.agents) == 1
-        assert len(result.failures) == 1
+        monkeypatch.setattr(pearl, "step_reward", crashing)
+        result = run_multi(toy_env, config)
+        assert [agent.seed for agent in result.agents] == [5, 7]
+        assert result.failures == [{"seed": crashed,
+                                    "error": "RuntimeError('agent crashed')"}]
+        monkeypatch.undo()
+        for agent in result.agents:
+            alone = run_agent(toy_env, config, agent.seed)
+            assert [repr(r) for r in agent.history] == [repr(r) for r in alone.history]
+            assert agent.policy.theta().tobytes() == alone.policy.theta().tobytes()
 
     def test_shared_buffer_mode(self, toy_env):
         config = small_config(agents=2, total_steps=64, shared_buffer=True)
