@@ -14,14 +14,22 @@ same-seed pairs the after side won in the metric's "better" direction from
 BENCHMARK.json.  Timed runs (``--trace 0``) give the end-to-end rows,
 traced runs (``--trace 1``) the per-layer rows.  ``--note`` adds a figure
 measured outside the benchmark (name, before, after, unit).
+
+It also holds the harness of the direct timing scripts
+(``scripts/time_*.py``): ``alternating_runs`` runs a script's ``--child``
+mode on two source trees in alternating pairs, ``direct_rows`` turns its
+runs into rows of this file's layout, and ``this_machine`` describes the host.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import re
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,6 +83,57 @@ def quartile_spread(values) -> float | None:
         return None
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q3 - q1
+
+
+def run_tree(script: Path, src: Path) -> dict:
+    """The figures ``script --child`` prints, as JSON, run by a fresh
+    interpreter that imports ``hpmropt`` from ``src`` with one BLAS
+    thread."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, str(script), "--child"], env=env,
+                           capture_output=True, text=True, check=True, timeout=600)
+    return json.loads(child.stdout)
+
+
+def alternating_runs(script: Path, before: Path, after: Path, pairs: int) -> dict:
+    """{"before": [figures, ...], "after": [...]}: ``pairs`` runs of
+    ``script`` on each tree, the first side alternating every pair."""
+    trees = {"before": before, "after": after}
+    runs = {"before": [], "after": []}
+    for pair in range(pairs):
+        for name in ("before", "after") if pair % 2 == 0 else ("after", "before"):
+            runs[name].append(run_tree(script, trees[name]))
+    return runs
+
+
+def direct_rows(runs: dict) -> list[dict]:
+    """One row per figure of ``alternating_runs``, lower being better: both
+    sides' runs and medians, the after/before ratio, the before side's
+    quartile spread and the pairs the after side won.  A figure's unit is
+    the last ``_`` part of its name (``…_us``)."""
+    rows = []
+    for metric in runs["after"][0]:
+        old = [r[metric] for r in runs["before"]]
+        new = [r[metric] for r in runs["after"]]
+        rows.append({
+            "workload": "direct", "traced": False, "metric": metric,
+            "unit": metric.rsplit("_", 1)[1],
+            "before": {"runs": old, "median": statistics.median(old)},
+            "after": {"runs": new, "median": statistics.median(new)},
+            "ratio": statistics.median(new) / statistics.median(old),
+            "before_quartile_spread": quartile_spread(old),
+            "pairs": len(old), "won": sum(b < a for a, b in zip(old, new)),
+            "better": "lower",
+        })
+    return rows
+
+
+def this_machine() -> dict:
+    """The host a direct timing ran on."""
+    import numpy as np
+
+    return {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
+            "python": platform.python_version(), "numpy": np.__version__}
 
 
 def pairs_won(before, after, name, better) -> dict:

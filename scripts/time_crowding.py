@@ -20,14 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-from bench_rows import quartile_spread
+from bench_rows import alternating_runs, direct_rows, this_machine
 
 SIZES = (8, 16, 32, 64, 128)
 
@@ -74,13 +70,6 @@ def measure() -> dict:
     return figures
 
 
-def run_tree(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    child = subprocess.run([sys.executable, __file__, "--child"], env=env,
-                           capture_output=True, text=True, check=True, timeout=600)
-    return json.loads(child.stdout)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
@@ -95,29 +84,9 @@ def main(argv=None) -> int:
     if not (args.before and args.after and args.out):
         parser.error("--before, --after and --out are required")
 
-    runs = {"before": [], "after": []}
-    for pair in range(args.pairs):
-        sides = ("before", "after") if pair % 2 == 0 else ("after", "before")
-        for name in sides:
-            runs[name].append(run_tree(getattr(args, name)))
-    import numpy as np
-
-    rows = []
-    for metric in runs["after"][0]:
-        old = [r[metric] for r in runs["before"]]
-        new = [r[metric] for r in runs["after"]]
-        rows.append({
-            "workload": "direct", "traced": False, "metric": metric, "unit": "us",
-            "before": {"runs": old, "median": statistics.median(old)},
-            "after": {"runs": new, "median": statistics.median(new)},
-            "ratio": statistics.median(new) / statistics.median(old),
-            "before_quartile_spread": quartile_spread(old),
-            "pairs": len(old), "won": sum(b < a for a, b in zip(old, new)),
-            "better": "lower",
-        })
-    machine = {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
-               "python": platform.python_version(), "numpy": np.__version__}
-    args.out.write_text(json.dumps({"machine": machine, "rows": rows}, indent=1) + "\n")
+    rows = direct_rows(alternating_runs(Path(__file__), args.before, args.after, args.pairs))
+    args.out.write_text(json.dumps({"machine": this_machine(), "rows": rows}, indent=1)
+                        + "\n")
     for row in rows:
         spread = row["before_quartile_spread"]
         print(f"{row['metric']:34s} {row['before']['median']:9.2f} -> "

@@ -10,9 +10,8 @@ times three figures:
 
 - ``update_round_8x8_us``: the learner's work at one batch boundary of an
   8-agent run, each agent holding an 8-sample batch, 20 epochs: one group
-  update (``pearl._update``) on a tree whose agents learn in lockstep,
-  eight ``ppo_update`` calls on an older one, as its ``run_multi`` made
-  them.  The median of 40 rounds after 3 warm-up rounds, microseconds;
+  update (``pearl._update``), as the agents' lockstep ``run_multi`` makes
+  it.  The median of 40 rounds after 3 warm-up rounds, microseconds;
 - ``ppo_update_1x8_us``: one agent's ``ppo_update`` on the same batch,
   measured the same way;
 - ``pearl_8x2400_s``: one ``run_multi`` of 8 agents on 2,400 proxy
@@ -30,14 +29,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-from bench_rows import quartile_spread
+from bench_rows import alternating_runs, direct_rows, this_machine
 
 AGENTS, BATCH, ROUNDS, WARM_UP = 8, 8, 40, 3
 
@@ -63,20 +59,13 @@ def measure() -> dict:
                                       np.array([s.log_prob for s in samples]),
                                       rng.normal(size=BATCH) * 30.0 - 40.0))
 
-    if hasattr(pearl, "_update"):       # agents learn in lockstep
-        theta = np.empty((AGENTS, len(policies[0].theta())))
-        optimizer = pearl.AdamOptimizer(config.learning_rate)
-        stacked = pearl.Rollout.stack(rollouts)
-        buffers = np.empty_like(theta), np.empty_like(theta)
+    theta = np.empty((AGENTS, len(policies[0].theta())))
+    optimizer = pearl.AdamOptimizer(config.learning_rate)
+    stacked = pearl.Rollout.stack(rollouts)
+    buffers = np.empty_like(theta), np.empty_like(theta)
 
-        def update_round():
-            pearl._update(policies, theta, stacked, config, optimizer, buffers)
-    else:
-        optimizers = [pearl.AdamOptimizer(config.learning_rate) for _ in policies]
-
-        def update_round():
-            for policy, rollout, optimizer in zip(policies, rollouts, optimizers):
-                pearl.ppo_update(policy, rollout, config, optimizer)
+    def update_round():
+        pearl._update(policies, theta, stacked, config, optimizer, buffers)
 
     one = pearl.PolicyState.initialize(np.random.default_rng(99), 0.4, 0.8)
     one_optimizer = pearl.AdamOptimizer(config.learning_rate)
@@ -105,13 +94,6 @@ def measure() -> dict:
     return figures
 
 
-def run_tree(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1")
-    child = subprocess.run([sys.executable, __file__, "--child"], env=env,
-                           capture_output=True, text=True, check=True, timeout=600)
-    return json.loads(child.stdout)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
@@ -126,31 +108,10 @@ def main(argv=None) -> int:
     if not (args.before and args.after):
         parser.error("--before and --after are required")
 
-    runs = {"before": [], "after": []}
-    for pair in range(args.pairs):
-        sides = ("before", "after") if pair % 2 == 0 else ("after", "before")
-        for name in sides:
-            runs[name].append(run_tree(getattr(args, name)))
-    import numpy as np
-
-    rows = []
-    for metric in runs["after"][0]:
-        old = [r[metric] for r in runs["before"]]
-        new = [r[metric] for r in runs["after"]]
-        rows.append({
-            "workload": "direct", "traced": False, "metric": metric,
-            "unit": metric.rsplit("_", 1)[1],
-            "before": {"runs": old, "median": statistics.median(old)},
-            "after": {"runs": new, "median": statistics.median(new)},
-            "ratio": statistics.median(new) / statistics.median(old),
-            "before_quartile_spread": quartile_spread(old),
-            "pairs": len(old), "won": sum(b < a for a, b in zip(old, new)),
-            "better": "lower",
-        })
-    machine = {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
-               "python": platform.python_version(), "numpy": np.__version__}
+    rows = direct_rows(alternating_runs(Path(__file__), args.before, args.after, args.pairs))
     if args.out:
-        args.out.write_text(json.dumps({"machine": machine, "rows": rows}, indent=1) + "\n")
+        args.out.write_text(json.dumps({"machine": this_machine(), "rows": rows}, indent=1)
+                            + "\n")
     for row in rows:
         spread = row["before_quartile_spread"]
         print(f"{row['metric']:22s} {row['before']['median']:11.4g} -> "

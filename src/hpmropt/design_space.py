@@ -188,8 +188,11 @@ def from_unit_cube(u) -> DesignVector:
     _set(design, "x_fh", fh + v_fh * fh_span)
     _set(design, "x_pp", x_pp)
     _set(design, "x_e", e + v_e * e_span)
-    _set(design, "x_cr", cr_lo + v_cr * (cr_hi - cr_lo))
-    _set(design, "x_mr", mr_lo + v_mr * (mr_hi - mr_lo))
+    # lo + v * (hi - lo) can round past hi at v = 1 (at x_pp 1.9925,
+    # 0.3605 + (0.90125 - 0.3605) is 0.9012500000000001), so the coupled
+    # radii are clamped; a value at or below hi stays as it was
+    _set(design, "x_cr", min(cr_lo + v_cr * (cr_hi - cr_lo), cr_hi))
+    _set(design, "x_mr", min(mr_lo + v_mr * (mr_hi - mr_lo), mr_hi))
     return design
 
 

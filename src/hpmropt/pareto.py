@@ -446,9 +446,9 @@ class ParetoBuffer:
 
     One buffer has exactly one owner; insertions are strictly sequential.
     ``metric`` selects the within-front diversity ordering.  For niching,
-    the reference lattice defaults to one direction per buffer slot
-    (capacity - 1 divisions) and is built lazily once the objective
-    dimension is known.
+    the reference lattice has ``divisions`` divisions, by default one
+    direction per buffer slot (capacity - 1), and is built lazily once the
+    objective dimension is known.
 
     The solutions live in columnar arrays of ``capacity + 1`` rows in no
     particular order; the row an insert evicts takes the next candidate.
@@ -458,7 +458,7 @@ class ParetoBuffer:
     """
 
     def __init__(self, capacity: int = 64, metric: str = "crowding",
-                 directions=None, divisions: int | None = None):
+                 divisions: int | None = None):
         if not _is_integer(capacity):
             raise ContractError(f"capacity must be an integer, got {capacity!r}")
         if capacity < 1:
@@ -467,15 +467,9 @@ class ParetoBuffer:
             raise ContractError(f"unknown distance metric {metric!r}")
         if divisions is not None and not (_is_integer(divisions) and divisions >= 1):
             raise ContractError(f"divisions must be an integer >= 1, got {divisions!r}")
-        if directions is not None:
-            directions = np.asarray(directions, float)
-            if directions.ndim != 2 or len(directions) == 0:
-                raise ContractError("directions must be a non-empty (k, n_obj) array")
-            if not np.all(directions.any(axis=1)):
-                raise ContractError("a reference direction is the zero vector")
         self.capacity = capacity
         self.metric = metric
-        self.directions = directions
+        self.directions: np.ndarray | None = None
         self.divisions = divisions
         self._obj: np.ndarray | None = None
         self._feas = np.zeros(capacity + 1, dtype=bool)
@@ -495,13 +489,10 @@ class ParetoBuffer:
         if not 1 <= n_obj <= 2:
             raise ContractError(
                 f"non-dominated sorting supports one or two objectives, got {n_obj}")
-        if self.metric == "niching" and self.directions is None:
+        if self.metric == "niching":
             divisions = self.divisions if self.divisions is not None \
                 else max(self.capacity - 1, 1)
             self.directions = reference_directions(n_obj, divisions)
-        if self.directions is not None and self.directions.shape[1] != n_obj:
-            raise ContractError(f"reference directions have {self.directions.shape[1]} "
-                                f"columns, the objectives {n_obj}")
         self._obj = np.zeros((self.capacity + 1, n_obj))
 
     def insert(self, point: ObjectivePoint) -> int:

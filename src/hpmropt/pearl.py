@@ -161,9 +161,10 @@ class PolicyState:
     The observation is a constant token, so forward passes take no input.
 
     From the optimizer's first step on, every parameter lives in one flat
-    vector θ, laid out in ``_PARAM_SHAPES`` order; ``params`` holds named
-    views of it and Adam updates it in place.  θ is the policy's own, or a
-    row of the (A, N) stack of a group of agents that learn in lockstep.
+    row θ, laid out in ``_PARAM_SHAPES`` order; ``params`` holds named
+    views of it and Adam updates it in place.  θ is a row of an (A, N)
+    stack: of a group of agents that learn in lockstep, or of a stack of
+    one.
     Before that step ``params`` holds copies of the arrays the policy was
     built from, each in its own memory layout: a fresh ``pol_wm`` is
     F-ordered, and the layout decides the BLAS path of the first epoch's
@@ -482,52 +483,39 @@ def _stack_loss_and_gradient(stack: _Stack, rollout: Rollout, targets: _Targets,
     return loss, log_ratio
 
 
-def _loss_and_gradient(policy: PolicyState, rollout: Rollout, targets: _Targets,
-                       config: PearlConfig, grads: dict | None = None):
-    """One policy's loss and log importance ratios: the one-row case of
-    ``_stack_loss_and_gradient``.  Given ``grads``, named views of one flat
-    vector, it also writes the gradient into them."""
-    targets = targets._replace(advantages=targets.advantages[None],
-                               neg_advantages=targets.neg_advantages[None],
-                               jacobian=targets.jacobian[None])
-    if grads is not None:
-        grads = {name: g[None] for name, g in grads.items()}
-    loss, log_ratio = _stack_loss_and_gradient(_Stack.one(policy), rollout.row(), targets,
-                                               config, grads)
-    return float(loss[0]), log_ratio[0]
-
-
 def ppo_loss(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> float:
     """Clipped-surrogate loss plus the entropy term."""
-    return _loss_and_gradient(policy, rollout, _Targets.of(rollout, config), config)[0]
+    rollout = rollout.row()
+    loss, _ = _stack_loss_and_gradient(_Stack.one(policy), rollout,
+                                       _Targets.of(rollout, config), config)
+    return float(loss[0])
 
 
 def ppo_gradient(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> dict:
     """Closed-form gradient of the clipped-surrogate loss, as named arrays
     that share no memory with the policy."""
-    grads = _views(np.empty(_FLAT_SIZE))
-    _loss_and_gradient(policy, rollout, _Targets.of(rollout, config), config, grads)
-    return grads
+    rollout, grad = rollout.row(), np.empty((1, _FLAT_SIZE))
+    _stack_loss_and_gradient(_Stack.one(policy), rollout, _Targets.of(rollout, config),
+                             config, _views(grad))
+    return _views(grad[0])
 
 
-def _bias_correction(beta: float, t):
-    """1 - beta**t for a step count or a stack's (A, 1) counts, each power
+def _bias_correction(beta: float, t: np.ndarray) -> np.ndarray:
+    """1 - beta**t for each of a stack's (A, 1) step counts, each power
     taken by Python's float ``**`` (numpy's vectorized power can round
     differently)."""
-    if isinstance(t, int):
-        return 1.0 - beta ** t
     return np.array([[1.0 - beta ** k] for k in t.ravel().tolist()])
 
 
 class AdamOptimizer:
-    """Adam over one flat parameter vector, or over the (A, N) stack of a
-    group of agents, one row each, updated in place.
+    """Adam over an (A, N) stack of parameter rows, updated in place: the
+    θ of a group of agents, or of a single policy as a stack of one.
 
-    The moments and two scratch arrays are allocated at the first step,
-    shaped as θ; a stack's step count is an (A, 1) array, one per row.  A
-    step runs the textbook sequence of elementwise operations into them,
-    so each row of θ moves by the same bits as a tensor-by-tensor update
-    with fresh arrays would move it.
+    The moments, two scratch arrays and the step counts, an (A, 1) array
+    with one count per row, are allocated at the first step.  A step runs
+    the textbook sequence of elementwise operations into them, so each row
+    of θ moves by the same bits as a tensor-by-tensor update with fresh
+    arrays would move it.
     """
 
     def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -536,23 +524,22 @@ class AdamOptimizer:
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
-        self.t = 0
+        self.t: np.ndarray | None = None
 
     def step(self, theta: np.ndarray, grad: np.ndarray, scale=None,
              where=True) -> None:
-        """One update of ``theta`` in place from ``grad``, first multiplied
-        by ``scale`` when given (gradient-norm clipping; a stack's is one
-        factor per row, (A, 1), and 1.0 leaves a row exact).  With ``scale``,
-        ``grad`` is scaled in place.  ``where``, an (A, 1) mask, limits the
-        step to the marked rows of a stack: the others, their moments and
+        """One update of the (A, N) stack ``theta`` in place from ``grad``,
+        first multiplied by ``scale`` when given (gradient-norm clipping,
+        one factor per row, (A, 1); 1.0 leaves a row exact).  With
+        ``scale``, ``grad`` is scaled in place.  ``where``, an (A, 1) mask,
+        limits the step to the marked rows: the others, their moments and
         their step counts stay as they are."""
         if scale is not None:
             grad *= scale
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
             self._scratch = np.empty_like(grad), np.empty_like(grad)
-            if grad.ndim > 1:
-                self.t = np.zeros(grad.shape[:-1] + (1,), dtype=np.int64)
+            self.t = np.zeros((len(grad), 1), dtype=np.int64)
         self.t += where          # True counts 1: a row's count moves when it steps
         m, v = self.m, self.v
         a, b = self._scratch
@@ -574,7 +561,7 @@ class AdamOptimizer:
         np.subtract(theta, a, out=theta, **rows)
 
     def take(self, rows) -> None:
-        """Keep only ``rows`` of a stack's state, in that order."""
+        """Keep only ``rows`` of the state, in that order."""
         if self.m is not None:
             self.m, self.v, self.t = self.m[rows], self.v[rows], self.t[rows]
             self._scratch = np.empty_like(self.m), np.empty_like(self.m)
@@ -608,36 +595,37 @@ class UpdateStats:
     skipped: bool = False
 
 
+@np.errstate(all="ignore")
 def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: PearlConfig,
             optimizer: AdamOptimizer, buffers: tuple | None = None) -> list[UpdateStats]:
     """config.epochs clipped-surrogate steps for every policy of a group at
     once, in place.
 
-    ``theta`` is the (A, N) stack whose rows the policies view, or one
-    policy's flat θ; ``rollout`` is stacked, one row per policy.  The
-    gradient and its squares go into ``buffers``, two arrays shaped as
-    ``theta`` that a caller keeps across updates (fresh ones when None: a
-    group's are large enough that first touching new pages costs more than
-    an epoch's norm).  Each epoch
-    is one stacked forward and backward, one norm per row and one stacked
-    Adam step.  A row whose gradient or loss turns non-finite sits out the
-    rest of the update, as if its own update had stopped there: its θ and
-    its optimizer state stay as they were, and its stats are that epoch's.
+    ``theta`` is the (A, N) stack whose rows the policies view, and
+    ``rollout`` is stacked, one row per policy.  The gradient and its
+    squares go into ``buffers``, two arrays shaped as ``theta`` that a
+    caller keeps across updates (fresh ones when None: a group's are large
+    enough that first touching new pages costs more than an epoch's norm).
+    Each epoch is one stacked forward and backward, one norm per row and
+    one stacked Adam step.  A row whose gradient or loss turns non-finite
+    sits out the rest of the update, as if its own update had stopped
+    there: its θ and its optimizer state stay as they were, and its stats
+    are that epoch's.  Its arithmetic still runs with the others', so
+    numpy's floating-point warnings are off for the whole update: each
+    skip is logged once instead.
     """
     count = len(policies)
-    rows = theta.reshape(count, _FLAT_SIZE)
-    stack = _Stack.of(policies, rows)
+    stack = _Stack.of(policies, theta)
     targets = _Targets.of(rollout, config)
     grad, squares = buffers or (np.empty_like(theta), np.empty_like(theta))
-    grad_rows, squares_rows = grad.reshape(count, -1), squares.reshape(count, -1)
-    grads = _views(grad_rows)
-    tensors = [squares_rows[:, where] for where in _FLAT_SLICES.values()]
+    grads = _views(grad)
+    tensors = [squares[:, where] for where in _FLAT_SLICES.values()]
     live = np.ones(count, dtype=bool)
     all_live = True
     for epoch in range(config.epochs):
         epoch_loss, epoch_log_ratio = _stack_loss_and_gradient(stack, rollout, targets,
                                                                config, grads)
-        epoch_norm = _grad_norm(grad_rows, squares_rows, tensors)
+        epoch_norm = _grad_norm(grad, squares, tensors)
         if all_live:
             loss, norm, log_ratio = epoch_loss, epoch_norm, epoch_log_ratio
         else:
@@ -659,8 +647,7 @@ def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: PearlCo
             clip &= live
         scale = None
         if np.logical_or.reduce(clip):
-            scale = np.where(clip, config.max_grad_norm / (epoch_norm + 1e-6), 1.0)
-            scale = scale.reshape(theta.shape[:-1] + (1,))
+            scale = np.where(clip, config.max_grad_norm / (epoch_norm + 1e-6), 1.0)[:, None]
         if all_live:
             optimizer.step(theta, grad, scale)
         else:
@@ -669,7 +656,7 @@ def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: PearlCo
             # a policy that stepped views its row of θ, C-ordered, from now on
             for row, (policy, stepped) in enumerate(zip(policies, live)):
                 if stepped and policy._theta is None:
-                    policy._bind(rows[row])
+                    policy._bind(theta[row])
             for name, flip in stack.fortran.items():
                 if flip is not None:
                     stack.fortran[name] = _mask(flip & ~live)
@@ -691,9 +678,10 @@ def ppo_update(policy: PolicyState, rollout: Rollout, config: PearlConfig,
     A non-finite gradient skips the update and logs the incident.
     """
     optimizer = optimizer or AdamOptimizer(config.learning_rate)
-    # θ is built here, and bound at the first step, after the first epoch's
-    # products have run on the arrays the policy was built with
-    theta = np.empty(_FLAT_SIZE) if policy._theta is None else policy._theta
+    # θ is built here, a stack of one, and bound at the first step, after
+    # the first epoch's products have run on the arrays the policy was
+    # built with
+    theta = np.empty((1, _FLAT_SIZE)) if policy._theta is None else policy._theta[None]
     return _update([policy], theta, rollout.row(), config, optimizer)[0]
 
 
@@ -742,21 +730,6 @@ class Incident:
     message: str
 
 
-@dataclass
-class AgentResult:
-    seed: int
-    name: str           # tags the agent's run files; see agent_names
-    buffer: ParetoBuffer
-    history: list
-    update_log: list
-    policy: PolicyState
-    incidents: list = field(default_factory=list)   # of Incident
-    truncated: bool = False
-
-    def front_points(self) -> list[ObjectivePoint]:
-        return self.buffer.front(0)
-
-
 def agent_names(seeds) -> list[str]:
     """The tag of each agent's run files (``history-agent<tag>.tsv``,
     ``policy-<tag>-step…``): its seed, or, when the seeds repeat, its seed
@@ -767,24 +740,26 @@ def agent_names(seeds) -> list[str]:
 
 
 @dataclass(eq=False)
-class _Agent:
-    """One agent of a group: its generator, policy, archive and records.
-    Its learner state is a row of the group's."""
+class AgentResult:
+    """One agent: its generator, policy, archive and records.  The agent
+    loop steps it, and returns it as the agent's result.  In a group, its
+    learner state is a row of the group's."""
 
     seed: int
-    name: str
-    rng: np.random.Generator
-    policy: PolicyState
-    behaviour: _Behaviour
+    name: str           # tags the agent's run files; see agent_names
     buffer: ParetoBuffer
-    history: list = field(default_factory=list)       # of HistoryRow
-    update_log: list = field(default_factory=list)    # of UpdateStats
+    history: list                                     # of HistoryRow
+    update_log: list                                  # of UpdateStats
+    policy: PolicyState
+    rng: np.random.Generator
+    behaviour: _Behaviour                             # samples between updates
     incidents: list = field(default_factory=list)     # of Incident
+    truncated: bool = False
     batch: list = field(default_factory=list)         # of (ActionSample, reward)
 
     @classmethod
     def start(cls, seed: int, name: str, config: PearlConfig,
-              buffer: ParetoBuffer | None) -> "_Agent":
+              buffer: ParetoBuffer | None) -> "AgentResult":
         rng = np.random.default_rng(seed)
         # each seed draws its own initial exploration scale from the configured
         # band, so a team of agents covers the front instead of collapsing onto
@@ -795,7 +770,10 @@ class _Agent:
         if buffer is None:
             buffer = ParetoBuffer(capacity=config.kappa, metric=config.distance_metric,
                                   divisions=config.niching_divisions)
-        return cls(seed, name, rng, policy, _Behaviour.of(policy), buffer)
+        return cls(seed, name, buffer, [], [], policy, rng, _Behaviour.of(policy))
+
+    def front_points(self) -> list[ObjectivePoint]:
+        return self.buffer.front(0)
 
     def act(self, evaluator, config: PearlConfig, step: int) -> None:
         """Sample, evaluate and archive one design.
@@ -859,12 +837,6 @@ class _Agent:
         np.savez(f"{directory}/policy-{self.name}-step{step + 1:06d}.npz",
                  **self.policy.params)
 
-    def result(self, truncated: bool) -> AgentResult:
-        return AgentResult(seed=self.seed, name=self.name, buffer=self.buffer,
-                           history=self.history, update_log=self.update_log,
-                           policy=self.policy, incidents=self.incidents,
-                           truncated=truncated)
-
 
 class _Group:
     """Agents that run in lockstep: every agent takes step k before any takes
@@ -915,22 +887,23 @@ def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
     """The agent loop: the agents of ``seeds`` sample, evaluate, archive and
     learn in lockstep.
 
-    Returns the finished agents' results, in seed order, and a
-    ``(seed, exception)`` pair for each agent that crashed, in seed order.
-    Bit for bit, each agent runs as it would alone: it keeps its own
-    generator, archive (unless ``buffer`` is shared), history, update log
-    and incidents, and evaluates one design per step.  An expired
+    Returns the finished agents, which are their results, in seed order,
+    and a ``(seed, exception)`` pair for each agent that crashed, in seed
+    order.  Bit for bit, each agent runs as it would alone: it keeps its
+    own generator, archive (unless ``buffer`` is shared), history, update
+    log and incidents, and evaluates one design per step.  An expired
     deadline, a ``time.monotonic()`` value, stops every agent at the same
     step and marks the results truncated.
     """
-    agents = [_Agent.start(seed, name, config, buffer) for seed, name in zip(seeds, names)]
+    agents = [AgentResult.start(seed, name, config, buffer)
+              for seed, name in zip(seeds, names)]
     group = _Group(agents, config)
-    truncated = False
     for step in range(steps):
         if not group.agents:
             break
         if deadline is not None and time.monotonic() > deadline:
-            truncated = True
+            for agent in group.agents:
+                agent.truncated = True
             break
         group.each(lambda agent: agent.act(evaluator, config, step))
         if group.agents and (len(group.agents[0].batch) == config.n_steps
@@ -940,8 +913,7 @@ def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
                 and (step + 1) % config.checkpoint_interval == 0):
             group.each(lambda agent: agent.checkpoint(checkpoint_dir, step))
     failures = sorted(group.failures, key=lambda pair: agents.index(pair[0]))
-    return ([agent.result(truncated) for agent in group.agents],
-            [(agent.seed, exc) for agent, exc in failures])
+    return group.agents, [(agent.seed, exc) for agent, exc in failures]
 
 
 def run_agent(evaluator, config: PearlConfig, seed: int,

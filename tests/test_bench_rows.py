@@ -63,3 +63,37 @@ def test_directions_come_from_the_benchmark_declaration(bench_rows):
     assert directions["evals_per_s"] == "higher"
     assert directions["setup_s"] == "lower"
     assert directions["pareto.insert.us"] == "lower"
+
+
+def test_direct_rows_from_alternating_pairs(bench_rows, monkeypatch):
+    # the first side alternates every pair; each figure's unit is the last
+    # part of its name, and lower is better
+    figures = iter([
+        {"insert_us": 10.0, "run_s": 2.0}, {"insert_us": 8.0, "run_s": 2.5},     # pair 0
+        {"insert_us": 9.0, "run_s": 2.0}, {"insert_us": 12.0, "run_s": 1.0},     # pair 1
+        {"insert_us": 11.0, "run_s": 3.0}, {"insert_us": 11.0, "run_s": 1.5},    # pair 2
+    ])
+    calls = []
+    monkeypatch.setattr(bench_rows, "run_tree",
+                        lambda script, src: calls.append(src) or next(figures))
+    runs = bench_rows.alternating_runs(Path("time_x.py"), Path("old"), Path("new"), 3)
+    assert calls == [Path(p) for p in ("old", "new", "new", "old", "old", "new")]
+    assert runs == {"before": [{"insert_us": 10.0, "run_s": 2.0},
+                               {"insert_us": 12.0, "run_s": 1.0},
+                               {"insert_us": 11.0, "run_s": 3.0}],
+                    "after": [{"insert_us": 8.0, "run_s": 2.5},
+                              {"insert_us": 9.0, "run_s": 2.0},
+                              {"insert_us": 11.0, "run_s": 1.5}]}
+
+    rows = {row["metric"]: row for row in bench_rows.direct_rows(runs)}
+    insert = rows["insert_us"]
+    assert (insert["unit"], insert["better"], insert["workload"]) == ("us", "lower", "direct")
+    assert insert["before"] == {"runs": [10.0, 12.0, 11.0], "median": 11.0}
+    assert insert["after"]["median"] == 9.0
+    assert insert["ratio"] == pytest.approx(9.0 / 11.0)
+    # a tie (pair 2) is not a win
+    assert (insert["pairs"], insert["won"]) == (3, 2)
+    # inclusive quartiles of 10, 11, 12: 10.5 and 11.5
+    assert insert["before_quartile_spread"] == pytest.approx(1.0)
+    run = rows["run_s"]
+    assert (run["unit"], run["won"]) == ("s", 1)

@@ -781,6 +781,41 @@ class TestOptimize:
         assert "incident" not in header
         assert "incident" not in (faulty / "manifest.json").read_text()
 
+    def test_a_row_that_sits_out_raises_no_numpy_warning(self, tmp_path, monkeypatch):
+        # the third of three agents fails both attempts at steps 0 and 1, so
+        # two failure penalties of 1e308 overflow its first batch's reward
+        # sum: its row sits out that update while the other two step on
+        import warnings
+
+        from hpmropt import runio
+
+        class Faulty:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def evaluate(self, design):
+                self.calls += 1
+                if self.calls in (3, 4, 7, 8):
+                    raise RuntimeError("solver diverged")
+                return self.inner.evaluate(design)
+
+        build = runio.build_evaluator
+        monkeypatch.setattr(runio, "build_evaluator", lambda config: Faulty(build(config)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "scenario-3", "pearl": {
+            "agents": 3, "total_steps": 48, "base_seed": 3, "failure_penalty": 1e308}}))
+        runs = {}
+        for name, action in (("quiet", "ignore"), ("strict", "error")):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                assert main(["optimize", "--config", str(config),
+                             "--out", str(tmp_path / name)]) == 0
+            runs[name] = {path.name: path.read_bytes()
+                          for path in sorted((tmp_path / name).iterdir())}
+        assert runs["strict"] == runs["quiet"]
+        updates = (tmp_path / "strict" / "updates-agent5.tsv").read_text().splitlines()
+        assert [line.split("\t")[-1] for line in updates[1:]] == ["1", "0"]
+
     def test_misspelled_constraint_qoi_fails_at_load(self, tmp_path, capsys):
         # the record loaded, then every evaluation failed: one incident per
         # step, "status: clean" and exit 0

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpmropt.design_space import (
@@ -112,8 +112,18 @@ class TestFromUnitCube:
 
     @settings(max_examples=200, deadline=None)
     @given(u=st.lists(UNIT, min_size=7, max_size=7))
+    # x_mr used to decode to 0.9012500000000001, past its 0.90125 bound
+    @example(u=[0.0, 0.0, 0.0, 0.0625, 0.0, 0.0, 1.0])
     def test_every_decode_is_valid(self, u):
         assert is_valid(from_unit_cube(np.array(u)))
+
+    def test_full_radii_decode_inside_their_coupled_bounds(self):
+        # lo + 1.0 * (hi - lo) used to round past hi for about 0.7% of the
+        # pitches; an NSGA-II gene clipped to 1.0 decodes exactly there
+        pitches = np.random.default_rng(5).random(100_000).tolist()
+        invalid = [v_pp for v_pp in pitches
+                   if not is_valid(from_unit_cube([0.5, 0.5, 0.5, v_pp, 0.5, 1.0, 1.0]))]
+        assert invalid == []
 
     @settings(max_examples=50, deadline=None)
     @given(u=st.lists(st.floats(0.0, 0.9, allow_nan=False), min_size=7, max_size=7),

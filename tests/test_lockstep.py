@@ -100,14 +100,14 @@ def test_an_agents_exception_removes_only_that_agent(evaluator, monkeypatch, ste
     # policies view rows of the stacked θ that the group must compact
     config = config_for(8, agents=4)
     crashed = config.agent_seeds()[1]
-    act = pearl._Agent.act
+    act = pearl.AgentResult.act
 
     def crashing(agent, evaluator, config, at):
         if agent.seed == crashed and at == step:
             raise RuntimeError("agent crashed")
         return act(agent, evaluator, config, at)
 
-    monkeypatch.setattr(pearl._Agent, "act", crashing)
+    monkeypatch.setattr(pearl.AgentResult, "act", crashing)
     result = run_multi(evaluator, config)
     monkeypatch.undo()
     assert result.failures == [{"seed": crashed, "error": "RuntimeError('agent crashed')"}]
@@ -121,7 +121,7 @@ def test_run_agent_raises_its_agents_exception(evaluator, monkeypatch):
     def failing(agent, *args):
         raise RuntimeError("agent crashed")
 
-    monkeypatch.setattr(pearl._Agent, "act", failing)
+    monkeypatch.setattr(pearl.AgentResult, "act", failing)
     with pytest.raises(RuntimeError, match="agent crashed"):
         run_agent(evaluator, config_for(4, agents=1), 40)
 

@@ -642,18 +642,10 @@ class TestBufferContract:
         {"capacity": 0}, {"capacity": 2.5}, {"capacity": True}, {"capacity": "8"},
         {"metric": "bogus"},
         {"divisions": 0}, {"divisions": -3}, {"divisions": 2.0},
-        {"directions": [[0.0, 1.0], [0.0, 0.0]]},
-        {"directions": np.empty((0, 2))},
     ])
     def test_rejected_at_construction(self, kwargs):
         with pytest.raises(ContractError):
             ParetoBuffer(**{"metric": "niching", **kwargs})
-
-    def test_direction_columns_must_match_objectives(self):
-        buf = ParetoBuffer(capacity=4, metric="niching",
-                           directions=reference_directions(3, 2))
-        with pytest.raises(ContractError, match="columns"):
-            buf.insert(feasible(1.0, 2.0))
 
     def test_mixed_dimensions_rejected(self):
         buf = ParetoBuffer(capacity=4)
@@ -666,8 +658,8 @@ class TestBufferContract:
             ParetoBuffer(capacity=4).insert(feasible(1.0, 2.0, 3.0))
 
     def test_explicit_directions_are_used(self, rng, tmp_path):
-        dirs = reference_directions(2, 5)
-        lazy = ParetoBuffer(capacity=8, metric="niching", directions=dirs)
+        # the lattice of explicit divisions, not the capacity's default
+        lazy = ParetoBuffer(capacity=8, metric="niching", divisions=5)
         eager = EagerBuffer(capacity=8, metric="niching", divisions=5)
         for _ in range(40):
             p = feasible(*rng.random(2))

@@ -186,20 +186,21 @@ class TestPpoUpdate:
         assert np.isfinite(ppo_gradient(policy, rollout, config)["pol_bm"]).all()
 
     def test_fully_saturated_positive_advantages_zero_policy_grad(self):
-        from hpmropt.pearl import _FLAT_SIZE, _loss_and_gradient, _views
+        from hpmropt.pearl import _FLAT_SIZE, _Stack, _stack_loss_and_gradient, _views
 
         config = small_config(entropy_coeff=0.0)
         policy = PolicyState.initialize(np.random.default_rng(13))
         rollout = make_rollout(behavior=policy)
         rollout.log_probs = log_prob_of(policy, rollout.pre_squash) \
             - np.log(1.0 + 2.0 * config.clip_epsilon)
+        rollout = rollout.row()
         # standardized returns always mix signs, so the all-positive case is
         # built from targets directly
-        advantages = np.linspace(1.0, 2.0, 8)
+        advantages = np.linspace(1.0, 2.0, 8)[None]
         targets = _Targets.of(rollout, config)._replace(
             advantages=advantages, neg_advantages=-advantages)
-        grads = _views(np.full(_FLAT_SIZE, np.nan))
-        _loss_and_gradient(policy, rollout, targets, config, grads)
+        grads = _views(np.full((1, _FLAT_SIZE), np.nan))
+        _stack_loss_and_gradient(_Stack.one(policy), rollout, targets, config, grads)
         for name in ("pol_w1", "pol_b1", "pol_w2", "pol_b2", "pol_wm", "pol_bm"):
             assert np.all(grads[name] == 0.0), name
 
@@ -227,7 +228,7 @@ class TestPpoUpdate:
     def test_clip_scale_comes_from_the_policy_gradient_norm(self):
         class Recording(AdamOptimizer):
             def step(self, theta, grad, scale=None):
-                self.seen = (len(theta), len(grad), scale)
+                self.seen = (theta.shape[-1], grad.shape[-1], scale)
                 super().step(theta, grad, scale)
 
         config = small_config(max_grad_norm=0.5, epochs=1)
