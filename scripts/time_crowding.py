@@ -1,19 +1,26 @@
 #!/usr/bin/env python3
-"""Time ``pareto.crowding_distance`` per call and a crowding-archive insert,
-in alternating pairs of two source trees.
+"""Time ``pareto.crowding_distance`` per call and archive inserts on two
+kinds of traffic, in alternating pairs of two source trees.
 
     python3 scripts/time_crowding.py --before OLD_CHECKOUT/src \
-        --after src --pairs 10 --out BENCH_14_crowding.json
+        --after src --pairs 10 --out BENCH_22_insert.json
 
 Each run is a fresh interpreter importing ``hpmropt`` from one tree.  It
 times ``crowding_distance`` on a mutually non-dominated two-objective front
 of n = 8, 16, 32, 64 and 128 rows (best of five repeats, microseconds a
-call), and ``ParetoBuffer.insert`` over criterion 4's ten crowding streams
-(capacity 64, 1000 points each, seed 40404; microseconds an insert, the
-points drawn before the clock starts).  Pairs alternate which tree runs
-first.  The file holds, per figure, both sides' runs, their medians, the
-after/before ratio, the before side's quartile spread and the pairs the
-after side won (lower is better), in the layout of ``bench_rows.py``.
+call), and ``ParetoBuffer.insert`` (microseconds an insert, the points
+drawn before the clock starts) over two sets of ten streams of 1000 points
+into a capacity-64 archive:
+
+- criterion 4's crowding streams (seed 40404), 70% feasible;
+- PEARL's traffic into a niching archive (seed 2222): 10.7% feasible, the
+  share of ``pearl-desk``'s inserts, with penalties drawn as criterion 4
+  draws them.
+
+Pairs alternate which tree runs first.  The file holds, per figure, both
+sides' runs, their medians, the after/before ratio, the before side's
+quartile spread and the pairs the after side won (lower is better), in the
+layout of ``bench_rows.py``.
 """
 
 from __future__ import annotations
@@ -46,27 +53,30 @@ def measure() -> dict:
         best = min(timeit.repeat(lambda: crowding_distance(front), number=number, repeat=5))
         figures[f"crowding_distance_n{n}_us"] = best / number * 1e6
 
-    # criterion 4's crowding streams, drawn as the acceptance test draws them
-    rng = np.random.default_rng(40404)
-    streams = []
-    for _ in range(10):
-        points = []
-        for _ in range(1000):
-            objectives = rng.random(2) * [5000.0, 0.5] + [1000.0, 1.0]
-            if rng.random() < 0.7:
-                points.append(ObjectivePoint(objectives, True))
-            else:
-                points.append(ObjectivePoint(objectives, False,
-                                             penalty=float(rng.integers(1, 40000))))
-        streams.append(points)
-    seconds = 0.0
-    for points in streams:
-        buffer = ParetoBuffer(capacity=64, metric="crowding")
-        tick = timeit.default_timer()
-        for point in points:
-            buffer.insert(point)
-        seconds += timeit.default_timer() - tick
-    figures["criterion_04_crowding_insert_us"] = seconds / 10_000 * 1e6
+    def streams(seed, feasible_share):
+        # drawn as criterion 4 draws its points
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            points = []
+            for _ in range(1000):
+                objectives = rng.random(2) * [5000.0, 0.5] + [1000.0, 1.0]
+                if rng.random() < feasible_share:
+                    points.append(ObjectivePoint(objectives, True))
+                else:
+                    points.append(ObjectivePoint(objectives, False,
+                                                 penalty=float(rng.integers(1, 40000))))
+            yield points
+
+    for name, seed, share, metric in (("criterion_04_crowding", 40404, 0.7, "crowding"),
+                                      ("pearl_traffic_niching", 2222, 0.107, "niching")):
+        seconds = 0.0
+        for points in streams(seed, share):
+            buffer = ParetoBuffer(capacity=64, metric=metric)
+            tick = timeit.default_timer()
+            for point in points:
+                buffer.insert(point)
+            seconds += timeit.default_timer() - tick
+        figures[f"{name}_insert_us"] = seconds / 10_000 * 1e6
     return figures
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any
 
@@ -344,23 +344,23 @@ class _Ranking:
     """What one insert knows about the order of its union.
 
     The union is the buffer's rows ``0 .. size-1``, held in no particular
-    order; the ranking keeps views of the buffer's arrays, not the buffer.
-    The feasible fronts come from one sweep; a front's ordering (best
-    first) and the one normalization and association that niching
-    orderings share are computed at most once, when first asked for.  The
-    insert asks for the candidate's front and the last one; the full order
-    is assembled only when the buffer is read, by a new ranking of the same
-    rows.
+    order; the ranking keeps views of the buffer's arrays and its list of
+    infeasible rows, not the buffer.  The feasible fronts come from one
+    sweep; a front's ordering (best first) and the one normalization and
+    association that niching orderings share are computed at most once,
+    when first asked for.  A feasible insert asks for the candidate's front
+    and the last one; the full order is assembled only when the buffer is
+    read, by a new ranking of the same rows.
     """
 
     def __init__(self, buffer: "ParetoBuffer", size: int):
         self.metric, self.directions = buffer.metric, buffer.directions
         self.obj, self.feas = buffer._obj[:size], buffer._feas[:size]
         self.pen, self.seq = buffer._pen[:size], buffer._seq[:size]
+        self.infeasible = buffer._infeasible
         members = np.flatnonzero(self.feas)
-        self.n_feasible = len(members)
         self.fronts: list[list[int]] = []
-        if self.n_feasible:
+        if len(members):
             rows = members.tolist()
             # each front in lexicographic objective order: exact duplicates
             # are adjacent
@@ -409,22 +409,12 @@ class _Ranking:
         return ordered
 
     def rank(self, row: int) -> int:
-        """1-based rank of ``row`` in the union."""
-        if self.feas[row]:
-            for k, front in enumerate(self.fronts):
-                if row in front:
-                    return sum(map(len, self.fronts[:k])) + self.order(k)[0].index(row) + 1
-        # infeasible rows follow by (penalty, seq), and ``row`` is the newest
-        return self.n_feasible + int(np.count_nonzero(self.pen[~self.feas] <= self.pen[row]))
+        """1-based rank of feasible ``row`` in the union."""
+        k = next(k for k, front in enumerate(self.fronts) if row in front)
+        return sum(map(len, self.fronts[:k])) + self.order(k)[0].index(row) + 1
 
     def last(self) -> int:
-        """The row ranked last: the newest of the largest penalty, or the
-        last of the last feasible front."""
-        if self.n_feasible < len(self.obj):
-            infeasible = np.flatnonzero(~self.feas)
-            pen = self.pen[infeasible]
-            worst = infeasible[pen == pen.max()]
-            return int(worst[np.argmax(self.seq[worst])])
+        """The last row of the last feasible front."""
         return self.order(len(self.fronts) - 1)[0][-1]
 
     def full(self) -> list[tuple[int, int, float]]:
@@ -433,9 +423,9 @@ class _Ranking:
         for k in range(len(self.fronts)):
             rows, dist = self.order(k)
             ranked.extend(zip(rows, [k] * len(rows), dist))
-        # infeasible rows follow, one front per penalty, in incumbency order
-        infeasible = np.flatnonzero(~self.feas)
-        by_rank = infeasible[np.lexsort((self.seq[infeasible], self.pen[infeasible]))]
+        # infeasible rows follow in the buffer's rank order, one front per
+        # penalty
+        by_rank = np.array([row for _, _, row in self.infeasible], dtype=int)
         for k, run in enumerate(_penalty_runs(by_rank, self.pen), len(self.fronts)):
             ranked.extend((row, k, 0.0) for row in run)
         return ranked
@@ -455,6 +445,12 @@ class ParetoBuffer:
     An insert computes only the candidate's rank and the row that drops
     out.  The ranked order of the held solutions, their fronts and their
     distances are built from that insert's state when first read.
+
+    The union's infeasible rows are also kept as a ``(penalty, seq, row)``
+    list in rank order, next to a count of its feasible rows.  An
+    infeasible candidate ranks behind every feasible row, by bisection in
+    that list, and the row it evicts is the list's last: it needs no
+    ranking of the feasible rows at all.
     """
 
     def __init__(self, capacity: int = 64, metric: str = "crowding",
@@ -476,6 +472,8 @@ class ParetoBuffer:
         self._pen = np.zeros(capacity + 1)
         self._seq = np.zeros(capacity + 1, dtype=np.int64)
         self._points: list[ObjectivePoint | None] = [None] * (capacity + 1)
+        self._infeasible: list[tuple[float, int, int]] = []   # (penalty, seq, row)
+        self._n_feasible = 0              # feasible rows in the last insert's union
         self._size = 0                    # rows in the last insert's union
         self._evicted: int | None = None  # the row that union dropped
         self._ranked: list[tuple[int, int, float]] | None = None
@@ -504,21 +502,42 @@ class ParetoBuffer:
             raise ContractError(
                 f"mixed objective dimensions: {point.objectives.shape} vs "
                 f"{self._obj.shape[1:]}")
+        infeasible = self._infeasible
         if self._evicted is None:
             row = self._size
             self._size += 1
         else:
             row = self._evicted
+            # an evicted infeasible row was the list's last
+            if infeasible and infeasible[-1][2] == row:
+                infeasible.pop()
+            else:
+                self._n_feasible -= 1
+        seq = self._next_seq
         self._obj[row] = point.objectives
         self._feas[row] = point.feasible
         self._pen[row] = point.penalty
-        self._seq[row] = self._next_seq
+        self._seq[row] = seq
         self._points[row] = point
         self._next_seq += 1
 
-        ranking = _Ranking(self, self._size)
-        rank = ranking.rank(row)
-        self._evicted = ranking.last() if self._size > self.capacity else None
+        if point.feasible:
+            self._n_feasible += 1
+            ranking = _Ranking(self, self._size)
+            rank = ranking.rank(row)
+        else:
+            # behind every feasible row and every held row of its penalty
+            # or less; as the newest, it goes after them in the list
+            penalty = float(point.penalty)
+            k = bisect_right(infeasible, (penalty, math.inf))
+            infeasible.insert(k, (penalty, seq, row))
+            rank = self._n_feasible + k + 1
+        if self._size <= self.capacity:
+            self._evicted = None
+        elif infeasible:
+            self._evicted = infeasible[-1][2]
+        else:
+            self._evicted = ranking.last()
         self._ranked = None
         return -rank
 

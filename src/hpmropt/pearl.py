@@ -324,35 +324,47 @@ def _softplus(x):
 
 @dataclass(frozen=True)
 class ActionSample:
-    u: np.ndarray          # squashed action, in [0, 1]^7
-    log_prob: float
+    u: np.ndarray          # squashed action, in [0, 1]^7; (A, 7) for a group
+    log_prob: float        # an (A,) array for a group
     pre_squash: np.ndarray
 
 
 class _Behaviour(NamedTuple):
-    """A policy's mean, log-std and std, frozen between two updates so each
-    step's sample skips the forward pass.  It owns its arrays: the learner
-    updates the policy's parameters in place."""
+    """The means, log-stds and stds of a stack of policies, (A, 7) arrays,
+    frozen between two updates so each step's sample skips the forward
+    pass.  It owns its arrays: the learner updates the policies' parameters
+    in place."""
 
     mean: np.ndarray
     log_std: np.ndarray
     std: np.ndarray
 
     @classmethod
-    def of(cls, policy: PolicyState) -> "_Behaviour":
-        log_std = policy.log_std.copy()
-        return cls(policy.mean, log_std, np.exp(log_std))
+    def of(cls, stack: _Stack) -> "_Behaviour":
+        log_std = stack.params["log_std"].copy()
+        return cls(_forward(stack)[0], log_std, np.exp(log_std))
 
 
 def sample_action(policy: PolicyState, rng) -> ActionSample:
     """Draw from the squashed-normal policy; the log-probability carries the
     squash Jacobian correction.  ``policy`` may be anything with ``mean``,
-    ``log_std`` and ``std``."""
+    ``log_std`` and ``std``: 7-vectors drawn with the generator ``rng``, or
+    the (A, 7) rows of a group's behaviour with ``rng`` a sequence of A
+    generators.  Row a then draws its normals from ``rng[a]``, in row order,
+    and reads the bits that row's policy would read alone."""
     mean, std = policy.mean, policy.std
-    x = mean + std * rng.standard_normal(ACTION_DIM)
+    if mean.ndim == 1:
+        noise = rng.standard_normal(ACTION_DIM)
+    else:
+        noise = np.empty(mean.shape)
+        for row, generator in enumerate(rng):
+            generator.standard_normal(out=noise[row])
+    x = mean + std * noise
     u = _sigmoid(x)
     per_dim = _gauss_logpdf(x - mean, policy.log_std, std) - _squash_jacobian(x)
-    return ActionSample(u=u, log_prob=float(np.add.reduce(per_dim)), pre_squash=x)
+    log_prob = np.add.reduce(per_dim, axis=-1)
+    return ActionSample(u=u, log_prob=log_prob if mean.ndim > 1 else float(log_prob),
+                        pre_squash=x)
 
 
 def _gauss_logpdf(diff, log_std, std):
@@ -743,7 +755,8 @@ def agent_names(seeds) -> list[str]:
 class AgentResult:
     """One agent: its generator, policy, archive and records.  The agent
     loop steps it, and returns it as the agent's result.  In a group, its
-    learner state is a row of the group's."""
+    learner state, sampling behaviour and open batch are a row of the
+    group's."""
 
     seed: int
     name: str           # tags the agent's run files; see agent_names
@@ -752,10 +765,8 @@ class AgentResult:
     update_log: list                                  # of UpdateStats
     policy: PolicyState
     rng: np.random.Generator
-    behaviour: _Behaviour                             # samples between updates
     incidents: list = field(default_factory=list)     # of Incident
     truncated: bool = False
-    batch: list = field(default_factory=list)         # of (ActionSample, reward)
 
     @classmethod
     def start(cls, seed: int, name: str, config: PearlConfig,
@@ -770,13 +781,14 @@ class AgentResult:
         if buffer is None:
             buffer = ParetoBuffer(capacity=config.kappa, metric=config.distance_metric,
                                   divisions=config.niching_divisions)
-        return cls(seed, name, buffer, [], [], policy, rng, _Behaviour.of(policy))
+        return cls(seed, name, buffer, [], [], policy, rng)
 
     def front_points(self) -> list[ObjectivePoint]:
         return self.buffer.front(0)
 
-    def act(self, evaluator, config: PearlConfig, step: int) -> None:
-        """Sample, evaluate and archive one design.
+    def act(self, u: np.ndarray, evaluator, config: PearlConfig, step: int) -> float:
+        """Decode, evaluate and archive the design of ``u``, this agent's
+        sampled action, and return its reward.
 
         A failing evaluation is retried once, then recorded as infeasible
         with the configured failure penalty (nothing is archived for it:
@@ -784,8 +796,7 @@ class AgentResult:
         non-finite objectives.
         """
         seed = self.seed
-        action = sample_action(self.behaviour, self.rng)
-        design = from_unit_cube(action.u)
+        design = from_unit_cube(u)
         result = incident = None
         for _attempt in range(2):
             try:
@@ -795,7 +806,7 @@ class AgentResult:
                 logger.exception("evaluation failed at step %d", step)
                 incident = Incident(seed, step, "evaluation_failed",
                                     type(exc).__name__, str(exc))
-        if result is not None and not np.all(np.isfinite(result[0])):
+        if result is not None and not np.isfinite(result[0]).all():
             logger.warning("non-finite objectives %s at step %d", result[0], step)
             incident = Incident(seed, step, "non_finite_objectives", None,
                                 f"non-finite objectives {result[0]}")
@@ -815,23 +826,14 @@ class AgentResult:
                 float(objectives[0]), float(objectives[1]),
                 float(report.penalty),
             ))
-        self.batch.append((action, reward))
-
-    def rollout(self) -> Rollout:
-        return Rollout(
-            pre_squash=np.vstack([a.pre_squash for a, _ in self.batch]),
-            log_probs=np.array([a.log_prob for a, _ in self.batch]),
-            rewards=np.array([r for _, r in self.batch]),
-        )
+        return reward
 
     def learned(self, stats: UpdateStats, step: int) -> None:
-        """Record an update and sample from the updated policy."""
-        self.behaviour = _Behaviour.of(self.policy)
+        """Record an update."""
         if stats.skipped:
             self.incidents.append(Incident(self.seed, step, "skipped_update", None,
                                            "non-finite gradient or loss"))
         self.update_log.append(stats)
-        self.batch = []
 
     def checkpoint(self, directory, step: int) -> None:
         np.savez(f"{directory}/policy-{self.name}-step{step + 1:06d}.npz",
@@ -843,22 +845,33 @@ class _Group:
     step k + 1, and one learner call updates them all at each batch
     boundary.  From its first step on, each agent's policy views a row of
     the (A, N) stack θ, and one Adam optimizer holds the stacked moments.
-    An agent whose own work raises leaves the group, and its failure is
-    recorded."""
+    Row a of every stacked array is agent a's: the behaviour that samples
+    between updates, (A, 7) arrays refreshed by one stacked forward per
+    update, and the open batch, (A, n, 7) and (A, n) arrays.  An agent
+    whose own work raises leaves the group, and its failure is recorded."""
 
-    def __init__(self, agents: list, config: PearlConfig):
+    def __init__(self, agents: list, config: PearlConfig, batch_size: int):
         self.agents = agents
+        self.rngs = [agent.rng for agent in agents]
         self.theta = np.empty((len(agents), _FLAT_SIZE))
         self.buffers = np.empty_like(self.theta), np.empty_like(self.theta)
         self.optimizer = AdamOptimizer(config.learning_rate)
+        self.behaviour = self._behaviour()
+        self.pre_squash = np.empty((len(agents), batch_size, ACTION_DIM))
+        self.log_probs = np.empty((len(agents), batch_size))
+        self.rewards = np.empty((len(agents), batch_size))
+        self.filled = 0              # columns of the open batch
         self.failures: list = []     # of (agent, exception)
 
+    def _behaviour(self) -> _Behaviour:
+        return _Behaviour.of(_Stack.of([agent.policy for agent in self.agents], self.theta))
+
     def each(self, work) -> None:
-        """``work(agent)`` for every agent, in order."""
+        """``work(row, agent)`` for every agent, in order."""
         failed = []
-        for agent in self.agents:
+        for row, agent in enumerate(self.agents):
             try:
-                work(agent)
+                work(row, agent)
             except Exception as exc:  # noqa: BLE001 - one agent's crash is data
                 logger.exception("agent %d failed", agent.seed)
                 self.failures.append((agent, exc))
@@ -866,17 +879,40 @@ class _Group:
         if failed:
             keep = [i for i, agent in enumerate(self.agents) if agent not in failed]
             self.agents = [self.agents[i] for i in keep]
+            self.rngs = [self.rngs[i] for i in keep]
             self.theta = self.theta[keep]
             self.buffers = np.empty_like(self.theta), np.empty_like(self.theta)
             for agent, row in zip(self.agents, self.theta):
                 if agent.policy._theta is not None:
                     agent.policy._bind(row)
             self.optimizer.take(keep)
+            self.behaviour = _Behaviour(*(array[keep] for array in self.behaviour))
+            self.pre_squash, self.log_probs, self.rewards = (
+                array[keep] for array in (self.pre_squash, self.log_probs, self.rewards))
+
+    def act(self, evaluator, config: PearlConfig, step: int) -> None:
+        """One lockstep step: one draw for the group, then each agent
+        decodes, evaluates and archives its row, in order."""
+        action = sample_action(self.behaviour, self.rngs)
+        column = self.filled
+        self.pre_squash[:, column] = action.pre_squash
+        self.log_probs[:, column] = action.log_prob
+        self.filled += 1
+        u = action.u
+
+        def work(row, agent):
+            self.rewards[row, column] = agent.act(u[row], evaluator, config, step)
+
+        self.each(work)
 
     def learn(self, config: PearlConfig, step: int) -> None:
-        rollout = Rollout.stack([agent.rollout() for agent in self.agents])
+        n = self.filled
+        rollout = Rollout(self.pre_squash[:, :n], self.log_probs[:, :n],
+                          self.rewards[:, :n])
         stats = _update([agent.policy for agent in self.agents], self.theta, rollout,
                         config, self.optimizer, self.buffers)
+        self.behaviour = self._behaviour()
+        self.filled = 0
         for agent, agent_stats in zip(self.agents, stats):
             agent.learned(agent_stats, step)
 
@@ -897,7 +933,7 @@ def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
     """
     agents = [AgentResult.start(seed, name, config, buffer)
               for seed, name in zip(seeds, names)]
-    group = _Group(agents, config)
+    group = _Group(agents, config, min(config.n_steps, steps))
     for step in range(steps):
         if not group.agents:
             break
@@ -905,13 +941,12 @@ def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
             for agent in group.agents:
                 agent.truncated = True
             break
-        group.each(lambda agent: agent.act(evaluator, config, step))
-        if group.agents and (len(group.agents[0].batch) == config.n_steps
-                             or step == steps - 1):
+        group.act(evaluator, config, step)
+        if group.agents and (group.filled == config.n_steps or step == steps - 1):
             group.learn(config, step)
         if (checkpoint_dir is not None and config.checkpoint_interval
                 and (step + 1) % config.checkpoint_interval == 0):
-            group.each(lambda agent: agent.checkpoint(checkpoint_dir, step))
+            group.each(lambda _, agent: agent.checkpoint(checkpoint_dir, step))
     failures = sorted(group.failures, key=lambda pair: agents.index(pair[0]))
     return group.agents, [(agent.seed, exc) for agent, exc in failures]
 
@@ -967,7 +1002,8 @@ def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,
 
     - one group of every agent, by default;
     - with ``config.workers`` > 1, one group per worker process, each a
-      contiguous run of the seeds; results come back in seed order;
+      contiguous run of the seeds; results come back in seed order, and a
+      worker that dies costs only its own group's agents;
     - with ``config.shared_buffer``, every agent inserts into one common
       buffer, so the agents run one after another in seed order, groups
       of one, whatever ``workers`` says.
@@ -997,8 +1033,10 @@ def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,
             # imported here: the serial path never needs multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=len(jobs)))
-            jobs = [pool.submit(job).result for job in jobs]
+            # one single-process pool per group: a worker that dies breaks
+            # its own pool, and fails its own group's future alone
+            pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in jobs]
+            jobs = [pool.submit(job).result for pool, job in zip(pools, jobs)]
         for group, job in zip(groups, jobs):
             try:
                 finished, crashed = job()

@@ -50,15 +50,16 @@ def test_probe_sees_each_evaluation_layer_once_per_design():
 
 def test_probe_sees_every_agent_of_a_serial_run():
     # the agents of a run step in lockstep, not one run_agent call each: the
-    # probe sees every step of every agent in the layers the loop calls
+    # probe sees one group draw per lockstep step, and every step of every
+    # agent in the layers each agent calls
     namespace = probe_namespace()
     config = PearlConfig(agents=2, total_steps=32, kappa=8, base_seed=3)
     with namespace["Probe"](namespace["TRACED"]) as probe:
         result = run_multi(ToyEvaluator(), config)
     assert len(result.agents) == 2
-    for layer in ("pearl.sample_action", "design_space.from_unit_cube",
-                  "pareto.insert"):
-        assert probe.count(layer) == 32, layer
+    for layer, calls in (("pearl.sample_action", 16), ("design_space.from_unit_cube", 32),
+                         ("pareto.insert", 32)):
+        assert probe.count(layer) == calls, layer
         assert probe.failures(layer) == 0, layer
 
 

@@ -2,11 +2,12 @@
 call per batch, and each agent still runs, bit for bit, as it would alone."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
 
-from hpmropt import pearl
+from hpmropt import pearl, runio
 from hpmropt.economics import load_scenario
 from hpmropt.environment import DesignEvaluator
 from hpmropt.pearl import PearlConfig, _run_group, agent_names, merge_fronts, run_agent, \
@@ -70,6 +71,51 @@ def test_run_multi_matches_each_agent_alone(evaluator, alone, workers):
         front(merge_fronts([a.front_points() for a in solo]))
 
 
+class DyingEvaluator:
+    """Scenario-3's evaluator, except that the first worker process to reach
+    its fifth evaluation exits there: whichever creates the ``O_EXCL``
+    marker file first.  Each worker evaluates with its own copy."""
+
+    def __init__(self, marker):
+        self.marker, self.calls = str(marker), 0
+        self.inner = DesignEvaluator(load_scenario("scenario-3"))
+
+    def evaluate(self, design):
+        self.calls += 1
+        if self.calls == 5:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return self.inner.evaluate(design)
+
+
+def test_a_dead_worker_fails_only_its_own_group(evaluator, tmp_path, monkeypatch):
+    config = config_for(8, agents=4, workers=2)
+    seeds = config.agent_seeds()
+    result = run_multi(DyingEvaluator(tmp_path / "dead-1"), config)
+    dead = [failure["seed"] for failure in result.failures]
+    assert dead in (seeds[:2], seeds[2:])
+    assert all(failure["error"].startswith("BrokenProcessPool(")
+               for failure in result.failures)
+    survivors = [seed for seed in seeds if seed not in dead]
+    assert [a.seed for a in result.agents] == survivors
+    serial = run_multi(evaluator, config_for(8, agents=4))
+    assert [record(a) for a in result.agents] == \
+        [record(a) for a in serial.agents if a.seed in survivors]
+
+    monkeypatch.setattr(runio, "build_evaluator",
+                        lambda _: DyingEvaluator(tmp_path / "dead-2"))
+    summary = runio.run_optimize(runio.RunConfig(
+        scenario="scenario-3", optimizer="pearl", out_dir=str(tmp_path / "run"),
+        pearl={"agents": 4, "total_steps": 4 * STEPS, "epochs": 4, "base_seed": 40,
+               "workers": 2}))
+    assert summary["status"] == "partial"
+    assert len(summary["failures"]) == 2
+
+
 def test_non_finite_gradient_skips_only_that_agents_update(evaluator, monkeypatch):
     # two rewards of -1e308 in one batch overflow its standardization, so
     # the agent's first update (the one whose products read the fresh,
@@ -102,10 +148,10 @@ def test_an_agents_exception_removes_only_that_agent(evaluator, monkeypatch, ste
     crashed = config.agent_seeds()[1]
     act = pearl.AgentResult.act
 
-    def crashing(agent, evaluator, config, at):
+    def crashing(agent, u, evaluator, config, at):
         if agent.seed == crashed and at == step:
             raise RuntimeError("agent crashed")
-        return act(agent, evaluator, config, at)
+        return act(agent, u, evaluator, config, at)
 
     monkeypatch.setattr(pearl.AgentResult, "act", crashing)
     result = run_multi(evaluator, config)

@@ -458,6 +458,61 @@ class TestTieHeavyOracles:
                         for q in buf.entries] == [h[:3] for h in history]
 
 
+def pearl_traffic(rng, n, feasible_share=0.1, penalties=range(1, 7)):
+    """Points as PEARL sends them to an archive: about one in ten feasible,
+    and integer penalties from a small range, so ties repeat."""
+    points = []
+    for _ in range(n):
+        objectives = rng.random(2) * [5000.0, 0.5] + [1000.0, 1.0]
+        points.append(feasible(*objectives) if rng.random() < feasible_share
+                      else infeasible(float(rng.choice(penalties)), *objectives))
+    return points
+
+
+class TestPearlTraffic:
+    """An infeasible newcomer ranks by bisection in the buffer's infeasible
+    list and builds no ranking of the feasible rows.  Streams of PEARL's
+    traffic check every reward against the brute-force oracle, and the
+    whole archive after every insert."""
+
+    @pytest.mark.parametrize("metric", ["crowding", "niching"])
+    @pytest.mark.parametrize("capacity, length", [(1, 150), (2, 150), (64, 500)])
+    def test_matches_oracle(self, metric, capacity, length, rng):
+        dirs = reference_directions(2, max(capacity - 1, 1))
+        buf = ParetoBuffer(capacity=capacity, metric=metric)
+        history, held = [], []
+        evicted_itself = feasible_evicted_infeasible = 0
+        for step, point in enumerate(pearl_traffic(rng, length)):
+            entry = (point.objectives.tolist(), point.feasible, point.penalty, step)
+            expected_rank, order = buffer_rank_oracle(
+                history, entry, metric, dirs if metric == "niching" else None)
+            assert buf.insert(point) == -expected_rank, f"step {step}"
+            union = held + [point]
+            history = [(history + [entry])[i] for i in order][:capacity]
+            kept = [union[i] for i in order][:capacity]
+            assert [id(q) for q in buf.entries] == [id(q) for q in kept], f"step {step}"
+            dropped = [q for q in union if all(q is not k for k in kept)]
+            if dropped:
+                (gone,) = dropped
+                evicted_itself += gone is point
+                feasible_evicted_infeasible += point.feasible and not gone.feasible
+            held = kept
+        assert evicted_itself and feasible_evicted_infeasible
+
+    def test_ties_by_penalty_rank_older_first(self):
+        buf = ParetoBuffer(capacity=3)
+        points = [infeasible(2.0, 0, 0), infeasible(1.0, 1, 1), infeasible(2.0, 2, 2)]
+        assert [buf.insert(p) for p in points] == [-1, -1, -3]
+        # a newcomer tied with the worst held penalty ranks last, and evicts
+        # itself; a feasible one evicts the newest row of the worst penalty
+        newcomer = infeasible(2.0, 3, 3)
+        assert buf.insert(newcomer) == -4
+        assert buf.entries == [points[1], points[0], points[2]]
+        best = feasible(5, 5)
+        assert buf.insert(best) == -1
+        assert buf.entries == [best, points[1], points[0]]
+
+
 def assert_same_archive(lazy, eager, directory):
     """Entries, every front and the export bytes of two buffers agree."""
     assert len(lazy) == len(eager)

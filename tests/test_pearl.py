@@ -97,6 +97,33 @@ class TestSampleAction:
             stderr = draws[:, j].std() / np.sqrt(len(draws))
             assert abs(draws[:, j].mean() - analytic) < 3 * stderr
 
+    @pytest.mark.parametrize("agents", [1, 3, 8])
+    def test_group_draw_matches_each_policy_alone(self, agents):
+        # a group's behaviour rows with one generator per row draw, bit for
+        # bit, what each row's policy draws alone with its own generator;
+        # means far past +-40 run both branches of the softplus
+        rng = np.random.default_rng(agents)
+        mean = rng.normal(size=(agents, ACTION_DIM)) * 30.0
+        log_std = rng.normal(size=(agents, ACTION_DIM))
+        group = pearl._Behaviour(mean, log_std, np.exp(log_std))
+        alone = [pearl._Behaviour(mean[a].copy(), log_std[a].copy(), np.exp(log_std[a]))
+                 for a in range(agents)]
+        seeds = rng.integers(0, 2**32, size=agents).tolist()
+        drawing = [np.random.default_rng(seed) for seed in seeds]
+        reference = [np.random.default_rng(seed) for seed in seeds]
+        beyond_40 = 0
+        for _ in range(50):
+            sample = sample_action(group, drawing)
+            beyond_40 += int(np.count_nonzero(np.abs(sample.pre_squash) > 40.0))
+            for a, (behaviour, generator) in enumerate(zip(alone, reference)):
+                single = sample_action(behaviour, generator)
+                assert sample.u[a].tobytes() == single.u.tobytes()
+                assert sample.pre_squash[a].tobytes() == single.pre_squash.tobytes()
+                assert sample.log_prob[a] == single.log_prob
+        assert 0 < beyond_40 < 50 * agents * ACTION_DIM
+        assert [g.standard_normal() for g in drawing] == \
+            [g.standard_normal() for g in reference]
+
     def test_log_prob_consistent_with_batch_form(self):
         policy = PolicyState.initialize(np.random.default_rng(6))
         sample = sample_action(policy, np.random.default_rng(8))
@@ -373,7 +400,7 @@ class TestPpoUpdate:
         optimizer = AdamOptimizer(config.learning_rate)
         for reward_seed in (9, 10, 11):
             rollout = make_rollout(reward_seed=reward_seed)
-            behaviour = pearl._Behaviour.of(policy)
+            behaviour = pearl._Behaviour.of(pearl._Stack.one(policy))
             taken = [behaviour.mean, behaviour.log_std, behaviour.std, policy.theta(),
                      *policy.copy().params.values(),
                      *ppo_gradient(policy, rollout, config).values()]
@@ -436,20 +463,40 @@ class TestRunAgent:
         assert [r.objective_0 for r in a.history] == [r.objective_0 for r in b.history]
 
     def test_samples_from_the_policy_frozen_between_updates(self, toy_env, monkeypatch):
-        # one forward pass per update for sampling (plus the first policy),
-        # and every action bit-identical to sampling the live policy; every
-        # forward, the learner's stacked ones too, runs through _forward
+        # one forward pass per update for sampling (plus the first policy);
+        # every forward, the learner's stacked ones too, runs through
+        # _forward
         config = small_config(n_steps=8, epochs=3)
         forwards = []
         forward = pearl._forward
         monkeypatch.setattr(pearl, "_forward",
                             lambda stack: forwards.append(1) or forward(stack))
-        frozen = run_agent(toy_env, config, seed=4, steps=32)
+        run_agent(toy_env, config, seed=4, steps=32)
         assert len(forwards) == 1 + 4 * (config.epochs + 1)
-        monkeypatch.setattr(pearl._Behaviour, "of", classmethod(lambda cls, policy: policy))
-        live = run_agent(toy_env, config, seed=4, steps=32)
-        assert [repr(r) for r in frozen.history] == [repr(r) for r in live.history]
-        assert np.array_equal(frozen.policy.theta(), live.policy.theta())
+        monkeypatch.undo()
+
+        # before and after every update, each row of the group's behaviour
+        # holds its live policy's mean, log-std and std, bit for bit, so
+        # every action is the one sampling the live policy would draw
+        learn, checked = pearl._Group.learn, []
+
+        def check(group):
+            for row, agent in enumerate(group.agents):
+                live = agent.policy.mean, agent.policy.log_std, agent.policy.std
+                assert [a[row].tobytes() for a in group.behaviour] == \
+                    [a.tobytes() for a in live]
+            checked.append(len(group.agents))
+
+        def checked_learn(group, config, step):
+            check(group)
+            learn(group, config, step)
+            check(group)
+
+        monkeypatch.setattr(pearl._Group, "learn", checked_learn)
+        seeds = [4, 5, 6]
+        results, _ = pearl._run_group(toy_env, config, seeds, pearl.agent_names(seeds), 32)
+        assert checked == [3] * 8
+        assert [a.seed for a in results] == seeds
 
     def test_trivially_feasible_environment_fills_buffer(self):
         config = small_config(kappa=64)
