@@ -15,73 +15,42 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .anchors import ANCHOR_RECORDS, NOMINAL_ANCHOR
-from .constraints import (
-    ConstraintReport,
-    ConstraintSpec,
-    default_constraints,
-    evaluate_constraints,
-    phi,
-)
-from .design_space import (
-    MODERATOR_GAP_CM,
-    NOMINAL_DESIGN,
-    DesignVector,
-    from_unit_cube,
-    is_valid,
-    resolve_bounds,
-    to_unit_cube,
-    validate,
-)
-from .economics import (
-    CashFlowSchedule,
-    CostScenario,
-    EconParams,
-    build_cash_flows,
-    cost_breakdown,
-    lcoe,
-    list_scenarios,
-    load_scenario,
-)
-from .environment import (
-    DesignEvaluator,
-    ProxyModelConfig,
-    QoIVector,
-    SampleTable,
-    avg_heat_flux,
-    burnup,
-    power_density,
-    proxy_eval,
-    u235_mass,
-    uranium_mass,
-)
-from .metrics import (
-    FrontPoint,
-    FrontReport,
-    default_reference,
-    export_front,
-    hypervolume_2d,
-    load_front,
-    render_scatter,
-)
-from .nsga2 import GaConfig, run_nsga2
-from .pareto import (
-    ObjectivePoint,
-    ParetoBuffer,
-    crowding_distance,
-    dominates,
-    niching_rank,
-    nondominated_sort,
-    reference_directions,
-)
-from .pearl import (
-    PearlConfig,
-    PolicyState,
-    merge_fronts,
-    ppo_update,
-    random_search,
-    run_agent,
-    run_multi,
-    sample_action,
-    step_reward,
-)
+import importlib
+
+# Each exported name and the module that defines it.  A name's module is
+# imported at its first use (PEP 562), so ``import hpmropt`` loads no
+# submodule and evaluating a design never loads an optimizer.  Nothing is
+# cached here: ``hpmropt.X`` always reads ``hpmropt.<module>.X``, so a name
+# rebound in its module (an instrument, a test's monkeypatch) is seen here.
+_EXPORTS = {
+    "anchors": ("ANCHOR_RECORDS", "NOMINAL_ANCHOR"),
+    "constraints": ("ConstraintReport", "ConstraintSpec", "default_constraints",
+                    "evaluate_constraints", "phi"),
+    "design_space": ("MODERATOR_GAP_CM", "NOMINAL_DESIGN", "DesignVector", "from_unit_cube",
+                     "is_valid", "resolve_bounds", "to_unit_cube", "validate"),
+    "economics": ("CashFlowSchedule", "CostScenario", "EconParams", "build_cash_flows",
+                  "cost_breakdown", "lcoe", "list_scenarios", "load_scenario"),
+    "environment": ("DesignEvaluator", "ProxyModelConfig", "QoIVector", "SampleTable",
+                    "avg_heat_flux", "burnup", "power_density", "proxy_eval",
+                    "u235_mass", "uranium_mass"),
+    "metrics": ("FrontPoint", "FrontReport", "default_reference", "export_front",
+                "hypervolume_2d", "load_front", "render_scatter"),
+    "nsga2": ("GaConfig", "run_nsga2"),
+    "pareto": ("ObjectivePoint", "ParetoBuffer", "crowding_distance", "dominates",
+               "niching_rank", "nondominated_sort", "reference_directions"),
+    "pearl": ("PearlConfig", "PolicyState", "merge_fronts", "ppo_update", "random_search",
+              "run_agent", "run_multi", "sample_action", "step_reward"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

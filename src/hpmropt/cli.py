@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 infeasible design (evaluate), a front with no
 feasible point (report) or unexpected error, 2 configuration error,
 3 evaluation/model error, 4 partial optimizer failure.
+
+Each command imports what it uses when it runs: ``evaluate`` and
+``scenarios`` load no optimizer, no run orchestration and no scipy.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from pathlib import Path
 
 from .design_space import read_design_file
 from .economics import build_cash_flows, cost_breakdown, list_scenarios
+from .environment import build_evaluator
 from .errors import (
     ConfigError,
     ContractError,
@@ -24,9 +28,6 @@ from .errors import (
     HpmroptError,
     TableLoadError,
 )
-from .metrics import default_reference, load_front, render_scatter
-from .nsga2 import GaConfig
-from .runio import RunConfig, build_evaluator, run_optimize
 
 EXIT_OK = 0
 EXIT_INFEASIBLE_OR_ERROR = 1
@@ -41,9 +42,7 @@ def _output_root() -> Path:
 
 def cmd_evaluate(args) -> int:
     design = read_design_file(args.design)
-    config = RunConfig(scenario=args.scenario, evaluator=args.evaluator,
-                       out_dir=".")
-    evaluator = build_evaluator(config)
+    evaluator = build_evaluator(args)
     objectives, report, qoi = evaluator.evaluate(design)
 
     print(f"design file : {args.design}")
@@ -76,6 +75,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .nsga2 import GaConfig
+    from .runio import RunConfig, run_optimize
+
     if args.config:
         try:
             manifest = json.loads(Path(args.config).read_text())
@@ -154,6 +156,8 @@ def cmd_scenarios(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .metrics import default_reference, load_front, render_scatter
+
     run_dir = Path(args.run_dir)
     front_path = run_dir / "front.tsv"
     if not front_path.exists():

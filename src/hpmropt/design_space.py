@@ -245,7 +245,7 @@ def write_design_file(design: DesignVector, path) -> None:
 
 
 def read_design_file(path) -> DesignVector:
-    record = {}
+    record, first_line = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -254,6 +254,10 @@ def read_design_file(path) -> DesignVector:
             if "=" not in line:
                 raise DecodeError(f"{path}:{lineno}: expected 'name = value'")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise DecodeError(f"{path}:{lineno}: {key!r} repeats the value set "
+                                  f"on line {first_line[key]}")
+            first_line[key] = lineno
             try:
                 record[key] = float(value)
             except ValueError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .design_space import (
     to_unit_cube,
     validate,
 )
-from .economics import CostScenario, build_cash_flows, lcoe
+from .economics import CostScenario, build_cash_flows, lcoe, load_scenario
 from .errors import (NUMBER, POSITIVE, BoundsDomainError, ConfigError, ContractError,
                      EvaluationError, TableLoadError, check, list_of, reject_unknown)
 
@@ -472,3 +473,24 @@ class DesignEvaluator:
         report: ConstraintReport = evaluate_constraints(self.constraints, qoi)
         objectives = np.array([qoi.lcoe, qoi.f_dh])
         return objectives, report, qoi
+
+
+def check_evaluator(spec: str) -> None:
+    """``ConfigError`` unless ``spec`` names an evaluator: ``"proxy"`` or
+    ``"tabular:<samples.csv>"``."""
+    if spec != "proxy" and not spec.startswith("tabular:"):
+        raise ConfigError(f"unknown evaluator {spec!r}")
+
+
+def build_evaluator(config) -> DesignEvaluator:
+    """The evaluator that ``config.scenario`` (a preset name or scenario
+    file) and ``config.evaluator`` (see ``check_evaluator``) name, as a
+    run's ``RunConfig`` or the ``evaluate`` command's arguments hold them."""
+    check_evaluator(config.evaluator)
+    scenario = load_scenario(config.scenario)
+    if config.evaluator == "proxy":
+        return DesignEvaluator(scenario, model="proxy")
+    table_path = config.evaluator.split(":", 1)[1]
+    if not Path(table_path).exists():
+        raise ConfigError(f"sample table not found: {table_path}")
+    return DesignEvaluator(scenario, model=SampleTable.from_file(table_path))

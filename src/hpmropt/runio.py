@@ -18,9 +18,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .economics import load_scenario
-from .environment import DesignEvaluator, SampleTable
-from .errors import POSITIVE, STRING, ConfigError, check, one_of, optional, reject_unknown
+from .environment import build_evaluator, check_evaluator
+from .errors import POSITIVE, STRING, check, one_of, optional, reject_unknown
 from .metrics import default_reference, export_front, render_scatter
 from .nsga2 import GaConfig, run_nsga2
 from .pearl import PearlConfig, run_multi
@@ -51,8 +50,7 @@ class RunConfig:
 
     def __post_init__(self):
         check(self, RUN_RULES)
-        if self.evaluator != "proxy" and not self.evaluator.startswith("tabular:"):
-            raise ConfigError(f"unknown evaluator {self.evaluator!r}")
+        check_evaluator(self.evaluator)
         for section, cls in (("pearl", PearlConfig), ("nsga2", GaConfig)):
             reject_unknown(getattr(self, section),
                            [f.name for f in dataclasses.fields(cls)], f"{section}: ")
@@ -78,16 +76,6 @@ class RunConfig:
         config = manifest.get("config", manifest) if isinstance(manifest, dict) else manifest
         reject_unknown(config, [f.name for f in dataclasses.fields(cls)], "manifest: ")
         return cls(**{**config, "out_dir": out_dir})
-
-
-def build_evaluator(config: RunConfig) -> DesignEvaluator:
-    scenario = load_scenario(config.scenario)
-    if config.evaluator == "proxy":
-        return DesignEvaluator(scenario, model="proxy")
-    table_path = config.evaluator.split(":", 1)[1]
-    if not Path(table_path).exists():
-        raise ConfigError(f"sample table not found: {table_path}")
-    return DesignEvaluator(scenario, model=SampleTable.from_file(table_path))
 
 
 def write_history(path, rows) -> None:

@@ -1,14 +1,17 @@
 """``scripts/bench_rows.py`` pairs the two sides of a benchmark comparison by
 seed, counts the pairs won in the direction BENCHMARK.json declares, and
-records the before side's quartile spread."""
+records the before side's quartile spread.  ``scripts/time_setup.py`` reads
+the set-up probe as the benchmark does."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_rows.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "bench_rows.py"
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +19,18 @@ def bench_rows():
     spec = importlib.util.spec_from_file_location("bench_rows", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def time_setup(bench_rows):
+    # the script imports its harness as the top-level module ``bench_rows``
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "bench_rows", bench_rows)
+        spec = importlib.util.spec_from_file_location("time_setup",
+                                                      SCRIPTS / "time_setup.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
     return module
 
 
@@ -97,3 +112,19 @@ def test_direct_rows_from_alternating_pairs(bench_rows, monkeypatch):
     assert insert["before_quartile_spread"] == pytest.approx(1.0)
     run = rows["run_s"]
     assert (run["unit"], run["won"]) == ("s", 1)
+
+
+def test_setup_figure_reads_the_probe_as_the_benchmark_does(time_setup):
+    # perfbench/run.py's setup_s: the median of the sums (0.5 here), not
+    # the sum of the medians (0.4)
+    samples = [{"import_s": 0.1, "evaluator_s": 0.5},
+               {"import_s": 0.2, "evaluator_s": 0.1},
+               {"import_s": 0.3, "evaluator_s": 0.2}]
+    assert time_setup.probe_seconds(samples) == pytest.approx(0.5)
+
+
+def test_setup_figures_of_this_tree(time_setup):
+    figures = time_setup.measure(repeats=1)
+    assert sorted(figures) == ["cli_evaluate_cached_s", "cli_evaluate_s",
+                               "setup_probe_cached_s", "setup_probe_s"]
+    assert all(0 < value < 60 for value in figures.values())

@@ -197,3 +197,20 @@ def test_design_file_rejects_garbage(tmp_path):
     path.write_text("x_zz = 1.0\n")
     with pytest.raises(DecodeError):
         read_design_file(path)
+
+
+def test_design_file_rejects_a_repeated_key(tmp_path):
+    # the last value used to win without a word: x_pp 2.3 then 2.78
+    # evaluated at 2.78
+    nominal = tmp_path / "nominal.txt"
+    write_design_file(NOMINAL_DESIGN, nominal)
+    lines = nominal.read_text().splitlines()
+    pitch = next(i for i, line in enumerate(lines) if line.startswith("x_pp"))
+    lines[pitch:pitch + 1] = ["x_pp = 2.3", "x_pp = 2.78"]
+    path = tmp_path / "repeated.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DecodeError) as raised:
+        read_design_file(path)
+    message = str(raised.value)
+    assert str(path) in message and "'x_pp'" in message
+    assert f"{path}:{pitch + 2}:" in message and f"line {pitch + 1}" in message
