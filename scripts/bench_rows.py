@@ -97,8 +97,12 @@ def run_tree(script: Path, src: Path) -> dict:
 
 def alternating_runs(script: Path, before: Path, after: Path, pairs: int) -> dict:
     """{"before": [figures, ...], "after": [...]}: ``pairs`` runs of
-    ``script`` on each tree, the first side alternating every pair."""
+    ``script`` on each tree, the first side alternating every pair.  One
+    run of each tree comes first and is discarded, so that no pair's first
+    side pays for cold file caches."""
     trees = {"before": before, "after": after}
+    for tree in trees.values():
+        run_tree(script, tree)
     runs = {"before": [], "after": []}
     for pair in range(pairs):
         for name in ("before", "after") if pair % 2 == 0 else ("after", "before"):

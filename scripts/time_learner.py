@@ -59,7 +59,11 @@ def measure() -> dict:
                                       np.array([s.log_prob for s in samples]),
                                       rng.normal(size=BATCH) * 30.0 - 40.0))
 
-    theta = np.empty((AGENTS, len(policies[0].theta())))
+    # the policies view the rows of one stack, as a lockstep group's do;
+    # the rows are filled first because _bind in older trees only views
+    theta = np.stack([policy.theta() for policy in policies])
+    for policy, row in zip(policies, theta):
+        policy._bind(row)
     optimizer = pearl.AdamOptimizer(config.learning_rate)
     stacked = pearl.Rollout.stack(rollouts)
     buffers = np.empty_like(theta), np.empty_like(theta)

@@ -5,7 +5,8 @@ feasible point (report) or unexpected error, 2 configuration error,
 3 evaluation/model error, 4 partial optimizer failure.
 
 Each command imports what it uses when it runs: ``evaluate`` and
-``scenarios`` load no optimizer, no run orchestration and no scipy.
+``scenarios`` load no optimizer, no run orchestration and no scipy, and
+``report`` loads no evaluator.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-from .design_space import read_design_file
-from .economics import build_cash_flows, cost_breakdown, list_scenarios
-from .environment import build_evaluator
 from .errors import (
     ConfigError,
     ContractError,
@@ -41,6 +39,10 @@ def _output_root() -> Path:
 
 
 def cmd_evaluate(args) -> int:
+    from .design_space import read_design_file
+    from .economics import build_cash_flows, cost_breakdown
+    from .environment import build_evaluator
+
     design = read_design_file(args.design)
     evaluator = build_evaluator(args)
     objectives, report, qoi = evaluator.evaluate(design)
@@ -144,6 +146,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_scenarios(args) -> int:
+    from .economics import list_scenarios
+
     for scenario in list_scenarios(extra_dir=args.dir):
         print(f"{scenario.name}: {scenario.description}")
         print(f"  axial reflector : {scenario.axial_reflector_price_per_kg:>12,.2f} $/kg")

@@ -160,37 +160,40 @@ class PolicyState:
 
     The observation is a constant token, so forward passes take no input.
 
-    From the optimizer's first step on, every parameter lives in one flat
-    row θ, laid out in ``_PARAM_SHAPES`` order; ``params`` holds named
-    views of it and Adam updates it in place.  θ is a row of an (A, N)
-    stack: of a group of agents that learn in lockstep, or of a stack of
-    one.
-    Before that step ``params`` holds copies of the arrays the policy was
-    built from, each in its own memory layout: a fresh ``pol_wm`` is
-    F-ordered, and the layout decides the BLAS path of the first epoch's
-    products, and with it their last bits.  After one step every tensor is
-    C-ordered either way.  ``theta()`` returns a copy of θ, ``set_theta()``
-    takes one.
+    Every parameter lives in one flat row θ, laid out in ``_PARAM_SHAPES``
+    order, into which a policy copies its arrays when it is built;
+    ``params`` holds named views of it and Adam updates it in place.  A
+    lockstep group moves each θ into a row of its (A, N) stack.  Until its
+    first step, a policy's products read each matrix that it was built
+    from F-ordered (a fresh ``pol_wm``) in that layout: the layout decides
+    their BLAS path, and with it their last bits.  ``theta()`` returns a
+    copy of θ, ``set_theta()`` takes one.
     """
 
     def __init__(self, params: dict):
-        # copies in the arrays' own layout: the policy shares no memory with
-        # its caller
-        self.params = {k: np.array(params[k], dtype=float, order="K")
-                       for k in _PARAM_SHAPES}
-        self._theta: np.ndarray | None = None
-        for name, shape in _PARAM_SHAPES.items():
-            if self.params[name].shape != shape:
+        self._theta = np.empty(_FLAT_SIZE)
+        self.params = _views(self._theta)
+        for name, view in self.params.items():
+            if np.shape(params[name]) != view.shape:
                 raise ContractError(f"parameter {name} has shape "
-                                    f"{self.params[name].shape}, want {shape}")
+                                    f"{np.shape(params[name])}, want {view.shape}")
+            view[...] = params[name]
+        self._fortran = tuple(name for name in _MATRICES
+                              if np.isfortran(np.asarray(params[name])))
+
+    def _arrays(self) -> dict:
+        """The named parameters, each flagged matrix as an F-ordered copy:
+        what ``PolicyState`` rebuilds this policy from, flags and all."""
+        return {name: np.asfortranarray(array) if name in self._fortran else array
+                for name, array in self.params.items()}
 
     def __reduce__(self):
         # pickled views would come back as arrays that no longer view θ
-        return PolicyState, (self.params,)
+        return PolicyState, (self._arrays(),)
 
     def _bind(self, row: np.ndarray) -> None:
-        """View ``row``, which holds this policy's parameters in θ's order,
-        as θ from now on."""
+        """Copy θ into ``row`` and view it as θ from now on."""
+        row[...] = self._theta
         self._theta = row
         self.params = _views(row)
 
@@ -221,7 +224,7 @@ class PolicyState:
 
     @property
     def mean(self) -> np.ndarray:
-        return _forward(_Stack.one(self))[0][0]
+        return _forward(_Stack.of([self], self._theta[None]))[0][0]
 
     @property
     def log_std(self) -> np.ndarray:
@@ -231,24 +234,16 @@ class PolicyState:
     def std(self) -> np.ndarray:
         return np.exp(self.params["log_std"])
 
-    @property
-    def entropy(self) -> float:
-        """Entropy of the pre-squash Gaussian (closed form)."""
-        return float(_entropy(self.log_std))
-
     def theta(self) -> np.ndarray:
-        return np.concatenate([self.params[k].ravel() for k in _PARAM_SHAPES])
+        return self._theta.copy()
 
     def set_theta(self, theta: np.ndarray) -> None:
         if len(theta) != _FLAT_SIZE:
             raise ContractError("theta length mismatch")
-        for name, view in _views(theta).items():
-            # in place: each parameter keeps its memory layout, which decides
-            # the BLAS path of later products, and θ (once built) sees it
-            self.params[name][...] = view
+        self._theta[...] = theta
 
     def copy(self) -> "PolicyState":
-        return PolicyState(self.params)
+        return PolicyState(self._arrays())
 
 
 def _entropy(log_std: np.ndarray):
@@ -265,28 +260,12 @@ class _Stack(NamedTuple):
     fortran: dict
 
     @classmethod
-    def one(cls, policy: PolicyState) -> "_Stack":
-        """One policy's own arrays, as views: each keeps its layout."""
-        return cls({name: array[None] for name, array in policy.params.items()},
-                   dict.fromkeys(_MATRICES))
-
-    @classmethod
     def of(cls, policies, theta: np.ndarray) -> "_Stack":
-        """Views of ``theta``, the (A, N) stack of the policies' θ.  The row
-        of a policy that views none yet (no step taken) is filled with a
-        copy of its parameters, and its F-ordered matrices are marked."""
-        params = _views(theta)
-        for row, policy in enumerate(policies):
-            if policy._theta is None:
-                for name, array in policy.params.items():
-                    params[name][row] = array
-        return cls(params, {name: _mask([np.isfortran(p.params[name]) for p in policies])
-                            for name in _MATRICES})
-
-
-def _mask(flags):
-    """A boolean row mask, or None when it marks no row."""
-    return np.array(flags) if any(flags) else None
+        """Views of ``theta``, the (A, N) stack of the policies' θ, and the
+        masks of the matrices that each policy reads F-ordered."""
+        flags = {name: [name in p._fortran for p in policies] for name in _MATRICES}
+        return cls(_views(theta), {name: np.array(rows) if any(rows) else None
+                                   for name, rows in flags.items()})
 
 
 def _matvec(w: np.ndarray, x: np.ndarray, flip: np.ndarray | None) -> np.ndarray:
@@ -489,8 +468,10 @@ def _stack_loss_and_gradient(stack: _Stack, rollout: Rollout, targets: _Targets,
     d_pre2 = np.multiply(d_h2, 1.0 - h2**2, out=grads["pol_b2"])
     d_h1 = _matvec(p["pol_w2"].transpose(0, 2, 1), d_pre2, stack.fortran["pol_w2"])
     d_pre1 = np.multiply(d_h1, 1.0 - h1**2, out=grads["pol_b1"])
-    np.multiply(d_mean[:, :, None], h2[:, None], out=grads["pol_wm"])
-    np.multiply(d_pre2[:, :, None], h1[:, None], out=grads["pol_w2"])
+    # the outer products' IEEE multiplies, in one pass each; an exact -0.0
+    # entry comes out +0.0, which no later step can tell apart
+    np.einsum("ai,aj->aij", d_mean, h2, out=grads["pol_wm"])
+    np.einsum("ai,aj->aij", d_pre2, h1, out=grads["pol_w2"])
     grads["pol_w1"][:, :, 0] = d_pre1
     return loss, log_ratio
 
@@ -498,7 +479,7 @@ def _stack_loss_and_gradient(stack: _Stack, rollout: Rollout, targets: _Targets,
 def ppo_loss(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> float:
     """Clipped-surrogate loss plus the entropy term."""
     rollout = rollout.row()
-    loss, _ = _stack_loss_and_gradient(_Stack.one(policy), rollout,
+    loss, _ = _stack_loss_and_gradient(_Stack.of([policy], policy._theta[None]), rollout,
                                        _Targets.of(rollout, config), config)
     return float(loss[0])
 
@@ -507,8 +488,8 @@ def ppo_gradient(policy: PolicyState, rollout: Rollout, config: PearlConfig) -> 
     """Closed-form gradient of the clipped-surrogate loss, as named arrays
     that share no memory with the policy."""
     rollout, grad = rollout.row(), np.empty((1, _FLAT_SIZE))
-    _stack_loss_and_gradient(_Stack.one(policy), rollout, _Targets.of(rollout, config),
-                             config, _views(grad))
+    _stack_loss_and_gradient(_Stack.of([policy], policy._theta[None]), rollout,
+                             _Targets.of(rollout, config), config, _views(grad))
     return _views(grad[0])
 
 
@@ -613,7 +594,8 @@ def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: PearlCo
     """config.epochs clipped-surrogate steps for every policy of a group at
     once, in place.
 
-    ``theta`` is the (A, N) stack whose rows the policies view, and
+    Each policy's θ moves into its row of ``theta``, an (A, N) stack (the
+    group's own, whose rows they view already, or a new one), and
     ``rollout`` is stacked, one row per policy.  The gradient and its
     squares go into ``buffers``, two arrays shaped as ``theta`` that a
     caller keeps across updates (fresh ones when None: a group's are large
@@ -627,6 +609,8 @@ def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: PearlCo
     skip is logged once instead.
     """
     count = len(policies)
+    for policy, row in zip(policies, theta):
+        policy._bind(row)
     stack = _Stack.of(policies, theta)
     targets = _Targets.of(rollout, config)
     grad, squares = buffers or (np.empty_like(theta), np.empty_like(theta))
@@ -665,13 +649,11 @@ def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: PearlCo
         else:
             optimizer.step(theta, grad, scale, where=live[:, None])
         if epoch == 0:
-            # a policy that stepped views its row of θ, C-ordered, from now on
-            for row, (policy, stepped) in enumerate(zip(policies, live)):
-                if stepped and policy._theta is None:
-                    policy._bind(theta[row])
-            for name, flip in stack.fortran.items():
-                if flip is not None:
-                    stack.fortran[name] = _mask(flip & ~live)
+            # a policy's first step leaves its matrices C-ordered for good
+            for policy, stepped in zip(policies, live):
+                if stepped:
+                    policy._fortran = ()
+            stack = _Stack.of(policies, theta)
     ratio = np.exp(log_ratio)
     entropy = _entropy(stack.params["log_std"])
     approx_kl = _mean((ratio - 1.0) - log_ratio)
@@ -690,11 +672,7 @@ def ppo_update(policy: PolicyState, rollout: Rollout, config: PearlConfig,
     A non-finite gradient skips the update and logs the incident.
     """
     optimizer = optimizer or AdamOptimizer(config.learning_rate)
-    # θ is built here, a stack of one, and bound at the first step, after
-    # the first epoch's products have run on the arrays the policy was
-    # built with
-    theta = np.empty((1, _FLAT_SIZE)) if policy._theta is None else policy._theta[None]
-    return _update([policy], theta, rollout.row(), config, optimizer)[0]
+    return _update([policy], policy._theta[None], rollout.row(), config, optimizer)[0]
 
 
 def step_reward(objectives, report, buffer: ParetoBuffer, payload=None,
@@ -837,14 +815,14 @@ class AgentResult:
 
     def checkpoint(self, directory, step: int) -> None:
         np.savez(f"{directory}/policy-{self.name}-step{step + 1:06d}.npz",
-                 **self.policy.params)
+                 **self.policy._arrays())
 
 
 class _Group:
     """Agents that run in lockstep: every agent takes step k before any takes
     step k + 1, and one learner call updates them all at each batch
-    boundary.  From its first step on, each agent's policy views a row of
-    the (A, N) stack θ, and one Adam optimizer holds the stacked moments.
+    boundary.  Each agent's policy views a row of the (A, N) stack θ, and
+    one Adam optimizer holds the stacked moments.
     Row a of every stacked array is agent a's: the behaviour that samples
     between updates, (A, 7) arrays refreshed by one stacked forward per
     update, and the open batch, (A, n, 7) and (A, n) arrays.  An agent
@@ -853,8 +831,7 @@ class _Group:
     def __init__(self, agents: list, config: PearlConfig, batch_size: int):
         self.agents = agents
         self.rngs = [agent.rng for agent in agents]
-        self.theta = np.empty((len(agents), _FLAT_SIZE))
-        self.buffers = np.empty_like(self.theta), np.empty_like(self.theta)
+        self._stack_policies()
         self.optimizer = AdamOptimizer(config.learning_rate)
         self.behaviour = self._behaviour()
         self.pre_squash = np.empty((len(agents), batch_size, ACTION_DIM))
@@ -862,6 +839,14 @@ class _Group:
         self.rewards = np.empty((len(agents), batch_size))
         self.filled = 0              # columns of the open batch
         self.failures: list = []     # of (agent, exception)
+
+    def _stack_policies(self) -> None:
+        """Move every agent's θ into a row of a new stack, in order, with
+        the learner's two buffers shaped to match."""
+        self.theta = np.empty((len(self.agents), _FLAT_SIZE))
+        self.buffers = np.empty_like(self.theta), np.empty_like(self.theta)
+        for agent, row in zip(self.agents, self.theta):
+            agent.policy._bind(row)
 
     def _behaviour(self) -> _Behaviour:
         return _Behaviour.of(_Stack.of([agent.policy for agent in self.agents], self.theta))
@@ -880,11 +865,7 @@ class _Group:
             keep = [i for i, agent in enumerate(self.agents) if agent not in failed]
             self.agents = [self.agents[i] for i in keep]
             self.rngs = [self.rngs[i] for i in keep]
-            self.theta = self.theta[keep]
-            self.buffers = np.empty_like(self.theta), np.empty_like(self.theta)
-            for agent, row in zip(self.agents, self.theta):
-                if agent.policy._theta is not None:
-                    agent.policy._bind(row)
+            self._stack_policies()
             self.optimizer.take(keep)
             self.behaviour = _Behaviour(*(array[keep] for array in self.behaviour))
             self.pre_squash, self.log_probs, self.rewards = (

@@ -81,9 +81,11 @@ def test_directions_come_from_the_benchmark_declaration(bench_rows):
 
 
 def test_direct_rows_from_alternating_pairs(bench_rows, monkeypatch):
-    # the first side alternates every pair; each figure's unit is the last
-    # part of its name, and lower is better
+    # one discarded warm-up run of each tree, then the pairs, whose first
+    # side alternates every pair; each figure's unit is the last part of
+    # its name, and lower is better
     figures = iter([
+        {"insert_us": 99.0, "run_s": 99.0}, {"insert_us": 98.0, "run_s": 98.0},   # warm-up
         {"insert_us": 10.0, "run_s": 2.0}, {"insert_us": 8.0, "run_s": 2.5},     # pair 0
         {"insert_us": 9.0, "run_s": 2.0}, {"insert_us": 12.0, "run_s": 1.0},     # pair 1
         {"insert_us": 11.0, "run_s": 3.0}, {"insert_us": 11.0, "run_s": 1.5},    # pair 2
@@ -92,7 +94,8 @@ def test_direct_rows_from_alternating_pairs(bench_rows, monkeypatch):
     monkeypatch.setattr(bench_rows, "run_tree",
                         lambda script, src: calls.append(src) or next(figures))
     runs = bench_rows.alternating_runs(Path("time_x.py"), Path("old"), Path("new"), 3)
-    assert calls == [Path(p) for p in ("old", "new", "new", "old", "old", "new")]
+    assert calls == [Path(p) for p in ("old", "new",
+                                       "old", "new", "new", "old", "old", "new")]
     assert runs == {"before": [{"insert_us": 10.0, "run_s": 2.0},
                                {"insert_us": 12.0, "run_s": 1.0},
                                {"insert_us": 11.0, "run_s": 3.0}],

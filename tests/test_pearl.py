@@ -227,7 +227,8 @@ class TestPpoUpdate:
         targets = _Targets.of(rollout, config)._replace(
             advantages=advantages, neg_advantages=-advantages)
         grads = _views(np.full((1, _FLAT_SIZE), np.nan))
-        _stack_loss_and_gradient(_Stack.one(policy), rollout, targets, config, grads)
+        _stack_loss_and_gradient(_Stack.of([policy], policy._theta[None]), rollout, targets,
+                                 config, grads)
         for name in ("pol_w1", "pol_b1", "pol_w2", "pol_b2", "pol_wm", "pol_bm"):
             assert np.all(grads[name] == 0.0), name
 
@@ -342,8 +343,9 @@ class TestPpoUpdate:
         order = ("log_std", "pol_wm", "pol_bm", "pol_w2", "pol_b2", "pol_w1", "pol_b1")
         config = small_config(epochs=5)
         for seed in (16, 17, 18, 19):
-            # initialized twice rather than copied: copy() makes every tensor
-            # C-ordered, and the layout decides the BLAS path of the products
+            # initialized twice rather than copied, so the reference owes
+            # nothing to copy(); each of its steps builds a fresh policy from
+            # fresh arrays
             policy = PolicyState.initialize(np.random.default_rng(seed), init_log_std=0.2)
             reference = PolicyState.initialize(np.random.default_rng(seed), init_log_std=0.2)
             optimizer = AdamOptimizer(config.learning_rate)
@@ -363,6 +365,7 @@ class TestPpoUpdate:
                     if norm > config.max_grad_norm:
                         grads = {k: g * (config.max_grad_norm / (norm + 1e-6))
                                  for k, g in grads.items()}
+                    stepped = {}
                     for name in order:
                         grad = grads[name]
                         m.setdefault(name, np.zeros_like(grad))
@@ -371,8 +374,9 @@ class TestPpoUpdate:
                         v[name] += (1.0 - 0.999) * (grad**2 - v[name])
                         m_hat = m[name] / (1.0 - 0.9**t)
                         v_hat = v[name] / (1.0 - 0.999**t)
-                        reference.params[name] = reference.params[name] \
+                        stepped[name] = reference.params[name] \
                             - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+                    reference = PolicyState(stepped)
                 before = (policy.theta(), optimizer.m, optimizer.v, optimizer.t)
                 before = tuple(x.copy() if isinstance(x, np.ndarray) else x for x in before)
                 stats_out = ppo_update(policy, rollout, config, optimizer)
@@ -400,7 +404,7 @@ class TestPpoUpdate:
         optimizer = AdamOptimizer(config.learning_rate)
         for reward_seed in (9, 10, 11):
             rollout = make_rollout(reward_seed=reward_seed)
-            behaviour = pearl._Behaviour.of(pearl._Stack.one(policy))
+            behaviour = pearl._Behaviour.of(pearl._Stack.of([policy], policy._theta[None]))
             taken = [behaviour.mean, behaviour.log_std, behaviour.std, policy.theta(),
                      *policy.copy().params.values(),
                      *ppo_gradient(policy, rollout, config).values()]
@@ -426,6 +430,24 @@ class TestPpoUpdate:
         assert policy.theta().tobytes() == clone.theta().tobytes()
         for name in _PARAM_SHAPES:
             assert clone.params[name].tobytes() == policy.params[name].tobytes()
+
+    @pytest.mark.parametrize("clone", ["pickle", "copy"])
+    def test_a_policy_cloned_before_its_first_update_learns_bit_for_bit(self, clone):
+        # the clone's first epoch must read pol_wm F-ordered, as the
+        # original's does: read C-ordered, its products round differently
+        import pickle
+
+        config = small_config(epochs=3)
+        for seed in range(26, 30):
+            policy = PolicyState.initialize(np.random.default_rng(seed), 0.3, 0.8)
+            twin = pickle.loads(pickle.dumps(policy)) if clone == "pickle" else policy.copy()
+            optimizers = [AdamOptimizer(config.learning_rate) for _ in range(2)]
+            for reward_seed in (9, 10):
+                rollout = make_rollout(reward_seed=reward_seed)
+                stats = [ppo_update(learner, rollout, config, optimizer)
+                         for learner, optimizer in zip((policy, twin), optimizers)]
+                assert repr(stats[0]) == repr(stats[1]), seed
+            assert twin.theta().tobytes() == policy.theta().tobytes(), seed
 
     def test_update_stats_read_the_last_epoch_ratios(self):
         config = small_config(epochs=1)
@@ -497,6 +519,25 @@ class TestRunAgent:
         results, _ = pearl._run_group(toy_env, config, seeds, pearl.agent_names(seeds), 32)
         assert checked == [3] * 8
         assert [a.seed for a in results] == seeds
+
+    def test_a_checkpoint_before_the_first_update_holds_the_initial_policy(
+            self, toy_env, tmp_path):
+        config = small_config(agents=1, total_steps=8, n_steps=8, checkpoint_interval=4)
+        run_agent(toy_env, config, seed=3, checkpoint_dir=tmp_path)
+        initial = pearl.AgentResult.start(3, "3", config, None).policy
+
+        def checkpoint(step):
+            with np.load(tmp_path / f"policy-3-step{step:06d}.npz") as archive:
+                return {name: archive[name] for name in archive.files}
+
+        early, late = checkpoint(4), checkpoint(8)
+        assert sorted(early) == sorted(late) == sorted(_PARAM_SHAPES)
+        for name in _PARAM_SHAPES:
+            assert np.array_equal(early[name], initial.params[name]), name
+        assert not np.array_equal(late["pol_wm"], initial.params["pol_wm"])
+        # each matrix is written in the layout its products read: pol_wm
+        # F-ordered, as initialize made it, until the first update
+        assert np.isfortran(early["pol_wm"]) and not np.isfortran(late["pol_wm"])
 
     def test_trivially_feasible_environment_fills_buffer(self):
         config = small_config(kappa=64)
