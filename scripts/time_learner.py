@@ -65,7 +65,9 @@ def measure() -> dict:
     for policy, row in zip(policies, theta):
         policy._bind(row)
     optimizer = pearl.AdamOptimizer(config.learning_rate)
-    stacked = pearl.Rollout.stack(rollouts)
+    stacked = pearl.Rollout(np.stack([r.pre_squash for r in rollouts]),
+                            np.stack([r.log_probs for r in rollouts]),
+                            np.stack([r.rewards for r in rollouts]))
     buffers = np.empty_like(theta), np.empty_like(theta)
 
     def update_round():

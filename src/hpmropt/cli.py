@@ -104,6 +104,10 @@ def cmd_optimize(args) -> int:
             overrides["base_seed"] = args.seed
         if args.workers is not None:
             overrides["workers"] = args.workers
+        if args.seed is not None or args.agents is not None:
+            # the agents resolve from base_seed and agents, as on a fresh
+            # run: a rerun's recorded seeds would override either flag
+            overrides.pop("seeds", None)
     else:
         for flag in ("agents", "workers"):
             if getattr(args, flag) is not None:

@@ -19,9 +19,9 @@ from .pareto import (
     DesignPayload,
     ObjectivePoint,
     crowding_distance,
+    merge_fronts,
     nondominated_sort,
 )
-from .pearl import merge_fronts
 
 GENOME_DIM = 7
 

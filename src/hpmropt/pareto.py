@@ -165,6 +165,19 @@ def _first_front(points) -> list[int]:
     return members[kept].tolist()
 
 
+def merge_fronts(agent_fronts) -> list[ObjectivePoint]:
+    """Non-dominated union of per-agent first fronts.
+
+    Exact duplicates in objective space collapse to the earliest occurrence
+    so merged fronts stay strictly ordered along each objective.  The
+    result keeps pool order: agent by agent, each front in its own order.
+    """
+    pool = [point for front in agent_fronts for point in front]
+    kept = np.zeros(len(pool), dtype=bool)
+    kept[_first_front(pool)] = True
+    return [point for point, keep in zip(pool, kept) if keep]
+
+
 def _feasible_fronts(obj, feas) -> list[list[int]]:
     """Fronts of the feasible points by objective dominance, each in
     ascending index order."""

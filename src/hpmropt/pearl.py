@@ -34,6 +34,7 @@ from .pareto import (
     ParetoBuffer,
     _checked_objectives,
     _first_front,
+    merge_fronts,
 )
 
 logger = logging.getLogger(__name__)
@@ -163,7 +164,8 @@ class PolicyState:
     Every parameter lives in one flat row θ, laid out in ``_PARAM_SHAPES``
     order, into which a policy copies its arrays when it is built;
     ``params`` holds named views of it and Adam updates it in place.  A
-    lockstep group moves each θ into a row of its (A, N) stack.  Until its
+    lockstep group moves each θ into a row of its (A, N) stack, which the
+    learner then moves in place without rebinding it.  Until its
     first step, a policy's products read each matrix that it was built
     from F-ordered (a fresh ``pol_wm``) in that layout: the layout decides
     their BLAS path, and with it their last bits.  ``theta()`` returns a
@@ -387,12 +389,6 @@ class Rollout:
     log_probs: np.ndarray    # (n,), or (A, n)
     rewards: np.ndarray      # (n,), or (A, n)
 
-    @classmethod
-    def stack(cls, rollouts) -> "Rollout":
-        """One rollout per agent, of one length, stacked row by row."""
-        return cls(*(np.stack(arrays) for arrays in zip(
-            *((r.pre_squash, r.log_probs, r.rewards) for r in rollouts))))
-
     def row(self) -> "Rollout":
         """This rollout as a one-row stack, of views."""
         return Rollout(self.pre_squash[None], self.log_probs[None], self.rewards[None])
@@ -500,6 +496,10 @@ def _bias_correction(beta: float, t: np.ndarray) -> np.ndarray:
     return np.array([[1.0 - beta ** k] for k in t.ravel().tolist()])
 
 
+# Adam's moment decays and the denominator's guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class AdamOptimizer:
     """Adam over an (A, N) stack of parameter rows, updated in place: the
     θ of a group of agents, or of a single policy as a stack of one.
@@ -511,9 +511,8 @@ class AdamOptimizer:
     arrays would move it.
     """
 
-    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, learning_rate):
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
@@ -540,16 +539,16 @@ class AdamOptimizer:
         # every call
         rows = {} if where is True else {"where": where}
         # m += (1 - beta1) * (grad - m)
-        np.multiply(1.0 - self.beta1, np.subtract(grad, m, out=a, **rows), out=a, **rows)
+        np.multiply(1.0 - _BETA1, np.subtract(grad, m, out=a, **rows), out=a, **rows)
         np.add(m, a, out=m, **rows)
         # v += (1 - beta2) * (grad**2 - v)
         np.subtract(np.multiply(grad, grad, out=a, **rows), v, out=a, **rows)
-        np.multiply(1.0 - self.beta2, a, out=a, **rows)
+        np.multiply(1.0 - _BETA2, a, out=a, **rows)
         np.add(v, a, out=v, **rows)
         # theta -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, _bias_correction(self.beta1, self.t), out=a, **rows)
-        np.divide(v, _bias_correction(self.beta2, self.t), out=b, **rows)
-        np.add(np.sqrt(b, out=b, **rows), self.eps, out=b, **rows)
+        np.divide(m, _bias_correction(_BETA1, self.t), out=a, **rows)
+        np.divide(v, _bias_correction(_BETA2, self.t), out=b, **rows)
+        np.add(np.sqrt(b, out=b, **rows), _EPS, out=b, **rows)
         np.divide(np.multiply(self.learning_rate, a, out=a, **rows), b, out=a, **rows)
         np.subtract(theta, a, out=theta, **rows)
 
@@ -590,16 +589,15 @@ class UpdateStats:
 
 @np.errstate(all="ignore")
 def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: PearlConfig,
-            optimizer: AdamOptimizer, buffers: tuple | None = None) -> list[UpdateStats]:
+            optimizer: AdamOptimizer, buffers: tuple) -> list[UpdateStats]:
     """config.epochs clipped-surrogate steps for every policy of a group at
     once, in place.
 
-    Each policy's θ moves into its row of ``theta``, an (A, N) stack (the
-    group's own, whose rows they view already, or a new one), and
-    ``rollout`` is stacked, one row per policy.  The gradient and its
-    squares go into ``buffers``, two arrays shaped as ``theta`` that a
-    caller keeps across updates (fresh ones when None: a group's are large
-    enough that first touching new pages costs more than an epoch's norm).
+    ``theta`` is an (A, N) stack whose rows the policies already view, in
+    order, and ``rollout`` is stacked, one row per policy.  The gradient and
+    its squares go into ``buffers``, two arrays shaped as ``theta`` that a
+    caller keeps across updates (a group's are large enough that first
+    touching new pages costs more than an epoch's norm).
     Each epoch is one stacked forward and backward, one norm per row and
     one stacked Adam step.  A row whose gradient or loss turns non-finite
     sits out the rest of the update, as if its own update had stopped
@@ -609,11 +607,9 @@ def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: PearlCo
     skip is logged once instead.
     """
     count = len(policies)
-    for policy, row in zip(policies, theta):
-        policy._bind(row)
     stack = _Stack.of(policies, theta)
     targets = _Targets.of(rollout, config)
-    grad, squares = buffers or (np.empty_like(theta), np.empty_like(theta))
+    grad, squares = buffers
     grads = _views(grad)
     tensors = [squares[:, where] for where in _FLAT_SLICES.values()]
     live = np.ones(count, dtype=bool)
@@ -672,7 +668,9 @@ def ppo_update(policy: PolicyState, rollout: Rollout, config: PearlConfig,
     A non-finite gradient skips the update and logs the incident.
     """
     optimizer = optimizer or AdamOptimizer(config.learning_rate)
-    return _update([policy], policy._theta[None], rollout.row(), config, optimizer)[0]
+    theta = policy._theta[None]
+    buffers = np.empty_like(theta), np.empty_like(theta)
+    return _update([policy], theta, rollout.row(), config, optimizer, buffers)[0]
 
 
 def step_reward(objectives, report, buffer: ParetoBuffer, payload=None,
@@ -842,7 +840,8 @@ class _Group:
 
     def _stack_policies(self) -> None:
         """Move every agent's θ into a row of a new stack, in order, with
-        the learner's two buffers shaped to match."""
+        the learner's two buffers shaped to match: at start-up and after an
+        agent leaves, the only times a policy is bound to a row."""
         self.theta = np.empty((len(self.agents), _FLAT_SIZE))
         self.buffers = np.empty_like(self.theta), np.empty_like(self.theta)
         for agent, row in zip(self.agents, self.theta):
@@ -949,19 +948,6 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
     if failures:
         raise failures[0][1]
     return results[0]
-
-
-def merge_fronts(agent_fronts) -> list[ObjectivePoint]:
-    """Non-dominated union of per-agent first fronts.
-
-    Exact duplicates in objective space collapse to the earliest occurrence
-    so merged fronts stay strictly ordered along each objective.  The
-    result keeps pool order: agent by agent, each front in its own order.
-    """
-    pool = [point for front in agent_fronts for point in front]
-    kept = np.zeros(len(pool), dtype=bool)
-    kept[_first_front(pool)] = True
-    return [point for point, keep in zip(pool, kept) if keep]
 
 
 @dataclass

@@ -135,9 +135,11 @@ def run_optimize(config: RunConfig) -> dict:
 
     if config.optimizer == "pearl":
         pearl_config = PearlConfig(**config.pearl)
-        # manifests carry the resolved per-agent seeds explicitly
-        config.pearl = {**config.pearl, "seeds": pearl_config.agent_seeds()}
-        _write_json(out / "manifest.json", config.to_manifest())
+        # manifests carry the resolved per-agent seeds explicitly; the
+        # caller's config keeps its own layers
+        manifest = config.to_manifest()
+        manifest["config"]["pearl"]["seeds"] = pearl_config.agent_seeds()
+        _write_json(out / "manifest.json", manifest)
         checkpoint_dir = out if pearl_config.checkpoint_interval else None
         result = run_multi(evaluator, pearl_config, deadline=deadline,
                            checkpoint_dir=checkpoint_dir)

@@ -218,16 +218,16 @@ def test_criterion_06_hypervolume():
 # --------------------------------------------------------------------------
 
 def _finite_difference_state(args):
-    policy_params, rollout, config, step = args
-    policy = PolicyState(policy_params)
+    policy, rollout, config, step = args
     grads = ppo_gradient(policy, rollout, config)
     analytic = np.concatenate([grads[k].ravel() for k in _PARAM_SHAPES])
     probe = policy.copy()
     fd = np.empty_like(analytic)
     offset = 0
     for name in _PARAM_SHAPES:
-        # .flat writes through in C order whatever the layout; copies keep
-        # pol_wm F-ordered, where reshape(-1) would perturb a copy
+        # params are C-ordered views of θ, which .flat writes through; the
+        # pickled policy and its copy keep the fresh pol_wm's F-order flag,
+        # so every product takes the BLAS path the policy itself would
         flat = probe.params[name].flat
         for j in range(len(flat)):
             saved = flat[j]
@@ -257,7 +257,7 @@ def test_criterion_07_policy_gradient():
     jobs = []
     for _state in range(5):
         policy = PolicyState.initialize(rng, init_log_std=float(rng.uniform(0.1, 0.6)))
-        jobs.append((policy.params, rollout, config, 1e-5))
+        jobs.append((policy, rollout, config, 1e-5))
     with ProcessPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(_finite_difference_state, jobs))
     for state, (analytic, fd) in enumerate(results):

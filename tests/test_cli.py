@@ -479,6 +479,41 @@ class TestOptimize:
         for name in ("front.tsv", "manifest.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    @pytest.mark.parametrize("flags, fresh", [
+        (["--seed", "11"], ["--agents", "2", "--steps", "32", "--seed", "11"]),
+        (["--agents", "4", "--steps", "64"], ["--agents", "4", "--steps", "64", "--seed", "3"]),
+    ], ids=["seed", "agents"])
+    def test_a_seed_or_agents_flag_on_a_rerun_resolves_fresh_seeds(self, tmp_path, flags,
+                                                                  fresh):
+        # the manifest's recorded seeds would override either flag: the
+        # rerun writes the files of the fresh run that the flags describe
+        first, rerun, alone = tmp_path / "first", tmp_path / "rerun", tmp_path / "alone"
+        assert main(["optimize", "--scenario", "scenario-3", "--agents", "2",
+                     "--steps", "32", "--seed", "3", "--out", str(first)]) == 0
+        assert main(["optimize", "--config", str(first / "manifest.json"), *flags,
+                     "--out", str(rerun)]) == 0
+        assert main(["optimize", "--scenario", "scenario-3", *fresh,
+                     "--out", str(alone)]) == 0
+        files = sorted(path.name for path in alone.iterdir())
+        assert sorted(path.name for path in rerun.iterdir()) == files
+        for name in files:
+            assert (rerun / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_a_run_leaves_the_callers_config_as_it_was(self, tmp_path):
+        # the resolved seeds go into the manifest only, so the same config
+        # reruns with another agent count
+        from hpmropt.runio import RunConfig, run_optimize
+
+        config = RunConfig(out_dir=str(tmp_path / "first"),
+                           pearl={"agents": 2, "total_steps": 16, "base_seed": 3})
+        before = json.dumps(config.pearl, sort_keys=True)
+        run_optimize(config)
+        assert json.dumps(config.pearl, sort_keys=True) == before
+        manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+        assert manifest["config"]["pearl"]["seeds"] == [3, 4]
+        config.pearl["agents"], config.out_dir = 4, str(tmp_path / "second")
+        assert run_optimize(config)["evaluations"] == 16
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HPMROPT_OUTPUT_ROOT", str(tmp_path))
         assert main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",

@@ -196,7 +196,10 @@ def test_stacked_update_moves_each_row_as_its_own_update():
                 for s in range(4)]
     alone = [pearl.PolicyState.initialize(np.random.default_rng(s), 0.3, 0.8)
              for s in range(4)]
-    theta = np.empty((4, len(policies[0].theta())))
+    theta = np.stack([policy.theta() for policy in policies])
+    for policy, row in zip(policies, theta):
+        policy._bind(row)
+    buffers = np.empty_like(theta), np.empty_like(theta)
     group = pearl.AdamOptimizer(config.learning_rate)
     single = [pearl.AdamOptimizer(config.learning_rate) for _ in alone]
     for n in (8, 1, 5):
@@ -206,7 +209,10 @@ def test_stacked_update_moves_each_row_as_its_own_update():
             rollouts.append(pearl.Rollout(
                 np.vstack([s.pre_squash for s in samples]),
                 np.array([s.log_prob for s in samples]), rng.normal(size=n) * 30))
-        stats = pearl._update(policies, theta, pearl.Rollout.stack(rollouts), config, group)
+        stacked = pearl.Rollout(np.stack([r.pre_squash for r in rollouts]),
+                                np.stack([r.log_probs for r in rollouts]),
+                                np.stack([r.rewards for r in rollouts]))
+        stats = pearl._update(policies, theta, stacked, config, group, buffers)
         for policy, rollout, optimizer, row_stats in zip(alone, rollouts, single, stats):
             assert repr(pearl.ppo_update(policy, rollout, config, optimizer)) == \
                 repr(row_stats)
@@ -215,3 +221,42 @@ def test_stacked_update_moves_each_row_as_its_own_update():
         assert policy.theta().tobytes() == reference.theta().tobytes()
     assert group.m.tobytes() == np.stack([o.m for o in single]).tobytes()
     assert group.t.ravel().tolist() == [o.t for o in single]
+
+
+def test_a_group_binds_each_policy_to_its_row_once(evaluator):
+    # the learner moves the group's stack in place and never rebinds a
+    # policy: the group binds them at start-up and after an agent leaves
+    config = config_for(4, agents=3)
+    seeds = config.agent_seeds()
+    agents = [pearl.AgentResult.start(seed, name, config, None)
+              for seed, name in zip(seeds, agent_names(seeds))]
+    group = pearl._Group(agents, config, config.n_steps)
+
+    def assert_bound():
+        assert len(group.theta) == len(group.agents)
+        for agent, row in zip(group.agents, group.theta):
+            assert np.shares_memory(agent.policy._theta, row)
+            assert agent.policy.theta().tobytes() == row.tobytes()
+
+    def steps(first, count):
+        for step in range(first, first + count):
+            group.act(evaluator, config, step)
+        group.learn(config, first + count - 1)
+
+    assert_bound()
+    start = group.theta.copy()
+    steps(0, 4)
+    assert_bound()
+    assert not np.array_equal(group.theta, start)
+    steps(4, 4)
+    assert_bound()
+
+    def crash(row, agent):
+        if agent.seed == seeds[1]:
+            raise RuntimeError("agent crashed")
+
+    group.each(crash)
+    assert [agent.seed for agent in group.agents] == [seeds[0], seeds[2]]
+    assert_bound()
+    steps(8, 4)
+    assert_bound()

@@ -155,3 +155,9 @@ def test_commands_load_only_what_they_use(tmp_path, command, reads):
     assert set(seen["loaded"]) <= {"hpmropt", "hpmropt.cli", *reads}
     assert not set(seen["loaded"]) & {"hpmropt.pearl", "hpmropt.nsga2", "hpmropt.runio",
                                       "scipy"}
+
+
+def test_the_nsga2_baseline_loads_no_rl_module():
+    seen = run_child(f"import json, sys\nimport hpmropt.nsga2\nprint(json.dumps({_LOADED}))")
+    assert "hpmropt.nsga2" in seen
+    assert "hpmropt.pearl" not in seen
