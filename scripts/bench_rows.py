@@ -15,10 +15,11 @@ BENCHMARK.json.  Timed runs (``--trace 0``) give the end-to-end rows,
 traced runs (``--trace 1``) the per-layer rows.  ``--note`` adds a figure
 measured outside the benchmark (name, before, after, unit).
 
-It also holds the harness of the direct timing scripts
-(``scripts/time_*.py``): ``alternating_runs`` runs a script's ``--child``
-mode on two source trees in alternating pairs, ``direct_rows`` turns its
-runs into rows of this file's layout, and ``this_machine`` describes the host.
+It is also the one harness for two source trees.  ``run_tree`` runs a
+script's ``--child`` mode in a fresh interpreter that imports ``hpmropt``
+from one tree, and refuses a child whose ``hpmropt`` came from elsewhere.
+``direct_main`` is the command line of the direct timing scripts
+(``scripts/time_*.py``), which hold only their ``measure()``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ PER_LAYER = ("pareto.insert.us", "pareto.insert.calls", "pearl.ppo_update.us",
              "setup.import_s", "setup.evaluator_s",
              "trace.evals_per_s_untraced", "trace.overhead_pct")
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+STDERR_LINES = 20
 RECORD = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 
 
@@ -85,14 +87,43 @@ def quartile_spread(values) -> float | None:
     return q3 - q1
 
 
-def run_tree(script: Path, src: Path) -> dict:
-    """The figures ``script --child`` prints, as JSON, run by a fresh
-    interpreter that imports ``hpmropt`` from ``src`` with one BLAS
-    thread."""
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1")
-    child = subprocess.run([sys.executable, str(script), "--child"], env=env,
-                           capture_output=True, text=True, check=True, timeout=600)
-    return json.loads(child.stdout)
+def run_python(args, env: dict, timeout: float = 600) -> str:
+    """The stdout of a fresh interpreter run with ``args`` and ``env``.  A
+    child that exits non-zero raises ``RuntimeError`` with the command, its
+    ``PYTHONPATH`` and the last lines of its stderr."""
+    done = subprocess.run([sys.executable, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    if done.returncode:
+        command = " ".join(map(str, [Path(sys.executable).name, *args]))
+        if "PYTHONPATH" in env:
+            command = f"PYTHONPATH={env['PYTHONPATH']} {command}"
+        tail = "\n".join(done.stderr.splitlines()[-STDERR_LINES:])
+        raise RuntimeError(f"{command} exited {done.returncode}; its stderr ends:\n{tail}")
+    return done.stdout
+
+
+def run_tree(script: Path, src: Path, *args: str) -> dict:
+    """The figures that ``script --child ARGS`` prints with ``child_line``,
+    run by a fresh interpreter that imports ``hpmropt`` from ``src`` with
+    one BLAS thread.  A child whose ``hpmropt`` came from another directory
+    is refused with ``RuntimeError``."""
+    tree = (src / "hpmropt").resolve()
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    record = json.loads(run_python([script, "--child", *args], env).splitlines()[-1])
+    if Path(record["hpmropt"]) != tree:
+        raise RuntimeError(f"{script} imported hpmropt from {record['hpmropt']}, "
+                           f"not from {tree}")
+    return record["figures"]
+
+
+def child_line(figures: dict) -> str:
+    """The line a ``--child`` run prints last for ``run_tree``: its figures
+    and the directory of the ``hpmropt`` it imported."""
+    import hpmropt
+
+    return json.dumps({"hpmropt": str(Path(hpmropt.__file__).resolve().parent),
+                       "figures": figures})
 
 
 def alternating_runs(script: Path, before: Path, after: Path, pairs: int) -> dict:
@@ -169,6 +200,43 @@ def rows(before: dict, after: dict, directions: dict) -> list[dict]:
                 **pairs_won(old_records, new_records, name, directions[name]),
             })
     return out
+
+
+def direct_main(measure, doc: str, argv=None) -> int:
+    """The command line of a direct timing script, ``doc`` its help.
+    ``--child`` prints ``measure()``'s figures for ``run_tree``.  Otherwise
+    ``--pairs`` alternating pairs of runs on the ``--before`` and ``--after``
+    source trees (``src/`` directories) print a line per ``direct_rows``
+    row and the ``--note`` arguments that carry the medians into ``main``,
+    and ``--out`` writes the rows."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--before", type=Path)
+    parser.add_argument("--after", type=Path)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(child_line(measure()))
+        return 0
+    if not (args.before and args.after):
+        parser.error("--before and --after are required")
+
+    script = Path(measure.__code__.co_filename)
+    table = direct_rows(alternating_runs(script, args.before, args.after, args.pairs))
+    if args.out:
+        args.out.write_text(json.dumps({"machine": this_machine(), "rows": table}, indent=1)
+                            + "\n")
+    width = max(len(row["metric"]) for row in table)
+    for row in table:
+        spread = row["before_quartile_spread"]
+        print(f"{row['metric']:{width}s} {row['before']['median']:11.4g} -> "
+              f"{row['after']['median']:11.4g} {row['unit']}  "
+              f"x{1 / row['ratio']:.3f} faster  won {row['won']}/{row['pairs']}"
+              + ("" if spread is None else f"  spread {spread:.3g}"))
+    print(" ".join(f"--note {row['metric']} {row['before']['median']:.6g} "
+                   f"{row['after']['median']:.6g} {row['unit']}" for row in table))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -9,25 +9,26 @@ A trial is what the criteria 8-9 fixture in ``tests/test_acceptance.py``
 runs: PEARL with 8 agents and 8000 steps from base seed ``1000 + 97 * trial``,
 and random search over 8000 designs from seed ``base + 50_000``.  Each trial
 runs in a fresh interpreter that imports ``hpmropt`` from the given tree
-only.  Per trial the file records both criteria's verdicts, the PEARL and
-random-search hypervolumes at the criterion's shared reference and their
-ratio (HV/random), and the PEARL hypervolume at the fixed reference
-(1400, 1.47).  Per scenario it records the pass counts of each tree and the
-paired after-minus-before differences: mean, standard error, range and how
-many trials went up.  A behaviour change argues from these numbers.
+only (``bench_rows.run_tree``).  Per trial the file records both criteria's
+verdicts, the PEARL and random-search hypervolumes at the criterion's shared
+reference and their ratio (HV/random), and the PEARL hypervolume at the
+fixed reference (1400, 1.47).  Per scenario it records the pass counts of
+each tree and the paired after-minus-before differences: mean, standard
+error, range and how many trials went up.  A behaviour change argues from
+these numbers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+from bench_rows import child_line, run_tree
 
 TRIALS = 10
 AGENTS = 8
@@ -98,24 +99,6 @@ def run_trial(scenario: str, trial: int) -> dict:
     }
 
 
-def worker(src: str, scenario: str, trial: int) -> int:
-    sys.path.insert(0, src)
-    import hpmropt
-    if Path(hpmropt.__file__).resolve().parent != (Path(src) / "hpmropt").resolve():
-        raise SystemExit(f"imported hpmropt from {hpmropt.__file__}, not {src}")
-    print(json.dumps(run_trial(scenario, trial)))
-    return 0
-
-
-def spawn(src: Path, scenario: str, trial: int) -> dict:
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1", "PYTHONPATH": ""}
-    done = subprocess.run([sys.executable, __file__, "--worker", str(src), scenario,
-                           str(trial)], capture_output=True, text=True, env=env,
-                          check=True)
-    return json.loads(done.stdout.splitlines()[-1])
-
-
 def paired(before: list, after: list, key: str) -> dict | None:
     both = [(b[key], a[key]) for b, a in zip(before, after)
             if a[key] is not None and b[key] is not None]
@@ -148,9 +131,9 @@ def summarize(scenario: str, before: list, after: list) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["--worker"]:
-        src, scenario, trial = argv[1:4]
-        return worker(src, scenario, int(trial))
+    if argv[:1] == ["--child"]:
+        print(child_line(run_trial(argv[1], int(argv[2]))))
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path, required=True, help="source tree (src/)")
     parser.add_argument("--after", type=Path, required=True, help="source tree (src/)")
@@ -166,7 +149,8 @@ def main(argv=None) -> int:
     jobs = [(side, scenario, trial) for scenario in args.scenarios
             for trial in range(args.trials) for side in sides]
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        records = list(pool.map(lambda job: spawn(sides[job[0]], *job[1:]), jobs))
+        records = list(pool.map(
+            lambda job: run_tree(Path(__file__), sides[job[0]], job[1], str(job[2])), jobs))
     by_side = {side: [r for (s, _, _), r in zip(jobs, records) if s == side]
                for side in sides}
     payload = {

@@ -17,20 +17,13 @@ into a capacity-64 archive:
   share of ``pearl-desk``'s inserts, with penalties drawn as criterion 4
   draws them.
 
-Pairs alternate which tree runs first.  The file holds, per figure, both
-sides' runs, their medians, the after/before ratio, the before side's
-quartile spread and the pairs the after side won (lower is better), in the
-layout of ``bench_rows.py``.
+Pairs alternate which tree runs first.  ``bench_rows.direct_main`` prints
+and, with ``--out``, writes the rows (lower is better).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-from bench_rows import alternating_runs, direct_rows, this_machine
+from bench_rows import direct_main
 
 SIZES = (8, 16, 32, 64, 128)
 
@@ -80,31 +73,5 @@ def measure() -> dict:
     return figures
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--before", type=Path)
-    parser.add_argument("--after", type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args(argv)
-    if args.child:
-        print(json.dumps(measure()))
-        return 0
-    if not (args.before and args.after and args.out):
-        parser.error("--before, --after and --out are required")
-
-    rows = direct_rows(alternating_runs(Path(__file__), args.before, args.after, args.pairs))
-    args.out.write_text(json.dumps({"machine": this_machine(), "rows": rows}, indent=1)
-                        + "\n")
-    for row in rows:
-        spread = row["before_quartile_spread"]
-        print(f"{row['metric']:34s} {row['before']['median']:9.2f} -> "
-              f"{row['after']['median']:9.2f} us  x{row['ratio']:.3f}  "
-              f"won {row['won']}/{row['pairs']}"
-              + ("" if spread is None else f"  spread {spread:.3g}"))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(direct_main(measure, __doc__))

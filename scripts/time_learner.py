@@ -18,22 +18,15 @@ times three figures:
   evaluations of scenario-3 (the ``pearl-desk`` trial's optimizer run,
   base seed 8, no run directory), the best of 3, seconds.
 
-Pairs alternate which tree runs first.  It prints, per figure, both sides'
-medians, the after/before ratio, the before side's quartile spread and the
-pairs the after side won (lower is better), and the ``--note`` arguments
-that carry the medians into ``scripts/bench_rows.py``.  ``--out`` writes
-every run, in the layout of ``bench_rows.py``'s rows.
+Pairs alternate which tree runs first.  ``bench_rows.direct_main`` prints
+and, with ``--out``, writes the rows (lower is better).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
-import sys
-from pathlib import Path
 
-from bench_rows import alternating_runs, direct_rows, this_machine
+from bench_rows import direct_main
 
 AGENTS, BATCH, ROUNDS, WARM_UP = 8, 8, 40, 3
 
@@ -100,34 +93,5 @@ def measure() -> dict:
     return figures
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--before", type=Path)
-    parser.add_argument("--after", type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args(argv)
-    if args.child:
-        print(json.dumps(measure()))
-        return 0
-    if not (args.before and args.after):
-        parser.error("--before and --after are required")
-
-    rows = direct_rows(alternating_runs(Path(__file__), args.before, args.after, args.pairs))
-    if args.out:
-        args.out.write_text(json.dumps({"machine": this_machine(), "rows": rows}, indent=1)
-                            + "\n")
-    for row in rows:
-        spread = row["before_quartile_spread"]
-        print(f"{row['metric']:22s} {row['before']['median']:11.4g} -> "
-              f"{row['after']['median']:11.4g} {row['unit']}  "
-              f"x{1 / row['ratio']:.3f} faster  won {row['won']}/{row['pairs']}"
-              + ("" if spread is None else f"  spread {spread:.3g}"))
-    print(" ".join(f"--note {row['metric']} {row['before']['median']:.6g} "
-                   f"{row['after']['median']:.6g} {row['unit']}" for row in rows))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(direct_main(measure, __doc__))

@@ -163,18 +163,26 @@ def cmd_scenarios(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    from .metrics import default_reference, load_front, render_scatter
+def _load_run_front(run_dir: Path):
+    """The front a run directory exported, named by its label or the
+    directory."""
+    from .metrics import load_front
 
-    run_dir = Path(args.run_dir)
     front_path = run_dir / "front.tsv"
     if not front_path.exists():
         raise ConfigError(f"no front export in {run_dir}")
     report = load_front(front_path)
-    named = [(report.label or run_dir, report)]
+    return report.label or run_dir, report
+
+
+def cmd_report(args) -> int:
+    from .metrics import default_reference, render_scatter
+
+    run_dir = Path(args.run_dir)
+    named = [_load_run_front(run_dir)]
     if args.compare:
-        other = load_front(Path(args.compare) / "front.tsv")
-        named.append((other.label or args.compare, other))
+        named.append(_load_run_front(Path(args.compare)))
+    report = named[0][1]
     fronts = [r.objectives(feasible_only=True) for _, r in named]
     # a hypervolume needs a reference, derived from the feasible points
     reference = default_reference(fronts) if any(len(f) for f in fronts) else None

@@ -127,19 +127,23 @@ def run_optimize(config: RunConfig) -> dict:
     PEARL run fails when no agent finished, or when its agents evaluated
     designs and every evaluation failed.
     """
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # everything that can reject the config runs before the directory exists
     evaluator = build_evaluator(config)
-    deadline = (None if config.max_seconds is None
-                else time.monotonic() + config.max_seconds)
-
+    manifest = config.to_manifest()
     if config.optimizer == "pearl":
         pearl_config = PearlConfig(**config.pearl)
         # manifests carry the resolved per-agent seeds explicitly; the
         # caller's config keeps its own layers
-        manifest = config.to_manifest()
         manifest["config"]["pearl"]["seeds"] = pearl_config.agent_seeds()
-        _write_json(out / "manifest.json", manifest)
+    else:
+        ga_config = GaConfig(**config.nsga2)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "manifest.json", manifest)
+    deadline = (None if config.max_seconds is None
+                else time.monotonic() + config.max_seconds)
+
+    if config.optimizer == "pearl":
         checkpoint_dir = out if pearl_config.checkpoint_interval else None
         result = run_multi(evaluator, pearl_config, deadline=deadline,
                            checkpoint_dir=checkpoint_dir)
@@ -164,8 +168,6 @@ def run_optimize(config: RunConfig) -> dict:
             else STATUS_CLEAN
         )
     else:
-        _write_json(out / "manifest.json", config.to_manifest())
-        ga_config = GaConfig(**config.nsga2)
         ga = run_nsga2(evaluator, ga_config)
         report = ga.front_report(label=f"nsga2:{config.scenario}")
         with open(out / "history-generations.tsv", "w", newline="") as fh:

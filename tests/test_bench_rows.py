@@ -1,7 +1,9 @@
 """``scripts/bench_rows.py`` pairs the two sides of a benchmark comparison by
 seed, counts the pairs won in the direction BENCHMARK.json declares, and
-records the before side's quartile spread.  ``scripts/time_setup.py`` reads
-the set-up probe as the benchmark does."""
+records the before side's quartile spread.  Its direct timings run a
+script's children on two source trees and refuse a child whose ``hpmropt``
+came from elsewhere.  ``scripts/time_setup.py`` reads the set-up probe as the
+benchmark does."""
 
 import importlib.util
 import json
@@ -115,6 +117,86 @@ def test_direct_rows_from_alternating_pairs(bench_rows, monkeypatch):
     assert insert["before_quartile_spread"] == pytest.approx(1.0)
     run = rows["run_s"]
     assert (run["unit"], run["won"]) == ("s", 1)
+
+
+# a figure script as the scripts/time_*.py are, whose one figure counts the
+# runs of its tree's stub ``hpmropt`` and scales them by the tree's SCALE
+STUB_SCRIPT = """
+import sys
+sys.path[:0] = [{scripts!r}, *{first!r}]
+from bench_rows import direct_main
+
+
+def measure():
+    from pathlib import Path
+
+    import hpmropt
+
+    {fail}
+    log = Path(hpmropt.__file__).with_name("runs")
+    runs = len(log.read_text()) + 1 if log.exists() else 1
+    log.write_text("x" * runs)
+    return {{"runs_s": runs * hpmropt.SCALE}}
+
+
+if __name__ == "__main__":
+    raise SystemExit(direct_main(measure, __doc__ or ""))
+"""
+
+
+def stub_tree(path, scale):
+    (path / "hpmropt").mkdir(parents=True)
+    (path / "hpmropt" / "__init__.py").write_text(f"SCALE = {scale}\n")
+    return path
+
+
+def stub_script(path, first=(), fail=""):
+    path.write_text(STUB_SCRIPT.format(scripts=str(SCRIPTS), first=[str(p) for p in first],
+                                       fail=fail))
+    return path
+
+
+def test_direct_main_runs_both_trees(bench_rows, tmp_path, capsys):
+    # one warm-up run of each tree is discarded, so the one pair's runs are
+    # each tree's second: 2 * 1.0 before and 2 * 0.5 after
+    before, after = stub_tree(tmp_path / "old", 1.0), stub_tree(tmp_path / "new", 0.5)
+    script = stub_script(tmp_path / "time_stub.py")
+    stub = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location("time_stub", script))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "bench_rows", bench_rows)
+        patch.setattr(sys, "path", [*sys.path])     # the stub prepends to it
+        stub.__spec__.loader.exec_module(stub)
+    out = tmp_path / "BENCH.json"
+    assert bench_rows.direct_main(stub.measure, "Stub.",
+                                  ["--before", str(before), "--after", str(after),
+                                   "--pairs", "1", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert sorted(written) == ["machine", "rows"]
+    [row] = written["rows"]
+    assert sorted(row) == ["after", "before", "before_quartile_spread", "better", "metric",
+                           "pairs", "ratio", "traced", "unit", "won", "workload"]
+    assert row["before"] == {"runs": [2.0], "median": 2.0}
+    assert row["after"] == {"runs": [1.0], "median": 1.0}
+    assert (row["metric"], row["unit"], row["ratio"], row["pairs"], row["won"]) == \
+        ("runs_s", "s", 0.5, 1, 1)
+    assert "--note runs_s 2 1 s" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["foreign hpmropt", "failing child"])
+def test_run_tree_refuses_a_child_it_cannot_trust(bench_rows, tmp_path, case):
+    tree, other = stub_tree(tmp_path / "tree", 1.0), stub_tree(tmp_path / "other", 1.0)
+    if case == "foreign hpmropt":
+        # another hpmropt ahead of the tree's, as an installed one is found
+        # when the tree holds none
+        script = stub_script(tmp_path / "time_stub.py", first=[other])
+        expected = [str(other / "hpmropt"), str(tree / "hpmropt")]
+    else:
+        script = stub_script(tmp_path / "time_stub.py", fail="raise ValueError('no figures')")
+        expected = [str(tree), str(script), "ValueError: no figures"]
+    with pytest.raises(RuntimeError) as refused:
+        bench_rows.run_tree(script, tree)
+    assert all(text in str(refused.value) for text in expected)
 
 
 def test_setup_figure_reads_the_probe_as_the_benchmark_does(time_setup):

@@ -571,6 +571,23 @@ class TestOptimize:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, manifest, name", [
+        # each exited 2 but left the run directory behind: the first with a
+        # manifest in it, the other two empty
+        ([], {"optimizer": "nsga2", "nsga2": {"population": 1}}, "population"),
+        ([], {"pearl": {"agents": 0}}, "agents"),
+        (["--evaluator", "tabular:{tmp}/missing.csv"], {}, "missing.csv"),
+    ], ids=["nsga2-population", "pearl-agents", "missing-table"])
+    def test_a_rejected_run_leaves_no_directory(self, tmp_path, capsys, argv, manifest,
+                                                name):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(manifest))
+        out = tmp_path / "r"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(["optimize", "--config", str(config), *argv, "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("niching_divisions", 0),     # used to run with kappa - 1 divisions
         ("niching_divisions", -3),    # these three used to fail every agent
@@ -958,6 +975,17 @@ class TestFrontExports:
             (run_dir / "front.tsv").write_text("\n".join(lines) + "\n")
             assert main(["report", str(run_dir)]) == 2, name
             assert "front.tsv" in capsys.readouterr().err, name
+
+    @pytest.mark.parametrize("compare", ["missing", "empty"])
+    def test_compare_without_a_front_is_config_error(self, tmp_path, capsys, compare):
+        # each raised a raw FileNotFoundError (exit 1)
+        header = "label\tpoint_id\tobjective_0\tobjective_1\tfeasible\tpenalty"
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "front.tsv").write_text(header + "\nx\tp0\t1000.0\t1.2\t1\t0.0\n")
+        (tmp_path / "empty").mkdir()
+        assert main(["report", str(run_dir), "--compare", str(tmp_path / compare)]) == 2
+        assert f"no front export in {tmp_path / compare}" in capsys.readouterr().err
 
     def test_report_on_all_infeasible_front(self, tmp_path, capsys):
         header = "label\tpoint_id\tobjective_0\tobjective_1\tfeasible\tpenalty"
