@@ -12,6 +12,7 @@ import numpy as np
 
 from hpmropt import (
     DesignEvaluator,
+    FrontReport,
     GaConfig,
     PearlConfig,
     default_reference,
@@ -31,12 +32,12 @@ evaluator = DesignEvaluator(load_scenario("scenario-3"))
 
 print(f"RL optimizer: 8 agents x {BUDGET // 8} steps")
 rl = run_multi(evaluator, PearlConfig(agents=8, total_steps=BUDGET, base_seed=0))
-rl_report = rl.front_report(label="rank-reward RL")
+rl_report = FrontReport(points=rl.merged_front, label="rank-reward RL")
 
 print(f"evolutionary baseline: population 64, same {BUDGET}-evaluation budget")
 ga = run_nsga2(evaluator, GaConfig(population=64,
                                    generations=BUDGET // 64 - 1, seed=0))
-ga_report = ga.front_report(label="nsga2")
+ga_report = FrontReport(points=ga.front, label="nsga2")
 
 print(f"random search: {BUDGET} uniform samples")
 rs_front = random_search(evaluator, BUDGET, seed=123)

@@ -1,8 +1,8 @@
 """Command-line interface: evaluate, optimize, scenarios, report.
 
 Exit codes: 0 success, 1 infeasible design (evaluate), a front with no
-feasible point (report) or unexpected error, 2 configuration error,
-3 evaluation/model error, 4 partial optimizer failure.
+feasible point or a run with no front (report) or unexpected error,
+2 configuration error, 3 evaluation/model error, 4 partial optimizer failure.
 
 Each command imports what it uses when it runs: ``evaluate`` and
 ``scenarios`` load no optimizer, no run orchestration and no scipy, and
@@ -165,14 +165,23 @@ def cmd_scenarios(args) -> int:
 
 def _load_run_front(run_dir: Path):
     """The front a run directory exported, named by its label or the
-    directory."""
+    directory; a run that exported none raises ``HpmroptError`` (exit 1)."""
     from .metrics import load_front
 
-    front_path = run_dir / "front.tsv"
-    if not front_path.exists():
-        raise ConfigError(f"no front export in {run_dir}")
-    report = load_front(front_path)
-    return report.label or run_dir, report
+    front_path, report_path = run_dir / "front.tsv", run_dir / "report.json"
+    if front_path.exists():
+        report = load_front(front_path)
+        return report.label or run_dir, report
+    if report_path.exists():
+        try:
+            summary = json.loads(report_path.read_text())
+            status, count = summary["status"], summary["evaluations"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read {report_path}: {exc!r}") from exc
+        raise HpmroptError(f"{run_dir}: {status} run, {count} evaluations, no front exported")
+    if (run_dir / "manifest.json").exists():
+        raise HpmroptError(f"{run_dir}: the run did not finish (no report.json)")
+    raise ConfigError(f"no front export in {run_dir}")
 
 
 def cmd_report(args) -> int:
@@ -187,12 +196,11 @@ def cmd_report(args) -> int:
     # a hypervolume needs a reference, derived from the feasible points
     reference = default_reference(fronts) if any(len(f) for f in fronts) else None
     for name, r in named:
-        summary = f"{name}: {len(r.points)} points, {r.feasible_count} feasible, "
+        summary = f"{name}: {len(r.points)} points, {len(r.feasible_points)} feasible, "
         if reference is None:
             print(summary + "no hypervolume (no feasible point to define one)")
         else:
-            r.reference_point = reference
-            print(summary + f"hypervolume {r.hypervolume():.6g}")
+            print(summary + f"hypervolume {r.hypervolume(reference):.6g}")
     if args.plot:
         render_scatter(report, run_dir / "front.svg")
         print(f"plot written to {run_dir / 'front.svg'}")

@@ -30,15 +30,10 @@ def FrontPoint(objectives, feasible: bool = True, penalty: float = 0.0,
 class FrontReport:
     points: list = field(default_factory=list)
     label: str = ""
-    reference_point: np.ndarray | None = None
 
     @property
     def feasible_points(self) -> list:
         return [p for p in self.points if p.feasible]
-
-    @property
-    def feasible_count(self) -> int:
-        return len(self.feasible_points)
 
     def objectives(self, feasible_only: bool = True) -> np.ndarray:
         points = self.feasible_points if feasible_only else self.points
@@ -46,13 +41,8 @@ class FrontReport:
             return np.empty((0, 2))
         return np.vstack([p.objectives for p in points])
 
-    def hypervolume(self, reference=None) -> float:
-        reference = reference if reference is not None else self.reference_point
-        if reference is None:
-            raise ContractError("no reference point set")
+    def hypervolume(self, reference) -> float:
         objectives = self.objectives(feasible_only=True)
-        if len(objectives) == 0:
-            return 0.0
         front = nondominated_filter(objectives)
         return hypervolume_2d(front, reference)
 

@@ -7,6 +7,7 @@ constraint-aware dominance as the Pareto buffer.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from .design_space import from_unit_cube
 from .errors import NON_NEGATIVE, ConfigError, ContractError, check, integer, within
-from .metrics import FrontReport
 from .pareto import (
     DesignPayload,
     ObjectivePoint,
@@ -63,9 +63,7 @@ class GaResult:
     history: list
     evaluations: int
     front: list = field(default_factory=list)
-
-    def front_report(self, label: str = "nsga2") -> FrontReport:
-        return FrontReport(points=list(self.front), label=label)
+    truncated: bool = False
 
 
 # An 8,000-evaluation run makes about 130k scalar draws, and numpy spends
@@ -219,10 +217,12 @@ def _survival(candidates, size):
     return survivors
 
 
-def run_nsga2(evaluator, config: GaConfig) -> GaResult:
+def run_nsga2(evaluator, config: GaConfig, deadline: float | None = None) -> GaResult:
     """Standard generational loop: binary tournaments under constraint
     domination, simulated binary crossover, polynomial mutation, elitist
-    survival.  Deterministic for a fixed seed."""
+    survival.  Deterministic for a fixed seed.  An expired deadline, a
+    ``time.monotonic()`` value, stops the run between generations (the
+    initial population is generation 0) and marks the result truncated."""
     stream = DrawStream(np.random.default_rng(config.seed))
     random = stream.random
     evaluations = 0
@@ -241,12 +241,16 @@ def run_nsga2(evaluator, config: GaConfig) -> GaResult:
         )
         return Individual(genome=genome, point=point)
 
-    population = [make(np.array([random() for _ in range(GENOME_DIM)]), f"g0-{i}")
-                  for i in range(config.population)]
-    population = _survival(population, config.population)
-    history = []
-
-    for gen in range(1, config.generations + 1):
+    population, history, truncated = [], [], False
+    for gen in range(config.generations + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            truncated = True
+            break
+        if gen == 0:
+            population = _survival(
+                [make(np.array([random() for _ in range(GENOME_DIM)]), f"g0-{i}")
+                 for i in range(config.population)], config.population)
+            continue
         genomes = []
         while len(genomes) < config.population:
             p1, p2 = _tournament(population, stream), _tournament(population, stream)
@@ -276,4 +280,4 @@ def run_nsga2(evaluator, config: GaConfig) -> GaResult:
 
     front = merge_fronts([[ind.point for ind in population if ind.rank == 0]])
     return GaResult(population=population, history=history,
-                    evaluations=evaluations, front=front)
+                    evaluations=evaluations, front=front, truncated=truncated)

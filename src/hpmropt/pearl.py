@@ -26,7 +26,6 @@ import numpy as np
 from .design_space import from_unit_cube
 from .errors import (BOOLEAN, NON_NEGATIVE, NUMBER, POSITIVE, ConfigError, ContractError,
                      check, integer, list_of, one_of, optional)
-from .metrics import FrontReport
 from .pareto import (
     METRICS,
     DesignPayload,
@@ -955,9 +954,6 @@ class MultiResult:
     agents: list
     merged_front: list
     failures: list = field(default_factory=list)
-
-    def front_report(self, label: str = "pearl") -> FrontReport:
-        return FrontReport(points=list(self.merged_front), label=label)
 
 
 def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,

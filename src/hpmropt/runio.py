@@ -20,7 +20,7 @@ import scipy
 from . import __version__
 from .environment import build_evaluator, check_evaluator
 from .errors import POSITIVE, STRING, check, one_of, optional, reject_unknown
-from .metrics import default_reference, export_front, render_scatter
+from .metrics import FrontReport, default_reference, export_front, render_scatter
 from .nsga2 import GaConfig, run_nsga2
 from .pearl import PearlConfig, run_multi
 
@@ -78,31 +78,29 @@ class RunConfig:
         return cls(**{**config, "out_dir": out_dir})
 
 
-def write_history(path, rows) -> None:
+def _write_table(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(["step", "reward", "feasible", "objective_0",
-                         "objective_1", "penalty"])
-        for row in rows:
-            writer.writerow([
-                row.step, repr(float(row.reward)), int(row.feasible),
-                repr(float(row.objective_0)), repr(float(row.objective_1)),
-                repr(float(row.penalty)),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_history(path, rows) -> None:
+    _write_table(path, ["step", "reward", "feasible", "objective_0",
+                        "objective_1", "penalty"],
+                 ([row.step, repr(float(row.reward)), int(row.feasible),
+                   repr(float(row.objective_0)), repr(float(row.objective_1)),
+                   repr(float(row.penalty))] for row in rows))
 
 
 def write_updates(path, update_log) -> None:
     """One row per policy update of one agent (``pearl.UpdateStats``)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(["update", "loss", "grad_norm", "entropy", "approx_kl",
-                         "clip_frac", "skipped"])
-        for index, stats in enumerate(update_log):
-            writer.writerow([
-                index, repr(float(stats.loss)), repr(float(stats.grad_norm)),
-                repr(float(stats.entropy)), repr(float(stats.approx_kl)),
-                repr(float(stats.clip_frac)), int(stats.skipped),
-            ])
+    _write_table(path, ["update", "loss", "grad_norm", "entropy", "approx_kl",
+                        "clip_frac", "skipped"],
+                 ([index, repr(float(stats.loss)), repr(float(stats.grad_norm)),
+                   repr(float(stats.entropy)), repr(float(stats.approx_kl)),
+                   repr(float(stats.clip_frac)), int(stats.skipped)]
+                  for index, stats in enumerate(update_log)))
 
 
 def write_incidents(path, agents) -> None:
@@ -124,8 +122,8 @@ def run_optimize(config: RunConfig) -> dict:
     """Execute one experiment and populate its run directory.
 
     Returns a summary dict with a status of clean / partial / failed.  A
-    PEARL run fails when no agent finished, or when its agents evaluated
-    designs and every evaluation failed.
+    run fails when every evaluation failed, or when it made none and lost
+    agents; it is partial when it lost agents or met its deadline.
     """
     # everything that can reject the config runs before the directory exists
     evaluator = build_evaluator(config)
@@ -144,52 +142,47 @@ def run_optimize(config: RunConfig) -> dict:
                 else time.monotonic() + config.max_seconds)
 
     if config.optimizer == "pearl":
-        checkpoint_dir = out if pearl_config.checkpoint_interval else None
+        # run_multi checkpoints only when checkpoint_interval is set
         result = run_multi(evaluator, pearl_config, deadline=deadline,
-                           checkpoint_dir=checkpoint_dir)
-        report = result.front_report(label=f"pearl:{config.scenario}")
+                           checkpoint_dir=out)
         for agent in result.agents:
             # named by seed, plus the agent's position when seeds repeat
             write_history(out / f"history-agent{agent.name}.tsv", agent.history)
             write_updates(out / f"updates-agent{agent.name}.tsv", agent.update_log)
             agent.buffer.export(out / f"buffer-agent{agent.name}.tsv")
         write_incidents(out / "incidents.jsonl", result.agents)
+        points, failures = result.merged_front, result.failures
         evaluations = sum(len(agent.history) for agent in result.agents)
         # every evaluation that failed left an incident; the rest succeeded
         failed_evaluations = sum(
             incident.kind in _FAILED_EVALUATION for agent in result.agents
             for incident in agent.incidents)
-        failures = result.failures
         truncated = any(agent.truncated for agent in result.agents)
-        status = (
-            STATUS_FAILED if not result.agents
-            or (evaluations and failed_evaluations == evaluations)
-            else STATUS_PARTIAL if failures or truncated
-            else STATUS_CLEAN
-        )
     else:
-        ga = run_nsga2(evaluator, ga_config)
-        report = ga.front_report(label=f"nsga2:{config.scenario}")
-        with open(out / "history-generations.tsv", "w", newline="") as fh:
-            writer = csv.writer(fh, delimiter="\t")
-            writer.writerow(["generation", "feasible", "front_size"])
-            for row in ga.history:
-                writer.writerow([row["generation"], row["feasible"], row["front_size"]])
-        evaluations = ga.evaluations
-        failures = []
-        status = STATUS_CLEAN
+        ga = run_nsga2(evaluator, ga_config, deadline)
+        # each history row is a dict of these columns, in this order
+        _write_table(out / "history-generations.tsv", ["generation", "feasible", "front_size"],
+                     map(dict.values, ga.history))
+        points, failures = ga.front, []
+        evaluations, failed_evaluations, truncated = ga.evaluations, 0, ga.truncated
+    # a run in which no agent finished made no evaluation and lost agents
+    status = (
+        STATUS_FAILED if evaluations == failed_evaluations and (evaluations or failures)
+        else STATUS_PARTIAL if failures or truncated
+        else STATUS_CLEAN
+    )
 
+    report = FrontReport(points=points, label=f"{config.optimizer}:{config.scenario}")
     summary = {"status": status, "failures": failures, "evaluations": evaluations,
                "front_size": len(report.points),
-               "feasible_count": report.feasible_count}
+               "feasible_count": len(report.feasible_points)}
     if report.points:
         export_front(report, out / "front.tsv")
         objectives = report.objectives(feasible_only=True)
         if len(objectives):
             reference = default_reference([objectives])
-            report.reference_point = reference
             summary["reference_point"] = reference.tolist()
-            summary["hypervolume"] = report.hypervolume()
+            summary["hypervolume"] = report.hypervolume(reference)
         render_scatter(report, out / "front.svg")
     _write_json(out / "report.json", summary)
     return summary

@@ -939,13 +939,40 @@ class TestOptimize:
         assert len(incidents) == 128
 
     def test_max_seconds_truncates_to_partial(self, tmp_path, capsys):
-        out_dir = tmp_path / "budget"
-        code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
-                     "--agents", "1", "--steps", "100000", "--seed", "1",
-                     "--max-seconds", "1.0", "--out", str(out_dir)])
-        assert code == 4
-        summary = json.loads((out_dir / "report.json").read_text())
-        assert summary["status"] == "partial"
+        from hpmropt.metrics import load_front
+        from hpmropt.pareto import dominates
+
+        # NSGA-II ignored the deadline: it ran the whole budget, clean, exit 0
+        for flags in (["--optimizer", "pearl", "--agents", "1"], ["--optimizer", "nsga2"]):
+            out_dir = tmp_path / flags[1]
+            code = main(["optimize", "--scenario", "scenario-3", *flags,
+                         "--steps", "100000", "--seed", "1",
+                         "--max-seconds", "1.0", "--out", str(out_dir)])
+            assert code == 4, flags
+            summary = json.loads((out_dir / "report.json").read_text())
+            assert summary["status"] == "partial", flags
+            assert 0 < summary["evaluations"] < 100000, flags
+            points = load_front(out_dir / "front.tsv").points
+            assert not any(dominates(p, q) for p in points for q in points), flags
+
+    @pytest.mark.parametrize("flags", [
+        ["--optimizer", "pearl", "--agents", "2", "--steps", "64"],
+        ["--optimizer", "nsga2", "--steps", "192"],
+    ], ids=["pearl", "nsga2"])
+    def test_a_deadline_that_never_expires_changes_only_the_manifest(self, tmp_path,
+                                                                     flags):
+        runs = {}
+        for deadline in ([], ["--max-seconds", "1e9"]):
+            out_dir = tmp_path / f"run-{len(deadline)}"
+            assert main(["optimize", "--scenario", "scenario-3", "--seed", "4",
+                         "--out", str(out_dir), *flags, *deadline]) == 0
+            runs[len(deadline)] = {path.name: path.read_bytes()
+                                   for path in sorted(out_dir.iterdir())}
+        without, with_deadline = runs[0], runs[2]
+        assert sorted(without) == sorted(with_deadline)
+        assert {"front.tsv", "report.json"} <= set(without)
+        assert [name for name in without
+                if without[name] != with_deadline[name]] == ["manifest.json"]
 
 
 class TestFrontExports:
@@ -986,6 +1013,46 @@ class TestFrontExports:
         (tmp_path / "empty").mkdir()
         assert main(["report", str(run_dir), "--compare", str(tmp_path / compare)]) == 2
         assert f"no front export in {tmp_path / compare}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--optimizer", "pearl", "--agents", "2", "--steps", "16"],
+        ["--optimizer", "nsga2", "--steps", "128"],
+    ], ids=["pearl", "nsga2"])
+    def test_report_on_a_run_that_exported_no_front(self, tmp_path, capsys, flags):
+        # a run stopped before its first evaluation writes report.json but no
+        # front; report called that a configuration error and exited 2
+        out_dir = tmp_path / "run"
+        assert main(["optimize", "--scenario", "scenario-3", *flags,
+                     "--max-seconds", "0.000001", "--out", str(out_dir)]) == 4
+        assert not (out_dir / "front.tsv").exists()
+        capsys.readouterr()
+        assert main(["report", str(out_dir)]) == 1
+        assert f"{out_dir}: partial run, 0 evaluations, no front exported" in \
+            capsys.readouterr().err
+
+    def test_report_on_a_run_that_did_not_finish(self, tmp_path, monkeypatch, capsys):
+        # an interrupted run leaves only its manifest; report called that a
+        # configuration error and exited 2
+        from hpmropt import runio
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runio, "run_nsga2", interrupted)
+        out_dir = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            main(["optimize", "--scenario", "scenario-3", "--optimizer", "nsga2",
+                  "--steps", "128", "--out", str(out_dir)])
+        assert [path.name for path in out_dir.iterdir()] == ["manifest.json"]
+        assert main(["report", str(out_dir)]) == 1
+        assert f"{out_dir}: the run did not finish" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"status": "partial"}'],
+                             ids=["cut-short", "not-an-object", "no-evaluations"])
+    def test_an_unreadable_run_report_is_config_error(self, tmp_path, capsys, text):
+        (tmp_path / "report.json").write_text(text)
+        assert main(["report", str(tmp_path)]) == 2
+        assert "report.json" in capsys.readouterr().err
 
     def test_report_on_all_infeasible_front(self, tmp_path, capsys):
         header = "label\tpoint_id\tobjective_0\tobjective_1\tfeasible\tpenalty"

@@ -128,7 +128,7 @@ class TestScatter:
 
 def test_front_report_hypervolume_ignores_infeasible():
     report = make_report()
-    report.reference_point = np.array([5000.0, 2.0])
-    hv = report.hypervolume()
+    reference = np.array([5000.0, 2.0])
+    hv = report.hypervolume(reference)
     feasible_only = nondominated_filter(report.objectives(feasible_only=True))
-    assert hv == pytest.approx(hypervolume_2d(feasible_only, report.reference_point))
+    assert hv == pytest.approx(hypervolume_2d(feasible_only, reference))

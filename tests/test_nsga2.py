@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -89,12 +91,35 @@ class TestMechanics:
         result = run_nsga2(ToyEvaluator(), config)
         assert [row["generation"] for row in result.history] == [1, 2, 3, 4]
 
+    def test_a_deadline_stops_between_generations(self, monkeypatch):
+        # the run reads the clock once per generation, the initial population
+        # being generation 0: generations 0-2 run, and generation 3 stops
+        clock = itertools.count()
+        monkeypatch.setattr(nsga2.time, "monotonic", lambda: next(clock))
+        stopped = run_nsga2(ToyEvaluator(), GaConfig(population=8, generations=6, seed=0),
+                            deadline=2)
+        monkeypatch.undo()
+        whole = run_nsga2(ToyEvaluator(), GaConfig(population=8, generations=2, seed=0))
+        assert stopped.truncated and not whole.truncated
+        assert stopped.history == whole.history
+        assert stopped.evaluations == whole.evaluations
+        assert [p.payload.id for p in stopped.front] == [p.payload.id for p in whole.front]
+        assert [p.objectives.tolist() for p in stopped.front] == \
+            [p.objectives.tolist() for p in whole.front]
+
+    def test_an_expired_deadline_evaluates_nothing(self):
+        result = run_nsga2(ToyEvaluator(), GaConfig(population=8, generations=3, seed=0),
+                           deadline=time.monotonic() - 1.0)
+        assert result.truncated
+        assert result.evaluations == 0
+        assert result.front == [] and result.history == [] and result.population == []
+
     def test_front_report_round_trip(self, tmp_path):
-        from hpmropt.metrics import export_front, load_front
+        from hpmropt.metrics import FrontReport, export_front, load_front
 
         config = GaConfig(population=8, generations=3, seed=0)
         result = run_nsga2(ToyEvaluator(), config)
-        report = result.front_report()
+        report = FrontReport(points=result.front)
         export_front(report, tmp_path / "front.tsv")
         loaded = load_front(tmp_path / "front.tsv")
         assert len(loaded.points) == len(report.points)

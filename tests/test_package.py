@@ -161,3 +161,8 @@ def test_the_nsga2_baseline_loads_no_rl_module():
     seen = run_child(f"import json, sys\nimport hpmropt.nsga2\nprint(json.dumps({_LOADED}))")
     assert "hpmropt.nsga2" in seen
     assert "hpmropt.pearl" not in seen
+    # optimizers return points: only run orchestration builds their reports
+    assert "hpmropt.metrics" not in seen
+    seen = run_child(f"import json, sys\nimport hpmropt.pearl\nprint(json.dumps({_LOADED}))")
+    assert "hpmropt.pearl" in seen
+    assert "hpmropt.metrics" not in seen
