@@ -353,7 +353,7 @@ def load_scenario(name_or_path) -> CostScenario:
     """Load a preset by name ('scenario-1'..'scenario-3') or a JSON file."""
     name = str(name_or_path)
     if name in PRESET_NAMES:
-        text = resources.files("hpmropt.data").joinpath(f"{name}.json").read_text()
+        text = (resources.files(__package__) / "data" / f"{name}.json").read_text()
     else:
         path = Path(name_or_path)
         if not path.is_file():

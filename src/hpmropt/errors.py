@@ -102,4 +102,3 @@ NUMBER = "a finite number", _is_number
 NON_NEGATIVE = "a finite non-negative number", lambda v: _is_number(v) and v >= 0
 POSITIVE = "a finite positive number", lambda v: _is_number(v) and v > 0
 STRING = "a string", lambda v: isinstance(v, str)
-BOOLEAN = "a JSON boolean (true or false)", lambda v: isinstance(v, bool)

@@ -45,9 +45,6 @@ class GaConfig:
         if self.population % 2:
             raise ConfigError(f"population must be even, got {self.population}")
 
-    def evaluations(self) -> int:
-        return self.population * (self.generations + 1)
-
 
 @dataclass
 class Individual:

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .design_space import from_unit_cube
-from .errors import (BOOLEAN, NON_NEGATIVE, NUMBER, POSITIVE, ConfigError, ContractError,
-                     check, integer, list_of, one_of, optional)
+from .errors import (NON_NEGATIVE, NUMBER, POSITIVE, ConfigError, ContractError, check,
+                     integer, list_of, one_of, optional)
 from .pareto import (
     METRICS,
     DesignPayload,
@@ -79,16 +79,20 @@ def _views(flat: np.ndarray) -> dict:
 # the parameters the network multiplies by, whose layout picks the BLAS path
 _MATRICES = ("pol_w2", "pol_wm")
 
+# each seed draws its initial log-std from a band this wide around
+# init_log_std, and its mean head's pre-squash offset at this scale, so a
+# team of agents covers the front instead of collapsing onto one region
+_INIT_LOG_STD_SPREAD = 0.3
+_INIT_CENTER_SCALE = 0.8
+
 
 PEARL_RULES = {
     **dict.fromkeys(("n_steps", "kappa", "agents", "total_steps", "epochs", "workers"),
                     integer(1)),
     **dict.fromkeys(("entropy_coeff", "learning_rate", "max_grad_norm", "clip_epsilon"),
                     NON_NEGATIVE),
-    **dict.fromkeys(("init_log_std", "init_log_std_spread", "init_center_scale"), NUMBER),
-    "distance_metric": one_of(*METRICS), "base_seed": integer(0), "shared_buffer": BOOLEAN,
-    "niching_divisions": optional(integer(1)),     # null: kappa - 1
-    "infeasibility_offset": optional(NUMBER),      # null: kappa + 1
+    "init_log_std": NUMBER,
+    "distance_metric": one_of(*METRICS), "base_seed": integer(0),
     "seeds": optional(list_of(integer(0))),        # one per agent
     "failure_penalty": POSITIVE,   # a failed evaluation earns a negative reward
     "checkpoint_interval": optional(integer(1)),   # null: no checkpoints
@@ -108,15 +112,10 @@ class PearlConfig:
     agents: int = 8
     total_steps: int = 100_000
     distance_metric: str = "niching"
-    niching_divisions: int | None = None
     epochs: int = 20
     init_log_std: float = 0.4
-    init_log_std_spread: float = 0.3
-    init_center_scale: float = 0.8
-    infeasibility_offset: float | None = None
     base_seed: int = 0
     seeds: tuple | None = None
-    shared_buffer: bool = False
     failure_penalty: float = 1.0e6
     workers: int = 1
     checkpoint_interval: int | None = None
@@ -128,13 +127,6 @@ class PearlConfig:
                 raise ConfigError(f"total_steps {self.total_steps} must be divisible by {name}")
         if self.seeds is not None and len(self.seeds) != self.agents:
             raise ConfigError("need exactly one seed per agent")
-
-    def resolved_infeasibility_offset(self) -> float:
-        # default: one worse than the worst possible rank reward, so a
-        # barely-infeasible sample can never outscore a feasible one
-        if self.infeasibility_offset is None:
-            return float(self.kappa + 1)
-        return float(self.infeasibility_offset)
 
     def agent_seeds(self) -> list[int]:
         if self.seeds is not None:
@@ -744,18 +736,13 @@ class AgentResult:
     truncated: bool = False
 
     @classmethod
-    def start(cls, seed: int, name: str, config: PearlConfig,
-              buffer: ParetoBuffer | None) -> "AgentResult":
+    def start(cls, seed: int, name: str, config: PearlConfig) -> "AgentResult":
         rng = np.random.default_rng(seed)
-        # each seed draws its own initial exploration scale from the configured
-        # band, so a team of agents covers the front instead of collapsing onto
-        # one region; identical seeds still yield identical agents
+        # identical seeds yield identical agents
         init_log_std = config.init_log_std \
-            + config.init_log_std_spread * (rng.random() - 0.5)
-        policy = PolicyState.initialize(rng, init_log_std, config.init_center_scale)
-        if buffer is None:
-            buffer = ParetoBuffer(capacity=config.kappa, metric=config.distance_metric,
-                                  divisions=config.niching_divisions)
+            + _INIT_LOG_STD_SPREAD * (rng.random() - 0.5)
+        policy = PolicyState.initialize(rng, init_log_std, _INIT_CENTER_SCALE)
+        buffer = ParetoBuffer(capacity=config.kappa, metric=config.distance_metric)
         return cls(seed, name, buffer, [], [], policy, rng)
 
     def front_points(self) -> list[ObjectivePoint]:
@@ -794,8 +781,10 @@ class AgentResult:
         else:
             objectives, report, _qoi = result
             payload = DesignPayload(id=f"{seed}-{step}", design=design)
+            # one worse than the worst rank reward, so a barely-infeasible
+            # sample can never outscore a feasible one
             reward = step_reward(objectives, report, self.buffer, payload,
-                                 config.resolved_infeasibility_offset())
+                                 config.kappa + 1)
             self.history.append(HistoryRow(
                 step, reward, report.feasible,
                 float(objectives[0]), float(objectives[1]),
@@ -897,7 +886,7 @@ class _Group:
 
 
 def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
-               steps: int, buffer: ParetoBuffer | None = None, checkpoint_dir=None,
+               steps: int, checkpoint_dir=None,
                deadline: float | None = None):
     """The agent loop: the agents of ``seeds`` sample, evaluate, archive and
     learn in lockstep.
@@ -905,12 +894,12 @@ def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
     Returns the finished agents, which are their results, in seed order,
     and a ``(seed, exception)`` pair for each agent that crashed, in seed
     order.  Bit for bit, each agent runs as it would alone: it keeps its
-    own generator, archive (unless ``buffer`` is shared), history, update
-    log and incidents, and evaluates one design per step.  An expired
+    own generator, archive, history, update log and incidents, and
+    evaluates one design per step.  An expired
     deadline, a ``time.monotonic()`` value, stops every agent at the same
     step and marks the results truncated.
     """
-    agents = [AgentResult.start(seed, name, config, buffer)
+    agents = [AgentResult.start(seed, name, config)
               for seed, name in zip(seeds, names)]
     group = _Group(agents, config, min(config.n_steps, steps))
     for step in range(steps):
@@ -931,8 +920,8 @@ def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
 
 
 def run_agent(evaluator, config: PearlConfig, seed: int,
-              steps: int | None = None, buffer: ParetoBuffer | None = None,
-              checkpoint_dir=None, deadline: float | None = None) -> AgentResult:
+              steps: int | None = None, checkpoint_dir=None,
+              deadline: float | None = None) -> AgentResult:
     """One agent's full optimization loop: the agent loop for a group of one.
 
     Bit-reproducible for a fixed seed.  A failing evaluation is retried
@@ -942,7 +931,7 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
     the result truncated.  Any other exception propagates.
     """
     steps = config.steps_per_agent() if steps is None else steps
-    results, failures = _run_group(evaluator, config, [seed], [str(seed)], steps, buffer,
+    results, failures = _run_group(evaluator, config, [seed], [str(seed)], steps,
                                    checkpoint_dir, deadline)
     if failures:
         raise failures[0][1]
@@ -961,38 +950,27 @@ def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,
     """Run all agents on their seeds and merge their fronts.
 
     The agents run in lockstep groups (see ``_run_group``), and each agent's
-    results are those it would reach alone, bit for bit:
-
-    - one group of every agent, by default;
-    - with ``config.workers`` > 1, one group per worker process, each a
-      contiguous run of the seeds; results come back in seed order, and a
-      worker that dies costs only its own group's agents;
-    - with ``config.shared_buffer``, every agent inserts into one common
-      buffer, so the agents run one after another in seed order, groups
-      of one, whatever ``workers`` says.
+    results are those it would reach alone, bit for bit.  There is one
+    group of every agent, or with ``config.workers`` > 1 one group per
+    worker process, each a contiguous run of the seeds; results come back
+    in seed order, and a worker that dies costs only its own group's agents.
 
     A crashing agent contributes a failure record instead of aborting the
     run.  ``deadline`` is a ``time.monotonic()`` value.
     """
     seeds = config.agent_seeds()
     names = agent_names(seeds)
-    shared = ParetoBuffer(capacity=config.kappa, metric=config.distance_metric,
-                          divisions=config.niching_divisions) \
-        if config.shared_buffer else None
-    if shared is not None:
-        groups = [[index] for index in range(len(seeds))]
-    else:
-        count = min(config.workers, len(seeds))
-        bounds = [len(seeds) * k // count for k in range(count + 1)]
-        groups = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    count = min(config.workers, len(seeds))
+    bounds = [len(seeds) * k // count for k in range(count + 1)]
+    groups = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     jobs = [functools.partial(_run_group, evaluator, config, [seeds[i] for i in group],
                               [names[i] for i in group], config.steps_per_agent(),
-                              shared, checkpoint_dir, deadline)
+                              checkpoint_dir, deadline)
             for group in groups]
     results: list[AgentResult] = []
     failures: list[dict] = []
     with contextlib.ExitStack() as stack:
-        if len(jobs) > 1 and shared is None:
+        if len(jobs) > 1:
             # imported here: the serial path never needs multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 

@@ -589,9 +589,11 @@ class TestOptimize:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("niching_divisions", 0),     # used to run with kappa - 1 divisions
-        ("niching_divisions", -3),    # these three used to fail every agent
-        ("kappa", 2.5),
+        # gone, at any value: an archive always has kappa - 1 divisions
+        ("niching_divisions", None),
+        ("niching_divisions", 0),
+        ("niching_divisions", -3),
+        ("kappa", 2.5),               # these two used to fail every agent
         ("distance_metric", "bogus"),
     ])
     def test_bad_archive_setting_is_config_error(self, tmp_path, capsys, key, value):
@@ -614,8 +616,15 @@ class TestOptimize:
         ("failure_penalty", -1),        # a failed evaluation would earn +1
         ("checkpoint_interval", -5),    # used to run and write no checkpoint
         ("workers", 0),                 # used to run serially without a word
-        ("shared_buffer", "yes"),       # these two ran with a shared archive
+        # gone, at any value: a run has one schedule, its infeasibility
+        # offset is kappa + 1, and its initial spread and centre scale are
+        # constants
+        ("shared_buffer", False),
+        ("shared_buffer", "yes"),
         ("shared_buffer", "false"),
+        ("infeasibility_offset", None),
+        ("init_log_std_spread", 0.3),
+        ("init_center_scale", 0.8),
     ])
     def test_bad_pearl_value_is_config_error(self, tmp_path, capsys, key, value):
         config = tmp_path / "config.json"
@@ -744,8 +753,7 @@ class TestOptimize:
         # second overwrote the first
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"pearl": {
-            "agents": 2, "total_steps": 16, "seeds": [7, 7], "shared_buffer": True,
-            "checkpoint_interval": 8}}))
+            "agents": 2, "total_steps": 16, "seeds": [7, 7], "checkpoint_interval": 8}}))
         out = tmp_path / "run"
         assert main(["optimize", "--config", str(config), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["evaluations"] == 16

@@ -1,12 +1,17 @@
 import dataclasses
+import importlib
 import json
 import math
+import shutil
 import struct
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hpmropt import economics
 from hpmropt.anchors import NOMINAL_ANCHOR
 from hpmropt.design_space import NOMINAL_DESIGN, from_unit_cube
 from hpmropt.economics import (
@@ -451,6 +456,27 @@ class TestScenarios:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError):
             load_scenario("scenario-9")
+
+    def test_a_relocated_package_reads_its_own_presets(self, tmp_path, monkeypatch):
+        # a copy of the package imported under another name, as a benchmark
+        # of two source trees imports them, reads the presets beside it
+        copy = tmp_path / "hpmropt_relocated"
+        shutil.copytree(Path(economics.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        preset = copy / "data" / "scenario-3.json"
+        config = json.loads(preset.read_text())
+        config["description"] = "the relocated copy's scenario-3"
+        preset.write_text(json.dumps(config))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            relocated = importlib.import_module("hpmropt_relocated.economics")
+            assert relocated.load_scenario("scenario-3").description == \
+                "the relocated copy's scenario-3"
+        finally:
+            for name in [name for name in sys.modules
+                         if name.partition(".")[0] == "hpmropt_relocated"]:
+                del sys.modules[name]
+        assert load_scenario("scenario-3").description != "the relocated copy's scenario-3"
 
     def test_bad_econ_params(self):
         with pytest.raises(ConfigError):

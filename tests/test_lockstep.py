@@ -228,7 +228,7 @@ def test_a_group_binds_each_policy_to_its_row_once(evaluator):
     # policy: the group binds them at start-up and after an agent leaves
     config = config_for(4, agents=3)
     seeds = config.agent_seeds()
-    agents = [pearl.AgentResult.start(seed, name, config, None)
+    agents = [pearl.AgentResult.start(seed, name, config)
               for seed, name in zip(seeds, agent_names(seeds))]
     group = pearl._Group(agents, config, config.n_steps)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -146,9 +147,9 @@ def test_bad_value_is_config_error_naming_the_key(key, value):
 
 
 def test_boundary_values_are_accepted():
-    config = GaConfig(population=2, generations=0, crossover_eta=0, mutation_eta=0.0,
-                      crossover_prob=1, mutation_prob=0, seed=0)
-    assert config.evaluations() == 2
+    values = dict(population=2, generations=0, crossover_eta=0, mutation_eta=0.0,
+                  crossover_prob=1, mutation_prob=0, seed=0)
+    assert dataclasses.asdict(GaConfig(**values)) == values
 
 
 def _parent_stream(seed, count):

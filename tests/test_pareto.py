@@ -554,8 +554,9 @@ def desk_stream():
             return super().insert(point)
 
     config = PearlConfig(agents=8, total_steps=2400, kappa=64, base_seed=1)
-    run_agent(DesignEvaluator(load_scenario("scenario-3")), config, seed=1,
-              buffer=Recording(capacity=64, metric="niching"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pearl, "ParetoBuffer", Recording)
+        run_agent(DesignEvaluator(load_scenario("scenario-3")), config, seed=1)
     return inserted
 
 
@@ -674,10 +675,9 @@ class TestLazyArchive:
             (tmp_path / "eager.tsv").read_bytes()
 
     @pytest.mark.parametrize("pearl_config", [
-        {"agents": 3, "total_steps": 384, "kappa": 16, "base_seed": 9,
-         "shared_buffer": True},
+        {"agents": 3, "total_steps": 384, "kappa": 16, "base_seed": 9},
         {"agents": 2, "total_steps": 256, "kappa": 8, "base_seed": 2,
-         "shared_buffer": True, "distance_metric": "crowding"},
+         "distance_metric": "crowding"},
         {"agents": 2, "total_steps": 256, "kappa": 16, "base_seed": 5},
     ])
     def test_run_directory_matches_eager(self, pearl_config, tmp_path, monkeypatch):

@@ -524,7 +524,7 @@ class TestRunAgent:
             self, toy_env, tmp_path):
         config = small_config(agents=1, total_steps=8, n_steps=8, checkpoint_interval=4)
         run_agent(toy_env, config, seed=3, checkpoint_dir=tmp_path)
-        initial = pearl.AgentResult.start(3, "3", config, None).policy
+        initial = pearl.AgentResult.start(3, "3", config).policy
 
         def checkpoint(step):
             with np.load(tmp_path / f"policy-3-step{step:06d}.npz") as archive:
@@ -688,30 +688,12 @@ class TestRunMulti:
             assert [repr(r) for r in agent.history] == [repr(r) for r in alone.history]
             assert agent.policy.theta().tobytes() == alone.policy.theta().tobytes()
 
-    def test_shared_buffer_mode(self, toy_env):
-        config = small_config(agents=2, total_steps=64, shared_buffer=True)
-        result = run_multi(toy_env, config)
-        assert result.agents[0].buffer is result.agents[1].buffer
-
     def test_worker_pool_matches_serial(self, toy_env):
         serial = run_multi(toy_env, small_config(agents=2, total_steps=64))
         pooled = run_multi(toy_env, small_config(agents=2, total_steps=64, workers=2))
         a = sorted(map(tuple, (p.objectives for p in serial.merged_front)))
         b = sorted(map(tuple, (p.objectives for p in pooled.merged_front)))
         assert a == b
-
-    def test_shared_buffer_ignores_workers(self, toy_env):
-        # one archive cannot cross processes: the agents run serially
-        runs = [run_multi(toy_env, small_config(agents=2, total_steps=64,
-                                                shared_buffer=True, workers=workers))
-                for workers in (1, 2)]
-        rewards = [[[repr(row.reward) for row in agent.history] for agent in run.agents]
-                   for run in runs]
-        assert rewards[0] == rewards[1]
-        fronts = [[(repr(p.objectives.tolist()), p.payload.id) for p in run.merged_front]
-                  for run in runs]
-        assert fronts[0] == fronts[1]
-        assert runs[1].agents[0].buffer is runs[1].agents[1].buffer
 
     def test_worker_pool_runs_every_agent_of_repeated_seeds(self, toy_env):
         # the pool kept one job per distinct seed, so two of three agents
@@ -806,7 +788,7 @@ def test_merge_fronts_dedupes_exact_duplicates():
     assert a in merged and c in merged
 
 
-def test_config_validation():
+def test_config_validation(toy_env):
     with pytest.raises(Exception):
         PearlConfig(total_steps=100, n_steps=8)  # not divisible
     with pytest.raises(Exception):
@@ -821,15 +803,17 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="total_steps"):
             PearlConfig(agents=2, total_steps=steps)
     assert PearlConfig(agents=3, total_steps=7992).steps_per_agent() == 2664
-    config = PearlConfig(kappa=64)
-    assert config.resolved_infeasibility_offset() == 65.0
-    assert PearlConfig(infeasibility_offset=0.0).resolved_infeasibility_offset() == 0.0
+    # an infeasible step's reward sits kappa + 1 below its penalty, one
+    # worse than the worst rank reward
+    history = run_agent(toy_env, small_config(agents=1, total_steps=64, kappa=8), 5).history
+    infeasible = [row for row in history if not row.feasible]
+    assert infeasible
+    assert all(row.reward == -row.penalty - 9.0 for row in infeasible)
 
 
 @pytest.mark.parametrize("key, value", [
     ("kappa", 2.5), ("kappa", "8"), ("kappa", True), ("agents", 2.0),
     ("distance_metric", "bogus"),
-    ("niching_divisions", 0), ("niching_divisions", -3), ("niching_divisions", 4.5),
 ])
 def test_config_rejects_bad_archive_settings(key, value):
     with pytest.raises(ConfigError, match=key):

@@ -2,11 +2,13 @@
 field added with neither a rule nor a written-out check fails here."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
 from hpmropt.constraints import SPEC_RULES, ConstraintSpec
-from hpmropt.economics import COST_RULES, ECON_RULES, CostScenario, EconParams
+from hpmropt.economics import COST_RULES, ECON_RULES, SCENARIO_KEYS, CostScenario, EconParams
 from hpmropt.environment import PROXY_RULES, ProxyModelConfig
 from hpmropt.errors import ConfigError, ContractError, EvaluationError
 from hpmropt.nsga2 import GA_RULES, GaConfig
@@ -55,3 +57,38 @@ def test_message_names_the_key_the_rule_and_the_value(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+def _readme_key_tables() -> dict:
+    """Each table of README's "Input rules": its header's first cell, and
+    the backquoted keys in the first cell of its rows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Input rules", 1)[1].split("\n## ", 1)[0]
+    tables, header = {}, None
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            header = None
+        elif header is None:
+            header = line.split("|")[1].strip()
+            tables[header] = set()
+        elif not line.startswith("| ---"):
+            tables[header].update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return tables
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("header, keys", [
+    # out_dir comes from --out, which overrides a config's
+    ("key", _field_names(RunConfig) - {"out_dir"}),
+    ("`pearl` key", _field_names(PearlConfig)),
+    ("`nsga2` key", _field_names(GaConfig)),
+    ("`econ` key", _field_names(EconParams)),
+    # the scenario file's own keys (name, description, econ, ...) sit
+    # beside its costs section
+    ("`costs` key", _field_names(CostScenario) - set(SCENARIO_KEYS)),
+])
+def test_readme_key_tables_name_every_field(header, keys):
+    assert _readme_key_tables()[header] == keys
