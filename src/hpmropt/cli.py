@@ -150,10 +150,14 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_scenarios(args) -> int:
-    from .economics import list_scenarios
+    from .economics import load_scenario, scenario_names
 
-    for scenario in list_scenarios(extra_dir=args.dir):
-        print(f"{scenario.name}: {scenario.description}")
+    # each listed by what --scenario takes: a user file by its path
+    for name in scenario_names(extra_dir=args.dir):
+        scenario = load_scenario(name)
+        print(f"{name}: {scenario.description}")
+        if scenario.name != name:
+            print(f"  name            : {scenario.name}")
         print(f"  axial reflector : {scenario.axial_reflector_price_per_kg:>12,.2f} $/kg")
         print(f"  drum reflector  : {scenario.drum_reflector_price_per_kg:>12,.2f} $/kg")
         print(f"  absorber        : {scenario.absorber_price_per_kg:>12,.2f} $/kg")

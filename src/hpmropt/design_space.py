@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BoundsDomainError, DecodeError
+from .errors import BoundsDomainError, DecodeError, read_lines
 
 # Radial gap between pin channel and moderator sleeve, cm.  Appears in the
 # coupled moderator-radius bounds and must not be inlined.
@@ -246,22 +246,21 @@ def write_design_file(design: DesignVector, path) -> None:
 
 def read_design_file(path) -> DesignVector:
     record, first_line = {}, {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DecodeError(f"{path}:{lineno}: expected 'name = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in first_line:
-                raise DecodeError(f"{path}:{lineno}: {key!r} repeats the value set "
-                                  f"on line {first_line[key]}")
-            first_line[key] = lineno
-            try:
-                record[key] = float(value)
-            except ValueError as exc:
-                raise DecodeError(f"{path}:{lineno}: bad value {value!r}") from exc
+    for lineno, raw in enumerate(read_lines(path, "design file"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DecodeError(f"{path}:{lineno}: expected 'name = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise DecodeError(f"{path}:{lineno}: {key!r} repeats the value set "
+                              f"on line {first_line[key]}")
+        first_line[key] = lineno
+        try:
+            record[key] = float(value)
+        except ValueError as exc:
+            raise DecodeError(f"{path}:{lineno}: bad value {value!r}") from exc
     unknown = set(record) - set(FIELD_NAMES)
     if unknown:
         raise DecodeError(f"{path}: unknown fields {sorted(unknown)}")

@@ -21,20 +21,22 @@ import numpy as np
 
 from .constraints import constraints_from_config, default_constraints
 from .errors import (NON_NEGATIVE, NUMBER, POSITIVE, STRING, ConfigError, ContractError,
-                     check, integer, reject_unknown, within)
+                     check, integer, read_lines, reject_unknown, within)
 
 CATEGORIES = ("fuel", "o_and_m", "capital", "reflector", "reactivity_control")
 
 PRESET_NAMES = ("scenario-1", "scenario-2", "scenario-3")
 
 
-def default_annual_energy_mwh(thermal_power_mw: float = 2.0,
-                              efficiency: float = 0.35,
-                              capacity_factor: float = 0.95) -> float:
-    """Electrical MWh per year.  Conversion efficiency and capacity factor
-    are package defaults with no anchor in the calibration data; override
-    them through the scenario file when better numbers exist."""
-    return thermal_power_mw * 8766.0 * efficiency * capacity_factor
+# The default electrical MWh per year comes from these three.  The thermal
+# power is the proxy's (hpmropt.environment reads it from here).  Conversion
+# efficiency and capacity factor have no anchor in the calibration data, and
+# no input sets them: a scenario file replaces the product as a whole,
+# through econ.annual_energy_mwh.
+THERMAL_POWER_MW = 2.0
+EFFICIENCY = 0.35
+CAPACITY_FACTOR = 0.95
+DEFAULT_ANNUAL_ENERGY_MWH = THERMAL_POWER_MW * 8766.0 * EFFICIENCY * CAPACITY_FACTOR
 
 
 # the discount arrays hold plant_life_years + 1 entries, so its bound keeps
@@ -49,7 +51,7 @@ class EconParams:
     discount_rate: float = 0.06
     plant_life_years: int = 60
     replacement_period_years: int = 10
-    annual_energy_mwh: float = field(default_factory=default_annual_energy_mwh)
+    annual_energy_mwh: float = DEFAULT_ANNUAL_ENERGY_MWH
 
     def __post_init__(self):
         check(self, ECON_RULES)
@@ -358,7 +360,7 @@ def load_scenario(name_or_path) -> CostScenario:
         path = Path(name_or_path)
         if not path.is_file():
             raise ConfigError(f"no such scenario preset or file: {name}")
-        text = path.read_text()
+        text = "".join(read_lines(path, "scenario file"))
     try:
         config = json.loads(text)
     except ValueError as exc:   # also an integer past Python's digit limit
@@ -366,12 +368,15 @@ def load_scenario(name_or_path) -> CostScenario:
     return _scenario_from_config(config, f"{name}: ")
 
 
-def list_scenarios(extra_dir=None) -> list[CostScenario]:
-    """Shipped presets, plus any *.json scenario files in ``extra_dir`` or
-    in $HPMROPT_SCENARIO_DIR."""
-    scenarios = [load_scenario(name) for name in PRESET_NAMES]
+def scenario_names(extra_dir=None) -> list[str]:
+    """What ``load_scenario`` takes for each listed scenario: the shipped
+    presets' names, then the path of each *.json scenario file in
+    ``extra_dir`` or in $HPMROPT_SCENARIO_DIR."""
     directory = extra_dir or os.environ.get("HPMROPT_SCENARIO_DIR")
-    if directory:
-        for path in sorted(Path(directory).glob("*.json")):
-            scenarios.append(load_scenario(path))
-    return scenarios
+    files = sorted(Path(directory).glob("*.json")) if directory else []
+    return [*PRESET_NAMES, *map(str, files)]
+
+
+def list_scenarios(extra_dir=None) -> list[CostScenario]:
+    """The scenarios that ``scenario_names`` names, in its order."""
+    return [load_scenario(name) for name in scenario_names(extra_dir)]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -27,18 +26,19 @@ from .design_space import (
     to_unit_cube,
     validate,
 )
-from .economics import CostScenario, build_cash_flows, lcoe, load_scenario
+from .economics import THERMAL_POWER_MW, CostScenario, build_cash_flows, lcoe, load_scenario
 from .errors import (NUMBER, POSITIVE, BoundsDomainError, ConfigError, ContractError,
-                     EvaluationError, TableLoadError, check, list_of, reject_unknown)
+                     EvaluationError, TableLoadError, check, list_of, read_lines,
+                     reject_unknown)
 
 # Constants recovered from the anchor table (see scripts/fit_proxy_coefficients.py
 # and the cross-row consistency tests):
 #   q_avg * x_cr * x_fh      constant to < 1%  -> HEAT_FLUX_K
 #   mass / (x_cr^2 * x_fh)   constant to < 2%  -> URANIUM_MASS_COEFF
-#   burnup * mass / (365.25 * lifetime) = 2.00 +/- 1% -> THERMAL_POWER_MW
+#   burnup * mass / (365.25 * lifetime) = 2.00 +/- 1% -> THERMAL_POWER_MW,
+#   which economics defines, as its default annual energy is built on it
 HEAT_FLUX_K = 1.68576            # heat-flux units * cm^2
 URANIUM_MASS_COEFF = 3.2816      # kg / cm^3
-THERMAL_POWER_MW = 2.0
 POWER_DENSITY_SCALE = 200.0
 
 QOI_KEYS = ("lifetime", "sdm", "f_dh", "q_max")
@@ -330,34 +330,33 @@ class SampleTable:
 
     @classmethod
     def from_file(cls, path, kernel: str = "thin_plate_spline") -> "SampleTable":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise TableLoadError(f"{path}: missing header row")
-            # rows are read by the stripped names: a header written with ", "
-            # separators names the same columns
-            reader.fieldnames = [name.strip() for name in reader.fieldnames]
-            missing = [c for c in cls.REQUIRED_COLUMNS if c not in reader.fieldnames]
-            if missing:
-                raise TableLoadError(f"{path}: missing columns {missing}")
-            designs, qois, itc = [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    record = {f: float(row[f]) for f in FIELD_NAMES}
-                    designs.append(DesignVector.from_record(record))
-                    qois.append([float(row[k]) for k in QOI_KEYS])
-                    itc_cell = (row.get("itc") or "").strip()
-                    itc.append(float(itc_cell) if itc_cell else np.nan)
-                except (TypeError, ValueError) as exc:
-                    raise TableLoadError(f"{path}:{lineno}: {exc}") from exc
-                bad = [f for f, value in record.items() if not np.isfinite(value)]
-                if bad:
-                    raise TableLoadError(f"{path}:{lineno}: design value {bad[0]} is "
-                                         f"not finite: {row[bad[0]].strip()!r}")
-                try:
-                    to_unit_cube(designs[-1])       # a pitch outside its domain
-                except BoundsDomainError as exc:
-                    raise TableLoadError(f"{path}:{lineno}: {exc}") from exc
+        reader = csv.DictReader(read_lines(path, "sample table", newline=""))
+        if reader.fieldnames is None:
+            raise TableLoadError(f"{path}: missing header row")
+        # rows are read by the stripped names: a header written with ", "
+        # separators names the same columns
+        reader.fieldnames = [name.strip() for name in reader.fieldnames]
+        missing = [c for c in cls.REQUIRED_COLUMNS if c not in reader.fieldnames]
+        if missing:
+            raise TableLoadError(f"{path}: missing columns {missing}")
+        designs, qois, itc = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                record = {f: float(row[f]) for f in FIELD_NAMES}
+                designs.append(DesignVector.from_record(record))
+                qois.append([float(row[k]) for k in QOI_KEYS])
+                itc_cell = (row.get("itc") or "").strip()
+                itc.append(float(itc_cell) if itc_cell else np.nan)
+            except (TypeError, ValueError) as exc:
+                raise TableLoadError(f"{path}:{lineno}: {exc}") from exc
+            bad = [f for f, value in record.items() if not np.isfinite(value)]
+            if bad:
+                raise TableLoadError(f"{path}:{lineno}: design value {bad[0]} is "
+                                     f"not finite: {row[bad[0]].strip()!r}")
+            try:
+                to_unit_cube(designs[-1])       # a pitch outside its domain
+            except BoundsDomainError as exc:
+                raise TableLoadError(f"{path}:{lineno}: {exc}") from exc
         if not designs:
             raise TableLoadError(f"{path}: no data rows")
         has_itc = "itc" in reader.fieldnames
@@ -491,6 +490,4 @@ def build_evaluator(config) -> DesignEvaluator:
     if config.evaluator == "proxy":
         return DesignEvaluator(scenario, model="proxy")
     table_path = config.evaluator.split(":", 1)[1]
-    if not Path(table_path).exists():
-        raise ConfigError(f"sample table not found: {table_path}")
     return DesignEvaluator(scenario, model=SampleTable.from_file(table_path))

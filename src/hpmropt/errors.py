@@ -64,6 +64,19 @@ def check(obj, rules: dict, where: str = "", error=ConfigError) -> None:
             raise error(f"{where}{key} must be {text}, got {value!r}")
 
 
+def read_lines(path, what: str, newline: str | None = None) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``, each with its line end
+    (``newline`` as ``open`` takes it).  A missing file, a directory or
+    undecodable bytes is a ``ConfigError`` that names ``what`` and the path."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
 def reject_unknown(mapping, known, where: str) -> None:
     """Raise ``ConfigError`` unless ``mapping`` is a dict with no key outside ``known``."""
     if not isinstance(mapping, dict):

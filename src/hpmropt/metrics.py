@@ -4,6 +4,9 @@ Hypervolume is computed exactly for two objectives with a sweep over the
 front sorted by the first objective.  Plots are written as standalone SVG
 files with the plotted records embedded as comments, so no plotting
 runtime is required.
+
+``write_table`` is the one writer of a run's tab-separated tables: the
+archive snapshots, the front and the run logs all go through it.
 """
 
 from __future__ import annotations
@@ -87,6 +90,40 @@ def default_reference(fronts) -> np.ndarray:
     return np.where(top > 0, top * 1.1, top * 0.9)
 
 
+def write_table(path, header, rows) -> None:
+    """A tab-separated table: the header line, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, delimiter="\t")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def export_buffer(buffer, path) -> None:
+    """Columnar snapshot of an archive (``pareto.ParetoBuffer``), best
+    first: objectives, feasibility, penalty, front, distance, and the
+    design payload of the points that carry one.  Columns come in
+    first-seen order, and a float is written as its ``repr``."""
+    records = []
+    for point, front, distance in buffer.ranked():
+        record = {
+            **{f"objective_{j}": float(v) for j, v in enumerate(point.objectives)},
+            "feasible": point.feasible,
+            "penalty": point.penalty,
+            "front": front,
+            "distance": distance,
+        }
+        if point.payload is not None:
+            record.update({"id": point.payload.id, **point.payload.design.to_record()})
+        records.append(record)
+    header = list(dict.fromkeys(key for record in records for key in record))
+    write_table(path, header, ([_cell(record.get(key, "")) for key in header]
+                               for record in records))
+
+
+def _cell(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 _EXPORT_PREFIX = ("label", "point_id", "objective_0", "objective_1",
                   "feasible", "penalty")
 
@@ -97,23 +134,20 @@ def export_front(report: FrontReport, path) -> None:
         raise ContractError("cannot export an empty report")
     has_design = any(getattr(p.payload, "design", None) is not None
                      for p in report.points)
-    fieldnames = list(_EXPORT_PREFIX) + (list(FIELD_NAMES) if has_design else [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, delimiter="\t")
-        writer.writeheader()
-        for p in report.points:
-            row = {
-                "label": report.label,
-                "point_id": getattr(p.payload, "id", ""),
-                "objective_0": repr(float(p.objectives[0])),
-                "objective_1": repr(float(p.objectives[1])),
-                "feasible": int(p.feasible),
-                "penalty": repr(float(p.penalty)),
-            }
-            design = getattr(p.payload, "design", None)
-            if design is not None:
-                row.update({k: repr(v) for k, v in design.to_record().items()})
-            writer.writerow(row)
+
+    def row(p):
+        cells = [report.label, getattr(p.payload, "id", ""),
+                 repr(float(p.objectives[0])), repr(float(p.objectives[1])),
+                 int(p.feasible), repr(float(p.penalty))]
+        design = getattr(p.payload, "design", None)
+        if design is not None:
+            cells += [repr(v) for v in design.to_record().values()]
+        elif has_design:
+            cells += [""] * len(FIELD_NAMES)
+        return cells
+
+    write_table(path, list(_EXPORT_PREFIX) + (list(FIELD_NAMES) if has_design else []),
+                map(row, report.points))
 
 
 def load_front(path) -> FrontReport:
@@ -146,8 +180,11 @@ def load_front(path) -> FrontReport:
     return report
 
 
-def render_scatter(report: FrontReport, path, limit_line: float | None = 1.47,
-                   axis_labels=("LCOE [$/MWh]", "peaking factor")) -> bool:
+# the x and y axis labels of every scatter plot
+AXIS_LABELS = ("LCOE [$/MWh]", "peaking factor")
+
+
+def render_scatter(report: FrontReport, path, limit_line: float | None = 1.47) -> bool:
     """Objective-space scatter as a standalone SVG.
 
     Feasible points are filled, infeasible hollow; the minimum of each
@@ -182,10 +219,10 @@ def render_scatter(report: FrontReport, path, limit_line: float | None = 1.47,
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
         'stroke="black"/>',
         f'<text x="{width / 2}" y="{height - margin / 4}" text-anchor="middle" '
-        f'font-size="14">{axis_labels[0]}</text>',
+        f'font-size="14">{AXIS_LABELS[0]}</text>',
         f'<text x="{margin / 3}" y="{height / 2}" text-anchor="middle" '
         f'font-size="14" transform="rotate(-90 {margin / 3} {height / 2})">'
-        f"{axis_labels[1]}</text>",
+        f"{AXIS_LABELS[1]}</text>",
     ]
     for frac in (0.0, 0.5, 1.0):
         vx = lo[0] + frac * span[0]

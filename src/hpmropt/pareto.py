@@ -11,11 +11,11 @@ feasibility.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any
 
 import numpy as np
@@ -369,7 +369,7 @@ class _Ranking:
     def __init__(self, buffer: "ParetoBuffer", size: int):
         self.metric, self.directions = buffer.metric, buffer.directions
         self.obj, self.feas = buffer._obj[:size], buffer._feas[:size]
-        self.pen, self.seq = buffer._pen[:size], buffer._seq[:size]
+        self.seq = buffer._seq[:size]
         self.infeasible = buffer._infeasible
         members = np.flatnonzero(self.feas)
         self.fronts: list[list[int]] = []
@@ -438,9 +438,9 @@ class _Ranking:
             ranked.extend(zip(rows, [k] * len(rows), dist))
         # infeasible rows follow in the buffer's rank order, one front per
         # penalty
-        by_rank = np.array([row for _, _, row in self.infeasible], dtype=int)
-        for k, run in enumerate(_penalty_runs(by_rank, self.pen), len(self.fronts)):
-            ranked.extend((row, k, 0.0) for row in run)
+        runs = groupby(self.infeasible, key=lambda entry: entry[0])
+        for k, (_, run) in enumerate(runs, len(self.fronts)):
+            ranked.extend((row, k, 0.0) for _, _, row in run)
         return ranked
 
 
@@ -460,10 +460,11 @@ class ParetoBuffer:
     distances are built from that insert's state when first read.
 
     The union's infeasible rows are also kept as a ``(penalty, seq, row)``
-    list in rank order, next to a count of its feasible rows.  An
+    list in rank order; every other row of the union is feasible.  An
     infeasible candidate ranks behind every feasible row, by bisection in
     that list, and the row it evicts is the list's last: it needs no
-    ranking of the feasible rows at all.
+    ranking of the feasible rows at all.  The archive writes no file:
+    ``ranked()`` hands its order to a writer (``metrics.export_buffer``).
     """
 
     def __init__(self, capacity: int = 64, metric: str = "crowding",
@@ -482,14 +483,12 @@ class ParetoBuffer:
         self.divisions = divisions
         self._obj: np.ndarray | None = None
         self._feas = np.zeros(capacity + 1, dtype=bool)
-        self._pen = np.zeros(capacity + 1)
         self._seq = np.zeros(capacity + 1, dtype=np.int64)
         self._points: list[ObjectivePoint | None] = [None] * (capacity + 1)
         self._infeasible: list[tuple[float, int, int]] = []   # (penalty, seq, row)
-        self._n_feasible = 0              # feasible rows in the last insert's union
         self._size = 0                    # rows in the last insert's union
         self._evicted: int | None = None  # the row that union dropped
-        self._ranked: list[tuple[int, int, float]] | None = None
+        self._ranked: list[tuple[ObjectivePoint, int, float]] | None = None
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -524,18 +523,14 @@ class ParetoBuffer:
             # an evicted infeasible row was the list's last
             if infeasible and infeasible[-1][2] == row:
                 infeasible.pop()
-            else:
-                self._n_feasible -= 1
         seq = self._next_seq
         self._obj[row] = point.objectives
         self._feas[row] = point.feasible
-        self._pen[row] = point.penalty
         self._seq[row] = seq
         self._points[row] = point
         self._next_seq += 1
 
         if point.feasible:
-            self._n_feasible += 1
             ranking = _Ranking(self, self._size)
             rank = ranking.rank(row)
         else:
@@ -544,7 +539,7 @@ class ParetoBuffer:
             penalty = float(point.penalty)
             k = bisect_right(infeasible, (penalty, math.inf))
             infeasible.insert(k, (penalty, seq, row))
-            rank = self._n_feasible + k + 1
+            rank = self._size - len(infeasible) + k + 1
         if self._size <= self.capacity:
             self._evicted = None
         elif infeasible:
@@ -554,49 +549,21 @@ class ParetoBuffer:
         self._ranked = None
         return -rank
 
-    def _order(self) -> list[tuple[int, int, float]]:
-        """(row, front, distance) of every held solution, best first."""
+    def ranked(self) -> list[tuple[ObjectivePoint, int, float]]:
+        """(point, front, distance) of every held solution, best first."""
         if self._ranked is None:
             # a ranking held from insert to insert would keep small objects
             # alive across evaluations and fragment the allocator's heap
             self._ranked = [] if not self._size else [
-                entry for entry in _Ranking(self, self._size).full()
-                if entry[0] != self._evicted]
-        return self._ranked
+                (self._points[row], front, distance)
+                for row, front, distance in _Ranking(self, self._size).full()
+                if row != self._evicted]
+        return list(self._ranked)
 
     @property
     def entries(self) -> list[ObjectivePoint]:
-        return [self._points[row] for row, _, _ in self._order()]
+        return [point for point, _, _ in self.ranked()]
 
     def front(self, index: int = 0) -> list[ObjectivePoint]:
         """Points of the given non-domination front (0 = best)."""
-        return [self._points[row] for row, front, _ in self._order() if front == index]
-
-    def export(self, path) -> None:
-        """Columnar snapshot: objectives, feasibility, penalty, rank keys,
-        and the design payload."""
-        rows = []
-        for row, front, distance in self._order():
-            point = self._points[row]
-            record = {
-                **{f"objective_{j}": float(v) for j, v in enumerate(point.objectives)},
-                "feasible": point.feasible,
-                "penalty": point.penalty,
-                "front": front,
-                "distance": distance,
-            }
-            if point.payload is not None:
-                record.update({"id": point.payload.id, **point.payload.design.to_record()})
-            rows.append(record)
-        fieldnames = list(dict.fromkeys(key for row in rows for key in row))
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames, delimiter="\t")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _format_cell(row.get(k, "")) for k in fieldnames})
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return [point for point, front, _ in self.ranked() if front == index]

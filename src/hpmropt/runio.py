@@ -7,7 +7,6 @@ its manifest reproduces byte-identical front exports.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import time
@@ -20,7 +19,8 @@ import scipy
 from . import __version__
 from .environment import build_evaluator, check_evaluator
 from .errors import POSITIVE, STRING, check, one_of, optional, reject_unknown
-from .metrics import FrontReport, default_reference, export_front, render_scatter
+from .metrics import (FrontReport, default_reference, export_buffer, export_front,
+                      render_scatter, write_table)
 from .nsga2 import GaConfig, run_nsga2
 from .pearl import PearlConfig, run_multi
 
@@ -78,29 +78,22 @@ class RunConfig:
         return cls(**{**config, "out_dir": out_dir})
 
 
-def _write_table(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_history(path, rows) -> None:
-    _write_table(path, ["step", "reward", "feasible", "objective_0",
-                        "objective_1", "penalty"],
-                 ([row.step, repr(float(row.reward)), int(row.feasible),
-                   repr(float(row.objective_0)), repr(float(row.objective_1)),
-                   repr(float(row.penalty))] for row in rows))
+    write_table(path, ["step", "reward", "feasible", "objective_0",
+                       "objective_1", "penalty"],
+                ([row.step, repr(float(row.reward)), int(row.feasible),
+                  repr(float(row.objective_0)), repr(float(row.objective_1)),
+                  repr(float(row.penalty))] for row in rows))
 
 
 def write_updates(path, update_log) -> None:
     """One row per policy update of one agent (``pearl.UpdateStats``)."""
-    _write_table(path, ["update", "loss", "grad_norm", "entropy", "approx_kl",
-                        "clip_frac", "skipped"],
-                 ([index, repr(float(stats.loss)), repr(float(stats.grad_norm)),
-                   repr(float(stats.entropy)), repr(float(stats.approx_kl)),
-                   repr(float(stats.clip_frac)), int(stats.skipped)]
-                  for index, stats in enumerate(update_log)))
+    write_table(path, ["update", "loss", "grad_norm", "entropy", "approx_kl",
+                       "clip_frac", "skipped"],
+                ([index, repr(float(stats.loss)), repr(float(stats.grad_norm)),
+                  repr(float(stats.entropy)), repr(float(stats.approx_kl)),
+                  repr(float(stats.clip_frac)), int(stats.skipped)]
+                 for index, stats in enumerate(update_log)))
 
 
 def write_incidents(path, agents) -> None:
@@ -149,7 +142,7 @@ def run_optimize(config: RunConfig) -> dict:
             # named by seed, plus the agent's position when seeds repeat
             write_history(out / f"history-agent{agent.name}.tsv", agent.history)
             write_updates(out / f"updates-agent{agent.name}.tsv", agent.update_log)
-            agent.buffer.export(out / f"buffer-agent{agent.name}.tsv")
+            export_buffer(agent.buffer, out / f"buffer-agent{agent.name}.tsv")
         write_incidents(out / "incidents.jsonl", result.agents)
         points, failures = result.merged_front, result.failures
         evaluations = sum(len(agent.history) for agent in result.agents)
@@ -161,8 +154,8 @@ def run_optimize(config: RunConfig) -> dict:
     else:
         ga = run_nsga2(evaluator, ga_config, deadline)
         # each history row is a dict of these columns, in this order
-        _write_table(out / "history-generations.tsv", ["generation", "feasible", "front_size"],
-                     map(dict.values, ga.history))
+        write_table(out / "history-generations.tsv", ["generation", "feasible", "front_size"],
+                    map(dict.values, ga.history))
         points, failures = ga.front, []
         evaluations, failed_evaluations, truncated = ga.evaluations, 0, ga.truncated
     # a run in which no agent finished made no evaluation and lost agents

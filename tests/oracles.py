@@ -23,7 +23,6 @@ over the rows and feasibility read from them.  Random search is kept
 building a point for every design.
 """
 
-import csv
 import math
 from dataclasses import replace
 
@@ -218,7 +217,7 @@ class EagerBuffer:
     """The archive as it was before ranking went lazy: every insert
     re-ranks the whole union, keeps it in ranked order, and stores each
     solution's front and distance.  ``ParetoBuffer`` must match its
-    rewards, ``entries``, ``front(k)`` and ``export`` bytes after every
+    rewards, ``entries``, ``front(k)`` and ``ranked()`` triples after every
     insert.  The list order feeds no ranking: twins share their row's
     crowding distance and order by age, so each re-rank depends only on the
     union's contents."""
@@ -238,6 +237,9 @@ class EagerBuffer:
 
     def front(self, index=0):
         return [slot[0] for slot in self.slots if slot[2] == index]
+
+    def ranked(self):
+        return [(point, front, distance) for point, _seq, front, distance in self.slots]
 
     def insert(self, point):
         if self.metric == "niching" and self.directions is None:
@@ -284,27 +286,6 @@ class EagerBuffer:
             slots[i][2], slots[i][3] = front_index, float(dist)
             ordered.append(slots[i])
         return ordered
-
-    def export(self, path):
-        rows = []
-        for point, _seq, front, distance in self.slots:
-            row = {
-                **{f"objective_{j}": float(v) for j, v in enumerate(point.objectives)},
-                "feasible": point.feasible,
-                "penalty": point.penalty,
-                "front": front,
-                "distance": distance,
-            }
-            if point.payload is not None:
-                row.update({"id": point.payload.id, **point.payload.design.to_record()})
-            rows.append(row)
-        fieldnames = list(dict.fromkeys(key for row in rows for key in row))
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames, delimiter="\t")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: repr(v) if isinstance(v, float) else str(v)
-                                 for k, v in ((k, row.get(k, "")) for k in fieldnames)})
 
 
 def hypervolume_mc(front, reference, samples, rng):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +384,30 @@ class TestEvaluate:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("fault", ["missing", "directory", "not UTF-8"])
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "{path}"],
+    ["optimize", "--scenario", "{path}"],
+    ["optimize", "--evaluator", "tabular:{path}"],
+], ids=["design", "scenario", "table"])
+def test_an_unreadable_input_file_is_config_error(tmp_path, capsys, argv, fault):
+    # each raised a raw FileNotFoundError, IsADirectoryError or
+    # UnicodeDecodeError (exit 1), but a missing table and a missing or
+    # directory scenario, which exited 2
+    path = tmp_path / "input"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not UTF-8":
+        path.write_bytes(b"x_ca = 90\n\xff\xfe\n")
+    argv = [arg.format(path=path) for arg in argv]
+    if argv[0] == "optimize":
+        argv += ["--agents", "1", "--steps", "8", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not (tmp_path / "run").exists()
+
+
 class TestScenarios:
     def test_exactly_three_presets(self, capsys):
         assert main(["scenarios"]) == 0
@@ -406,6 +432,31 @@ class TestScenarios:
         assert main(["scenarios", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "cheap-everything" in out
+
+    @pytest.mark.parametrize("via", ["--dir", "HPMROPT_SCENARIO_DIR"])
+    def test_a_user_scenario_is_listed_by_what_scenario_loads(self, tmp_path, capsys,
+                                                               monkeypatch, via):
+        # it was listed by its name, my-scn, which --scenario rejects (exit 2)
+        (tmp_path / "scn").mkdir()
+        (tmp_path / "scn" / "mine.json").write_text(json.dumps({
+            "name": "my-scn", "costs": {
+                "axial_reflector_price_per_kg": 80.0, "drum_reflector_price_per_kg": 80.0,
+                "absorber_price_per_kg": 14268.0, "fuel_price_per_kgu": 80000.0,
+                "fixed_direct_capital": 1.0e7, "annual_om": 1.0e6}}))
+        monkeypatch.chdir(tmp_path)
+        if via == "--dir":
+            argv = ["scenarios", "--dir", "scn"]
+        else:
+            monkeypatch.setenv(via, "scn")
+            argv = ["scenarios"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        tokens = [line.split(": ", 1)[0] for line in lines if not line.startswith(" ")]
+        mine = os.path.join("scn", "mine.json")
+        assert tokens == ["scenario-1", "scenario-2", "scenario-3", mine]
+        assert "  name            : my-scn" in lines
+        assert main(["optimize", "--scenario", mine, "--agents", "1", "--steps", "8",
+                     "--out", str(tmp_path / "run")]) == 0
 
 
 class TestOptimize:
@@ -981,6 +1032,39 @@ class TestOptimize:
         assert {"front.tsv", "report.json"} <= set(without)
         assert [name for name in without
                 if without[name] != with_deadline[name]] == ["manifest.json"]
+
+    def test_readme_names_every_file_a_run_writes(self, tmp_path, monkeypatch):
+        # the file kinds of README's run-directory bullet, <name> and <step>
+        # standing for any text
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullet = readme.split("- `optimize` writes a self-describing run directory", 1)[1]
+        bullet = bullet.split("\n- ", 1)[0]
+        kinds = re.findall(r"`([\w<>-]+\.(?:json|jsonl|tsv|svg|npz))`", bullet)
+        patterns = {kind: re.compile(".+".join(map(re.escape, re.split(r"<\w+>", kind))))
+                    for kind in kinds}
+        from hpmropt import metrics, runio
+
+        tables, original = [], metrics.write_table
+
+        def write_table(path, header, rows):
+            tables.append(Path(path))
+            return original(path, header, rows)
+
+        monkeypatch.setattr(metrics, "write_table", write_table)
+        monkeypatch.setattr(runio, "write_table", write_table)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pearl": {"agents": 2, "total_steps": 16,
+                                                "checkpoint_interval": 8}}))
+        assert main(["optimize", "--config", str(config), "--out", str(tmp_path / "pearl")]) == 0
+        assert main(["optimize", "--optimizer", "nsga2", "--steps", "128",
+                     "--out", str(tmp_path / "nsga2")]) == 0
+        written = [path for run in ("pearl", "nsga2") for path in (tmp_path / run).iterdir()]
+        matched = {path.name: [kind for kind, pattern in patterns.items()
+                               if pattern.fullmatch(path.name)] for path in written}
+        assert all(len(found) == 1 for found in matched.values()), matched
+        assert {kind for found in matched.values() for kind in found} == set(kinds)
+        # every table of a run goes through the one writer
+        assert sorted(path for path in written if path.suffix == ".tsv") == sorted(tables)
 
 
 class TestFrontExports:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpmropt.errors import ContractError
-from hpmropt.metrics import nondominated_filter
+from hpmropt.metrics import export_buffer, nondominated_filter
 from hpmropt.pareto import (
     ObjectivePoint,
     ParetoBuffer,
@@ -315,7 +315,7 @@ class TestParetoBuffer:
         for _ in range(12):
             buf.insert(feasible(*rng.random(2)))
         path = tmp_path / "buffer.tsv"
-        buf.export(path)
+        export_buffer(buf, path)
         header = path.read_text().splitlines()[0].split("\t")
         assert header[:6] == ["objective_0", "objective_1", "feasible",
                               "penalty", "front", "distance"]
@@ -513,19 +513,20 @@ class TestPearlTraffic:
         assert buf.entries == [best, points[1], points[0]]
 
 
-def assert_same_archive(lazy, eager, directory):
-    """Entries, every front and the export bytes of two buffers agree."""
+def assert_same_archive(lazy, eager):
+    """Entries, every front and the ranked (point, front, distance) triples
+    of two buffers agree; a distance by its ``repr``, the way it is
+    written."""
     assert len(lazy) == len(eager)
     assert [id(p) for p in lazy.entries] == [id(p) for p in eager.entries]
     fronts = {slot[2] for slot in eager.slots}
     for k in range(max(fronts, default=-1) + 2):
         assert [id(p) for p in lazy.front(k)] == [id(p) for p in eager.front(k)], k
-    lazy.export(directory / "lazy.tsv")
-    eager.export(directory / "eager.tsv")
-    assert (directory / "lazy.tsv").read_bytes() == (directory / "eager.tsv").read_bytes()
+    assert [(id(p), front, repr(distance)) for p, front, distance in lazy.ranked()] == \
+        [(id(p), front, repr(distance)) for p, front, distance in eager.ranked()]
 
 
-def replay(points, capacity, metric, directory, divisions=None):
+def replay(points, capacity, metric, divisions=None):
     """Insert ``points`` into a lazy and an eager buffer side by side,
     checking rewards and the whole archive after every insert, and into a
     lazy buffer read only at the end; returns the rewards."""
@@ -536,9 +537,9 @@ def replay(points, capacity, metric, directory, divisions=None):
     for step, point in enumerate(points):
         reward = lazy.insert(point)
         assert reward == eager.insert(point) == unread.insert(point), f"step {step}"
-        assert_same_archive(lazy, eager, directory)
+        assert_same_archive(lazy, eager)
         rewards.append(reward)
-    assert_same_archive(unread, eager, directory)
+    assert_same_archive(unread, eager)
     return rewards
 
 
@@ -567,23 +568,23 @@ class TestLazyArchive:
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
     @pytest.mark.parametrize("divisions", [3, 15])
-    def test_matches_eager_on_grids(self, metric, divisions, rng, tmp_path):
+    def test_matches_eager_on_grids(self, metric, divisions, rng):
         for _ in range(3):
             points, _, _, _ = grid_points(rng, 120, levels=5, feasible_share=0.75)
-            replay(points, 16, metric, tmp_path, divisions)
+            replay(points, 16, metric, divisions)
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
-    def test_matches_eager_on_desk_stream(self, metric, desk_stream, tmp_path):
+    def test_matches_eager_on_desk_stream(self, metric, desk_stream):
         assert sum(p.feasible for p in desk_stream) >= 5
-        replay(desk_stream, 64, metric, tmp_path)
+        replay(desk_stream, 64, metric)
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
-    def test_matches_eager_on_feasible_stream(self, metric, rng, tmp_path):
+    def test_matches_eager_on_feasible_stream(self, metric, rng):
         points = [feasible(*(rng.random(2) * [5000.0, 0.5] + [1000.0, 1.0]))
                   for _ in range(150)]
-        replay(points, 64, metric, tmp_path)
+        replay(points, 64, metric)
 
-    def test_singleton_front_does_not_occupy_its_niche(self, tmp_path):
+    def test_singleton_front_does_not_occupy_its_niche(self):
         # A alone in front 0 sits in niche 0; X (niche 0) and Y (niche 3)
         # share front 1.  A singleton front is crowding-ranked, so niche 0
         # is still empty when front 1 is niched, and X, the candidate, goes
@@ -598,10 +599,10 @@ class TestLazyArchive:
         assert buffer_rank_oracle(history, ([0.1, 1.0], True, 0.0, 2),
                                   "niching", dirs)[0] == 2
         assert buf.front(1) == [x, y]
-        replay([a, y, x], 8, "niching", tmp_path, divisions=3)
+        replay([a, y, x], 8, "niching", divisions=3)
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
-    def test_candidate_evicts_itself(self, metric, tmp_path):
+    def test_candidate_evicts_itself(self, metric):
         held = [feasible(0, 3), feasible(1, 1), feasible(3, 0)]
         worst = feasible(5, 5)
         buf = ParetoBuffer(capacity=3, metric=metric, divisions=2)
@@ -612,10 +613,10 @@ class TestLazyArchive:
         assert all(p is not worst for p in buf.entries)
         assert set(map(id, buf.entries)) == set(map(id, held))
         replay([*held, worst, feasible(6, 6), feasible(0.5, 0.5)], 3, metric,
-               tmp_path, divisions=2)
+               divisions=2)
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
-    def test_all_infeasible_archive(self, metric, tmp_path):
+    def test_all_infeasible_archive(self, metric):
         penalties = [3.0, 1.0, 3.0, 2.0, 1.0, 5.0, 2.0, 0.5, 3.0]
         points = [infeasible(q, i, -i) for i, q in enumerate(penalties)]
         buf = ParetoBuffer(capacity=4, metric=metric)
@@ -625,24 +626,24 @@ class TestLazyArchive:
         assert buf.entries == [points[7], points[1], points[4], points[3]]
         assert [buf.front(k) for k in range(3)] == \
             [[points[7]], [points[1], points[4]], [points[3]]]
-        replay(points, 4, metric, tmp_path)
+        replay(points, 4, metric)
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
-    def test_capacity_one(self, metric, rng, tmp_path):
+    def test_capacity_one(self, metric, rng):
         points, _, _, _ = grid_points(rng, 80, levels=3, feasible_share=0.6)
-        rewards = replay(points, 1, metric, tmp_path, divisions=2)
+        rewards = replay(points, 1, metric, divisions=2)
         assert set(rewards) <= {-1, -2}
 
-    def test_duplicates_keep_their_crowding_positions(self, tmp_path):
+    def test_duplicates_keep_their_crowding_positions(self):
         # exact duplicates inside a crowding front share their row's
         # distance and follow by age; a stream of repeated points checks
         # that every insert agrees with the eager re-rank
         base = [(0, 4), (1, 2), (2, 1), (4, 0)]
         points = [feasible(*base[i % 4]) for i in range(24)]
         points += [feasible(1, 2), feasible(0.5, 3), feasible(3, 0.5)]
-        replay(points, 12, "crowding", tmp_path)
+        replay(points, 12, "crowding")
 
-    def test_twins_order_by_age_across_inserts(self, tmp_path):
+    def test_twins_order_by_age_across_inserts(self):
         # the twins of (1, 2) share their row's distance, so they follow the
         # boundary points by age; later points land in other fronts or join
         # the twins, and neither an insert nor a read reorders them
@@ -664,15 +665,31 @@ class TestLazyArchive:
             for q in points[:n]:
                 unread.insert(q)
             assert unread.front(0) == expected[n - 4], n
-        replay(points, 16, "crowding", tmp_path)
+        replay(points, 16, "crowding")
 
     def test_empty_buffer_reads(self, tmp_path):
         buf = ParetoBuffer(capacity=4, metric="niching")
         assert len(buf) == 0 and buf.entries == [] and buf.front(0) == []
-        buf.export(tmp_path / "empty.tsv")
-        EagerBuffer(capacity=4).export(tmp_path / "eager.tsv")
-        assert (tmp_path / "empty.tsv").read_bytes() == \
-            (tmp_path / "eager.tsv").read_bytes()
+        assert buf.ranked() == []
+        # one empty header line, as the archive's own export wrote
+        export_buffer(buf, tmp_path / "empty.tsv")
+        assert (tmp_path / "empty.tsv").read_bytes() == b"\r\n"
+
+    def test_export_of_an_archive_without_payloads(self, tmp_path):
+        # the bytes the archive's own export wrote for these inserts: floats
+        # by repr, an integer penalty by str, one front per penalty
+        buf = ParetoBuffer(capacity=5)
+        for objectives, penalty in [((1.0, 2.0), 0.0), ((2.0, 1.0), 0.0), ((3.0, 0.5), 2.5),
+                                    ((0.1, 0.3), 2.5), ((1.5, 1.5), 0.0), ((4, 4), 1)]:
+            buf.insert(ObjectivePoint(objectives, penalty == 0, penalty))
+        export_buffer(buf, tmp_path / "buffer.tsv")
+        assert (tmp_path / "buffer.tsv").read_bytes() == (
+            b"objective_0\tobjective_1\tfeasible\tpenalty\tfront\tdistance\r\n"
+            b"1.0\t2.0\tTrue\t0.0\t0\tinf\r\n"
+            b"2.0\t1.0\tTrue\t0.0\t0\tinf\r\n"
+            b"1.5\t1.5\tTrue\t0.0\t0\t2.0\r\n"
+            b"4.0\t4.0\tFalse\t1\t1\t0.0\r\n"
+            b"3.0\t0.5\tFalse\t2.5\t2\t0.0\r\n")
 
     @pytest.mark.parametrize("pearl_config", [
         {"agents": 3, "total_steps": 384, "kappa": 16, "base_seed": 9},
@@ -712,14 +729,14 @@ class TestBufferContract:
         with pytest.raises(ContractError, match="one or two objectives"):
             ParetoBuffer(capacity=4).insert(feasible(1.0, 2.0, 3.0))
 
-    def test_explicit_directions_are_used(self, rng, tmp_path):
+    def test_explicit_directions_are_used(self, rng):
         # the lattice of explicit divisions, not the capacity's default
         lazy = ParetoBuffer(capacity=8, metric="niching", divisions=5)
         eager = EagerBuffer(capacity=8, metric="niching", divisions=5)
         for _ in range(40):
             p = feasible(*rng.random(2))
             assert lazy.insert(p) == eager.insert(p)
-        assert_same_archive(lazy, eager, tmp_path)
+        assert_same_archive(lazy, eager)
 
 
 def test_objective_point_invariants():
