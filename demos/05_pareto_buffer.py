@@ -8,7 +8,7 @@ import numpy as np
 from hpmropt import ObjectivePoint, ParetoBuffer
 
 rng = np.random.default_rng(7)
-buffer = ParetoBuffer(capacity=8, metric="niching", divisions=7)
+buffer = ParetoBuffer(capacity=8, metric="niching")
 
 print("inserting a mixed stream (capacity 8):")
 for step in range(14):

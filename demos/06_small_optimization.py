@@ -18,12 +18,12 @@ from hpmropt import (
     default_reference,
     hypervolume_2d,
     load_scenario,
+    random_search,
     render_scatter,
     run_multi,
     run_nsga2,
 )
 from hpmropt.metrics import nondominated_filter
-from hpmropt.pearl import random_search
 
 BUDGET = 4000
 HERE = Path(__file__).resolve().parent

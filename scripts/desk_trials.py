@@ -6,8 +6,9 @@ trees and write the paired results to one JSON file.
         --out TRIALS_6.json
 
 A trial is what the criteria 8-9 fixture in ``tests/test_acceptance.py``
-runs: PEARL with 8 agents and 8000 steps from base seed ``1000 + 97 * trial``,
-and random search over 8000 designs from seed ``base + 50_000``.  Each trial
+runs: PEARL with 8 agents and 8000 steps from base seed ``B + 97 * trial``,
+and random search over 8000 designs from seed ``base + 50_000``.  ``B`` is
+``--seed-base``; its default, 1000, gives the fixture's own trials.  Each trial
 runs in a fresh interpreter that imports ``hpmropt`` from the given tree
 only (``bench_rows.run_tree``).  Per trial the file records both criteria's
 verdicts, the PEARL and random-search hypervolumes at the criterion's shared
@@ -37,13 +38,14 @@ RANDOM_OFFSET = 50_000
 FIXED_REFERENCE = (1400.0, 1.47)
 F_DH_LIMIT = 1.47
 SCENARIOS = ("scenario-3", "scenario-1", "scenario-2")
+SEED_BASE = 1000     # the criteria 8-9 fixture's
 
 
-def base_seed(trial: int) -> int:
-    return 1000 + 97 * trial
+def base_seed(trial: int, seed_base: int = SEED_BASE) -> int:
+    return seed_base + 97 * trial
 
 
-def run_trial(scenario: str, trial: int) -> dict:
+def run_trial(scenario: str, trial: int, seed_base: int = SEED_BASE) -> dict:
     """One criteria 8-9 trial with whatever ``hpmropt`` is importable."""
     import numpy as np
 
@@ -59,7 +61,7 @@ def run_trial(scenario: str, trial: int) -> dict:
 
     start = time.perf_counter()
     evaluator = h.DesignEvaluator(h.load_scenario(scenario))
-    seed = base_seed(trial)
+    seed = base_seed(trial, seed_base)
     result = run_multi(evaluator, PearlConfig(agents=AGENTS, total_steps=STEPS,
                                               base_seed=seed))
     rs_front = random_search(evaluator, STEPS, seed=seed + RANDOM_OFFSET)
@@ -132,7 +134,7 @@ def summarize(scenario: str, before: list, after: list) -> dict:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
-        print(child_line(run_trial(argv[1], int(argv[2]))))
+        print(child_line(run_trial(argv[1], int(argv[2]), int(argv[3]))))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path, required=True, help="source tree (src/)")
@@ -140,6 +142,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--scenarios", nargs="+", default=list(SCENARIOS))
     parser.add_argument("--trials", type=int, default=TRIALS)
+    parser.add_argument("--seed-base", type=int, default=SEED_BASE,
+                        help="trial t runs from base seed SEED_BASE + 97 * t")
     parser.add_argument("--jobs", type=int, default=2,
                         help="trials run at once (each is one process)")
     args = parser.parse_args(argv)
@@ -150,11 +154,13 @@ def main(argv=None) -> int:
             for trial in range(args.trials) for side in sides]
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         records = list(pool.map(
-            lambda job: run_tree(Path(__file__), sides[job[0]], job[1], str(job[2])), jobs))
+            lambda job: run_tree(Path(__file__), sides[job[0]], job[1], str(job[2]),
+                                 str(args.seed_base)), jobs))
     by_side = {side: [r for (s, _, _), r in zip(jobs, records) if s == side]
                for side in sides}
     payload = {
-        "trial": {"agents": AGENTS, "steps": STEPS, "base_seed": "1000 + 97 * trial",
+        "trial": {"agents": AGENTS, "steps": STEPS,
+                  "base_seed": f"{args.seed_base} + 97 * trial",
                   "random_seed": f"base_seed + {RANDOM_OFFSET}",
                   "fixed_reference": list(FIXED_REFERENCE)},
         "summary": [summarize(scenario,

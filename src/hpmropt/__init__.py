@@ -7,7 +7,9 @@ Library layout:
 - ``environment``   surrogate physics: proxy model, sample tables, evaluator
 - ``economics``     cash-flow schedules, levelized cost, scenario presets
 - ``pareto``        dominance, sorting, diversity ranking, rank-reward buffer
-- ``pearl``         rank-rewarded reinforcement-learning optimizer
+- ``learner``       the policy network, its sampling and its clipped-surrogate learner
+- ``pearl``         rank-rewarded reinforcement-learning optimizer and its agent loop
+- ``baseline``      uniform random search
 - ``nsga2``         evolutionary baseline on the same genome
 - ``metrics``       hypervolume, front exports, SVG scatter plots
 - ``runio``/``cli`` experiment orchestration and command-line interface
@@ -37,9 +39,10 @@ _EXPORTS = {
                 "hypervolume_2d", "load_front", "render_scatter"),
     "nsga2": ("GaConfig", "run_nsga2"),
     "pareto": ("ObjectivePoint", "ParetoBuffer", "crowding_distance", "dominates",
-               "niching_rank", "nondominated_sort", "reference_directions"),
-    "pearl": ("PearlConfig", "PolicyState", "merge_fronts", "ppo_update", "random_search",
-              "run_agent", "run_multi", "sample_action", "step_reward"),
+               "merge_fronts", "niching_rank", "nondominated_sort", "reference_directions"),
+    "learner": ("PolicyState", "ppo_update", "sample_action"),
+    "pearl": ("PearlConfig", "run_agent", "run_multi", "step_reward"),
+    "baseline": ("random_search",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design_space import FIELD_NAMES, DesignVector
-from .errors import ConfigError, ContractError, HpmroptError
+from .errors import ConfigError, ContractError, HpmroptError, read_lines
 from .pareto import DesignPayload, ObjectivePoint, _first_front
 
 
@@ -153,28 +153,27 @@ def export_front(report: FrontReport, path) -> None:
 def load_front(path) -> FrontReport:
     """Read an ``export_front`` file; a malformed one is a ``ConfigError``."""
     report = FrontReport()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        missing = [c for c in ("objective_0", "objective_1", "feasible", "penalty")
-                   if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ConfigError(f"{path}: missing columns {missing}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                design = None
-                if row.get("x_ca") not in (None, ""):
-                    design = DesignVector.from_record(
-                        {f: float(row[f]) for f in FIELD_NAMES})
-                report.points.append(FrontPoint(
-                    objectives=[float(row["objective_0"]), float(row["objective_1"])],
-                    feasible=bool(int(row["feasible"])),
-                    penalty=float(row["penalty"]),
-                    point_id=row.get("point_id", ""),
-                    design=design,
-                ))
-            except (KeyError, TypeError, ValueError, HpmroptError) as exc:
-                raise ConfigError(f"{path}, line {line}: {exc}") from exc
-            report.label = row.get("label", "")
+    reader = csv.DictReader(read_lines(path, "front file", newline=""), delimiter="\t")
+    missing = [c for c in ("objective_0", "objective_1", "feasible", "penalty")
+               if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{path}: missing columns {missing}")
+    for line, row in enumerate(reader, start=2):
+        try:
+            design = None
+            if row.get("x_ca") not in (None, ""):
+                design = DesignVector.from_record(
+                    {f: float(row[f]) for f in FIELD_NAMES})
+            report.points.append(FrontPoint(
+                objectives=[float(row["objective_0"]), float(row["objective_1"])],
+                feasible=bool(int(row["feasible"])),
+                penalty=float(row["penalty"]),
+                point_id=row.get("point_id", ""),
+                design=design,
+            ))
+        except (KeyError, TypeError, ValueError, HpmroptError) as exc:
+            raise ConfigError(f"{path}, line {line}: {exc}") from exc
+        report.label = row.get("label", "")
     if not report.points:
         raise ConfigError(f"{path}: no points")
     return report

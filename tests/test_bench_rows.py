@@ -24,16 +24,20 @@ def bench_rows():
     return module
 
 
-@pytest.fixture(scope="module")
-def time_setup(bench_rows):
-    # the script imports its harness as the top-level module ``bench_rows``
+def load_script(bench_rows, name):
+    """``scripts/<name>.py`` as a module; the scripts import their harness
+    as the top-level module ``bench_rows``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(sys.modules, "bench_rows", bench_rows)
-        spec = importlib.util.spec_from_file_location("time_setup",
-                                                      SCRIPTS / "time_setup.py")
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def time_setup(bench_rows):
+    return load_script(bench_rows, "time_setup")
 
 
 def write_records(directory, workload, values):
@@ -213,3 +217,35 @@ def test_setup_figures_of_this_tree(time_setup):
     assert sorted(figures) == ["cli_evaluate_cached_s", "cli_evaluate_s",
                                "setup_probe_cached_s", "setup_probe_s"]
     assert all(0 < value < 60 for value in figures.values())
+
+
+def test_desk_trials_run_from_the_seed_base(bench_rows, tmp_path, monkeypatch):
+    # every child gets the base, and the payload records it; no desk study runs
+    desk_trials = load_script(bench_rows, "desk_trials")
+    children = []
+
+    def child(script, src, scenario, trial, seed_base):
+        children.append((src.name, scenario, trial, seed_base))
+        seed = desk_trials.base_seed(int(trial), int(seed_base))
+        return {"scenario": scenario, "trial": int(trial), "base_seed": seed,
+                "criterion_8": True, "criterion_9": True,
+                "hv_fixed": float(seed), "hv_over_random": 1.0}
+
+    monkeypatch.setattr(desk_trials, "run_tree", child)
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    out = tmp_path / "TRIALS.json"
+    assert desk_trials.main(["--before", str(tmp_path / "old"), "--after", str(tmp_path / "new"),
+                             "--out", str(out), "--scenarios", "scenario-3", "--trials", "2",
+                             "--seed-base", "20000", "--jobs", "1"]) == 0
+    assert sorted(children) == [(side, "scenario-3", trial, "20000")
+                                for side in ("new", "old") for trial in ("0", "1")]
+    payload = json.loads(out.read_text())
+    assert payload["trial"]["base_seed"] == "20000 + 97 * trial"
+    assert [t["base_seed"] for t in payload["trials"]["after"]] == [20000, 20097]
+    # without the flag, the fixture's trials
+    children.clear()
+    desk_trials.main(["--before", str(tmp_path / "old"), "--after", str(tmp_path / "new"),
+                      "--out", str(out), "--scenarios", "scenario-3", "--trials", "1"])
+    assert {seed_base for *_, seed_base in children} == {"1000"}
+    assert json.loads(out.read_text())["trial"]["base_seed"] == "1000 + 97 * trial"

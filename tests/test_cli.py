@@ -1095,6 +1095,25 @@ class TestFrontExports:
             assert main(["report", str(run_dir)]) == 2, name
             assert "front.tsv" in capsys.readouterr().err, name
 
+    @pytest.mark.parametrize("fault", ["directory", "not UTF-8"])
+    @pytest.mark.parametrize("compare", [False, True], ids=["run", "compare"])
+    def test_an_unreadable_front_is_config_error(self, tmp_path, capsys, fault, compare):
+        # each raised a raw IsADirectoryError or UnicodeDecodeError (exit 1)
+        header = "label\tpoint_id\tobjective_0\tobjective_1\tfeasible\tpenalty"
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        good.mkdir()
+        bad.mkdir()
+        (good / "front.tsv").write_text(header + "\nx\tp0\t1000.0\t1.2\t1\t0.0\n")
+        front = bad / "front.tsv"
+        if fault == "directory":
+            front.mkdir()
+        else:
+            front.write_bytes(header.encode() + b"\n\xff\tp0\t1000.0\t1.2\t1\t0.0\n")
+        argv = ["report", str(good), "--compare", str(bad)] if compare else ["report", str(bad)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert str(front) in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("compare", ["missing", "empty"])
     def test_compare_without_a_front_is_config_error(self, tmp_path, capsys, compare):
         # each raised a raw FileNotFoundError (exit 1)

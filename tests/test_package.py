@@ -31,17 +31,18 @@ EXPORTS = {
                 "hypervolume_2d", "load_front", "render_scatter"),
     "nsga2": ("GaConfig", "run_nsga2"),
     "pareto": ("ObjectivePoint", "ParetoBuffer", "crowding_distance", "dominates",
-               "niching_rank", "nondominated_sort", "reference_directions"),
-    "pearl": ("PearlConfig", "PolicyState", "merge_fronts", "ppo_update", "random_search",
-              "run_agent", "run_multi", "sample_action", "step_reward"),
+               "merge_fronts", "niching_rank", "nondominated_sort", "reference_directions"),
+    "learner": ("PolicyState", "ppo_update", "sample_action"),
+    "pearl": ("PearlConfig", "run_agent", "run_multi", "step_reward"),
+    "baseline": ("random_search",),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 # what evaluating a design may load: the evaluator and what it imports
 EVALUATION_MODULES = {"hpmropt", "hpmropt.data", "hpmropt.errors", "hpmropt.design_space",
                       "hpmropt.constraints", "hpmropt.economics", "hpmropt.environment"}
-OPTIMIZER_MODULES = ("hpmropt.pearl", "hpmropt.pareto", "hpmropt.nsga2", "hpmropt.metrics",
-                     "hpmropt.runio")
+OPTIMIZER_MODULES = ("hpmropt.pearl", "hpmropt.learner", "hpmropt.baseline", "hpmropt.pareto",
+                     "hpmropt.nsga2", "hpmropt.metrics", "hpmropt.runio")
 
 
 def test_every_name_is_its_modules_object():
@@ -79,14 +80,24 @@ def test_a_probe_cycle_leaves_the_original_name():
     probe_path = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
     namespace = {"__name__": "perfbench_probe"}
     exec(compile(probe_path.read_text(), str(probe_path), "exec"), namespace)
-    original = design_space.from_unit_cube
+    from hpmropt import baseline, learner, pearl
+
+    # each name, with every module that binds it
+    bound = {"from_unit_cube": (design_space, hpmropt),
+             "random_search": (pearl, baseline, hpmropt),
+             "ppo_update": (pearl, learner, hpmropt),
+             "sample_action": (pearl, learner, hpmropt)}
+    original = {name: getattr(owners[0], name) for name, owners in bound.items()}
     probe = namespace["Probe"](namespace["TRACED"]).install()
     try:
-        assert design_space.from_unit_cube is not original
-        assert hpmropt.from_unit_cube is design_space.from_unit_cube
+        for name, owners in bound.items():
+            wrapper = getattr(owners[0], name)
+            assert wrapper is not original[name], name
+            assert all(getattr(owner, name) is wrapper for owner in owners), name
     finally:
         probe.remove()
-    assert hpmropt.from_unit_cube is design_space.from_unit_cube is original
+    for name, owners in bound.items():
+        assert all(getattr(owner, name) is original[name] for owner in owners), name
 
 
 def run_child(code, *args):
@@ -160,9 +171,16 @@ def test_commands_load_only_what_they_use(tmp_path, command, reads):
 def test_the_nsga2_baseline_loads_no_rl_module():
     seen = run_child(f"import json, sys\nimport hpmropt.nsga2\nprint(json.dumps({_LOADED}))")
     assert "hpmropt.nsga2" in seen
-    assert "hpmropt.pearl" not in seen
+    assert not set(seen) & {"hpmropt.pearl", "hpmropt.learner"}
     # optimizers return points: only run orchestration builds their reports
     assert "hpmropt.metrics" not in seen
     seen = run_child(f"import json, sys\nimport hpmropt.pearl\nprint(json.dumps({_LOADED}))")
     assert "hpmropt.pearl" in seen
     assert "hpmropt.metrics" not in seen
+
+
+@pytest.mark.parametrize("load", ["import hpmropt.baseline", "hpmropt.random_search"])
+def test_the_random_search_baseline_loads_no_rl_module(load):
+    seen = run_child(f"import json, sys\nimport hpmropt\n{load}\nprint(json.dumps({_LOADED}))")
+    assert "hpmropt.baseline" in seen
+    assert not set(seen) & {"hpmropt.pearl", "hpmropt.learner", "hpmropt.metrics"}

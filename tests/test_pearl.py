@@ -10,28 +10,24 @@ from hpmropt.economics import load_scenario
 from hpmropt.environment import DesignEvaluator
 from hpmropt.errors import ConfigError, ContractError
 from hpmropt.metrics import default_reference, hypervolume_2d, nondominated_filter
-from hpmropt import pearl
-from hpmropt.pareto import ObjectivePoint, ParetoBuffer
-from hpmropt.pearl import (
+from hpmropt import learner, pearl
+from hpmropt.baseline import random_search
+from hpmropt.learner import (
     _PARAM_SHAPES,
     ACTION_DIM,
     HIDDEN_WIDTH,
     AdamOptimizer,
-    PearlConfig,
     PolicyState,
     Rollout,
     _Targets,
     log_prob_of,
-    merge_fronts,
     ppo_gradient,
     ppo_loss,
     ppo_update,
-    random_search,
-    run_agent,
-    run_multi,
     sample_action,
-    step_reward,
 )
+from hpmropt.pareto import ObjectivePoint, ParetoBuffer, merge_fronts
+from hpmropt.pearl import PearlConfig, run_agent, run_multi, step_reward
 
 from conftest import AlwaysFeasibleEvaluator, ToyEvaluator
 from oracles import random_search_oracle
@@ -105,8 +101,8 @@ class TestSampleAction:
         rng = np.random.default_rng(agents)
         mean = rng.normal(size=(agents, ACTION_DIM)) * 30.0
         log_std = rng.normal(size=(agents, ACTION_DIM))
-        group = pearl._Behaviour(mean, log_std, np.exp(log_std))
-        alone = [pearl._Behaviour(mean[a].copy(), log_std[a].copy(), np.exp(log_std[a]))
+        group = learner._Behaviour(mean, log_std, np.exp(log_std))
+        alone = [learner._Behaviour(mean[a].copy(), log_std[a].copy(), np.exp(log_std[a]))
                  for a in range(agents)]
         seeds = rng.integers(0, 2**32, size=agents).tolist()
         drawing = [np.random.default_rng(seed) for seed in seeds]
@@ -213,7 +209,7 @@ class TestPpoUpdate:
         assert np.isfinite(ppo_gradient(policy, rollout, config)["pol_bm"]).all()
 
     def test_fully_saturated_positive_advantages_zero_policy_grad(self):
-        from hpmropt.pearl import _FLAT_SIZE, _Stack, _stack_loss_and_gradient, _views
+        from hpmropt.learner import _FLAT_SIZE, _Stack, _stack_loss_and_gradient, _views
 
         config = small_config(entropy_coeff=0.0)
         policy = PolicyState.initialize(np.random.default_rng(13))
@@ -404,7 +400,7 @@ class TestPpoUpdate:
         optimizer = AdamOptimizer(config.learning_rate)
         for reward_seed in (9, 10, 11):
             rollout = make_rollout(reward_seed=reward_seed)
-            behaviour = pearl._Behaviour.of(pearl._Stack.of([policy], policy._theta[None]))
+            behaviour = learner._Behaviour.of(learner._Stack.of([policy], policy._theta[None]))
             taken = [behaviour.mean, behaviour.log_std, behaviour.std, policy.theta(),
                      *policy.copy().params.values(),
                      *ppo_gradient(policy, rollout, config).values()]
@@ -490,8 +486,8 @@ class TestRunAgent:
         # _forward
         config = small_config(n_steps=8, epochs=3)
         forwards = []
-        forward = pearl._forward
-        monkeypatch.setattr(pearl, "_forward",
+        forward = learner._forward
+        monkeypatch.setattr(learner, "_forward",
                             lambda stack: forwards.append(1) or forward(stack))
         run_agent(toy_env, config, seed=4, steps=32)
         assert len(forwards) == 1 + 4 * (config.epochs + 1)
@@ -821,7 +817,7 @@ def test_config_rejects_bad_archive_settings(key, value):
 
 
 def test_mean_and_std_helpers_match_numpy_bit_for_bit():
-    from hpmropt.pearl import _mean, _std
+    from hpmropt.learner import _mean, _std
 
     rng = np.random.default_rng(17)
     for _ in range(2000):
