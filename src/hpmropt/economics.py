@@ -40,9 +40,11 @@ DEFAULT_ANNUAL_ENERGY_MWH = THERMAL_POWER_MW * 8766.0 * EFFICIENCY * CAPACITY_FA
 
 
 # the discount arrays hold plant_life_years + 1 entries, so its bound keeps
-# their time and memory bounded
+# their time and memory bounded; the period shares it, so that it converts
+# to a float
 ECON_RULES = {"discount_rate": within(0, 1, open_top=True),
-              "plant_life_years": integer(1, 1000), "replacement_period_years": integer(1),
+              "plant_life_years": integer(1, 1000),
+              "replacement_period_years": integer(1, 1000),
               "annual_energy_mwh": POSITIVE}
 
 
@@ -55,6 +57,14 @@ class EconParams:
 
     def __post_init__(self):
         check(self, ECON_RULES)
+        # lcoe divides by the discounted energy, so it and its reciprocal
+        # must be finite: 1e308 MWh a year would price every design at 0
+        with np.errstate(over="ignore"):
+            energy = self._discounted_energy
+        if not (math.isfinite(energy) and math.isfinite(1.0 / energy)):
+            raise ConfigError("annual_energy_mwh must be a number whose discounted sum "
+                              "over the plant life and that sum's reciprocal are finite, "
+                              f"got {self.annual_energy_mwh!r}")
 
     def discount_factors(self) -> np.ndarray:
         return self._discount.copy()

@@ -160,13 +160,16 @@ def load_front(path) -> FrontReport:
         raise ConfigError(f"{path}: missing columns {missing}")
     for line, row in enumerate(reader, start=2):
         try:
+            # export_front writes a point's feasibility as 0 or 1
+            if row["feasible"] not in ("0", "1"):
+                raise ValueError(f"feasible must be 0 or 1, got {row['feasible']!r}")
             design = None
             if row.get("x_ca") not in (None, ""):
                 design = DesignVector.from_record(
                     {f: float(row[f]) for f in FIELD_NAMES})
             report.points.append(FrontPoint(
                 objectives=[float(row["objective_0"]), float(row["objective_1"])],
-                feasible=bool(int(row["feasible"])),
+                feasible=row["feasible"] == "1",
                 penalty=float(row["penalty"]),
                 point_id=row.get("point_id", ""),
                 design=design,

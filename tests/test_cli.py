@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,14 @@ class TestEvaluate:
         # an integer past the float range raised a raw OverflowError
         pytest.param("econ", "annual_energy_mwh", 10**400,
                      id="econ-annual_energy_mwh-10**400"),
+        # a period past the float range loaded, then raised a raw
+        # OverflowError in every evaluation (exit 1)
+        pytest.param("econ", "replacement_period_years", 10**400,
+                     id="econ-replacement_period_years-10**400"),
+        # the discounted energy overflowed, printing lcoe=0 (exit 0), and
+        # its reciprocal overflowed, printing lcoe=inf (exit 0)
+        ("econ", "annual_energy_mwh", 1e308),
+        ("econ", "annual_energy_mwh", 1e-320),
     ])
     def test_bad_scenario_value_is_config_error(self, tmp_path, nominal_file, capsys,
                                                 section, key, value):
@@ -639,6 +648,27 @@ class TestOptimize:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--optimizer", "pearl", "--agents", "2", "--steps", "16"],
+        ["--optimizer", "nsga2", "--steps", "128"],
+    ], ids=["pearl", "nsga2"])
+    @pytest.mark.parametrize("key, value", [
+        # NSGA-II exited 1 with a traceback, leaving only manifest.json;
+        # PEARL logged evaluation_failed on every step and ended failed
+        pytest.param("replacement_period_years", 10**400,
+                     id="replacement_period_years-10**400"),
+        # both ran, on a front priced at lcoe 0 or inf
+        ("annual_energy_mwh", 1e308),
+        ("annual_energy_mwh", 1e-320),
+    ])
+    def test_an_econ_value_that_breaks_every_evaluation_leaves_no_directory(
+            self, tmp_path, capsys, flags, key, value):
+        scenario = TestEvaluate.scenario_file(tmp_path, econ={key: value})
+        out = tmp_path / "r"
+        assert main(["optimize", "--scenario", scenario, *flags, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         # gone, at any value: an archive always has kappa - 1 divisions
         ("niching_divisions", None),
@@ -1087,13 +1117,21 @@ class TestFrontExports:
             "feasible-with-penalty": [header, "x\tp0\t1000.0\t1.2\t1\t3.0"],
             "short-row": [header, "x\tp0\t1000.0"],
             "no-rows": [header],
+            # only export_front's 0 and 1 are flags; 2 and -7 loaded as
+            # feasible and this pair reported a hypervolume of 36
+            "flag-2": [header, "x\tp0\t1000.0\t1.2\t2\t0.0",
+                       "x\tp1\t1001.0\t1.1\t-7\t0.0"],
+            "flag--7": [header, "x\tp0\t1000.0\t1.2\t-7\t0.0"],
         }
         for name, lines in malformed.items():
             run_dir = tmp_path / name
             run_dir.mkdir()
             (run_dir / "front.tsv").write_text("\n".join(lines) + "\n")
             assert main(["report", str(run_dir)]) == 2, name
-            assert "front.tsv" in capsys.readouterr().err, name
+            err = capsys.readouterr().err
+            assert "front.tsv" in err, name
+            if name.startswith("flag-"):
+                assert "line 2: feasible must be 0 or 1" in err, name
 
     @pytest.mark.parametrize("fault", ["directory", "not UTF-8"])
     @pytest.mark.parametrize("compare", [False, True], ids=["run", "compare"])
@@ -1172,3 +1210,25 @@ class TestFrontExports:
         out = capsys.readouterr().out
         assert "1 points, 0 feasible" in out
         assert "no hypervolume" in out
+
+
+def test_readme_commands_parse_and_name_existing_scripts():
+    # every `hpmropt ...` line of README's shell blocks, its continuation
+    # lines joined, parses; every script path README names exists
+    from hpmropt.cli import build_parser
+
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("hpmropt ")]
+    assert len(commands) >= 5
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+    scripts = set(re.findall(r"\b(?:scripts|perfbench)/\w+\.py\b", readme))
+    assert "perfbench/run.py" in scripts
+    assert sorted(path for path in scripts if not (root / path).is_file()) == []

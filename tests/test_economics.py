@@ -79,6 +79,24 @@ class TestLcoe:
         with pytest.raises(ConfigError, match="annual_energy_mwh"):
             EconParams(annual_energy_mwh=0.0)
 
+    @pytest.mark.parametrize("key, value", [
+        # float() of the period overflowed in every build_cash_flows
+        pytest.param("replacement_period_years", 10**400,
+                     id="replacement_period_years-10**400"),
+        # the discounted energy overflowed, so every lcoe read 0
+        ("annual_energy_mwh", 1e308),
+        # its reciprocal overflowed, so every lcoe read inf
+        ("annual_energy_mwh", 1e-320),
+    ])
+    def test_econ_value_that_breaks_every_lcoe_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            EconParams(**{key: value})
+
+    def test_extreme_accepted_energy_gives_a_finite_lcoe(self):
+        econ = EconParams(annual_energy_mwh=1e300, replacement_period_years=1000)
+        value = lcoe(flat_schedule(np.full(61, 1e6)), econ)
+        assert 0 < value < math.inf
+
     def test_span_mismatch_rejected(self):
         econ = EconParams(plant_life_years=60)
         with pytest.raises(ContractError):
