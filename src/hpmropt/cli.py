@@ -67,8 +67,7 @@ def cmd_evaluate(args) -> int:
     print(f"  aggregate penalty: {report.penalty:.6g}")
     print(f"  feasible: {report.feasible}")
 
-    schedule = build_cash_flows(design, qoi, evaluator.scenario,
-                                evaluator.scenario.econ)
+    schedule = build_cash_flows(design, qoi, evaluator.scenario)
     print("\ndiscounted cost shares")
     for category, share in sorted(cost_breakdown(schedule, evaluator.scenario.econ).items()):
         print(f"  {category:<20} {share:8.3%}")

@@ -150,22 +150,21 @@ class CostScenario:
 class CashFlowSchedule:
     """Yearly flows by category, years 0..n inclusive.
 
-    ``ledger`` holds one row per category and ``flows`` maps each category
-    to its row, a view into the ledger.  Given ``flows`` alone, the schedule
-    stacks them into a new ledger.  ``build_cash_flows`` returns the
-    ``_DesignSchedule`` subclass instead, which builds both only when read.
+    The schedule stacks ``flows`` into ``ledger``, one row per category,
+    and maps each category to its row, a view into the ledger.
+    ``build_cash_flows`` returns the ``_DesignSchedule`` subclass instead,
+    which builds both only when read.
     """
 
     years: np.ndarray
     flows: dict
-    ledger: np.ndarray | None = field(default=None, repr=False)
+    ledger: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.ledger is None:
-            if any(len(values) != len(self.years) for values in self.flows.values()):
-                _scan(self.flows, self.years)
-            self.ledger = np.array(list(self.flows.values()))
-            self.flows = dict(zip(self.flows, self.ledger))
+        if any(len(values) != len(self.years) for values in self.flows.values()):
+            _scan(self.flows, self.years)
+        self.ledger = np.array(list(self.flows.values()))
+        self.flows = dict(zip(self.flows, self.ledger))
         _check(self.ledger, self.flows, self.years)
 
     @property
@@ -263,9 +262,8 @@ def _buy_fuel(row, interval: float, n: int, batch_cost: float) -> None:
             row[year] = batch_cost + row[year]
 
 
-def build_cash_flows(design, qoi, scenario: CostScenario,
-                     econ: EconParams | None = None) -> CashFlowSchedule:
-    """The yearly flows of one design.
+def build_cash_flows(design, qoi, scenario: CostScenario) -> CashFlowSchedule:
+    """The yearly flows of one design, over ``scenario.econ``'s plant life.
 
     Fuel batches are purchased at t=0 and then at the ceiling of every
     batch-interval multiple, where the interval is min(fuel lifetime,
@@ -283,7 +281,7 @@ def build_cash_flows(design, qoi, scenario: CostScenario,
     ``lcoe``'s dot product cannot see, as its sum starts at +0.0; so LCOE
     keeps its bits.
     """
-    econ = econ or scenario.econ
+    econ = scenario.econ
     # `not >` also rejects NaN, which would buy no fuel at all
     if qoi.lifetime is None or not qoi.lifetime > 0:
         raise ContractError(f"fuel lifetime must be positive, got {qoi.lifetime}")
@@ -381,8 +379,11 @@ def load_scenario(name_or_path) -> CostScenario:
 def scenario_names(extra_dir=None) -> list[str]:
     """What ``load_scenario`` takes for each listed scenario: the shipped
     presets' names, then the path of each *.json scenario file in
-    ``extra_dir`` or in $HPMROPT_SCENARIO_DIR."""
+    ``extra_dir`` or in $HPMROPT_SCENARIO_DIR, which must be a directory."""
+    source = "--dir" if extra_dir else "$HPMROPT_SCENARIO_DIR"
     directory = extra_dir or os.environ.get("HPMROPT_SCENARIO_DIR")
+    if directory and not Path(directory).is_dir():
+        raise ConfigError(f"{source} {directory} is not a directory")
     files = sorted(Path(directory).glob("*.json")) if directory else []
     return [*PRESET_NAMES, *map(str, files)]
 

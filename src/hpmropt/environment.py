@@ -259,7 +259,7 @@ def proxy_eval(design: DesignVector, config: ProxyModelConfig | None = None):
 
 
 class SampleTable:
-    """Neutronics samples interpolated with radial basis functions.
+    """Neutronics samples interpolated with a thin-plate spline RBF.
 
     Designs are normalized to the unit cube before interpolation; queries
     reproduce sample sites exactly and extrapolate, unflagged, away from
@@ -271,7 +271,7 @@ class SampleTable:
 
     REQUIRED_COLUMNS = FIELD_NAMES + QOI_KEYS
 
-    def __init__(self, designs, qois, itc=None, kernel: str = "thin_plate_spline"):
+    def __init__(self, designs, qois, itc=None):
         designs = [d if isinstance(d, DesignVector) else DesignVector.from_array(d)
                    for d in designs]
         qois = np.asarray(qois, dtype=float)
@@ -306,10 +306,8 @@ class SampleTable:
                 values = np.column_stack([qois, self.itc])
         # linear polynomial tail needs dims+1 points; fall back to a constant
         # tail so two-point tables stay well-posed (scipy warns about the
-        # constant tail for some kernels; deliberate here)
+        # thin-plate spline's constant tail; deliberate here)
         degree = 1 if len(designs) >= self.sites.shape[1] + 1 else 0
-        if kernel == "linear":
-            degree = 0
         # scipy.interpolate (which itself imports scipy.optimize) is imported
         # on the first table, not with the package: the proxy path never needs it
         from scipy.interpolate import RBFInterpolator
@@ -317,8 +315,8 @@ class SampleTable:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*`degree` should not be below.*")
             try:
-                self._rbf = RBFInterpolator(self.sites, values, kernel=kernel,
-                                            degree=degree)
+                self._rbf = RBFInterpolator(self.sites, values,
+                                            kernel="thin_plate_spline", degree=degree)
             except np.linalg.LinAlgError as exc:
                 # sites on a hyperplane leave the linear tail's monomial
                 # matrix [1, sites] short of full column rank
@@ -329,7 +327,7 @@ class SampleTable:
                     f"and the interpolation system is singular ({exc})") from exc
 
     @classmethod
-    def from_file(cls, path, kernel: str = "thin_plate_spline") -> "SampleTable":
+    def from_file(cls, path) -> "SampleTable":
         reader = csv.DictReader(read_lines(path, "sample table", newline=""))
         if reader.fieldnames is None:
             raise TableLoadError(f"{path}: missing header row")
@@ -360,7 +358,7 @@ class SampleTable:
         if not designs:
             raise TableLoadError(f"{path}: no data rows")
         has_itc = "itc" in reader.fieldnames
-        return cls(designs, np.asarray(qois), itc=itc if has_itc else None, kernel=kernel)
+        return cls(designs, np.asarray(qois), itc=itc if has_itc else None)
 
     def __call__(self, design: DesignVector):
         """(lifetime, sdm, f_dh, q_max) interpolated at a valid design."""
@@ -387,21 +385,21 @@ class DesignEvaluator:
     Construction checks the proxy calibration (proxy model only), rejects
     with ``ConfigError`` a constraint on ``itc`` that the model cannot set
     (the proxy, or a table whose itc column is missing or has blank
-    cells), and takes a read-only snapshot of ``proxy_config``; evaluations
-    use only the snapshot, so editing ``proxy_config`` afterwards changes
-    nothing.
+    cells), and takes a read-only snapshot of ``proxy_config``, the proxy
+    that the scenario's ``proxy`` section (or the shipped calibration)
+    describes; evaluations use only the snapshot, so editing
+    ``proxy_config`` afterwards changes nothing.
     Immutable after construction; safe to call from concurrent workers.
     """
 
-    def __init__(self, scenario, model="proxy", proxy_config: ProxyModelConfig | None = None):
+    def __init__(self, scenario, model="proxy"):
         if not isinstance(scenario, CostScenario):
             raise ContractError("scenario must be a CostScenario")
         self.scenario = scenario
-        if proxy_config is None:
-            # scenario files may carry a proxy section overriding the
-            # shipped constants and coefficients
-            proxy_config = (ProxyModelConfig.from_config(scenario.proxy)
-                            if scenario.proxy else ProxyModelConfig())
+        # scenario files may carry a proxy section overriding the shipped
+        # constants and coefficients
+        proxy_config = (ProxyModelConfig.from_config(scenario.proxy)
+                        if scenario.proxy else ProxyModelConfig())
         if model == "proxy":
             proxy_config.require_calibrated()
             self.table = None
@@ -466,9 +464,8 @@ class DesignEvaluator:
         # module globals on every call, so an instrument that rebinds them
         # here sees each call
         qoi = self._qoi(design, _checked_image(design))
-        econ = self.scenario.econ
-        schedule = build_cash_flows(design, qoi, self.scenario, econ)
-        qoi.lcoe = lcoe(schedule, econ)
+        schedule = build_cash_flows(design, qoi, self.scenario)
+        qoi.lcoe = lcoe(schedule, self.scenario.econ)
         report: ConstraintReport = evaluate_constraints(self.constraints, qoi)
         objectives = np.array([qoi.lcoe, qoi.f_dh])
         return objectives, report, qoi

@@ -65,11 +65,12 @@ def check(obj, rules: dict, where: str = "", error=ConfigError) -> None:
 
 
 def read_lines(path, what: str, newline: str | None = None) -> list[str]:
-    """The lines of the UTF-8 text file at ``path``, each with its line end
-    (``newline`` as ``open`` takes it).  A missing file, a directory or
-    undecodable bytes is a ``ConfigError`` that names ``what`` and the path."""
+    """The lines of the UTF-8 text file at ``path``, less a leading
+    byte-order mark, each with its line end (``newline`` as ``open`` takes
+    it).  A missing file, a directory or undecodable bytes is a
+    ``ConfigError`` that names ``what`` and the path."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             return fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc

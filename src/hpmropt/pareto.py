@@ -449,9 +449,9 @@ class ParetoBuffer:
 
     One buffer has exactly one owner; insertions are strictly sequential.
     ``metric`` selects the within-front diversity ordering.  For niching,
-    the reference lattice has ``divisions`` divisions, by default one
-    direction per buffer slot (capacity - 1), and is built lazily once the
-    objective dimension is known.
+    the reference lattice has capacity - 1 divisions (at least one), one
+    direction per buffer slot, and is built lazily once the objective
+    dimension is known.
 
     The solutions live in columnar arrays of ``capacity + 1`` rows in no
     particular order; the row an insert evicts takes the next candidate.
@@ -467,20 +467,16 @@ class ParetoBuffer:
     ``ranked()`` hands its order to a writer (``metrics.export_buffer``).
     """
 
-    def __init__(self, capacity: int = 64, metric: str = "crowding",
-                 divisions: int | None = None):
+    def __init__(self, capacity: int = 64, metric: str = "crowding"):
         if not _is_integer(capacity):
             raise ContractError(f"capacity must be an integer, got {capacity!r}")
         if capacity < 1:
             raise ContractError("capacity must be at least 1")
         if metric not in METRICS:
             raise ContractError(f"unknown distance metric {metric!r}")
-        if divisions is not None and not (_is_integer(divisions) and divisions >= 1):
-            raise ContractError(f"divisions must be an integer >= 1, got {divisions!r}")
         self.capacity = capacity
         self.metric = metric
         self.directions: np.ndarray | None = None
-        self.divisions = divisions
         self._obj: np.ndarray | None = None
         self._feas = np.zeros(capacity + 1, dtype=bool)
         self._seq = np.zeros(capacity + 1, dtype=np.int64)
@@ -500,9 +496,7 @@ class ParetoBuffer:
             raise ContractError(
                 f"non-dominated sorting supports one or two objectives, got {n_obj}")
         if self.metric == "niching":
-            divisions = self.divisions if self.divisions is not None \
-                else max(self.capacity - 1, 1)
-            self.directions = reference_directions(n_obj, divisions)
+            self.directions = reference_directions(n_obj, max(self.capacity - 1, 1))
         self._obj = np.zeros((self.capacity + 1, n_obj))
 
     def insert(self, point: ObjectivePoint) -> int:

@@ -90,14 +90,14 @@ class PearlConfig:
         return self.total_steps // self.agents
 
 
-def step_reward(objectives, report, buffer: ParetoBuffer, payload=None,
-                infeasibility_offset: float = 0.0) -> float:
+def step_reward(objectives, report, buffer: ParetoBuffer, payload=None) -> float:
     """Two-phase reward: constraint penalty until feasible, Pareto rank after.
 
     The point is archived either way; infeasible points rank behind every
-    feasible entry, ordered by ascending penalty.  ``infeasibility_offset``
-    shifts all infeasible rewards down so a sample grazing a constraint
-    boundary cannot outscore any feasible rank.
+    feasible entry, ordered by ascending penalty.  An infeasible reward is
+    the negative penalty less ``buffer.capacity + 1``, one worse than the
+    worst rank reward, so a sample grazing a constraint boundary cannot
+    outscore any feasible rank.
     """
     point = ObjectivePoint(
         objectives=objectives,
@@ -108,7 +108,7 @@ def step_reward(objectives, report, buffer: ParetoBuffer, payload=None,
     rank_reward = buffer.insert(point)
     if report.feasible:
         return float(rank_reward)
-    return -float(report.penalty) - infeasibility_offset
+    return -float(report.penalty) - (buffer.capacity + 1)
 
 
 @dataclass
@@ -207,10 +207,7 @@ class AgentResult:
         else:
             objectives, report, _qoi = result
             payload = DesignPayload(id=f"{seed}-{step}", design=design)
-            # one worse than the worst rank reward, so a barely-infeasible
-            # sample can never outscore a feasible one
-            reward = step_reward(objectives, report, self.buffer, payload,
-                                 config.kappa + 1)
+            reward = step_reward(objectives, report, self.buffer, payload)
             self.history.append(HistoryRow(
                 step, reward, report.feasible,
                 float(objectives[0]), float(objectives[1]),

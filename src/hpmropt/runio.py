@@ -18,7 +18,7 @@ import scipy
 
 from . import __version__
 from .environment import build_evaluator, check_evaluator
-from .errors import POSITIVE, STRING, check, one_of, optional, reject_unknown
+from .errors import POSITIVE, STRING, ConfigError, check, one_of, optional, reject_unknown
 from .metrics import (FrontReport, default_reference, export_buffer, export_front,
                       render_scatter, write_table)
 from .nsga2 import GaConfig, run_nsga2
@@ -129,6 +129,9 @@ def run_optimize(config: RunConfig) -> dict:
     else:
         ga_config = GaConfig(**config.nsga2)
     out = Path(config.out_dir)
+    # another run's files would be left beside this run's manifest
+    if (out / "manifest.json").exists():
+        raise ConfigError(f"{out / 'manifest.json'} exists: {out} already holds a run")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", manifest)
     deadline = (None if config.max_seconds is None

@@ -138,7 +138,7 @@ def test_criterion_04_buffer_fuzz():
     total = crowding_total = 0
     for metric, streams in plan:
         for stream in range(streams):
-            buffer = h.ParetoBuffer(capacity=64, metric=metric, divisions=63)
+            buffer = h.ParetoBuffer(capacity=64, metric=metric)
             history = []
             for step in range(1000):
                 objectives = rng.random(2) * [5000.0, 0.5] + [1000.0, 1.0]

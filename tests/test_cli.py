@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import os
@@ -417,6 +418,31 @@ def test_an_unreadable_input_file_is_config_error(tmp_path, capsys, argv, fault)
     assert captured.out == "" and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("what", ["design", "scenario", "table", "front"])
+def test_an_input_file_that_starts_with_a_byte_order_mark_loads(tmp_path, capsys,
+                                                                 nominal_file, what):
+    # the mark was read into the design file's first key and the table's
+    # first column name (exit 3), and failed the scenario's JSON parse
+    if what == "design":
+        path, argv = Path(nominal_file), ["evaluate", nominal_file]
+    elif what == "scenario":
+        path = Path(TestEvaluate.scenario_file(tmp_path))
+        argv = ["evaluate", nominal_file, "--scenario", str(path)]
+    elif what == "table":
+        path = tmp_path / "table.csv"
+        write_anchor_table(path)
+        argv = ["evaluate", nominal_file, "--evaluator", f"tabular:{path}"]
+    else:
+        run = tmp_path / "run"
+        assert main(["optimize", "--agents", "1", "--steps", "8", "--out", str(run)]) == 0
+        path, argv = run / "front.tsv", ["report", str(run)]
+    capsys.readouterr()
+    want = main(argv), capsys.readouterr()
+    assert want[1].err == ""
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert (main(argv), capsys.readouterr()) == want
+
+
 class TestScenarios:
     def test_exactly_three_presets(self, capsys):
         assert main(["scenarios"]) == 0
@@ -468,7 +494,43 @@ class TestScenarios:
                      "--out", str(tmp_path / "run")]) == 0
 
 
+    @pytest.mark.parametrize("via", ["--dir", "HPMROPT_SCENARIO_DIR"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_a_scenario_directory_that_is_none_is_config_error(self, tmp_path, capsys,
+                                                               monkeypatch, via, kind):
+        # both listed the three presets alone and exited 0
+        path = tmp_path / "scn"
+        if kind == "file":
+            path.write_text("{}")
+        if via == "--dir":
+            argv = ["scenarios", "--dir", str(path)]
+        else:
+            monkeypatch.setenv(via, str(path))
+            argv = ["scenarios"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{via} {path} is not a directory" in captured.err
+        assert captured.out == ""
+
+
 class TestOptimize:
+    def test_a_directory_that_holds_a_run_is_config_error(self, tmp_path, capsys):
+        # a 1-agent run into a 2-agent run's directory left the first run's
+        # files beside a manifest whose seeds were the second's
+        out = tmp_path / "run"
+        assert main(["optimize", "--agents", "2", "--steps", "16", "--seed", "1",
+                     "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main(["optimize", "--agents", "1", "--steps", "8", "--seed", "5",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"{out / 'manifest.json'} exists" in captured.err and captured.out == ""
+        # the config is checked first
+        assert main(["optimize", "--agents", "3", "--steps", "8", "--out", str(out)]) == 2
+        assert "divisible" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_minimal_end_to_end_run(self, tmp_path, capsys):
         out_dir = tmp_path / "run-min"
         code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",

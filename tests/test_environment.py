@@ -176,11 +176,11 @@ class TestProxyModel:
         assert proxy_eval(NOMINAL_DESIGN, clone) == proxy_eval(NOMINAL_DESIGN, cfg)
 
 
-def _table_from_anchors(kernel="thin_plate_spline"):
+def _table_from_anchors():
     designs = [rec.design for rec in ANCHOR_RECORDS]
     qois = np.array([[rec.lifetime, rec.sdm, rec.f_dh, rec.q_max]
                      for rec in ANCHOR_RECORDS])
-    return SampleTable(designs, qois, kernel=kernel)
+    return SampleTable(designs, qois)
 
 
 class TestSampleTable:
@@ -191,12 +191,14 @@ class TestSampleTable:
             assert values == pytest.approx(
                 (rec.lifetime, rec.sdm, rec.f_dh, rec.q_max), rel=1e-6, abs=1e-9)
 
-    def test_two_sample_midpoint_is_mean_with_linear_kernel(self):
+    def test_two_sample_midpoint_is_mean(self):
+        # the constant tail's weights cancel at the midpoint, which is
+        # equally far from both sites
         d1 = from_unit_cube(np.full(7, 0.2))
         d2 = from_unit_cube(np.full(7, 0.8))
         mid = from_unit_cube(np.full(7, 0.5))
         qois = np.array([[4.0, -6000.0, 1.2, 0.02], [8.0, -8000.0, 1.4, 0.01]])
-        table = SampleTable([d1, d2], qois, kernel="linear")
+        table = SampleTable([d1, d2], qois)
         values = table(mid)
         assert values == pytest.approx((6.0, -7000.0, 1.3, 0.015), rel=1e-9)
 
@@ -384,8 +386,7 @@ run_optimize(RunConfig(optimizer="pearl", out_dir=out + "/pearl",
                        pearl={"agents": 1, "total_steps": 16}))
 proxy_path = [m for m in watched if m in sys.modules]
 table = SampleTable([from_unit_cube(np.full(7, 0.2)), from_unit_cube(np.full(7, 0.8))],
-                    [[4.0, -6000.0, 1.2, 0.02], [8.0, -8000.0, 1.4, 0.01]],
-                    kernel="linear")
+                    [[4.0, -6000.0, 1.2, 0.02], [8.0, -8000.0, 1.4, 0.01]])
 values = table(from_unit_cube(np.full(7, 0.5)))
 print(json.dumps({"proxy_path": proxy_path, "values": values,
                   "after_table": [m for m in watched if m in sys.modules]}))
@@ -498,9 +499,11 @@ class TestEvaluationPath:
         assert repr(evaluator.evaluate(design)) == before
 
     def test_uncalibrated_config_rejected_at_construction(self):
-        cfg = ProxyModelConfig(betas={"lifetime": np.zeros(7)}, anchors={"lifetime": 1.0})
-        with pytest.raises(EvaluationError):
-            DesignEvaluator(load_scenario("scenario-1"), proxy_config=cfg)
+        scenario = dataclasses.replace(
+            load_scenario("scenario-1"),
+            proxy={"betas": {"lifetime": [0.0] * 7}, "anchors": {"lifetime": 1.0}})
+        with pytest.raises(EvaluationError, match="not calibrated"):
+            DesignEvaluator(scenario)
 
     def test_proxy_eval_checks_the_config_on_every_call(self):
         cfg = ProxyModelConfig()

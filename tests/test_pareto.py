@@ -241,7 +241,7 @@ class TestParetoBuffer:
 
     def test_identical_point_never_outranks_incumbent(self, rng):
         for metric in ("crowding", "niching"):
-            buf = ParetoBuffer(capacity=16, metric=metric, divisions=15)
+            buf = ParetoBuffer(capacity=16, metric=metric)
             pts = [feasible(*rng.random(2)) for _ in range(10)]
             for p in pts:
                 buf.insert(p)
@@ -277,9 +277,9 @@ class TestParetoBuffer:
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
     def test_rank_matches_bruteforce_oracle(self, metric, rng):
-        divisions = 15
-        dirs = reference_directions(2, divisions)
-        buf = ParetoBuffer(capacity=16, metric=metric, divisions=divisions)
+        # a capacity-16 archive niches on the 15-division lattice
+        dirs = reference_directions(2, 15)
+        buf = ParetoBuffer(capacity=16, metric=metric)
         history = []
         for step in range(120):
             if rng.random() < 0.75:
@@ -441,11 +441,11 @@ class TestTieHeavyOracles:
             assert carried.tolist() == ref_counts
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
-    @pytest.mark.parametrize("divisions", [3, 15])
-    def test_buffer_matches_oracle_on_grids(self, metric, divisions, rng):
-        dirs = reference_directions(2, divisions)
+    @pytest.mark.parametrize("capacity", [4, 16])
+    def test_buffer_matches_oracle_on_grids(self, metric, capacity, rng):
+        dirs = reference_directions(2, capacity - 1)
         for stream in range(4):
-            buf = ParetoBuffer(capacity=16, metric=metric, divisions=divisions)
+            buf = ParetoBuffer(capacity=capacity, metric=metric)
             history = []
             for step in range(150):
                 (p,), obj, _, _ = grid_points(rng, 1, levels=5, feasible_share=0.75)
@@ -453,7 +453,7 @@ class TestTieHeavyOracles:
                 expected_rank, order = buffer_rank_oracle(
                     history, entry, metric, dirs if metric == "niching" else None)
                 assert buf.insert(p) == -expected_rank, f"stream {stream} step {step}"
-                history = [(history + [entry])[i] for i in order][:16]
+                history = [(history + [entry])[i] for i in order][:capacity]
                 assert [(q.objectives.tolist(), q.feasible, q.penalty)
                         for q in buf.entries] == [h[:3] for h in history]
 
@@ -526,13 +526,12 @@ def assert_same_archive(lazy, eager):
         [(id(p), front, repr(distance)) for p, front, distance in eager.ranked()]
 
 
-def replay(points, capacity, metric, divisions=None):
+def replay(points, capacity, metric):
     """Insert ``points`` into a lazy and an eager buffer side by side,
     checking rewards and the whole archive after every insert, and into a
     lazy buffer read only at the end; returns the rewards."""
-    lazy, unread = (ParetoBuffer(capacity=capacity, metric=metric, divisions=divisions)
-                    for _ in range(2))
-    eager = EagerBuffer(capacity=capacity, metric=metric, divisions=divisions)
+    lazy, unread = (ParetoBuffer(capacity=capacity, metric=metric) for _ in range(2))
+    eager = EagerBuffer(capacity=capacity, metric=metric)
     rewards = []
     for step, point in enumerate(points):
         reward = lazy.insert(point)
@@ -567,11 +566,11 @@ class TestLazyArchive:
     eager reference re-ranks everything on every insert."""
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
-    @pytest.mark.parametrize("divisions", [3, 15])
-    def test_matches_eager_on_grids(self, metric, divisions, rng):
+    @pytest.mark.parametrize("capacity", [4, 16])
+    def test_matches_eager_on_grids(self, metric, capacity, rng):
         for _ in range(3):
             points, _, _, _ = grid_points(rng, 120, levels=5, feasible_share=0.75)
-            replay(points, 16, metric, divisions)
+            replay(points, capacity, metric)
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
     def test_matches_eager_on_desk_stream(self, metric, desk_stream):
@@ -591,7 +590,7 @@ class TestLazyArchive:
         # first there (counting A would put Y first)
         dirs = reference_directions(2, 3)
         a, y, x = feasible(0.0, 0.0), feasible(1.0, 0.1), feasible(0.1, 1.0)
-        buf = ParetoBuffer(capacity=8, metric="niching", divisions=3)
+        buf = ParetoBuffer(capacity=4, metric="niching")
         buf.insert(a)
         buf.insert(y)
         assert buf.insert(x) == -2
@@ -599,21 +598,20 @@ class TestLazyArchive:
         assert buffer_rank_oracle(history, ([0.1, 1.0], True, 0.0, 2),
                                   "niching", dirs)[0] == 2
         assert buf.front(1) == [x, y]
-        replay([a, y, x], 8, "niching", divisions=3)
+        replay([a, y, x], 4, "niching")
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
     def test_candidate_evicts_itself(self, metric):
         held = [feasible(0, 3), feasible(1, 1), feasible(3, 0)]
         worst = feasible(5, 5)
-        buf = ParetoBuffer(capacity=3, metric=metric, divisions=2)
+        buf = ParetoBuffer(capacity=3, metric=metric)
         for p in held:
             buf.insert(p)
         assert buf.insert(worst) == -4
         assert len(buf) == 3
         assert all(p is not worst for p in buf.entries)
         assert set(map(id, buf.entries)) == set(map(id, held))
-        replay([*held, worst, feasible(6, 6), feasible(0.5, 0.5)], 3, metric,
-               divisions=2)
+        replay([*held, worst, feasible(6, 6), feasible(0.5, 0.5)], 3, metric)
 
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
     def test_all_infeasible_archive(self, metric):
@@ -631,7 +629,7 @@ class TestLazyArchive:
     @pytest.mark.parametrize("metric", ["crowding", "niching"])
     def test_capacity_one(self, metric, rng):
         points, _, _, _ = grid_points(rng, 80, levels=3, feasible_share=0.6)
-        rewards = replay(points, 1, metric, divisions=2)
+        rewards = replay(points, 1, metric)
         assert set(rewards) <= {-1, -2}
 
     def test_duplicates_keep_their_crowding_positions(self):
@@ -713,7 +711,6 @@ class TestBufferContract:
     @pytest.mark.parametrize("kwargs", [
         {"capacity": 0}, {"capacity": 2.5}, {"capacity": True}, {"capacity": "8"},
         {"metric": "bogus"},
-        {"divisions": 0}, {"divisions": -3}, {"divisions": 2.0},
     ])
     def test_rejected_at_construction(self, kwargs):
         with pytest.raises(ContractError):
@@ -728,15 +725,6 @@ class TestBufferContract:
     def test_three_objectives_rejected(self):
         with pytest.raises(ContractError, match="one or two objectives"):
             ParetoBuffer(capacity=4).insert(feasible(1.0, 2.0, 3.0))
-
-    def test_explicit_directions_are_used(self, rng):
-        # the lattice of explicit divisions, not the capacity's default
-        lazy = ParetoBuffer(capacity=8, metric="niching", divisions=5)
-        eager = EagerBuffer(capacity=8, metric="niching", divisions=5)
-        for _ in range(40):
-            p = feasible(*rng.random(2))
-            assert lazy.insert(p) == eager.insert(p)
-        assert_same_archive(lazy, eager)
 
 
 def test_objective_point_invariants():

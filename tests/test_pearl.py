@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from hpmropt.constraints import ConstraintReport, ConstraintRow
@@ -132,14 +134,34 @@ class TestStepReward:
         buffer = ParetoBuffer(capacity=8)
         reward = step_reward(np.array([1.0, 1.0]), report_with_penalty(778.993),
                              buffer)
-        assert reward == pytest.approx(-778.993)
+        assert reward == -778.993 - 9
         assert len(buffer) == 1 and not buffer.entries[0].feasible
 
-    def test_infeasibility_offset_applied(self):
-        buffer = ParetoBuffer(capacity=8)
-        reward = step_reward(np.array([1.0, 1.0]), report_with_penalty(10.0),
-                             buffer, infeasibility_offset=65.0)
-        assert reward == pytest.approx(-75.0)
+    @settings(max_examples=80, deadline=None)
+    @given(capacity=st.integers(1, 64), stream=st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(5e-324, 1e12)),
+                  st.floats(0, 10), st.floats(0, 10)), min_size=1, max_size=100))
+    def test_infeasible_rewards_fall_below_every_feasible_one(self, capacity, stream):
+        buffer = ParetoBuffer(capacity=capacity)
+        feasible, infeasible = [], []
+        for penalty, *objectives in stream:
+            reward = step_reward(np.array(objectives), report_with_penalty(penalty),
+                                 buffer)
+            if penalty == 0.0:
+                # a candidate that evicts itself from a full archive ranks
+                # capacity + 1
+                assert -(capacity + 1) <= reward <= -1
+                feasible.append(reward)
+            else:
+                assert reward == -penalty - (capacity + 1)
+                infeasible.append((reward, penalty))
+        for reward, penalty in infeasible:
+            if penalty + (capacity + 1) == capacity + 1:
+                # a penalty below half an ulp of capacity + 1 rounds away:
+                # the reward ties the worst feasible one
+                assert reward == -(capacity + 1)
+            else:
+                assert reward < min(feasible, default=math.inf)
 
     def test_first_feasible_gets_minus_one(self):
         buffer = ParetoBuffer(capacity=8)
