@@ -7,12 +7,12 @@ into one ``BENCH_*.json`` file.
         --note criterion_04_insert_s 13.9 5.1 s
 
 Each ``result-<workload>-seed<N>-trace<T>.json`` record in a directory is one
-benchmark run.  For every workload and every metric listed below, the file
-gets the per-run values of both sides, their medians, the after/before
-ratio of the medians, the before side's quartile spread, and how many
-same-seed pairs the after side won in the metric's "better" direction from
-BENCHMARK.json.  Timed runs (``--trace 0``) give the end-to-end rows,
-traced runs (``--trace 1``) the per-layer rows.  ``--note`` adds a figure
+benchmark run.  For every workload and metric, the file gets the per-run
+values of both sides, their medians, the after/before ratio of the medians,
+the before side's quartile spread, and how many same-seed pairs the after
+side won in the metric's "better" direction from BENCHMARK.json.  Timed
+runs (``--trace 0``) give a row for each end-to-end metric BENCHMARK.json
+declares, traced runs (``--trace 1``) one for each in ``PER_LAYER``.  ``--note`` adds a figure
 measured outside the benchmark (name, before, after, unit).
 
 It is also the one harness for two source trees.  ``run_tree`` runs a
@@ -34,8 +34,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-END_TO_END = ("evals_per_s", "hv", "evaluations", "success_frac", "setup_s",
-              "peak_rss_mb")
 PER_LAYER = ("pareto.insert.us", "pareto.insert.calls", "pearl.ppo_update.us",
              "pearl.ppo_update.calls", "pearl.ppo_update.self_s",
              "pearl.run_agent.self_s",
@@ -71,6 +69,11 @@ def better_directions() -> dict:
     declared = json.loads(BENCHMARK.read_text())
     return {m["name"]: m["better"]
             for m in declared.get("end_to_end", []) + declared.get("per_layer", [])}
+
+
+def end_to_end_names() -> list[str]:
+    """The benchmark's end-to-end metrics, in declared order."""
+    return [m["name"] for m in json.loads(BENCHMARK.read_text()).get("end_to_end", [])]
 
 
 def side(records, name) -> dict:
@@ -184,10 +187,10 @@ def pairs_won(before, after, name, better) -> dict:
 
 
 def rows(before: dict, after: dict, directions: dict) -> list[dict]:
-    out = []
+    out, end_to_end = [], end_to_end_names()
     for (workload, trace) in sorted(set(before) & set(after)):
         old_records, new_records = before[(workload, trace)], after[(workload, trace)]
-        for name in (PER_LAYER if trace else END_TO_END):
+        for name in (PER_LAYER if trace else end_to_end):
             old, new = side(old_records, name), side(new_records, name)
             if old["median"] is None or new["median"] is None:
                 continue

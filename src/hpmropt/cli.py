@@ -25,6 +25,7 @@ from .errors import (
     EvaluationError,
     HpmroptError,
     TableLoadError,
+    read_lines,
 )
 
 EXIT_OK = 0
@@ -80,9 +81,10 @@ def cmd_optimize(args) -> int:
     from .runio import RunConfig, run_optimize
 
     if args.config:
+        text = "".join(read_lines(args.config, "--config"))
         try:
-            manifest = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:   # ValueError: bad JSON or encoding
+            manifest = json.loads(text)
+        except ValueError as exc:   # also an integer past Python's digit limit
             raise ConfigError(f"cannot read --config {args.config}: {exc}") from exc
         config = RunConfig.from_manifest(manifest, out_dir=args.out or "run")
     else:
@@ -176,10 +178,11 @@ def _load_run_front(run_dir: Path):
         report = load_front(front_path)
         return report.label or run_dir, report
     if report_path.exists():
+        text = "".join(read_lines(report_path, "run report"))
         try:
-            summary = json.loads(report_path.read_text())
+            summary = json.loads(text)
             status, count = summary["status"], summary["evaluations"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot read {report_path}: {exc!r}") from exc
         raise HpmroptError(f"{run_dir}: {status} run, {count} evaluations, no front exported")
     if (run_dir / "manifest.json").exists():

@@ -10,7 +10,8 @@ constraints; a design is feasible exactly when the aggregate is zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .errors import (NUMBER, POSITIVE, STRING, ConfigError, ContractError,
                      NormalizationError, check, list_of, one_of, reject_unknown)
@@ -87,51 +88,20 @@ class ConstraintRow:
 
 @dataclass
 class ConstraintReport:
-    """One row per constraint, and the aggregate penalty and feasibility.
+    """What ``evaluate_constraints`` computed: the specs it was given, each
+    constraint's value and phi, and the aggregate penalty and feasibility.
+    The rows (``hpmropt evaluate``) are built from those on first read."""
 
-    A report built from ``rows`` sums them on every read.  The report
-    ``evaluate_constraints`` returns keeps the penalty and feasibility its
-    loop computed, in the order the rows would sum them, and builds its
-    rows from the same values on first read (``hpmropt evaluate``,
-    ``repr``, ``==``): until then the instance has no ``rows`` and
-    ``__getattr__`` builds them.
-    """
+    specs: tuple
+    values: list
+    phis: list
+    penalty: float
+    feasible: bool
 
-    rows: list = field(default_factory=list)
-
-    # (specs, values, phis) of a report from evaluate_constraints
-    _loop = None
-
-    @classmethod
-    def _from_loop(cls, specs, values: list, phis: list, penalty: float,
-                   feasible: bool) -> "ConstraintReport":
-        report = object.__new__(cls)
-        report._loop = (specs, values, phis)
-        report._penalty = penalty
-        report._feasible = feasible
-        return report
-
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks
-        if name != "rows" or self._loop is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        specs, values, phis = self._loop
-        self.rows = [ConstraintRow(spec.name, value, p, spec.weight * p, p == 0.0)
-                     for spec, value, p in zip(specs, values, phis)]
-        return self.rows
-
-    @property
-    def penalty(self) -> float:
-        if self._loop is None:
-            return sum(row.weighted_penalty for row in self.rows)
-        return self._penalty
-
-    @property
-    def feasible(self) -> bool:
-        if self._loop is None:
-            return all(row.satisfied for row in self.rows)
-        return self._feasible
+    @cached_property
+    def rows(self) -> list[ConstraintRow]:
+        return [ConstraintRow(spec.name, value, p, spec.weight * p, p == 0.0)
+                for spec, value, p in zip(self.specs, self.values, self.phis)]
 
 
 def evaluate_constraints(specs, qoi) -> ConstraintReport:
@@ -140,8 +110,7 @@ def evaluate_constraints(specs, qoi) -> ConstraintReport:
     ``qoi`` may be any object exposing the constrained quantities as
     attributes (or a mapping).  A missing quantity is a contract error
     naming the constraint.  The penalty is summed in constraint order from
-    0, as ``ConstraintReport.penalty`` sums its rows; the rows themselves
-    are built only when read.
+    0, as ``sum`` over the rows' weighted penalties would sum it.
     """
     mapping = isinstance(qoi, dict)
     if type(specs) is not tuple:
@@ -168,7 +137,7 @@ def evaluate_constraints(specs, qoi) -> ConstraintReport:
         phis.append(p)
         penalty += spec.weight * p
         feasible = feasible and p == 0.0
-    return ConstraintReport._from_loop(specs, values, phis, penalty, feasible)
+    return ConstraintReport(specs, values, phis, penalty, feasible)
 
 
 def default_constraints() -> list[ConstraintSpec]:

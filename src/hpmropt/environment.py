@@ -222,17 +222,23 @@ class ProxyModelConfig:
                        nominal_z=frozen(self.nominal_z))
 
 
-def _proxy_values(dz: np.ndarray, q_avg: float, config):
+def _proxy_terms(config) -> tuple:
+    """The read-only (4, 1, 7) stack of a calibrated ProxyModelConfig's
+    coefficients and the tuple of its four anchors, in PROXY_BETA's order."""
+    stack = np.array([[config.betas[key]] for key in PROXY_BETA])
+    stack.flags.writeable = False
+    return stack, tuple(config.anchors[key] for key in PROXY_BETA)
+
+
+def _proxy_values(dz: np.ndarray, q_avg: float, stack: np.ndarray, anchors: tuple):
     """(lifetime, sdm, f_dh, q_max) from a unit-cube offset to the nominal
-    design; ``config`` is a calibrated ProxyModelConfig."""
-    # ndarray.dot reaches the same BLAS ddot as `@` without the matmul
-    # ufunc's dispatch
-    anchors, betas = config.anchors, config.betas
-    lifetime = anchors["lifetime"] * float(np.exp(betas["lifetime"].dot(dz)))
-    sdm = -anchors["sdm_magnitude"] * float(np.exp(betas["sdm_magnitude"].dot(dz)))
-    f_dh = anchors["f_dh"] * float(np.exp(betas["f_dh"].dot(dz)))
-    q_max = q_avg * (1.0 + anchors["peaking"] * float(np.exp(betas["peaking"].dot(dz))))
-    return lifetime, sdm, f_dh, q_max
+    design; ``stack`` and ``anchors`` are ``_proxy_terms`` of the config."""
+    # each (1, 7) row of the stack meets dz in one BLAS ddot, as ndarray.dot
+    # does, where a (4, 7) @ (7,) product is a gemv that sums in another order
+    [lifetime], [sdm], [f_dh], [peaking] = np.exp(np.matmul(stack, dz)).tolist()
+    a_lifetime, a_sdm, a_f_dh, a_peaking = anchors
+    return (a_lifetime * lifetime, -a_sdm * sdm, a_f_dh * f_dh,
+            q_avg * (1.0 + a_peaking * peaking))
 
 
 def _checked_image(design: DesignVector) -> list:
@@ -255,7 +261,7 @@ def proxy_eval(design: DesignVector, config: ProxyModelConfig | None = None):
     config.require_calibrated()
     z = _checked_image(design)
     q_avg = avg_heat_flux(design.x_cr, design.x_fh, config.heat_flux_k)
-    return _proxy_values(np.array(z) - config.nominal_z, q_avg, config)
+    return _proxy_values(np.array(z) - config.nominal_z, q_avg, *_proxy_terms(config))
 
 
 class SampleTable:
@@ -422,6 +428,8 @@ class DesignEvaluator:
                                   f"sample table with a complete itc column provides it")
         self.proxy_config = proxy_config
         self._proxy = proxy_config.snapshot()
+        # a table's scenario may leave the proxy's calibration incomplete
+        self._proxy_terms = _proxy_terms(self._proxy) if self.table is None else None
         self.constraints = scenario.constraints
 
     def qoi(self, design: DesignVector) -> QoIVector:
@@ -434,7 +442,8 @@ class DesignEvaluator:
         q_avg = avg_heat_flux(design.x_cr, design.x_fh, cfg.heat_flux_k)
         itc = None
         if self.table is None:
-            lifetime_y, sdm, f_dh, q_max = _proxy_values(z - cfg.nominal_z, q_avg, cfg)
+            lifetime_y, sdm, f_dh, q_max = _proxy_values(z - cfg.nominal_z, q_avg,
+                                                         *self._proxy_terms)
         else:
             (lifetime_y, sdm, f_dh, q_max), itc = self.table._query(z)
             # extrapolated tables can leave the physical domain; clamp so the

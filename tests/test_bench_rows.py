@@ -79,6 +79,16 @@ def test_pairs_won_follow_the_declared_direction(bench_rows, tmp_path):
     assert (setup["better"], setup["pairs"], setup["won"]) == ("lower", 4, 2)
 
 
+def test_end_to_end_rows_cover_every_declared_metric(bench_rows, tmp_path):
+    declared = [m["name"] for m in json.loads(bench_rows.BENCHMARK.read_text())["end_to_end"]]
+    for name in ("before", "after"):
+        write_records(tmp_path / name, "random-desk", {1: dict.fromkeys(declared, 1.0)})
+    out = tmp_path / "BENCH.json"
+    assert bench_rows.main(["--before", str(tmp_path / "before"),
+                            "--after", str(tmp_path / "after"), "--out", str(out)]) == 0
+    assert [row["metric"] for row in json.loads(out.read_text())["rows"]] == declared
+
+
 def test_directions_come_from_the_benchmark_declaration(bench_rows):
     directions = bench_rows.better_directions()
     assert directions["evals_per_s"] == "higher"

@@ -399,7 +399,8 @@ class TestEvaluate:
     ["evaluate", "{path}"],
     ["optimize", "--scenario", "{path}"],
     ["optimize", "--evaluator", "tabular:{path}"],
-], ids=["design", "scenario", "table"])
+    ["optimize", "--config", "{path}"],
+], ids=["design", "scenario", "table", "config"])
 def test_an_unreadable_input_file_is_config_error(tmp_path, capsys, argv, fault):
     # each raised a raw FileNotFoundError, IsADirectoryError or
     # UnicodeDecodeError (exit 1), but a missing table and a missing or
@@ -418,11 +419,12 @@ def test_an_unreadable_input_file_is_config_error(tmp_path, capsys, argv, fault)
     assert captured.out == "" and not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("what", ["design", "scenario", "table", "front"])
+@pytest.mark.parametrize("what", ["design", "scenario", "table", "front", "config"])
 def test_an_input_file_that_starts_with_a_byte_order_mark_loads(tmp_path, capsys,
                                                                  nominal_file, what):
     # the mark was read into the design file's first key and the table's
-    # first column name (exit 3), and failed the scenario's JSON parse
+    # first column name (exit 3), and failed the JSON parse of a scenario
+    # and of a run config (exit 2)
     if what == "design":
         path, argv = Path(nominal_file), ["evaluate", nominal_file]
     elif what == "scenario":
@@ -436,11 +438,20 @@ def test_an_input_file_that_starts_with_a_byte_order_mark_loads(tmp_path, capsys
         run = tmp_path / "run"
         assert main(["optimize", "--agents", "1", "--steps", "8", "--out", str(run)]) == 0
         path, argv = run / "front.tsv", ["report", str(run)]
+        if what == "config":
+            # a rerun of the run's manifest, into a fresh --out each time
+            path = run / "manifest.json"
+            argv = ["optimize", "--config", str(path), "--out", str(tmp_path / "rerun")]
     capsys.readouterr()
     want = main(argv), capsys.readouterr()
     assert want[1].err == ""
     path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    if what == "config":
+        (tmp_path / "rerun").rename(tmp_path / "plain")
     assert (main(argv), capsys.readouterr()) == want
+    if what == "config":
+        assert (tmp_path / "rerun" / "front.tsv").read_bytes() == \
+            (tmp_path / "plain" / "front.tsv").read_bytes()
 
 
 class TestScenarios:

@@ -109,24 +109,33 @@ def test_feasible_iff_zero_penalty(values):
     ([], {}),
 ])
 def test_report_reads_as_the_report_of_its_rows(specs, qoi):
-    report = evaluate_constraints(specs, qoi)
     rows = [ConstraintRow(s.name, qoi[s.qoi], phi(s, qoi[s.qoi]),
                           s.weight * phi(s, qoi[s.qoi]), phi(s, qoi[s.qoi]) == 0.0)
             for s in specs]
-    built = ConstraintReport(rows=rows)
+    want = repr(sum(row.weighted_penalty for row in rows)), all(row.satisfied for row in rows)
+    report = evaluate_constraints(specs, qoi)
+    assert report == ConstraintReport(tuple(specs), [r.value for r in rows],
+                                      [r.phi for r in rows], report.penalty, report.feasible)
     # read before and after the rows are built
-    assert repr(report.penalty) == repr(built.penalty)
-    assert report.feasible is built.feasible
-    assert report.rows == rows
-    assert repr(report.penalty) == repr(built.penalty)
-    assert report == built and built == report and not report != built
-    assert repr(report) == repr(built)
-    assert report != ConstraintReport(rows=[*rows, ConstraintRow("x", 0.0, 0.0, 0.0, True)])
-    assert pickle.loads(pickle.dumps(report)) == built
-    assert dataclasses.replace(report) == built
-    assert copy.copy(report) == built
+    assert "rows" not in vars(report)
+    assert (repr(report.penalty), report.feasible) == want
+    assert report.rows == rows and report.rows is report.rows
+    assert (repr(report.penalty), report.feasible) == want
+    for read in (False, True):
+        fresh = evaluate_constraints(specs, qoi)
+        if read:
+            assert fresh.rows == rows
+        for other in (pickle.loads(pickle.dumps(fresh)), copy.copy(fresh),
+                      dataclasses.replace(fresh)):
+            assert other == report and repr(other) == repr(report)
+            assert other.rows == rows
+    assert report != dataclasses.replace(report, feasible=not report.feasible)
     with pytest.raises(TypeError):
         hash(report)
+    with pytest.raises(AttributeError) as raised:
+        report.row
+    assert type(raised.value) is AttributeError
+    assert str(raised.value) == "'ConstraintReport' object has no attribute 'row'"
 
 
 def test_report_keeps_the_specs_it_was_given():

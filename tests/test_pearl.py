@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from hpmropt.constraints import ConstraintReport, ConstraintRow
+from hpmropt.constraints import ConstraintReport
 from hpmropt.design_space import from_unit_cube
 from hpmropt.economics import load_scenario
 from hpmropt.environment import DesignEvaluator
@@ -55,10 +55,7 @@ def make_rollout(policy_seed=3, reward_seed=9, n=8, behavior=None):
 
 
 def report_with_penalty(penalty):
-    feasible = penalty == 0.0
-    return ConstraintReport(rows=[ConstraintRow(
-        name="c", value=0.0, phi=penalty / 1e4,
-        weighted_penalty=penalty, satisfied=feasible)])
+    return ConstraintReport((), [], [], penalty, penalty == 0.0)
 
 
 class TestSampleAction:
