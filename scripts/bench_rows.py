@@ -34,11 +34,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-PER_LAYER = ("pareto.insert.us", "pareto.insert.calls", "pearl.ppo_update.us",
-             "pearl.ppo_update.calls", "pearl.ppo_update.self_s",
-             "pearl.run_agent.self_s",
+PER_LAYER = ("pareto.insert.us", "pareto.insert.calls",
              "pearl.sample_action.self_s", "pareto.nondominated_sort.self_s",
-             "pareto.niching_rank.self_s", "pareto.crowding_distance.self_s",
+             "pareto.crowding_distance.self_s",
              "environment.evaluate.us", "design_space.from_unit_cube.self_s",
              "economics.build_cash_flows.self_s", "economics.lcoe.self_s",
              "constraints.evaluate_constraints.self_s",

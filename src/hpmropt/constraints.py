@@ -26,7 +26,15 @@ QOI_NAMES = ("lifetime", "sdm", "f_dh", "q_max", "q_avg", "uranium_mass",
              "u235_mass", "burnup", "power_density", "lcoe", "itc")
 
 
-SPEC_RULES = {"name": STRING, "qoi": STRING, "kind": one_of(*KINDS), "weight": POSITIVE}
+# The least weight whose penalty for the least violation does not round to
+# 0.0, so that no infeasible design reads a zero penalty.  The least phi is
+# 2**-106, one ulp short of an at_least limit of a power of two; 2**-969
+# times it rounds to 0.0.
+_MIN_WEIGHT = 2.0 ** -968
+
+SPEC_RULES = {"name": STRING, "qoi": STRING, "kind": one_of(*KINDS),
+              "weight": (f"a finite number of at least 2**-968 ({_MIN_WEIGHT:.4g})",
+                         lambda v: POSITIVE[1](v) and v >= _MIN_WEIGHT)}
 
 
 @dataclass(frozen=True)

@@ -325,9 +325,8 @@ def build_cash_flows(design, qoi, scenario: CostScenario) -> CashFlowSchedule:
 
 def lcoe(schedule: CashFlowSchedule, econ: EconParams) -> float:
     """Discounted total cost over discounted energy, both summed over years
-    0..n with constant annual energy."""
-    if econ.annual_energy_mwh == 0:
-        raise ZeroDivisionError("annual energy is zero")
+    0..n with constant annual energy, which ``EconParams`` keeps positive
+    with a finite discounted sum and reciprocal."""
     disc = econ._discount
     if len(disc) != len(schedule.years):
         raise ContractError("schedule span does not match plant life")

@@ -463,12 +463,6 @@ class AdamOptimizer:
         np.divide(np.multiply(self.learning_rate, a, out=a, **rows), b, out=a, **rows)
         np.subtract(theta, a, out=theta, **rows)
 
-    def take(self, rows) -> None:
-        """Keep only ``rows`` of the state, in that order."""
-        if self.m is not None:
-            self.m, self.v, self.t = self.m[rows], self.v[rows], self.t[rows]
-            self._scratch = np.empty_like(self.m), np.empty_like(self.m)
-
 
 def _grad_norm(grad: np.ndarray, squares: np.ndarray, tensors: list) -> np.ndarray:
     """Euclidean norm of each row of an (A, N) gradient stack: one squaring
@@ -500,7 +494,8 @@ class UpdateStats:
 
 @np.errstate(all="ignore")
 def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: "PearlConfig",
-            optimizer: AdamOptimizer, buffers: tuple) -> list[UpdateStats]:
+            optimizer: AdamOptimizer, buffers: tuple,
+            live: np.ndarray | None = None) -> list[UpdateStats]:
     """config.epochs clipped-surrogate steps for every policy of a group at
     once, in place.
 
@@ -513,9 +508,10 @@ def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: "PearlC
     one stacked Adam step.  A row whose gradient or loss turns non-finite
     sits out the rest of the update, as if its own update had stopped
     there: its θ and its optimizer state stay as they were, and its stats
-    are that epoch's.  Its arithmetic still runs with the others', so
-    numpy's floating-point warnings are off for the whole update: each
-    skip is logged once instead.
+    are that epoch's.  A row that the (A,) mask ``live`` (default: every
+    row) leaves out, such as a crashed agent's, sits out the whole update.
+    Its arithmetic still runs with the others', so numpy's floating-point
+    warnings are off for the whole update: each skip is logged once instead.
     """
     count = len(policies)
     stack = _Stack.of(policies, theta)
@@ -523,13 +519,13 @@ def _update(policies: list, theta: np.ndarray, rollout: Rollout, config: "PearlC
     grad, squares = buffers
     grads = _views(grad)
     tensors = [squares[:, where] for where in _FLAT_SLICES.values()]
-    live = np.ones(count, dtype=bool)
-    all_live = True
+    live = np.ones(count, dtype=bool) if live is None else live.copy()
+    all_live = bool(live.all())
     for epoch in range(config.epochs):
         epoch_loss, epoch_log_ratio = _stack_loss_and_gradient(stack, rollout, targets,
                                                                config, grads)
         epoch_norm = _grad_norm(grad, squares, tensors)
-        if all_live:
+        if all_live or epoch == 0:
             loss, norm, log_ratio = epoch_loss, epoch_norm, epoch_log_ratio
         else:
             loss = np.where(live, epoch_loss, loss)

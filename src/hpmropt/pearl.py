@@ -97,7 +97,8 @@ def step_reward(objectives, report, buffer: ParetoBuffer, payload=None) -> float
     feasible entry, ordered by ascending penalty.  An infeasible reward is
     the negative penalty less ``buffer.capacity + 1``, one worse than the
     worst rank reward, so a sample grazing a constraint boundary cannot
-    outscore any feasible rank.
+    outscore any feasible rank; a penalty too small to move that sum gives
+    the next float below it, which cannot tie the worst rank either.
     """
     point = ObjectivePoint(
         objectives=objectives,
@@ -108,7 +109,8 @@ def step_reward(objectives, report, buffer: ParetoBuffer, payload=None) -> float
     rank_reward = buffer.insert(point)
     if report.feasible:
         return float(rank_reward)
-    return -float(report.penalty) - (buffer.capacity + 1)
+    floor = -(buffer.capacity + 1)
+    return min(-float(report.penalty) + floor, math.nextafter(floor, -math.inf))
 
 
 @dataclass
@@ -235,12 +237,19 @@ class _Group:
     Row a of every stacked array is agent a's: the behaviour that samples
     between updates, (A, 7) arrays refreshed by one stacked forward per
     update, and the open batch, (A, n, 7) and (A, n) arrays.  An agent
-    whose own work raises leaves the group, and its failure is recorded."""
+    whose own work raises is recorded as failed, and ``live`` unmarks its
+    row: the group skips its work and the learner leaves its row as it is."""
 
     def __init__(self, agents: list, config: PearlConfig, batch_size: int):
         self.agents = agents
         self.rngs = [agent.rng for agent in agents]
-        self._stack_policies()
+        self.live = np.ones(len(agents), dtype=bool)
+        # the one place a policy is bound to a row: the learner moves the
+        # stack in place from then on
+        self.theta = np.empty((len(agents), _FLAT_SIZE))
+        self.buffers = np.empty_like(self.theta), np.empty_like(self.theta)
+        for agent, row in zip(agents, self.theta):
+            agent.policy._bind(row)
         self.optimizer = AdamOptimizer(config.learning_rate)
         self.behaviour = self._behaviour()
         self.pre_squash = np.empty((len(agents), batch_size, ACTION_DIM))
@@ -249,37 +258,20 @@ class _Group:
         self.filled = 0              # columns of the open batch
         self.failures: list = []     # of (agent, exception)
 
-    def _stack_policies(self) -> None:
-        """Move every agent's θ into a row of a new stack, in order, with
-        the learner's two buffers shaped to match: at start-up and after an
-        agent leaves, the only times a policy is bound to a row."""
-        self.theta = np.empty((len(self.agents), _FLAT_SIZE))
-        self.buffers = np.empty_like(self.theta), np.empty_like(self.theta)
-        for agent, row in zip(self.agents, self.theta):
-            agent.policy._bind(row)
-
     def _behaviour(self) -> _Behaviour:
         return _Behaviour.of(_Stack.of([agent.policy for agent in self.agents], self.theta))
 
     def each(self, work) -> None:
-        """``work(row, agent)`` for every agent, in order."""
-        failed = []
+        """``work(row, agent)`` for every live agent, in order."""
         for row, agent in enumerate(self.agents):
+            if not self.live[row]:
+                continue
             try:
                 work(row, agent)
             except Exception as exc:  # noqa: BLE001 - one agent's crash is data
                 logger.exception("agent %d failed", agent.seed)
                 self.failures.append((agent, exc))
-                failed.append(agent)
-        if failed:
-            keep = [i for i, agent in enumerate(self.agents) if agent not in failed]
-            self.agents = [self.agents[i] for i in keep]
-            self.rngs = [self.rngs[i] for i in keep]
-            self._stack_policies()
-            self.optimizer.take(keep)
-            self.behaviour = _Behaviour(*(array[keep] for array in self.behaviour))
-            self.pre_squash, self.log_probs, self.rewards = (
-                array[keep] for array in (self.pre_squash, self.log_probs, self.rewards))
+                self.live[row] = False
 
     def act(self, evaluator, config: PearlConfig, step: int) -> None:
         """One lockstep step: one draw for the group, then each agent
@@ -301,11 +293,10 @@ class _Group:
         rollout = Rollout(self.pre_squash[:, :n], self.log_probs[:, :n],
                           self.rewards[:, :n])
         stats = _update([agent.policy for agent in self.agents], self.theta, rollout,
-                        config, self.optimizer, self.buffers)
+                        config, self.optimizer, self.buffers, self.live)
         self.behaviour = self._behaviour()
         self.filled = 0
-        for agent, agent_stats in zip(self.agents, stats):
-            agent.learned(agent_stats, step)
+        self.each(lambda row, agent: agent.learned(stats[row], step))
 
 
 def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
@@ -326,20 +317,21 @@ def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
               for seed, name in zip(seeds, names)]
     group = _Group(agents, config, min(config.n_steps, steps))
     for step in range(steps):
-        if not group.agents:
+        if not group.live.any():
             break
         if deadline is not None and time.monotonic() > deadline:
             for agent in group.agents:
                 agent.truncated = True
             break
         group.act(evaluator, config, step)
-        if group.agents and (group.filled == config.n_steps or step == steps - 1):
+        if group.live.any() and (group.filled == config.n_steps or step == steps - 1):
             group.learn(config, step)
         if (checkpoint_dir is not None and config.checkpoint_interval
                 and (step + 1) % config.checkpoint_interval == 0):
             group.each(lambda _, agent: agent.checkpoint(checkpoint_dir, step))
     failures = sorted(group.failures, key=lambda pair: agents.index(pair[0]))
-    return group.agents, [(agent.seed, exc) for agent, exc in failures]
+    return ([agent for agent, live in zip(agents, group.live) if live],
+            [(agent.seed, exc) for agent, exc in failures])
 
 
 def run_agent(evaluator, config: PearlConfig, seed: int,

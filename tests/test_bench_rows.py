@@ -89,6 +89,12 @@ def test_end_to_end_rows_cover_every_declared_metric(bench_rows, tmp_path):
     assert [row["metric"] for row in json.loads(out.read_text())["rows"]] == declared
 
 
+def test_per_layer_rows_name_declared_metrics(bench_rows):
+    declared = {m["name"] for m in json.loads(bench_rows.BENCHMARK.read_text())["per_layer"]}
+    assert set(bench_rows.PER_LAYER) <= declared
+    assert len(set(bench_rows.PER_LAYER)) == len(bench_rows.PER_LAYER)
+
+
 def test_directions_come_from_the_benchmark_declaration(bench_rows):
     directions = bench_rows.better_directions()
     assert directions["evals_per_s"] == "higher"

@@ -166,6 +166,8 @@ class TestEvaluate:
         ({"limit": 10**400}, "limit"),
         # the retired hull flag is no quantity of the bundle
         ({"qoi": "extrapolated"}, "qoi"),
+        # a weight this small made the penalty of a violation round to 0.0
+        ({"weight": 5e-324}, "weight"),
     ])
     def test_bad_constraint_record_is_config_error(self, tmp_path, nominal_file, capsys,
                                                    changes, key):

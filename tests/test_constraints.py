@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -170,3 +171,22 @@ def test_bad_kind_and_weight():
         ConstraintSpec("k", qoi="k", kind="at_most", limit=1.0, weight=0.0)
     with pytest.raises(ContractError):
         ConstraintSpec("k", qoi="k", kind="range", limit=(2.0, 1.0))
+
+
+def test_the_least_weight_keeps_every_violation_penalized():
+    # one ulp past each end of each default limit, at the least weight a
+    # spec takes: the penalty is positive and the design infeasible
+    for spec in default_constraints():
+        spec = dataclasses.replace(spec, weight=2.0 ** -968)
+        ends = [(spec.limit[0], -math.inf), (spec.limit[1], math.inf)] \
+            if spec.kind == "range" else [(spec.limit, math.inf)]
+        for limit, outward in ends:
+            report = evaluate_constraints([spec], {spec.qoi: math.nextafter(limit, outward)})
+            assert report.penalty > 0 and not report.feasible, (spec.name, limit)
+    # the least phi, one ulp short of an at_least limit of 2, times half
+    # that weight rounds to 0.0, so that weight is refused
+    spec = ConstraintSpec("k", qoi="k", kind="at_least", limit=2.0)
+    assert phi(spec, math.nextafter(2.0, 0.0)) == 2.0 ** -106
+    assert 2.0 ** -969 * 2.0 ** -106 == 0.0
+    with pytest.raises(ContractError, match="weight"):
+        ConstraintSpec("k", qoi="k", kind="at_most", limit=1.0, weight=2.0 ** -969)

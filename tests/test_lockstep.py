@@ -225,7 +225,8 @@ def test_stacked_update_moves_each_row_as_its_own_update():
 
 def test_a_group_binds_each_policy_to_its_row_once(evaluator):
     # the learner moves the group's stack in place and never rebinds a
-    # policy: the group binds them at start-up and after an agent leaves
+    # policy: the group binds them at start-up, and a crashed agent keeps
+    # its row
     config = config_for(4, agents=3)
     seeds = config.agent_seeds()
     agents = [pearl.AgentResult.start(seed, name, config)
@@ -256,7 +257,18 @@ def test_a_group_binds_each_policy_to_its_row_once(evaluator):
             raise RuntimeError("agent crashed")
 
     group.each(crash)
-    assert [agent.seed for agent in group.agents] == [seeds[0], seeds[2]]
+    assert [agent.seed for agent in group.agents] == seeds
+    assert group.live.tolist() == [True, False, True]
     assert_bound()
+    optimizer = group.optimizer
+
+    def rows():
+        return [array.copy() for array in (group.theta, optimizer.m, optimizer.v,
+                                           optimizer.t)]
+
+    at_crash = rows()
     steps(8, 4)
     assert_bound()
+    for before, after in zip(at_crash, rows()):
+        assert after[1].tobytes() == before[1].tobytes()
+        assert not np.array_equal(after[[0, 2]], before[[0, 2]])

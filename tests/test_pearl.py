@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -135,6 +135,8 @@ class TestStepReward:
         assert len(buffer) == 1 and not buffer.entries[0].feasible
 
     @settings(max_examples=80, deadline=None)
+    # 1e-15 is below half an ulp of 65: the plain sum would tie -65.0
+    @example(capacity=64, stream=[(1e-15, 1.0, 1.0)])
     @given(capacity=st.integers(1, 64), stream=st.lists(
         st.tuples(st.one_of(st.just(0.0), st.floats(5e-324, 1e12)),
                   st.floats(0, 10), st.floats(0, 10)), min_size=1, max_size=100))
@@ -150,15 +152,17 @@ class TestStepReward:
                 assert -(capacity + 1) <= reward <= -1
                 feasible.append(reward)
             else:
-                assert reward == -penalty - (capacity + 1)
-                infeasible.append((reward, penalty))
-        for reward, penalty in infeasible:
-            if penalty + (capacity + 1) == capacity + 1:
-                # a penalty below half an ulp of capacity + 1 rounds away:
-                # the reward ties the worst feasible one
-                assert reward == -(capacity + 1)
-            else:
-                assert reward < min(feasible, default=math.inf)
+                floor = -(capacity + 1)
+                if penalty + (capacity + 1) == capacity + 1:
+                    # a penalty below half an ulp of capacity + 1 rounds
+                    # away: the reward is the next float below
+                    assert reward == math.nextafter(floor, -math.inf)
+                else:
+                    assert reward == -penalty - (capacity + 1)
+                infeasible.append(reward)
+        for reward in infeasible:
+            assert reward < -(capacity + 1)
+            assert reward < min(feasible, default=math.inf)
 
     def test_first_feasible_gets_minus_one(self):
         buffer = ParetoBuffer(capacity=8)
@@ -337,6 +341,43 @@ class TestPpoUpdate:
         stats_out = ppo_update(policy, rollout, config)
         assert stats_out.skipped
         assert np.array_equal(policy.theta(), before)
+
+    def test_a_row_marked_out_moves_the_others_as_a_stack_without_it(self):
+        # row 0 sits out every update from its first epoch, as a crashed
+        # agent's row does in its group; its stale batch reads NaN
+        config = small_config(epochs=6)
+
+        def stack(seeds):
+            policies = [PolicyState.initialize(np.random.default_rng(s), 0.3, 0.8)
+                        for s in seeds]
+            theta = np.stack([policy.theta() for policy in policies])
+            for policy, row in zip(policies, theta):
+                policy._bind(row)
+            return (policies, theta, AdamOptimizer(config.learning_rate),
+                    (np.empty_like(theta), np.empty_like(theta)))
+
+        masked, pair = stack([30, 31, 32]), stack([31, 32])
+        theta, optimizer = masked[1], masked[2]
+        out_row = theta[0].tobytes()
+        live = np.array([False, True, True])
+        for n, reward_seed in ((8, 1), (1, 2), (5, 3)):
+            rollouts = [make_rollout(policy_seed=s, reward_seed=reward_seed, n=n)
+                        for s in (30, 31, 32)]
+            rollouts[0].rewards[:] = np.nan
+            three = Rollout(*(np.stack(arrays) for arrays in zip(
+                *((r.pre_squash, r.log_probs, r.rewards) for r in rollouts))))
+            two = Rollout(three.pre_squash[1:], three.log_probs[1:], three.rewards[1:])
+            got = learner._update(*masked[:2], three, config, *masked[2:], live)
+            want = learner._update(*pair[:2], two, config, *pair[2:])
+            assert got[0].skipped
+            assert [repr(s) for s in got[1:]] == [repr(s) for s in want]
+        assert live.tolist() == [False, True, True]
+        assert theta[1:].tobytes() == pair[1].tobytes()
+        assert theta[0].tobytes() == out_row
+        assert optimizer.m[1:].tobytes() == pair[2].m.tobytes()
+        assert optimizer.v[1:].tobytes() == pair[2].v.tobytes()
+        assert not optimizer.m[0].any() and not optimizer.v[0].any()
+        assert optimizer.t.ravel().tolist() == [0, *pair[2].t.ravel().tolist()]
 
     def test_gradient_norm_clipping(self):
         config = small_config(max_grad_norm=0.5, epochs=1)
