@@ -48,7 +48,6 @@ PEARL_RULES = {
     "distance_metric": one_of(*METRICS), "base_seed": integer(0),
     "seeds": optional(list_of(integer(0))),        # one per agent
     "failure_penalty": POSITIVE,   # a failed evaluation earns a negative reward
-    "checkpoint_interval": optional(integer(1)),   # null: no checkpoints
 }
 
 
@@ -71,7 +70,6 @@ class PearlConfig:
     seeds: tuple | None = None
     failure_penalty: float = 1.0e6
     workers: int = 1
-    checkpoint_interval: int | None = None
 
     def __post_init__(self):
         check(self, PEARL_RULES)
@@ -139,8 +137,8 @@ class Incident:
 
 def agent_names(seeds) -> list[str]:
     """The tag of each agent's run files (``history-agent<tag>.tsv``,
-    ``policy-<tag>-step…``): its seed, or, when the seeds repeat, its seed
-    and its position in the list (``7-0``, ``7-1``)."""
+    ``policy-agent<tag>.tsv``, …): its seed, or, when the seeds repeat, its
+    seed and its position in the list (``7-0``, ``7-1``)."""
     if len(set(seeds)) == len(seeds):
         return [str(seed) for seed in seeds]
     return [f"{seed}-{index}" for index, seed in enumerate(seeds)]
@@ -161,6 +159,10 @@ class AgentResult:
     policy: PolicyState
     rng: np.random.Generator
     incidents: list = field(default_factory=list)     # of Incident
+    # of (step, mean, std): the initial policy, then the policy after each
+    # update, each with the steps taken before it sampled and its
+    # pre-squash means and stds
+    policy_log: list = field(default_factory=list)
     truncated: bool = False
 
     @classmethod
@@ -224,10 +226,6 @@ class AgentResult:
                                            "non-finite gradient or loss"))
         self.update_log.append(stats)
 
-    def checkpoint(self, directory, step: int) -> None:
-        np.savez(f"{directory}/policy-{self.name}-step{step + 1:06d}.npz",
-                 **self.policy._arrays())
-
 
 class _Group:
     """Agents that run in lockstep: every agent takes step k before any takes
@@ -251,15 +249,20 @@ class _Group:
         for agent, row in zip(agents, self.theta):
             agent.policy._bind(row)
         self.optimizer = AdamOptimizer(config.learning_rate)
-        self.behaviour = self._behaviour()
         self.pre_squash = np.empty((len(agents), batch_size, ACTION_DIM))
         self.log_probs = np.empty((len(agents), batch_size))
         self.rewards = np.empty((len(agents), batch_size))
         self.filled = 0              # columns of the open batch
         self.failures: list = []     # of (agent, exception)
+        self.behaviour = self._behaviour(0)
 
-    def _behaviour(self) -> _Behaviour:
-        return _Behaviour.of(_Stack.of([agent.policy for agent in self.agents], self.theta))
+    def _behaviour(self, step: int) -> _Behaviour:
+        # the policies' behaviour from ``step`` on: each live agent logs
+        # views of its row
+        behaviour = _Behaviour.of(_Stack.of([a.policy for a in self.agents], self.theta))
+        self.each(lambda row, agent: agent.policy_log.append(
+            (step, behaviour.mean[row], behaviour.std[row])))
+        return behaviour
 
     def each(self, work) -> None:
         """``work(row, agent)`` for every live agent, in order."""
@@ -294,14 +297,13 @@ class _Group:
                           self.rewards[:, :n])
         stats = _update([agent.policy for agent in self.agents], self.theta, rollout,
                         config, self.optimizer, self.buffers, self.live)
-        self.behaviour = self._behaviour()
+        self.behaviour = self._behaviour(step + 1)
         self.filled = 0
         self.each(lambda row, agent: agent.learned(stats[row], step))
 
 
 def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
-               steps: int, checkpoint_dir=None,
-               deadline: float | None = None):
+               steps: int, deadline: float | None = None):
     """The agent loop: the agents of ``seeds`` sample, evaluate, archive and
     learn in lockstep.
 
@@ -326,17 +328,13 @@ def _run_group(evaluator, config: PearlConfig, seeds: list, names: list,
         group.act(evaluator, config, step)
         if group.live.any() and (group.filled == config.n_steps or step == steps - 1):
             group.learn(config, step)
-        if (checkpoint_dir is not None and config.checkpoint_interval
-                and (step + 1) % config.checkpoint_interval == 0):
-            group.each(lambda _, agent: agent.checkpoint(checkpoint_dir, step))
     failures = sorted(group.failures, key=lambda pair: agents.index(pair[0]))
     return ([agent for agent, live in zip(agents, group.live) if live],
             [(agent.seed, exc) for agent, exc in failures])
 
 
 def run_agent(evaluator, config: PearlConfig, seed: int,
-              steps: int | None = None, checkpoint_dir=None,
-              deadline: float | None = None) -> AgentResult:
+              steps: int | None = None, deadline: float | None = None) -> AgentResult:
     """One agent's full optimization loop: the agent loop for a group of one.
 
     Bit-reproducible for a fixed seed.  A failing evaluation is retried
@@ -346,8 +344,7 @@ def run_agent(evaluator, config: PearlConfig, seed: int,
     the result truncated.  Any other exception propagates.
     """
     steps = config.steps_per_agent() if steps is None else steps
-    results, failures = _run_group(evaluator, config, [seed], [str(seed)], steps,
-                                   checkpoint_dir, deadline)
+    results, failures = _run_group(evaluator, config, [seed], [str(seed)], steps, deadline)
     if failures:
         raise failures[0][1]
     return results[0]
@@ -360,8 +357,7 @@ class MultiResult:
     failures: list = field(default_factory=list)
 
 
-def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,
-              checkpoint_dir=None) -> MultiResult:
+def run_multi(evaluator, config: PearlConfig, deadline: float | None = None) -> MultiResult:
     """Run all agents on their seeds and merge their fronts.
 
     The agents run in lockstep groups (see ``_run_group``), and each agent's
@@ -380,7 +376,7 @@ def run_multi(evaluator, config: PearlConfig, deadline: float | None = None,
     groups = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     jobs = [functools.partial(_run_group, evaluator, config, [seeds[i] for i in group],
                               [names[i] for i in group], config.steps_per_agent(),
-                              checkpoint_dir, deadline)
+                              deadline)
             for group in groups]
     results: list[AgentResult] = []
     failures: list[dict] = []

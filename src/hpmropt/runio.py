@@ -17,8 +17,10 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .design_space import FIELD_NAMES, from_unit_cube
 from .environment import build_evaluator, check_evaluator
 from .errors import POSITIVE, STRING, ConfigError, check, one_of, optional, reject_unknown
+from .learner import _sigmoid
 from .metrics import (FrontReport, default_reference, export_buffer, export_front,
                       render_scatter, write_table)
 from .nsga2 import GaConfig, run_nsga2
@@ -96,6 +98,14 @@ def write_updates(path, update_log) -> None:
                  for index, stats in enumerate(update_log)))
 
 
+def write_policy(path, policy_log) -> None:
+    """One row per policy of one agent (``pearl.AgentResult.policy_log``)."""
+    write_table(path, ["update", "step", *FIELD_NAMES, *(f"std_{f}" for f in FIELD_NAMES)],
+                ([index, step, *map(repr, from_unit_cube(_sigmoid(mean)).to_record().values()),
+                  *map(repr, std.tolist())]
+                 for index, (step, mean, std) in enumerate(policy_log)))
+
+
 def write_incidents(path, agents) -> None:
     """One JSON object per line for each agent's incidents
     (``pearl.Incident``), agent by agent; an empty file when none occurred."""
@@ -138,13 +148,12 @@ def run_optimize(config: RunConfig) -> dict:
                 else time.monotonic() + config.max_seconds)
 
     if config.optimizer == "pearl":
-        # run_multi checkpoints only when checkpoint_interval is set
-        result = run_multi(evaluator, pearl_config, deadline=deadline,
-                           checkpoint_dir=out)
+        result = run_multi(evaluator, pearl_config, deadline=deadline)
         for agent in result.agents:
             # named by seed, plus the agent's position when seeds repeat
             write_history(out / f"history-agent{agent.name}.tsv", agent.history)
             write_updates(out / f"updates-agent{agent.name}.tsv", agent.update_log)
+            write_policy(out / f"policy-agent{agent.name}.tsv", agent.policy_log)
             export_buffer(agent.buffer, out / f"buffer-agent{agent.name}.tsv")
         write_incidents(out / "incidents.jsonl", result.agents)
         points, failures = result.merged_front, result.failures

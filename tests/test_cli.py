@@ -697,6 +697,8 @@ class TestOptimize:
         ({"max_seconds": "x"}, "max_seconds"),
         # ran the whole default budget with no deadline, and exited 0
         ({"max_seconds": float("nan")}, "max_seconds"),
+        # a manifest of a run that wrote policy checkpoints
+        ({"config": {"pearl": {"checkpoint_interval": 8}}}, "checkpoint_interval"),
     ])
     def test_unknown_optimizer_key_is_config_error(self, tmp_path, capsys,
                                                    manifest, key):
@@ -770,11 +772,11 @@ class TestOptimize:
         ("entropy_coeff", None),
         ("init_log_std", "x"),          # used to fail every agent (exit 1)
         ("failure_penalty", -1),        # a failed evaluation would earn +1
-        ("checkpoint_interval", -5),    # used to run and write no checkpoint
         ("workers", 0),                 # used to run serially without a word
         # gone, at any value: a run has one schedule, its infeasibility
-        # offset is kappa + 1, and its initial spread and centre scale are
-        # constants
+        # offset is kappa + 1, its initial spread and centre scale are
+        # constants, and it writes its policies as a table, not checkpoints
+        ("checkpoint_interval", -5),
         ("shared_buffer", False),
         ("shared_buffer", "yes"),
         ("shared_buffer", "false"),
@@ -890,26 +892,12 @@ class TestOptimize:
         assert summary["evaluations"] == len(calls)
         assert 0 < summary["evaluations"] <= int(flags[-1])
 
-    def test_policy_checkpoints_written(self, tmp_path):
-        from hpmropt.runio import RunConfig, run_optimize
-
-        config = RunConfig(
-            scenario="scenario-3", optimizer="pearl", out_dir=str(tmp_path),
-            pearl={"agents": 1, "total_steps": 32, "base_seed": 4,
-                   "checkpoint_interval": 16})
-        run_optimize(config)
-        checkpoints = sorted(tmp_path.glob("policy-4-step*.npz"))
-        assert [p.name for p in checkpoints] == [
-            "policy-4-step000016.npz", "policy-4-step000032.npz"]
-        loaded = np.load(checkpoints[-1])
-        assert loaded["log_std"].shape == (7,)
-
     def test_repeated_seeds_keep_every_agents_files(self, tmp_path):
         # two agents of seed 7 wrote one history-agent7.tsv of 8 rows: the
         # second overwrote the first
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"pearl": {
-            "agents": 2, "total_steps": 16, "seeds": [7, 7], "checkpoint_interval": 8}}))
+            "agents": 2, "total_steps": 16, "seeds": [7, 7]}}))
         out = tmp_path / "run"
         assert main(["optimize", "--config", str(config), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["evaluations"] == 16
@@ -919,8 +907,10 @@ class TestOptimize:
         assert [len(p.read_text().splitlines()) - 1 for p in histories] == [8, 8]
         for kind in ("updates", "buffer"):
             assert len(list(out.glob(f"{kind}-agent7-?.tsv"))) == 2, kind
-        assert sorted(p.name for p in out.glob("policy-*.npz")) == [
-            "policy-7-0-step000008.npz", "policy-7-1-step000008.npz"]
+        policies = sorted(out.glob("policy-agent*.tsv"))
+        assert [p.name for p in policies] == ["policy-agent7-0.tsv", "policy-agent7-1.tsv"]
+        # the initial policy and the one after the single update
+        assert [len(p.read_text().splitlines()) - 1 for p in policies] == [2, 2]
 
     def test_update_telemetry_written_beside_history(self, tmp_path):
         import csv
@@ -948,6 +938,68 @@ class TestOptimize:
                     + [str(int(stats.skipped))]
         header = (tmp_path / "front.tsv").read_text().splitlines()[0].split("\t")
         assert not set(columns[1:]) & set(header)
+
+    def test_policy_table_holds_each_policy_that_sampled(self, tmp_path, monkeypatch):
+        # where the group builds its behaviour (at the start and after each
+        # update), each agent's policy on its own, decoded: 20 steps per
+        # agent in batches of 8, so the last batch is partial
+        from hpmropt import learner, pearl
+        from hpmropt.design_space import FIELD_NAMES
+
+        expected = {}
+
+        def log(group, step):
+            for agent in group.agents:
+                policy = agent.policy
+                alone = learner._Behaviour.of(learner._Stack.of([policy], policy._theta[None]))
+                design = from_unit_cube(learner._sigmoid(alone.mean[0])).to_record()
+                expected.setdefault(agent.name, []).append(
+                    [str(step), *map(repr, design.values()),
+                     *map(repr, alone.std[0].tolist())])
+
+        init, learn = pearl._Group.__init__, pearl._Group.learn
+
+        def logged_init(group, agents, config, batch_size):
+            init(group, agents, config, batch_size)
+            log(group, 0)
+
+        def logged_learn(group, config, step):
+            learn(group, config, step)
+            log(group, step + 1)
+
+        monkeypatch.setattr(pearl._Group, "__init__", logged_init)
+        monkeypatch.setattr(pearl._Group, "learn", logged_learn)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pearl": {
+            "agents": 2, "total_steps": 40, "n_steps": 8, "base_seed": 3}}))
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(expected) == ["3", "4"]
+        for name, rows in expected.items():
+            lines = [line.split("\t") for line in
+                     (out / f"policy-agent{name}.tsv").read_text().splitlines()]
+            assert lines[0] == ["update", "step", *FIELD_NAMES,
+                                *(f"std_{field}" for field in FIELD_NAMES)]
+            assert lines[1:] == [[str(index), *row] for index, row in enumerate(rows)]
+            updates = (out / f"updates-agent{name}.tsv").read_text().splitlines()
+            assert len(lines) == len(updates) + 1
+            assert [line[1] for line in lines[1:]] == ["0", "8", "16", "20"]
+
+    def test_a_run_stopped_before_its_first_step_writes_the_initial_policies(
+            self, tmp_path):
+        runs = {}
+        for deadline in (["--max-seconds", "1e-300"], []):
+            out = tmp_path / f"run-{len(deadline)}"
+            code = main(["optimize", "--scenario", "scenario-3", "--agents", "2",
+                         "--steps", "16", "--seed", "3", *deadline, "--out", str(out)])
+            assert code == (4 if deadline else 0)
+            runs[len(deadline)] = {name: (out / f"policy-agent{name}.tsv").read_text()
+                                   for name in ("3", "4")}
+        for name, table in runs[2].items():
+            lines = table.splitlines()
+            assert len(lines) == 2 and lines[1].startswith("0\t0\t")
+            # the policy a full run starts from
+            assert lines == runs[0][name].splitlines()[:2]
 
     def test_incidents_written_beside_front(self, tmp_path, monkeypatch):
         from hpmropt import runio
@@ -1139,12 +1191,12 @@ class TestOptimize:
                 if without[name] != with_deadline[name]] == ["manifest.json"]
 
     def test_readme_names_every_file_a_run_writes(self, tmp_path, monkeypatch):
-        # the file kinds of README's run-directory bullet, <name> and <step>
-        # standing for any text
+        # the file kinds of README's run-directory bullet, <name> standing
+        # for any text
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         bullet = readme.split("- `optimize` writes a self-describing run directory", 1)[1]
         bullet = bullet.split("\n- ", 1)[0]
-        kinds = re.findall(r"`([\w<>-]+\.(?:json|jsonl|tsv|svg|npz))`", bullet)
+        kinds = re.findall(r"`([\w<>-]+\.(?:json|jsonl|tsv|svg))`", bullet)
         patterns = {kind: re.compile(".+".join(map(re.escape, re.split(r"<\w+>", kind))))
                     for kind in kinds}
         from hpmropt import metrics, runio
@@ -1158,8 +1210,7 @@ class TestOptimize:
         monkeypatch.setattr(metrics, "write_table", write_table)
         monkeypatch.setattr(runio, "write_table", write_table)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"pearl": {"agents": 2, "total_steps": 16,
-                                                "checkpoint_interval": 8}}))
+        config.write_text(json.dumps({"pearl": {"agents": 2, "total_steps": 16}}))
         assert main(["optimize", "--config", str(config), "--out", str(tmp_path / "pearl")]) == 0
         assert main(["optimize", "--optimizer", "nsga2", "--steps", "128",
                      "--out", str(tmp_path / "nsga2")]) == 0

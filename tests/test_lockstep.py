@@ -33,6 +33,7 @@ def record(agent):
             [repr(stats) for stats in agent.update_log],
             [repr(incident) for incident in agent.incidents],
             agent.policy.theta().tobytes(),
+            [(step, mean.tobytes(), std.tobytes()) for step, mean, std in agent.policy_log],
             [(repr(p.objectives.tolist()), p.payload.id) for p in agent.front_points()])
 
 
@@ -116,19 +117,24 @@ def test_a_dead_worker_fails_only_its_own_group(evaluator, tmp_path, monkeypatch
     assert len(summary["failures"]) == 2
 
 
-def test_non_finite_gradient_skips_only_that_agents_update(evaluator, monkeypatch):
-    # two rewards of -1e308 in one batch overflow its standardization, so
-    # the agent's first update (the one whose products read the fresh,
-    # F-ordered pol_wm) is skipped; its groupmates step on
-    config = config_for(8, agents=4)
-    poisoned = config.agent_seeds()[2]
+def poison_first_batch(monkeypatch, seed):
+    """Two rewards of -1e308 in the first batch of agent ``seed`` overflow
+    its standardization, so its first update (the one whose products read
+    the fresh, F-ordered pol_wm) is skipped."""
     archive = pearl.step_reward
 
     def overflowing(objectives, report, buffer, payload=None, *args):
         reward = archive(objectives, report, buffer, payload, *args)
-        return -1e308 if payload.id in (f"{poisoned}-0", f"{poisoned}-1") else reward
+        return -1e308 if payload.id in (f"{seed}-0", f"{seed}-1") else reward
 
     monkeypatch.setattr(pearl, "step_reward", overflowing)
+
+
+def test_non_finite_gradient_skips_only_that_agents_update(evaluator, monkeypatch):
+    # the poisoned agent's groupmates step on
+    config = config_for(8, agents=4)
+    poisoned = config.agent_seeds()[2]
+    poison_first_batch(monkeypatch, poisoned)
     with np.errstate(all="ignore"):
         result = run_multi(evaluator, config)
         solo = [run_agent(evaluator, config, seed) for seed in config.agent_seeds()]
@@ -140,10 +146,29 @@ def test_non_finite_gradient_skips_only_that_agents_update(evaluator, monkeypatc
     assert [record(a) for a in result.agents] == [record(a) for a in solo]
 
 
+def test_a_skipped_update_logs_the_policy_it_kept(evaluator, monkeypatch, tmp_path):
+    # the policy table repeats the poisoned agent's initial centre and stds
+    # after its skipped update, and moves on after the next one
+    config = config_for(8, agents=4)
+    poisoned = config.agent_seeds()[2]
+    poison_first_batch(monkeypatch, poisoned)
+    with np.errstate(all="ignore"):
+        result = run_multi(evaluator, config)
+    for agent in result.agents:
+        assert [step for step, _, _ in agent.policy_log] == [0, 8, 16, 20]
+        path = tmp_path / f"policy-agent{agent.name}.tsv"
+        runio.write_policy(path, agent.policy_log)
+        rows = [line.split("\t")[2:] for line in path.read_text().splitlines()[1:]]
+        arrays = [(mean.tobytes(), std.tobytes()) for _, mean, std in agent.policy_log]
+        assert (rows[1] == rows[0]) == (arrays[1] == arrays[0]) == (agent.seed == poisoned)
+        assert rows[2] != rows[1]
+
+
 @pytest.mark.parametrize("step", [3, 12])
 def test_an_agents_exception_removes_only_that_agent(evaluator, monkeypatch, step):
     # before the group's first update, and after it, when the survivors'
-    # policies view rows of the stacked θ that the group must compact
+    # policies view rows of the stacked θ beside the crashed agent's
+    # masked row
     config = config_for(8, agents=4)
     crashed = config.agent_seeds()[1]
     act = pearl.AgentResult.act

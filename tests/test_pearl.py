@@ -576,25 +576,6 @@ class TestRunAgent:
         assert checked == [3] * 8
         assert [a.seed for a in results] == seeds
 
-    def test_a_checkpoint_before_the_first_update_holds_the_initial_policy(
-            self, toy_env, tmp_path):
-        config = small_config(agents=1, total_steps=8, n_steps=8, checkpoint_interval=4)
-        run_agent(toy_env, config, seed=3, checkpoint_dir=tmp_path)
-        initial = pearl.AgentResult.start(3, "3", config).policy
-
-        def checkpoint(step):
-            with np.load(tmp_path / f"policy-3-step{step:06d}.npz") as archive:
-                return {name: archive[name] for name in archive.files}
-
-        early, late = checkpoint(4), checkpoint(8)
-        assert sorted(early) == sorted(late) == sorted(_PARAM_SHAPES)
-        for name in _PARAM_SHAPES:
-            assert np.array_equal(early[name], initial.params[name]), name
-        assert not np.array_equal(late["pol_wm"], initial.params["pol_wm"])
-        # each matrix is written in the layout its products read: pol_wm
-        # F-ordered, as initialize made it, until the first update
-        assert np.isfortran(early["pol_wm"]) and not np.isfortran(late["pol_wm"])
-
     def test_trivially_feasible_environment_fills_buffer(self):
         config = small_config(kappa=64)
         result = run_agent(AlwaysFeasibleEvaluator(), config, seed=1, steps=64)
