@@ -52,7 +52,7 @@ class FrontReport:
 
 def nondominated_filter(objectives: np.ndarray) -> np.ndarray:
     """The mutually non-dominated rows, duplicates collapsed to one, in
-    lexicographic order (one or two objectives)."""
+    lexicographic order; ``objectives`` has two columns."""
     objectives = np.atleast_2d(np.asarray(objectives, dtype=float))
     return objectives[_first_front(objectives)]
 
@@ -92,6 +92,7 @@ def default_reference(fronts) -> np.ndarray:
 
 def write_table(path, header, rows) -> None:
     """A tab-separated table: the header line, then one line per row."""
+    # the csv writer writes a float as its repr, which round-trips
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t")
         writer.writerow(header)
@@ -102,11 +103,11 @@ def export_buffer(buffer, path) -> None:
     """Columnar snapshot of an archive (``pareto.ParetoBuffer``), best
     first: objectives, feasibility, penalty, front, distance, and the
     design payload of the points that carry one.  Columns come in
-    first-seen order, and a float is written as its ``repr``."""
+    first-seen order."""
     records = []
     for point, front, distance in buffer.ranked():
         record = {
-            **{f"objective_{j}": float(v) for j, v in enumerate(point.objectives)},
+            **{f"objective_{j}": v for j, v in enumerate(point.objectives.tolist())},
             "feasible": point.feasible,
             "penalty": point.penalty,
             "front": front,
@@ -116,12 +117,8 @@ def export_buffer(buffer, path) -> None:
             record.update({"id": point.payload.id, **point.payload.design.to_record()})
         records.append(record)
     header = list(dict.fromkeys(key for record in records for key in record))
-    write_table(path, header, ([_cell(record.get(key, "")) for key in header]
+    write_table(path, header, ([record.get(key, "") for key in header]
                                for record in records))
-
-
-def _cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 _EXPORT_PREFIX = ("label", "point_id", "objective_0", "objective_1",
@@ -137,11 +134,10 @@ def export_front(report: FrontReport, path) -> None:
 
     def row(p):
         cells = [report.label, getattr(p.payload, "id", ""),
-                 repr(float(p.objectives[0])), repr(float(p.objectives[1])),
-                 int(p.feasible), repr(float(p.penalty))]
+                 *p.objectives.tolist(), int(p.feasible), float(p.penalty)]
         design = getattr(p.payload, "design", None)
         if design is not None:
-            cells += [repr(v) for v in design.to_record().values()]
+            cells += design.to_record().values()
         elif has_design:
             cells += [""] * len(FIELD_NAMES)
         return cells

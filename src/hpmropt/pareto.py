@@ -29,7 +29,7 @@ _FLOAT64 = np.dtype(float)
 
 @dataclass(eq=False)
 class ObjectivePoint:
-    """One evaluated solution in objective space (all objectives minimized).
+    """One evaluated solution: its two objectives, LCOE and F_dh, minimized.
 
     Instances compare by identity: distinct evaluations may coincide in
     objective space yet remain separate archive entries."""
@@ -54,8 +54,8 @@ def _checked_objectives(objectives, feasible, penalty) -> np.ndarray:
         objectives = np.atleast_1d(np.asarray(objectives, dtype=float))
     if not all(map(math.isfinite, objectives.ravel().tolist())):
         raise ContractError(f"non-finite objectives: {objectives}")
-    if objectives.ndim != 1:
-        raise ContractError(f"objectives must be 1-D, got shape {objectives.shape}")
+    if objectives.shape != (2,):
+        raise ContractError(f"objectives must have shape (2,), got shape {objectives.shape}")
     if not penalty >= 0:
         raise ContractError("penalty must be non-negative")
     if feasible != (penalty == 0.0):
@@ -79,10 +79,6 @@ def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
     points the smaller penalty dominates; between feasible points the usual
     componentwise rule applies.
     """
-    if a.objectives.shape != b.objectives.shape:
-        raise ContractError(
-            f"dimension mismatch: {a.objectives.shape} vs {b.objectives.shape}"
-        )
     if a.feasible and not b.feasible:
         return True
     if not a.feasible:
@@ -96,25 +92,22 @@ def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
 
 def _point_arrays(points):
     """Objectives, feasibility and penalties of a non-empty sequence of
-    points, or of an (n, n_obj) array of feasible objective rows.
-
-    Sorting supports one or two objectives."""
+    points, or of an (n, 2) array of feasible objective rows; an array from
+    outside the package is checked for its two columns."""
     if isinstance(points, np.ndarray):
+        if points.shape[1] != 2:
+            raise ContractError(f"sorting takes two objectives, got {points.shape[1]}")
         obj = points
         feas, pen = np.ones(len(obj), dtype=bool), np.zeros(len(obj))
     else:
         obj = np.array([p.objectives for p in points])
         feas = np.array([p.feasible for p in points], dtype=bool)
         pen = np.array([p.penalty for p in points], dtype=float)
-    if obj.shape[1] > 2:
-        raise ContractError(
-            f"non-dominated sorting supports one or two objectives, got {obj.shape[1]}")
     return obj, feas, pen
 
 
 def _sweep_fronts(obj) -> list[list[int]]:
-    """Dominance fronts of points in one or two objectives, feasibility
-    aside.
+    """Dominance fronts of points in two objectives, feasibility aside.
 
     One lexicographic sort, then each point joins the first front whose
     latest member does not dominate it (Jensen 2003).  The latest members'
@@ -122,7 +115,7 @@ def _sweep_fronts(obj) -> list[list[int]]:
     front is found by bisection; exact duplicates share a front.
     """
     f0 = obj[:, 0].tolist()
-    f1 = obj[:, 1].tolist() if obj.shape[1] == 2 else [0.0] * len(f0)
+    f1 = obj[:, 1].tolist()
     last0: list[float] = []
     last1: list[float] = []
     fronts: list[list[int]] = []
@@ -146,7 +139,7 @@ def _first_front(points) -> list[int]:
     duplicate (same objectives and feasibility) collapsed to its earliest
     occurrence.
 
-    ``points`` is a sequence of points or an (n, n_obj) array of feasible
+    ``points`` is a sequence of points or an (n, 2) array of feasible
     objective rows.  With any feasible point, front 0 is the non-dominated
     feasible set; otherwise it is every point of the least penalty.
     """
@@ -206,13 +199,10 @@ def nondominated_sort(points) -> list[list[int]]:
     """Partition indices into fronts: front 0 is the maximal non-dominated
     set, each later front is the non-dominated set of the remainder.
 
-    Supports one or two objectives; each front lists its indices in
-    ascending order."""
+    Every point holds two objectives, checked where it was built; each
+    front lists its indices in ascending order."""
     if len(points) == 0:
         raise ContractError("cannot sort an empty point set")
-    shapes = {p.objectives.shape for p in points}
-    if len(shapes) != 1:
-        raise ContractError(f"mixed objective dimensions: {shapes}")
     obj, feas, pen = _point_arrays(points)
     infeasible = np.flatnonzero(~feas)
     by_penalty = infeasible[np.argsort(pen[infeasible], kind="stable")]
@@ -266,23 +256,12 @@ def crowding_distance(front) -> np.ndarray:
 
 
 def reference_directions(n_obj: int, divisions: int) -> np.ndarray:
-    """Simplex-lattice directions with coordinates summing to 1.
-
-    Produces C(divisions + n_obj - 1, n_obj - 1) points in deterministic
-    lexicographic order.
-    """
-    if n_obj < 2 or divisions < 1:
-        raise ContractError("need n_obj >= 2 and divisions >= 1")
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in compositions(total - head, parts - 1):
-                yield (head, *tail)
-
-    return np.array(list(compositions(divisions, n_obj)), dtype=float) / divisions
+    """The two-objective simplex lattice: the ``divisions + 1`` directions
+    ``(k, divisions - k) / divisions``, k ascending."""
+    if n_obj != 2 or divisions < 1:
+        raise ContractError(f"need n_obj == 2 and divisions >= 1, got {n_obj}, {divisions}")
+    k = np.arange(divisions + 1, dtype=float)
+    return np.stack([k, divisions - k], axis=1) / divisions
 
 
 def _associate(normalized, directions):
@@ -450,8 +429,8 @@ class ParetoBuffer:
     One buffer has exactly one owner; insertions are strictly sequential.
     ``metric`` selects the within-front diversity ordering.  For niching,
     the reference lattice has capacity - 1 divisions (at least one), one
-    direction per buffer slot, and is built lazily once the objective
-    dimension is known.
+    direction per buffer slot; a crowding buffer holds ``None``.  Every
+    point holds two objectives, checked where it was built.
 
     The solutions live in columnar arrays of ``capacity + 1`` rows in no
     particular order; the row an insert evicts takes the next candidate.
@@ -476,8 +455,9 @@ class ParetoBuffer:
             raise ContractError(f"unknown distance metric {metric!r}")
         self.capacity = capacity
         self.metric = metric
-        self.directions: np.ndarray | None = None
-        self._obj: np.ndarray | None = None
+        self.directions = (reference_directions(2, max(capacity - 1, 1))
+                           if metric == "niching" else None)
+        self._obj = np.zeros((capacity + 1, 2))
         self._feas = np.zeros(capacity + 1, dtype=bool)
         self._seq = np.zeros(capacity + 1, dtype=np.int64)
         self._points: list[ObjectivePoint | None] = [None] * (capacity + 1)
@@ -490,24 +470,9 @@ class ParetoBuffer:
     def __len__(self) -> int:
         return self._size - (self._evicted is not None)
 
-    def _start(self, n_obj: int):
-        """Check the first point's dimension and allocate the objectives."""
-        if not 1 <= n_obj <= 2:
-            raise ContractError(
-                f"non-dominated sorting supports one or two objectives, got {n_obj}")
-        if self.metric == "niching":
-            self.directions = reference_directions(n_obj, max(self.capacity - 1, 1))
-        self._obj = np.zeros((self.capacity + 1, n_obj))
-
     def insert(self, point: ObjectivePoint) -> int:
         """Rank ``point`` against the held solutions, keep the best
         ``capacity`` of the union, and return ``-rank`` (rank is 1-based)."""
-        if self._obj is None:
-            self._start(len(point.objectives))
-        elif point.objectives.shape != self._obj.shape[1:]:
-            raise ContractError(
-                f"mixed objective dimensions: {point.objectives.shape} vs "
-                f"{self._obj.shape[1:]}")
         infeasible = self._infeasible
         if self._evicted is None:
             row = self._size

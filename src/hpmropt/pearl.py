@@ -205,9 +205,9 @@ class AgentResult:
             result = None
         if result is None:
             self.incidents.append(incident)
-            reward = -config.failure_penalty
-            self.history.append(HistoryRow(step, reward, False, math.nan, math.nan,
-                                           config.failure_penalty))
+            penalty = float(config.failure_penalty)   # the rule admits an integer
+            reward = -penalty
+            self.history.append(HistoryRow(step, reward, False, math.nan, math.nan, penalty))
         else:
             objectives, report, _qoi = result
             payload = DesignPayload(id=f"{seed}-{step}", design=design)

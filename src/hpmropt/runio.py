@@ -83,26 +83,24 @@ class RunConfig:
 def write_history(path, rows) -> None:
     write_table(path, ["step", "reward", "feasible", "objective_0",
                        "objective_1", "penalty"],
-                ([row.step, repr(float(row.reward)), int(row.feasible),
-                  repr(float(row.objective_0)), repr(float(row.objective_1)),
-                  repr(float(row.penalty))] for row in rows))
+                ([row.step, row.reward, int(row.feasible), row.objective_0,
+                  row.objective_1, row.penalty] for row in rows))
 
 
 def write_updates(path, update_log) -> None:
     """One row per policy update of one agent (``pearl.UpdateStats``)."""
     write_table(path, ["update", "loss", "grad_norm", "entropy", "approx_kl",
                        "clip_frac", "skipped"],
-                ([index, repr(float(stats.loss)), repr(float(stats.grad_norm)),
-                  repr(float(stats.entropy)), repr(float(stats.approx_kl)),
-                  repr(float(stats.clip_frac)), int(stats.skipped)]
+                ([index, stats.loss, stats.grad_norm, stats.entropy, stats.approx_kl,
+                  stats.clip_frac, int(stats.skipped)]
                  for index, stats in enumerate(update_log)))
 
 
 def write_policy(path, policy_log) -> None:
     """One row per policy of one agent (``pearl.AgentResult.policy_log``)."""
     write_table(path, ["update", "step", *FIELD_NAMES, *(f"std_{f}" for f in FIELD_NAMES)],
-                ([index, step, *map(repr, from_unit_cube(_sigmoid(mean)).to_record().values()),
-                  *map(repr, std.tolist())]
+                ([index, step, *from_unit_cube(_sigmoid(mean)).to_record().values(),
+                  *std.tolist()]
                  for index, (step, mean, std) in enumerate(policy_log)))
 
 
@@ -142,7 +140,10 @@ def run_optimize(config: RunConfig) -> dict:
     # another run's files would be left beside this run's manifest
     if (out / "manifest.json").exists():
         raise ConfigError(f"{out / 'manifest.json'} exists: {out} already holds a run")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # a file at the path or on it
+        raise ConfigError(f"cannot make the run directory {out}: {exc.strerror}") from exc
     _write_json(out / "manifest.json", manifest)
     deadline = (None if config.max_seconds is None
                 else time.monotonic() + config.max_seconds)

@@ -544,6 +544,19 @@ class TestOptimize:
         assert "divisible" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["a file", "under a file"])
+    def test_an_out_that_names_a_file_is_config_error(self, tmp_path, capsys, under):
+        # the directory's mkdir raised FileExistsError or NotADirectoryError
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept\n")
+        out = afile / under if under else afile
+        assert main(["optimize", "--agents", "2", "--steps", "16", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"cannot make the run directory {out}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert afile.read_bytes() == b"kept\n"
+        assert sorted(tmp_path.iterdir()) == [afile]
+
     def test_minimal_end_to_end_run(self, tmp_path, capsys):
         out_dir = tmp_path / "run-min"
         code = main(["optimize", "--scenario", "scenario-3", "--optimizer", "pearl",
@@ -1083,6 +1096,30 @@ class TestOptimize:
         assert runs["strict"] == runs["quiet"]
         updates = (tmp_path / "strict" / "updates-agent5.tsv").read_text().splitlines()
         assert [line.split("\t")[-1] for line in updates[1:]] == ["1", "0"]
+
+    def test_an_integer_failure_penalty_is_written_as_a_float(self, tmp_path, monkeypatch):
+        # the rule admits an integer, and the csv writer would write it as one
+        from hpmropt import runio
+
+        class Faulty:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def evaluate(self, design):
+                self.calls += 1
+                if self.calls in (3, 4):    # both attempts of step 2
+                    raise RuntimeError("solver diverged")
+                return self.inner.evaluate(design)
+
+        build = runio.build_evaluator
+        monkeypatch.setattr(runio, "build_evaluator", lambda config: Faulty(build(config)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "scenario-3", "pearl": {
+            "agents": 1, "total_steps": 8, "base_seed": 3, "failure_penalty": 1000000}}))
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", str(config), "--out", str(out)]) == 0
+        rows = (out / "history-agent3.tsv").read_text().splitlines()
+        assert rows[3].split("\t") == ["2", "-1000000.0", "0", "nan", "nan", "1000000.0"]
 
     def test_misspelled_constraint_qoi_fails_at_load(self, tmp_path, capsys):
         # the record loaded, then every evaluation failed: one incident per
